@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check race race-replicas race-exec exec-smoke schedd-smoke loadgen-smoke market-smoke bench benchsmoke benchsmoke-large exec-bench-smoke guard test build vet audit fuzz-smoke
+.PHONY: check race race-replicas race-exec exec-smoke schedd-smoke loadgen-smoke market-smoke bench benchsmoke benchsmoke-large exec-bench-smoke guard e2e e2e-trace test build vet audit fuzz-smoke
 
 ## check: vet, build, and test everything (the tier-1 gate)
 check: vet build test
@@ -92,6 +92,18 @@ exec-bench-smoke:
 ## bytes/op >15% vs the committed BENCH_core.json baseline
 guard:
 	$(GO) run ./cmd/benchguard -baseline BENCH_core.json -threshold 0.10 -bytes-threshold 0.15
+
+## e2e: the repository's end-to-end benchmark (BENCHMARK.json; see
+## bench/README.md): four closed-loop workloads against an in-process
+## schedd and a loopback-TCP exec master, seven metrics each, with a
+## correctness gate and a plan digest that must repeat (~2 min)
+e2e:
+	$(GO) run ./bench
+
+## e2e-trace: the same workloads traced: per-layer metrics, and span
+## files under bench/out/
+e2e-trace:
+	$(GO) run ./bench -trace
 
 ## audit: the simulation correctness harness — invariant auditor
 ## sweeps, fresh-vs-reset differential grid, and the spot/autoscale

@@ -69,6 +69,14 @@ func run() error {
 	if err := json.Unmarshal(data, &baseline); err != nil {
 		return fmt.Errorf("baseline: %w", err)
 	}
+	// The stamp is not a benchmark: report it beside this machine's so
+	// the time columns below can be read, and gate nothing on it.
+	delete(baseline, benchsuite.EnvKey)
+	var stamps map[string]benchsuite.Env // benchmark entries decode to empty Envs
+	if err := json.Unmarshal(data, &stamps); err != nil {
+		return fmt.Errorf("baseline: %w", err)
+	}
+	fmt.Printf("baseline env: %+v\ncurrent env:  %+v\n", stamps[benchsuite.EnvKey], benchsuite.CurrentEnv())
 
 	suite := benchsuite.Suite()
 	inSuite := make(map[string]bool, len(suite))

@@ -10,8 +10,10 @@
 //
 // The output maps benchmark name → {ns_per_op, allocs_per_op,
 // bytes_per_op, iterations, extra}, where extra carries ReportMetric
-// units such as the learning benches' episodes/sec. `make bench`
-// writes BENCH_core.json at the repository root.
+// units such as the learning benches' episodes/sec, plus one "_env"
+// entry (benchsuite.Env: go version, GOMAXPROCS, CPU model, commit)
+// saying where the numbers were taken. `make bench` writes
+// BENCH_core.json at the repository root.
 package main
 
 import (
@@ -44,7 +46,10 @@ func main() {
 	}
 
 	benches := benchsuite.Suite()
-	results := make(map[string]benchsuite.Entry, len(benches))
+	env := benchsuite.CurrentEnv()
+	fmt.Printf("env: go=%s gomaxprocs=%d cpu=%q commit=%s\n", env.Go, env.GOMAXPROCS, env.CPU, env.Commit)
+	results := make(map[string]any, len(benches)+1)
+	results[benchsuite.EnvKey] = env
 	for _, bench := range benches {
 		// Reset the heap between suite entries: the large-DAG tier
 		// leaves tens of MB of garbage and a skewed GC pacer behind,

@@ -6,6 +6,7 @@ import (
 
 	"reassign/internal/cloud"
 	"reassign/internal/rl"
+	"reassign/internal/sched"
 	"reassign/internal/sim"
 	"reassign/internal/trace"
 )
@@ -37,15 +38,20 @@ func TestLearnerMapDenseEquivalence(t *testing.T) {
 // banded table on a shape that genuinely spans several bands (300
 // activations × 144 VMs, ~18 rows per 256 KiB band): map-, dense-
 // and banded-backed Learners with identical init seeds must produce
-// bit-identical trajectories, plans and learned tables.
+// bit-identical trajectories, plans and learned tables. The map run
+// bootstraps by scanning and the rectangle runs from the pending-max
+// heap, so this is also that heap's end-to-end differential; a fourth
+// run takes its engines from a pool that last served another problem
+// (the daemon path), which must not show either.
 func TestLearnerBandedEquivalence(t *testing.T) {
 	w := trace.MontageN(rand.New(rand.NewSource(6)), 300)
 	fl, err := cloud.FleetScaled(256)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var pool *sim.Pool
 	run := func(table *rl.Table) *Result {
-		l := &Learner{Workflow: w, Fleet: fl, Params: DefaultParams(), Episodes: 5, Seed: 17, Table: table}
+		l := &Learner{Workflow: w, Fleet: fl, Params: DefaultParams(), Episodes: 5, Seed: 17, Table: table, enginePool: pool}
 		res, err := l.Learn()
 		if err != nil {
 			t.Fatal(err)
@@ -62,6 +68,21 @@ func TestLearnerBandedEquivalence(t *testing.T) {
 	c := run(rl.NewDenseTable(w.Len(), len(fl.VMs), rand.New(rand.NewSource(initSeed)), 1.0))
 	compareResults(t, "map", "banded", a, b)
 	compareResults(t, "dense", "banded", c, b)
+
+	pool = sim.NewPool()
+	other, err := pool.Acquire(montage50(t, 2), fleet(t, 16), sched.MCT{}, sim.Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Run(); err != nil {
+		t.Fatal(err)
+	}
+	pool.Put(other)
+	d := run(rl.NewBandedTable(w.Len(), len(fl.VMs), rand.New(rand.NewSource(initSeed)), 1.0))
+	if reused, _ := pool.Stats(); reused == 0 {
+		t.Fatal("the pooled run never rebound an engine")
+	}
+	compareResults(t, "pooled", "banded", d, b)
 }
 
 // compareResults asserts two learning runs are bit-identical:

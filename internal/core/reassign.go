@@ -131,10 +131,13 @@ type Scheduler struct {
 	// Telemetry (instrument): nil sink disables the whole block, so
 	// the uninstrumented hot path pays only a nil check.
 	sink     telemetry.Sink
-	episode  int                  // episode number stamped on events; -1 = extraction
-	explain  rl.ExplainingPolicy  // policy, when it can report greedy-vs-explore
-	qDeltaSq float64              // Σ (ΔQ)² of this episode's TD updates
-	updates  int                  // TD updates applied this episode
+	episode  int                 // episode number stamped on events; -1 = extraction
+	explain  rl.ExplainingPolicy // policy, when it can report greedy-vs-explore
+	qDeltaSq float64             // Σ (ΔQ)² of this episode's TD updates
+	updates  int                 // TD updates applied this episode
+	// decision is the one DecisionEvent every Pick emits a pointer to:
+	// boxing a fresh 64-byte value per decision would allocate.
+	decision telemetry.DecisionEvent
 
 	// Scratch buffers, sized in Prepare and reused every call so the
 	// steady-state Pick/OnTaskComplete path does not allocate.
@@ -145,6 +148,14 @@ type Scheduler struct {
 	budget   []int          // free slots by VM ID, valid within one Pick
 	vmByID   []*sim.VMState // idle VM lookup by ID, valid within one Pick
 	perfBuf  []float64      // PerfStdDev scratch
+
+	// perfIdx[i] is the performance index of env.VMStates()[i] and
+	// perfHas[i] whether it has finished an activation this episode. A
+	// VM's index changes only when an activation completes on it, which
+	// is exactly when OnTaskComplete hears of it, so each completion
+	// recomputes one entry instead of all of them.
+	perfIdx []float64
+	perfHas []bool
 
 	// Batched TD writes. Each completion computes its update eagerly
 	// (reads — and, if needed, materialises — Q(k), keeping the
@@ -157,6 +168,12 @@ type Scheduler struct {
 	tdBufA []rl.Entry // pending writes to table
 	tdBufB []rl.Entry // pending writes to tableB (DoubleQ)
 	sorter tdSorter
+
+	// pmax answers the Q-learning/AllPending bootstrap incrementally.
+	pmax pendingMax
+	// checkNext, when set (tests only), sees every bootstrap value
+	// before it enters the TD target.
+	checkNext func(next float64, env *sim.Env)
 }
 
 // tdSorter orders buffered TD writes by (task, VM) so the flush walks
@@ -213,7 +230,10 @@ func NewPlanExtractor(params Params, table *rl.Table) (*Scheduler, error) {
 // and a fresh exploration seed, keeping the Q table and the scratch
 // buffers sized by previous Prepares. Re-seeding the existing rng
 // yields the same stream as rand.New(rand.NewSource(seed)), so the
-// Learner's episodes are unchanged by agent reuse.
+// Learner's episodes are unchanged by agent reuse. Unlike the sim
+// engine's source this one is seeded eagerly: the ε policy draws on
+// every decision, so deferring the seeding would save nothing, and a
+// cheaper-to-seed generator would change every plan.
 func (s *Scheduler) reset(params Params, seed int64) error {
 	if err := params.Validate(); err != nil {
 		return err
@@ -271,6 +291,7 @@ func (s *Scheduler) Prepare(w *dag.Workflow, fleet *cloud.Fleet, _ *sim.Env) err
 			s.maxSlotPrice = p
 		}
 	}
+	s.pmax.built = false
 	n := w.Len()
 	if cap(s.pending) < n {
 		s.pending = make([]bool, n)
@@ -293,6 +314,7 @@ func (s *Scheduler) Prepare(w *dag.Workflow, fleet *cloud.Fleet, _ *sim.Env) err
 	}
 	if cap(s.tdBufA) < n {
 		s.tdBufA = make([]rl.Entry, 0, n)
+		s.pmax.heap = make([]rowMax, 0, n)
 	}
 	if v := len(fleet.VMs); cap(s.idleBuf) < v {
 		s.idleBuf = make([]int, 0, v)
@@ -300,7 +322,10 @@ func (s *Scheduler) Prepare(w *dag.Workflow, fleet *cloud.Fleet, _ *sim.Env) err
 		s.budget = make([]int, v)
 		s.vmByID = make([]*sim.VMState, v)
 		s.perfBuf = make([]float64, 0, v)
+		s.perfIdx = make([]float64, 0, v)
+		s.perfHas = make([]bool, 0, v)
 	}
+	s.perfIdx, s.perfHas = s.perfIdx[:0], s.perfHas[:0]
 	s.rewardT = 0
 	s.step = 1
 	s.episodeR = 0
@@ -350,14 +375,15 @@ func (s *Scheduler) Pick(ctx *sim.Context) []sim.Assignment {
 			} else {
 				vmID = s.policy.Select(s.table, t.Act.Index, open, s.rng)
 			}
-			s.sink.Emit(telemetry.DecisionEvent{
+			s.decision = telemetry.DecisionEvent{
 				Episode:    s.episode,
 				Time:       ctx.Now,
 				Task:       t.Act.Index,
 				Activation: t.Act.ID,
 				VM:         vmID,
 				Greedy:     greedy,
-			})
+			}
+			s.sink.Emit(&s.decision)
 		} else {
 			vmID = s.policy.Select(s.table, t.Act.Index, open, s.rng)
 		}
@@ -400,13 +426,29 @@ func (s *Scheduler) OnTaskComplete(t *sim.Task, env *sim.Env) {
 
 	// Locate the executing VM's aggregate stats.
 	var vmStats sim.VMStats
-	if v := env.VMStateByID(t.VM.ID); v != nil {
-		vmStats = v.Stats()
+	vms := env.VMStates()
+	pos := env.VMIndexByID(t.VM.ID)
+	if pos >= 0 {
+		vmStats = vms[pos].Stats()
 	}
 	mu := s.params.Mu
 	pi := VMPerfIndex(vmStats, mu)
 	pw := GlobalPerfIndex(env.GlobalStats(), mu)
-	s.perfBuf = AppendPerfIndices(s.perfBuf[:0], env.VMStates(), mu)
+	// perfBuf is what AppendPerfIndices(nil, vms, mu) would return —
+	// same values, same order, so StdDev sums to the same float.
+	for len(s.perfHas) < len(vms) { // first completion, or the fleet grew
+		s.perfIdx = append(s.perfIdx, 0)
+		s.perfHas = append(s.perfHas, false)
+	}
+	if pos >= 0 {
+		s.perfIdx[pos], s.perfHas[pos] = pi, true
+	}
+	s.perfBuf = s.perfBuf[:0]
+	for i, has := range s.perfHas {
+		if has {
+			s.perfBuf = append(s.perfBuf, s.perfIdx[i])
+		}
+	}
 	stdv := StdDev(s.perfBuf)
 	crisp := CrispReward(pi, pw, stdv)
 	if cw := s.params.CostWeight; cw > 0 && s.maxSlotPrice > 0 {
@@ -434,6 +476,9 @@ func (s *Scheduler) OnTaskComplete(t *sim.Task, env *sim.Env) {
 		s.queueTD(selT, k, gamma, next)
 	} else {
 		next := s.bootstrap(env)
+		if s.checkNext != nil {
+			s.checkNext(next, env)
+		}
 		s.queueTD(s.table, k, gamma, next)
 	}
 	if s.npending == 0 {
@@ -501,7 +546,21 @@ func (s *Scheduler) doubleBootstrap(env *sim.Env, selT, evalT *rl.Table) float64
 // finished, paired with currently idle VMs. Terminal states (and
 // states with no available action, the paper's "unavailable")
 // bootstrap to 0.
+//
+// Q-learning under AllPending is answered incrementally: the first
+// bootstrap of an episode scans (materialising lazy entries and
+// rescanning stale rows in the same task-major order as ever) and
+// snapshots the row maxima it leaves cached; later ones read the top
+// of pmax. That holds only while the env's VMs are exactly the table's
+// columns — an autoscaled VM adds overflow columns the row caches do
+// not cover — so any other fleet scans every time.
 func (s *Scheduler) bootstrap(env *sim.Env) float64 {
+	incremental := s.params.Rule != SARSA && s.params.Scope != AvailableOnly && s.fleetIsColumns(env)
+	if !incremental {
+		s.pmax.built = false
+	} else if s.pmax.built && s.npending > 0 {
+		return s.pmax.top(s.pending)
+	}
 	ready, idle := s.nextActions(env)
 	if len(ready) == 0 || len(idle) == 0 {
 		return 0 // the "unavailable" state: only do-nothing is possible
@@ -513,8 +572,21 @@ func (s *Scheduler) bootstrap(env *sim.Env) float64 {
 		vm := s.policy.Select(s.table, ready[0], idle, s.rng)
 		return s.table.Value(rl.Key{Task: ready[0], VM: vm})
 	default: // QLearning
-		return s.table.MaxRect(ready, idle)
+		next := s.table.MaxRect(ready, idle)
+		if incremental {
+			s.pmax.build(s.table, s.pending)
+		}
+		return next
 	}
+}
+
+// fleetIsColumns reports whether the env's VMs are exactly the table's
+// columns [0, numVMs). The engine keeps the list in ID order, so its
+// length and last ID decide.
+func (s *Scheduler) fleetIsColumns(env *sim.Env) bool {
+	_, nv := s.table.Dims()
+	vms := env.VMStates()
+	return len(vms) == nv && vms[nv-1].VM.ID == nv-1
 }
 
 // nextActions enumerates the candidate schedule actions of the

@@ -513,6 +513,21 @@ func (t *Table) argmaxRect(tasks, vms []int) (Key, float64) {
 	return bestKey, bestV
 }
 
+// RowMax returns the cached maximum of task's rectangle row. ok is
+// true only when every cell of the row has materialised and the cache
+// entry is current — the state a MaxRect/ArgmaxRect over all fleet
+// columns leaves every row it visits in. The value then stays the
+// row's maximum until the next write to the row, so a caller that
+// knows no write intervenes (core's deferred TD stores) can hold on to
+// it instead of asking again.
+func (t *Table) RowMax(task int) (max float64, ok bool) {
+	if t.bands == nil || task < 0 || task >= t.numTasks ||
+		!t.rowOK[task] || int(t.rowN[task]) != t.numVMs {
+		return 0, false
+	}
+	return t.rowMax[task], true
+}
+
 // Mean returns the mean of materialised values (0 when empty).
 func (t *Table) Mean() float64 {
 	n := t.Len()

@@ -21,6 +21,13 @@ import (
 func newTestServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	s := New(cfg)
+	return s, startTestServer(t, s)
+}
+
+// startTestServer is newTestServer for a daemon the caller built, so
+// test hooks can be installed before the workers start.
+func startTestServer(t *testing.T, s *Server) string {
+	t.Helper()
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -31,7 +38,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, string) {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	return s, ts.URL
+	return ts.URL
 }
 
 // submitResp is a decoded submission response: either an accepted
@@ -113,9 +120,18 @@ func smallJob(seed int64) api.SubmitRequest {
 }
 
 func TestSubmitStatusHappyPath(t *testing.T) {
-	_, url := newTestServer(t, Config{Workers: 2})
+	// Hold the workers until the submission is answered: a five-episode
+	// job can finish before the handler renders its 202, and the
+	// response would then rightly say "done".
+	gate := make(chan struct{})
+	var release sync.Once
+	defer release.Do(func() { close(gate) })
+	s := New(Config{Workers: 2})
+	s.testHook = func(*job) { <-gate }
+	url := startTestServer(t, s)
 
 	st, resp := submit(t, url, smallJob(7))
+	release.Do(func() { close(gate) })
 	if st == nil {
 		t.Fatalf("submit rejected: HTTP %d", resp.StatusCode)
 	}

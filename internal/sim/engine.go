@@ -227,14 +227,21 @@ func (e *Env) Fleet() *cloud.Fleet { return e.fleet }
 func (e *Env) VMStates() []*VMState { return e.vms }
 
 // VMStateByID returns the state of the VM with the given ID, or nil
-// when absent. Initial-fleet IDs resolve in O(1) (vms is ID-sorted
-// and starts gap-free); autoscaled or churned fleets fall back to a
-// binary search.
+// when absent.
 func (e *Env) VMStateByID(id int) *VMState {
-	if id >= 0 && id < len(e.vms) {
-		if v := e.vms[id]; v.VM.ID == id {
-			return v
-		}
+	if i := e.VMIndexByID(id); i >= 0 {
+		return e.vms[i]
+	}
+	return nil
+}
+
+// VMIndexByID returns the position in VMStates of the VM with the
+// given ID, or -1 when absent. Initial-fleet IDs resolve in O(1) (vms
+// is ID-sorted and starts gap-free); autoscaled or churned fleets fall
+// back to a binary search.
+func (e *Env) VMIndexByID(id int) int {
+	if id >= 0 && id < len(e.vms) && e.vms[id].VM.ID == id {
+		return id
 	}
 	lo, hi := 0, len(e.vms)
 	for lo < hi {
@@ -246,9 +253,9 @@ func (e *Env) VMStateByID(id int) *VMState {
 		}
 	}
 	if lo < len(e.vms) && e.vms[lo].VM.ID == id {
-		return e.vms[lo]
+		return lo
 	}
-	return nil
+	return -1
 }
 
 // AppendVMIDs appends every VM's ID to dst (in ID order) and returns
@@ -489,11 +496,10 @@ func (g *Engine) Reset(cfg Config) error {
 func (g *Engine) setup() {
 	g.sim.SetHorizon(g.cfg.Horizon)
 	if g.rng == nil {
-		g.rng = rand.New(rand.NewSource(g.cfg.Seed))
-	} else {
-		// Re-seeding yields the same stream as a fresh source.
-		g.rng.Seed(g.cfg.Seed)
+		g.rng = rand.New(&lazySource{})
 	}
+	// Re-seeding yields the same stream as a fresh source.
+	g.rng.Seed(g.cfg.Seed)
 	if g.vmBacking == nil {
 		g.vmBacking = make([]VMState, g.fleet.Len())
 		g.vms = make([]*VMState, 0, g.fleet.Len())

@@ -52,7 +52,7 @@ func (a *Aggregator) Emit(e Event) {
 		a.rewards = append(a.rewards, ev.Reward)
 		a.makespans = append(a.makespans, ev.Makespan)
 		a.qdeltas = append(a.qdeltas, ev.QDelta)
-	case DecisionEvent:
+	case *DecisionEvent:
 		a.decisions++
 		if ev.Greedy {
 			a.greedyDecisions++

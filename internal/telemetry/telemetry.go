@@ -55,6 +55,10 @@ func (EpisodeEvent) Kind() string { return "episode" }
 
 // DecisionEvent records one scheduling decision of the learning agent:
 // activation → VM, with the greedy-vs-explore flag of the ε policy.
+// There is one per activation per episode, so it travels as a
+// *DecisionEvent into a buffer the agent overwrites for its next
+// decision (boxing a fresh value per decision was a quarter of a
+// learning job's allocation); see Sink for what that asks of sinks.
 type DecisionEvent struct {
 	// Episode is the emitting episode; -1 for plan extraction.
 	Episode int `json:"episode"`
@@ -74,7 +78,7 @@ type DecisionEvent struct {
 }
 
 // Kind implements Event.
-func (DecisionEvent) Kind() string { return "decision" }
+func (*DecisionEvent) Kind() string { return "decision" }
 
 // KernelEvent summarises one simulation run's DES kernel counters
 // (package sim emits it when the run finishes).
@@ -138,6 +142,10 @@ func (EngineRunEvent) Kind() string { return "engine_run" }
 // concurrent use. A nil Sink means telemetry is disabled; emitting
 // code checks for nil before constructing events, which keeps the
 // disabled path free of allocations.
+//
+// A *DecisionEvent is only valid until Emit returns — the emitter
+// reuses it — so a sink reads (or copies) what it needs inside Emit and
+// never retains the pointer. Every other event is an immutable value.
 type Sink interface {
 	Emit(Event)
 }
@@ -201,7 +209,7 @@ func (r *replicaLabel) Emit(e Event) {
 	case EpisodeEvent:
 		ev.Replica = r.replica
 		r.sink.Emit(ev)
-	case DecisionEvent:
+	case *DecisionEvent:
 		ev.Replica = r.replica
 		r.sink.Emit(ev)
 	case KernelEvent:

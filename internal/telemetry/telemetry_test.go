@@ -41,7 +41,7 @@ func TestMultiSkipsNilAndDiscard(t *testing.T) {
 func TestEventKinds(t *testing.T) {
 	kinds := map[Event]string{
 		EpisodeEvent{}:   "episode",
-		DecisionEvent{}:  "decision",
+		&DecisionEvent{}: "decision",
 		KernelEvent{}:    "kernel",
 		SpanEvent{}:      "span",
 		EngineRunEvent{}: "engine_run",
@@ -57,7 +57,7 @@ func TestJSONLEncoding(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJSONL(&buf)
 	j.Emit(EpisodeEvent{Episode: 0, Makespan: 12.5, Reward: -3, Alpha: 0.5, Epsilon: 0.1})
-	j.Emit(DecisionEvent{Episode: 0, Task: 4, Activation: "mProject_4", VM: 2, Greedy: true})
+	j.Emit(&DecisionEvent{Episode: 0, Task: 4, Activation: "mProject_4", VM: 2, Greedy: true})
 	if err := j.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +94,9 @@ func TestAggregator(t *testing.T) {
 	a.Emit(EpisodeEvent{Episode: 0, Reward: -2, Makespan: 100, QDelta: 4})
 	a.Emit(EpisodeEvent{Episode: 1, Reward: -1, Makespan: 80, QDelta: 2})
 	a.Emit(EpisodeEvent{Episode: -1, Reward: 0, Makespan: 70}) // extraction: excluded
-	a.Emit(DecisionEvent{Greedy: true})
-	a.Emit(DecisionEvent{Greedy: true})
-	a.Emit(DecisionEvent{Greedy: false})
+	a.Emit(&DecisionEvent{Greedy: true})
+	a.Emit(&DecisionEvent{Greedy: true})
+	a.Emit(&DecisionEvent{Greedy: false})
 	a.Emit(KernelEvent{Events: 10, Scheduled: 12, FreelistHits: 9, FreelistMisses: 1, MaxQueueDepth: 5})
 	a.Emit(KernelEvent{Events: 10, Scheduled: 10, FreelistHits: 0, FreelistMisses: 10, MaxQueueDepth: 3})
 	a.Emit(SpanEvent{Start: 1, Finish: 3})
