@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check race race-replicas race-exec exec-smoke schedd-smoke loadgen-smoke market-smoke bench benchsmoke benchsmoke-large exec-bench-smoke guard e2e e2e-trace test build vet audit fuzz-smoke
+.PHONY: check race race-replicas race-exec exec-smoke schedd-smoke loadgen-smoke market-smoke bench benchsmoke benchsmoke-large exec-bench-smoke guard e2e e2e-trace e2e-smoke test build vet audit fuzz-smoke
 
 ## check: vet, build, and test everything (the tier-1 gate)
 check: vet build test
@@ -104,6 +104,12 @@ e2e:
 ## files under bench/out/
 e2e-trace:
 	$(GO) run ./bench -trace
+
+## e2e-smoke: the same four workloads at a twentieth of their size,
+## twice (~5 s each): fails on the bench's correctness gate or if any
+## workload's plan digest differs between the two runs
+e2e-smoke:
+	GO=$(GO) bash scripts/e2e_smoke.sh
 
 ## audit: the simulation correctness harness — invariant auditor
 ## sweeps, fresh-vs-reset differential grid, and the spot/autoscale

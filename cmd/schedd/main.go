@@ -26,6 +26,18 @@ import (
 	"reassign/internal/schedd"
 )
 
+// Connection timeouts. A submission is read whole into memory before
+// it is decoded (the buffer is sized from Content-Length), so a client
+// must not be able to hold one open indefinitely by trickling bytes.
+// There is no WriteTimeout: status bodies are small, polls are
+// frequent, and /debug/pprof/profile streams for as long as it is
+// asked to.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	listen := flag.String("listen", ":8425", "listen address (use :0 for an ephemeral port)")
 	workers := flag.Int("workers", 0, "concurrent job executors (default GOMAXPROCS)")
@@ -69,7 +81,12 @@ func run(listen string, pprofOn bool, cfg schedd.Config) error {
 		handler = mux
 		fmt.Println("schedd: pprof enabled at /debug/pprof/")
 	}
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -153,11 +153,22 @@ func Generate(cat *Catalogue, fleet *cloud.Fleet, regime Regime, seed int64, hor
 	})
 
 	// Price walks: one rng stream per pair, split up front so adding a
-	// pair never reshuffles another pair's draws.
-	src := rand.New(rand.NewSource(seed))
+	// pair never reshuffles another pair's draws. The stream seeds are
+	// the first draws of the trace seed's generator, which is then
+	// reseeded for each stream in turn: the same draws as a fresh
+	// generator per stream, without allocating a 607-word state each.
+	rng := rand.New(rand.NewSource(seed))
+	streams := make([]int64, len(pairs)+len(tr.Assign))
+	for i := range streams {
+		streams[i] = rng.Int63()
+	}
+	nextStream := func() {
+		rng.Seed(streams[0])
+		streams = streams[1:]
+	}
 	for _, k := range pairs {
 		o, _ := cat.Find(k.provider, k.typ)
-		rng := rand.New(rand.NewSource(src.Int63()))
+		nextStream()
 		ps := PriceSeries{Provider: k.provider, Type: k.typ}
 		price := o.SpotBase
 		for s := 0; s < priceSteps; s++ {
@@ -177,7 +188,7 @@ func Generate(cat *Catalogue, fleet *cloud.Fleet, regime Regime, seed int64, hor
 	// Per-VM lifecycle: preemption (spot only, price-modulated hazard
 	// by thinning) and health degradation, one rng stream per VM.
 	for _, as := range tr.Assign {
-		rng := rand.New(rand.NewSource(src.Int63()))
+		nextStream()
 		o, _ := cat.Find(as.Provider, as.Type)
 		if as.Spot && regime.PreemptPerHour > 0 {
 			// Thinning against the max hazard: price ≤ on-demand, so

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -331,4 +333,112 @@ func fetchMetrics(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(blob)
+}
+
+// TestEvictionOrder pins evictLocked: beyond MaxJobs the oldest
+// finished jobs go first, and a queued or running job is never
+// evicted — including when the oldest job in the registry is the one
+// still running, which takes the scan instead of the pop-from-head
+// path. The registry is driven directly: the rule is about order and
+// state, not HTTP.
+func TestEvictionOrder(t *testing.T) {
+	s := New(Config{MaxJobs: 3})
+	register := func(id, state string) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.jobs[id] = &job{id: id, state: state}
+		s.order = append(s.order, id)
+		s.evictLocked()
+	}
+	setState := func(id, state string) {
+		j := s.jobs[id]
+		j.mu.Lock()
+		j.state = state
+		j.mu.Unlock()
+	}
+	check := func(step string, want ...string) {
+		t.Helper()
+		if strings.Join(s.order, " ") != strings.Join(want, " ") {
+			t.Fatalf("%s: order %v, want %v", step, s.order, want)
+		}
+		if len(s.jobs) != len(want) {
+			t.Fatalf("%s: registry holds %d jobs, order %d", step, len(s.jobs), len(want))
+		}
+		for _, id := range want {
+			if s.jobs[id] == nil {
+				t.Fatalf("%s: %s in order but not registered", step, id)
+			}
+		}
+	}
+
+	// All finished: a sliding window of the newest MaxJobs.
+	for _, id := range []string{"a1", "a2", "a3", "a4", "a5"} {
+		register(id, api.StateDone)
+	}
+	check("finished head", "a3", "a4", "a5")
+
+	// The oldest job is still running.
+	setState("a3", api.StateRunning)
+	register("b1", api.StateQueued)
+	check("running head, one excess", "a3", "a5", "b1")
+	register("b2", api.StateFailed)
+	check("running head, next oldest finished goes", "a3", "b1", "b2")
+	register("b3", api.StateQueued)
+	check("finished job behind two live ones goes", "a3", "b1", "b3")
+	register("b4", api.StateQueued)
+	check("nothing finished: the registry grows past MaxJobs", "a3", "b1", "b3", "b4")
+
+	// The head finishes: it pops, and the remaining excess has nothing
+	// finished to take.
+	setState("a3", api.StateCanceled)
+	register("b5", api.StateQueued)
+	check("head finished", "b1", "b3", "b4", "b5")
+	setState("b3", api.StateDone)
+	setState("b4", api.StateDone)
+	register("b6", api.StateQueued)
+	check("two excess, both from behind a live head", "b1", "b5", "b6")
+}
+
+// TestEvictionMatchesFullScan replays random registries through
+// evictLocked and through the scan it used to be (rewrite the whole
+// order, dropping the first `excess` finished jobs): same survivors,
+// same order, every time.
+func TestEvictionMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	states := []string{api.StateQueued, api.StateRunning, api.StateDone, api.StateFailed, api.StateCanceled}
+	for trial := 0; trial < 200; trial++ {
+		s := New(Config{MaxJobs: 1 + rng.Intn(6)})
+		var ref []string
+		for n := 0; n < 40; n++ {
+			id := fmt.Sprintf("j%02d", n)
+			// Mostly finished jobs, so the pop path and the scan both run.
+			state := states[2+rng.Intn(3)]
+			if rng.Intn(4) == 0 {
+				state = states[rng.Intn(2)]
+			}
+			s.jobs[id] = &job{id: id, state: state}
+			s.order = append(s.order, id)
+			ref = append(ref, id)
+			if live := s.jobs[ref[rng.Intn(len(ref))]]; live != nil && rng.Intn(3) == 0 {
+				live.state = api.StateDone
+			}
+
+			excess := len(ref) - s.cfg.MaxJobs
+			kept := ref[:0:0]
+			for _, id := range ref {
+				if excess > 0 && s.jobs[id].finished() {
+					excess--
+					continue
+				}
+				kept = append(kept, id)
+			}
+			ref = kept
+			s.evictLocked()
+
+			if strings.Join(s.order, " ") != strings.Join(ref, " ") || len(s.jobs) != len(ref) {
+				t.Fatalf("trial %d step %d: order %v (%d registered), full scan keeps %v",
+					trial, n, s.order, len(s.jobs), ref)
+			}
+		}
+	}
 }

@@ -5,16 +5,19 @@
 //
 // Architecture: submissions are admitted into a bounded queue (a full
 // queue rejects with 429 — the service degrades by shedding load, not
-// by growing unboundedly) and drained by a fixed pool of workers.
-// Each worker runs one job at a time: build the workflow and fleet
-// from the request's specs, learn a plan with core.NewLearner —
-// drawing simulation engines from a shared sync.Pool of Reset-able
-// sim.Engines and warm-starting from the Q-table cache when a job
-// with the same workflow-structure signature has run before — then
-// optionally execute the plan on the virtual-time master for
-// provenance. Learned tables go back into the cache, so a steady
-// stream of structurally similar workflows keeps improving its plans
-// across requests (the paper's cross-execution learning, served).
+// by growing unboundedly) and drained by a fixed pool of workers. The
+// submission handler builds the workflow and fleet from the request's
+// specs — an inline document through the content-addressed intern
+// table (workflowIntern), so a resubmitted DAG is parsed once and
+// shared read-only. Each worker runs one job at a time: learn a plan
+// with core.NewLearner — drawing simulation engines from a shared
+// sync.Pool of Reset-able sim.Engines and warm-starting from the
+// Q-table cache when a job with the same workflow-structure signature
+// has run before — then optionally execute the plan on the
+// virtual-time master for provenance. Learned tables go back into the
+// cache, so a steady stream of structurally similar workflows keeps
+// improving its plans across requests (the paper's cross-execution
+// learning, served).
 //
 // Endpoints:
 //
@@ -27,6 +30,7 @@
 package schedd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -56,7 +60,8 @@ type Config struct {
 	// MaxJobs bounds retained job records; the oldest finished jobs
 	// are evicted beyond it (default 4096).
 	MaxJobs int
-	// CacheEntries bounds the warm Q-table cache (default 512).
+	// CacheEntries bounds the warm Q-table cache and, separately, the
+	// workflow intern table (default 512 each).
 	CacheEntries int
 	// MaxBodyBytes bounds request bodies (default 8 MiB).
 	MaxBodyBytes int64
@@ -95,11 +100,12 @@ func (c *Config) defaults() {
 // registry behind the HTTP API. Construct with New, launch the
 // workers with Start, and stop with Shutdown.
 type Server struct {
-	cfg   Config
-	queue chan *job
-	cache *tableCache
-	pool  *sim.Pool
-	agg   *telemetry.Aggregator
+	cfg       Config
+	queue     chan *job
+	cache     tableCache
+	workflows workflowIntern
+	pool      *sim.Pool
+	agg       *telemetry.Aggregator
 
 	mu    sync.Mutex
 	jobs  map[string]*job
@@ -136,17 +142,18 @@ func New(cfg Config) *Server {
 	cfg.defaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		cfg:     cfg,
-		queue:   make(chan *job, cfg.QueueDepth),
-		cache:   newTableCache(cfg.CacheEntries),
-		pool:    sim.NewPool(),
-		agg:     telemetry.NewAggregator(),
-		jobs:    make(map[string]*job),
-		lat:     newLatencyRing(cfg.LatencyWindow),
-		tenants: newTenantTracker(cfg.LatencyWindow),
-		markets: newMarketTracker(),
-		baseCtx: ctx,
-		cancel:  cancel,
+		cfg:       cfg,
+		queue:     make(chan *job, cfg.QueueDepth),
+		cache:     newTableCache(cfg.CacheEntries),
+		workflows: newWorkflowIntern(cfg.CacheEntries),
+		pool:      sim.NewPool(),
+		agg:       telemetry.NewAggregator(),
+		jobs:      make(map[string]*job),
+		lat:       newLatencyRing(cfg.LatencyWindow),
+		tenants:   newTenantTracker(cfg.LatencyWindow),
+		markets:   newMarketTracker(),
+		baseCtx:   ctx,
+		cancel:    cancel,
 	}
 }
 
@@ -199,6 +206,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// bodyPool recycles handleSubmit's read buffers. A buffer that grew
+// past maxPooledBody for one outsized request is dropped instead of
+// pinning that much memory in the pool.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -219,10 +233,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.Errorf(api.CodeUnavailable, "", "daemon is shutting down"))
 		return
 	}
+	// Read the whole body into a pooled buffer sized from
+	// Content-Length, then unmarshal: a streaming json.Decoder holds the
+	// whole value anyway, in a buffer it grows by doubling. Unmarshal
+	// copies every string it decodes, so nothing in req aliases buf once
+	// it goes back to the pool; it also rejects bytes after the
+	// top-level value, which the decoder silently left unread.
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+		// Content-Length is a claim, not bytes received: pre-size no
+		// further than a buffer the pool would keep, and let a larger
+		// body grow the buffer as it actually arrives.
+		buf.Grow(int(min(n, maxPooledBody-bytes.MinRead)) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
 	var req api.SubmitRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		// An oversized body surfaces as *http.MaxBytesError mid-decode;
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), &req)
+	}
+	if err != nil {
+		// An oversized body surfaces as *http.MaxBytesError mid-read;
 		// that is a 413 with its own code (the client must shrink the
 		// document, not fix its syntax), not a generic 400.
 		var tooBig *http.MaxBytesError
@@ -271,12 +307,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Build the inputs synchronously so malformed documents fail the
-	// submission itself (400), not the job later.
-	wf, err := req.Workflow.Build()
+	// submission itself (400), not the job later. build overwrites buf
+	// with its hash input: buf no longer holds the request body after
+	// this call. The job keeps the built workflow, not the document.
+	wf, err := s.workflows.build(req.Workflow, buf)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
+	req.Workflow.Source = ""
 	fleet, err := req.Fleet.Build()
 	if err != nil {
 		writeErr(w, err)
@@ -340,9 +379,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // and running jobs are never evicted.
 func (s *Server) evictLocked() {
 	excess := len(s.order) - s.cfg.MaxJobs
+	// The steady state: the oldest jobs finished long ago, so the
+	// excess pops off the head without touching the rest.
+	for excess > 0 {
+		j := s.jobs[s.order[0]]
+		if j == nil || !j.finished() {
+			break
+		}
+		delete(s.jobs, s.order[0])
+		s.order = s.order[1:]
+		excess--
+	}
 	if excess <= 0 {
 		return
 	}
+	// The head is still queued or running: scan past it for finished
+	// jobs, oldest first.
 	kept := s.order[:0]
 	for _, id := range s.order {
 		j := s.jobs[id]
@@ -446,6 +498,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	lat := metrics.Summarize(s.lat.snapshot(nil))
 	s.mu.Unlock()
 	hits, misses := s.cache.stats()
+	wfHits, wfMisses := s.workflows.stats()
 	reused, fresh := s.pool.Stats()
 
 	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
@@ -466,6 +519,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("schedd_qtable_cache_hits_total", "Submissions warm-started from the Q-table cache", hits)
 	counter("schedd_qtable_cache_misses_total", "Submissions that learned from scratch", misses)
 	gauge("schedd_qtable_cache_entries", "Cached Q tables", s.cache.len())
+	counter("schedd_workflow_intern_hits_total", "Inline workflow documents served from the intern table without parsing", wfHits)
+	counter("schedd_workflow_intern_misses_total", "Inline workflow document lookups that missed the intern table (parsed, or rejected as malformed)", wfMisses)
+	gauge("schedd_workflow_intern_entries", "Interned workflows", s.workflows.len())
 	counter("schedd_engine_pool_reused_total", "Sim engines served by rebinding a pooled engine", reused)
 	counter("schedd_engine_pool_fresh_total", "Sim engines newly constructed", fresh)
 	if lat.N > 0 {

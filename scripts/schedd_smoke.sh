@@ -52,7 +52,9 @@ grep -qE 'cache hits +4[89]/50' "$TMP/load.log" || {
 # /metrics serves both the learning telemetry and the daemon series.
 curl -sf "http://$ADDR/metrics" > "$TMP/metrics.prom"
 for metric in reassign_episodes_total schedd_jobs_completed_total \
-    schedd_qtable_cache_hits_total schedd_job_latency_seconds_p99; do
+    schedd_qtable_cache_hits_total schedd_workflow_intern_hits_total \
+    schedd_workflow_intern_misses_total schedd_workflow_intern_entries \
+    schedd_job_latency_seconds_p99; do
     grep -q "$metric" "$TMP/metrics.prom" || {
         echo "schedd-smoke: /metrics missing $metric" >&2
         exit 1
