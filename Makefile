@@ -16,7 +16,7 @@ test:
 
 ## race: race-detector pass over the simulation and learning packages
 race:
-	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/engine/... ./internal/expt/... ./internal/telemetry/... ./internal/invariant/... ./internal/api/... ./internal/schedd/...
+	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/expt/... ./internal/telemetry/... ./internal/invariant/... ./internal/api/... ./internal/schedd/...
 
 ## race-replicas: race-detector pass over replica-parallel learning
 ## (concurrent learners sharing a fan-out telemetry sink)

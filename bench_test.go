@@ -4,7 +4,7 @@
 //	BenchmarkTable1 — Table I, the VM fleet configurations
 //	BenchmarkTable2 — Table II, ReASSIgN learning time per (α, γ, ε)
 //	BenchmarkTable3 — Table III, simulated makespan of learned plans
-//	BenchmarkTable4 — Table IV, plans executed in the concurrent engine
+//	BenchmarkTable4 — Table IV, plans executed on the exec master
 //	BenchmarkTable5 — Table V, activation→VM plans at 16 vCPUs
 //
 // plus ablation benches for the design choices DESIGN.md §5 calls

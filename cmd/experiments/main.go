@@ -323,7 +323,7 @@ func writeReport(o expt.Options, path string) error {
 	b.AddTable(expt.Table2(sweep))
 	b.AddTable(expt.Table3(sweep))
 
-	b.AddHeading("Table IV — execution-engine makespans")
+	b.AddHeading("Table IV — executed-plan makespans")
 	rows, err := expt.RunTable4(o)
 	if err != nil {
 		return err

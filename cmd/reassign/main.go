@@ -1,8 +1,8 @@
 // Command reassign schedules a workflow onto a Table I cloud fleet
 // with any implemented algorithm and reports the plan and makespan.
 // For -sched reassign it runs the full two-stage pipeline: Q-learning
-// episodes in the simulator, greedy plan extraction, then execution
-// in the concurrent engine with provenance output.
+// episodes in the simulator, greedy plan extraction, then (with
+// -execute) execution on the exec master with provenance output.
 //
 // Usage:
 //
@@ -30,7 +30,6 @@ import (
 	"reassign/internal/core"
 	"reassign/internal/dag"
 	"reassign/internal/dax"
-	"reassign/internal/engine"
 	"reassign/internal/exec"
 	"reassign/internal/gantt"
 	"reassign/internal/invariant"
@@ -66,11 +65,11 @@ func run() error {
 	fluct := flag.Bool("fluct", true, "enable the cloud fluctuation model")
 	autoscale := flag.Int("autoscale", 0, "enable elasticity: grow the fleet up to N VMs (t2.large, 45s boot, 120s idle timeout)")
 	spot := flag.Float64("spot", 0, "treat VMs as spot instances with this mean lifetime in seconds (one VM protected)")
-	execute := flag.Bool("execute", false, "execute the plan in the concurrent engine after scheduling")
-	workers := flag.Int("workers", 0, "execute on the master/worker runtime with this many workers (0: the simulation engine)")
-	listen := flag.String("listen", "", "with -workers, serve the master on this TCP address and wait for execworker processes (default: in-process deterministic workers)")
-	faultRate := flag.Float64("faultrate", 0, "with -workers, inject worker deaths with this per-event probability")
-	failRate := flag.Float64("failrate", 0, "with -workers, inject per-attempt task failures with this probability")
+	execute := flag.Bool("execute", false, "execute the plan on the exec master after scheduling (in-process workers in virtual time, or execworkers with -listen)")
+	workers := flag.Int("workers", 1, "with -execute, the number of exec workers the fleet's VMs are partitioned across")
+	listen := flag.String("listen", "", "with -execute, serve the master on this TCP address and wait for -workers execworker processes (default: in-process deterministic workers)")
+	faultRate := flag.Float64("faultrate", 0, "with -execute, inject worker deaths with this per-event probability")
+	failRate := flag.Float64("failrate", 0, "with -execute, inject per-attempt task failures with this probability")
 	planOut := flag.String("plan", "", "write the activation→VM plan to this file (TSV, or JSON for .json paths)")
 	planIn := flag.String("planin", "", "skip scheduling and load the plan (TSV or JSON) from this file")
 	qOut := flag.String("qtable", "", "save the learned Q table (JSON) to this file")
@@ -82,18 +81,21 @@ func run() error {
 	ganttOut := flag.String("gantt", "", "write the schedule as an SVG Gantt chart to this file")
 	curveOut := flag.String("learncurve", "", "write the per-episode makespan curve (SVG) to this file (ReASSIgN only)")
 	ascii := flag.Bool("ascii", false, "print an ASCII Gantt chart of the schedule")
-	traceOut := flag.String("trace", "", "write a JSONL telemetry trace (episodes, decisions, kernel counters, spans) to this file")
+	traceOut := flag.String("trace", "", "write a JSONL telemetry trace (episodes, decisions, kernel counters, exec dispatches and completions) to this file")
 	metricsOut := flag.String("metrics", "", "write aggregated metrics in Prometheus text format to this file on exit")
 	audit := flag.Bool("audit", false, "attach the runtime invariant auditor to every simulation and fail on violations")
 	marketGen := flag.String("marketgen", "", "generate a spot-market trace (JSON) for the fleet, write it to this file and exit")
 	marketIn := flag.String("market", "", "replay a spot-market trace (JSON): traced prices, preemptions and node health drive plan simulation and execution (learning episodes stay clean)")
 	regime := flag.String("regime", "volatile", "market regime for -marketgen: stable|volatile|hostile")
 	horizon := flag.Float64("horizon", 3600, "market trace horizon in virtual seconds for -marketgen")
-	reactiveOnly := flag.Bool("reactiveonly", false, "with -market and -workers, disable notice-reactive cordon/drain: the master reacts to kills only")
+	reactiveOnly := flag.Bool("reactiveonly", false, "with -market and -execute, disable notice-reactive cordon/drain: the master reacts to kills only")
 	flag.Parse()
 
 	if *replicas < 1 {
 		return fmt.Errorf("-replicas must be >= 1, got %d", *replicas)
+	}
+	if *workers < 1 {
+		return fmt.Errorf("-workers must be >= 1, got %d", *workers)
 	}
 
 	// Telemetry: a JSONL trace and/or an in-memory aggregator, fanned
@@ -341,28 +343,10 @@ func run() error {
 
 	if *execute {
 		store := provenance.NewStore()
-		if *workers > 0 {
-			if err := runMaster(w, fleet, plan, store, sink, learnedTable,
-				*workers, *listen, *faultRate, *failRate, fm, *seed,
-				marketPB, *reactiveOnly); err != nil {
-				return err
-			}
-		} else {
-			e, err := engine.New(w, fleet, plan,
-				engine.WithFluctuation(fm),
-				engine.WithSeed(*seed+1000),
-				engine.WithStore(store, "cli"),
-				engine.WithSink(sink),
-			)
-			if err != nil {
-				return err
-			}
-			rep, err := e.Execute(context.Background())
-			if err != nil {
-				return err
-			}
-			fmt.Printf("executed: %d activations, makespan %.3fs (%s), wall %v, peak workers %d\n",
-				len(rep.Tasks), rep.Makespan, metrics.FormatDuration(rep.Makespan), rep.Wall, rep.PeakWorkers)
+		if err := runMaster(w, fleet, plan, store, sink, learnedTable,
+			*workers, *listen, *faultRate, *failRate, fm, *seed,
+			marketPB, *reactiveOnly); err != nil {
+			return err
 		}
 		if *provOut != "" {
 			if err := store.SaveFile(*provOut); err != nil {

@@ -1,6 +1,6 @@
 // Quickstart: build a small workflow, learn a schedule with ReASSIgN,
-// compare it against HEFT, and execute the winner in the concurrent
-// engine.
+// compare it against HEFT, and execute the learned plan on the exec
+// master.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -13,7 +13,7 @@ import (
 	"reassign/internal/cloud"
 	"reassign/internal/core"
 	"reassign/internal/dag"
-	"reassign/internal/engine"
+	"reassign/internal/exec"
 	"reassign/internal/metrics"
 	"reassign/internal/sched"
 	"reassign/internal/sim"
@@ -76,24 +76,27 @@ func main() {
 		lr.PlanMakespan, metrics.FormatDuration(lr.PlanMakespan),
 		lr.LearningTime, len(lr.Episodes))
 
-	// 5. Execute the learned plan with real concurrency (one worker
-	// per vCPU, compressed time).
-	e, err := engine.New(w, fleet, lr.Plan,
-		engine.WithFluctuation(&fluct),
-		engine.WithSeed(4242),      // an environment the learner never saw
-		engine.WithTimeScale(1e-3), // 1 virtual second = 1 ms of wall time
-	)
+	// 5. Execute the learned plan on the exec master: in-process
+	// workers, one slot per vCPU, in virtual time.
+	m, err := exec.New(w, fleet, lr.Plan, &exec.InProc{Runner: exec.SimRunner{
+		Fluct: &fluct,
+		Seed:  4242, // an environment the learner never saw
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := e.Execute(context.Background())
+	rep, err := m.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("executed: makespan %7.2fs (%s) across %d VMs, wall %v\n",
-		rep.Makespan, metrics.FormatDuration(rep.Makespan), len(rep.PerVM), rep.Wall)
-	for _, tr := range rep.Tasks {
+	vms := make(map[int]bool)
+	for _, r := range rep.Results {
+		vms[r.VM] = true
+	}
+	fmt.Printf("executed: makespan %7.2fs (%s) across %d VMs\n",
+		rep.Makespan, metrics.FormatDuration(rep.Makespan), len(vms))
+	for _, r := range rep.Results {
 		fmt.Printf("  %-6s on vm%d  start %6.2f  finish %6.2f\n",
-			tr.TaskID, tr.VMID, tr.StartAt, tr.FinishAt)
+			r.ID, r.VM, r.Start, r.Finish)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // Episodes simulated executions of the workflow, each an RL episode
 // updating a shared Q table; stage two extracts the final scheduling
 // plan greedily from the learned table. The plan is then handed to
-// the execution engine (package engine) for the "real" run.
+// the exec master (package exec) for the "real" run.
 //
 // Construct Learners with NewLearner, which validates the inputs and
 // exposes seed, telemetry and schedules as options.

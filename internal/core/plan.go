@@ -16,7 +16,7 @@ type PlanEntry struct {
 }
 
 // Plan is a typed activation→VM scheduling plan: the output of the
-// learning stage and the input of the execution engine. Unlike the
+// learning stage and the input of the exec master. Unlike the
 // raw map it replaces, a Plan iterates in deterministic order
 // (lexicographic by activation ID) and round-trips through JSON.
 // The zero value is an empty plan.

@@ -158,8 +158,11 @@ type binCodec struct {
 	rbuf []byte
 	// intern maps previously-encoded strings (task IDs the master
 	// dispatched) back to their canonical Go string, making result
-	// decoding allocation-free on the master's hot path.
-	intern map[string]string
+	// decoding allocation-free on the master's hot path. internMu
+	// guards it: the master goroutine inserts as it queues tasks while
+	// the connection's reader goroutine probes it decoding results.
+	intern   map[string]string
+	internMu sync.Mutex
 	// cache interns strings that repeat across messages but were never
 	// encoded on this side (a worker sees the same activity and VM-type
 	// names on every task). Bounded by the workload's distinct names.
@@ -189,7 +192,9 @@ func (c *binCodec) queue(m *wireMsg) error {
 	}
 	c.scratch = appendWirePayload(c.scratch[:0], m)
 	if c.intern != nil && m.Task != nil {
+		c.internMu.Lock()
 		c.intern[m.Task.TaskID] = m.Task.TaskID
+		c.internMu.Unlock()
 	}
 	var lb [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lb[:], uint64(len(c.scratch)))
@@ -291,7 +296,14 @@ func (c *binCodec) read(m *wireMsg) error {
 	if c.cache == nil {
 		c.cache = make(map[string]string)
 	}
-	if err := decodeWire(c.rbuf, m, c.intern, c.cache, &c.taskBuf); err != nil {
+	if c.intern != nil {
+		c.internMu.Lock()
+	}
+	err = decodeWire(c.rbuf, m, c.intern, c.cache, &c.taskBuf)
+	if c.intern != nil {
+		c.internMu.Unlock()
+	}
+	if err != nil {
 		return err
 	}
 	if m.Type == msgTask {

@@ -213,6 +213,9 @@ func New(w *dag.Workflow, fleet *cloud.Fleet, plan core.Plan, tr Transport, opts
 	if tr == nil {
 		return nil, fmt.Errorf("exec: nil transport")
 	}
+	if w == nil {
+		return nil, fmt.Errorf("exec: nil workflow")
+	}
 	if fleet == nil || fleet.Len() == 0 {
 		return nil, fmt.Errorf("exec: empty fleet")
 	}
@@ -363,7 +366,7 @@ func (m *Master) Run(ctx context.Context) (*Report, error) {
 	qbuf := make([]int, m.w.Len())
 	off := 0
 	for i := range vsb {
-		vsb[i].queue = qbuf[off:off:off+counts[i]]
+		vsb[i].queue = qbuf[off : off : off+counts[i]]
 		off += counts[i]
 	}
 	m.work = make([]int, 0, len(vsb))

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -62,6 +63,43 @@ func TestTCPLoopbackSmoke(t *testing.T) {
 	}
 	if rep.Makespan <= 0 {
 		t.Fatalf("makespan = %v", rep.Makespan)
+	}
+}
+
+// TestTCPRunHonoursCancellation: a run whose only activation would
+// take an hour of wall time ends with the context's error once the
+// context is done, instead of waiting the activation out.
+func TestTCPRunHonoursCancellation(t *testing.T) {
+	w := dag.New("long")
+	w.MustAdd("a", "act", 3600)
+	fleet, err := cloud.NewFleet("one", []cloud.VMType{cloud.T2Micro}, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp := &TCP{Addr: "127.0.0.1:0", Workers: 1, TimeScale: 1}
+	if err := tcp.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(w, fleet, spreadPlan(w, fleet), tcp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, stopWorker := context.WithCancel(context.Background())
+	defer stopWorker()
+	conn, err := net.Dial("tcp", tcp.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go ServeConn(wctx, conn, nil) // default SleepRunner: an hour at scale 1
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := m.Run(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancelled run: err = %v, want the context's deadline error", err)
+	}
+	if d := time.Since(start); d > 30*time.Second {
+		t.Fatalf("cancelled run took %v to return", d)
 	}
 }
 

@@ -1,7 +1,11 @@
 package exec
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -115,11 +119,11 @@ func TestWireDecodeRejectsCorruptFrames(t *testing.T) {
 func TestWireArgsCountCapped(t *testing.T) {
 	payload := []byte{binTask}
 	payload = appendString(payload, "t")
-	payload = appendInt(payload, 0)  // index
+	payload = appendInt(payload, 0)     // index
 	payload = appendString(payload, "") // activity
-	payload = appendInt(payload, 0)  // vm
+	payload = appendInt(payload, 0)     // vm
 	payload = appendString(payload, "") // vm type
-	payload = appendInt(payload, 1)  // attempt
+	payload = appendInt(payload, 1)     // attempt
 	payload = appendFloat(payload, 1)
 	payload = appendInt(payload, 1<<30) // absurd arg count, no bytes behind it
 	var m wireMsg
@@ -139,5 +143,43 @@ func TestWireInternReturnsCanonicalString(t *testing.T) {
 	}
 	if got.TaskID != canon {
 		t.Fatalf("TaskID = %q", got.TaskID)
+	}
+}
+
+// TestBinCodecInternSharedWithReader drives the master side of one
+// binary connection the way a run does: the master goroutine queues
+// tasks, inserting their IDs into the codec's intern map, while the
+// connection's reader goroutine decodes results that probe it. Run
+// under -race; unsynchronised, the map access is a data race and can
+// crash the process with a concurrent map read and write.
+func TestBinCodecInternSharedWithReader(t *testing.T) {
+	const n = 2000
+	var frames []byte
+	for i := 0; i < n; i++ {
+		frames = appendWireFrame(frames, &wireMsg{Type: msgResult, TaskID: fmt.Sprintf("t%d", i), Attempt: 1})
+	}
+	c := newBinCodec(io.Discard, bufio.NewReader(bytes.NewReader(frames)))
+	c.intern = make(map[string]string)
+	done := make(chan error, 1)
+	go func() {
+		var m wireMsg
+		for i := 0; i < n; i++ {
+			if err := c.read(&m); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < n; i++ {
+		if err := c.queue(&wireMsg{Type: msgTask, Task: &TaskSpec{TaskID: fmt.Sprintf("t%d", i), Attempt: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

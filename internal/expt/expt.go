@@ -5,9 +5,9 @@
 //
 // The harness wires the full SciCumulus-RL pipeline: synthetic
 // Montage trace → learning episodes in the simulator (package sim) →
-// plan extraction → "real" execution in the concurrent engine
-// (package engine) under a fluctuation model the learner never saw
-// exactly.
+// plan extraction → "real" execution on the exec master (package
+// exec, in virtual time) under a fluctuation model the learner never
+// saw exactly.
 package expt
 
 import (
@@ -55,9 +55,6 @@ type Options struct {
 	// ExecFluct is the "real cloud" model for the execution stage;
 	// nil uses cloud.DefaultFluctuation with a different seed stream.
 	ExecFluct *cloud.FluctuationModel
-	// TimeScale for the execution engine (wall seconds per virtual
-	// second; default 2e-5).
-	TimeScale float64
 	// Sink, when non-nil, receives telemetry from every learning run
 	// the harness performs (episodes, decisions, kernel counters). It
 	// must be safe for concurrent use: RunSweep learns in parallel.
@@ -90,16 +87,13 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ExecFluct == nil {
 		// The "real cloud" of the execution stage throttles less than
-		// the training simulator assumed: the mismatch between learned
-		// environment and reality is what keeps HEFT competitive on
-		// the smallest fleet (paper Table IV, 16 vCPUs).
+		// the training simulator assumed. The less it throttles, the
+		// closer HEFT gets on the smallest fleet (paper Table IV, 16
+		// vCPUs); EXPERIMENTS.md Deviation 2 measures that band.
 		f := cloud.DefaultFluctuation()
 		f.MicroThrottleProb = 0.05
 		f.ThrottleFactor = 2.0
 		o.ExecFluct = &f
-	}
-	if o.TimeScale <= 0 {
-		o.TimeScale = 2e-4
 	}
 	return o
 }

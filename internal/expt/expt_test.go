@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 // smallOpts keeps harness tests fast: few episodes, two fleets.
 func smallOpts() Options {
-	return Options{Seed: 1, Episodes: 5, VCPUs: []int{16, 32}, TimeScale: 1e-5}
+	return Options{Seed: 1, Episodes: 5, VCPUs: []int{16, 32}}
 }
 
 func TestGridIs27(t *testing.T) {
@@ -125,6 +126,79 @@ func TestTable4ShapeAndFormat(t *testing.T) {
 	// Durations use the paper's HH:MM:SS.mmm format.
 	if !strings.Contains(s, ":") {
 		t.Fatalf("Table IV durations not formatted:\n%s", s)
+	}
+}
+
+// TestTable4Deterministic pins what running Table IV in virtual time
+// buys: the same options give the same rows, bit for bit.
+func TestTable4Deterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("table 4 is slow")
+	}
+	a, err := RunTable4(smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunTable4(smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("Table IV rows differ between identical runs:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestTable4Shape checks the paper's Table IV claim over ten seeds at
+// the default options: ReASSIgN's learned plans beat HEFT's on the 32-
+// and 64-vCPU fleets on average, and its advantage does not shrink as
+// the fleet grows. The ratio of a row is its makespan over the HEFT
+// row of the same seed and fleet.
+func TestTable4Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ten full Table IV runs")
+	}
+	vcpus := cloud.Table1VCPUs()
+	sum := make(map[int]float64)
+	n := make(map[int]int)
+	heftWins := make(map[int]int)
+	for seed := int64(1); seed <= 10; seed++ {
+		rows, err := RunTable4(Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		heft := make(map[int]float64)
+		for _, r := range rows {
+			if r.Algorithm == "HEFT" {
+				heft[r.VCPUs] = r.Makespan
+			}
+		}
+		for _, r := range rows {
+			if r.Algorithm == "HEFT" {
+				continue
+			}
+			ratio := r.Makespan / heft[r.VCPUs]
+			sum[r.VCPUs] += ratio
+			n[r.VCPUs]++
+			if ratio > 1 {
+				heftWins[r.VCPUs]++
+			}
+		}
+	}
+	mean := make(map[int]float64)
+	for _, v := range vcpus {
+		mean[v] = sum[v] / float64(n[v])
+		t.Logf("%d vCPUs: mean ReASSIgN/HEFT %.4f, HEFT wins %d/%d rows", v, mean[v], heftWins[v], n[v])
+	}
+	for _, v := range []int{32, 64} {
+		if mean[v] >= 1 {
+			t.Errorf("%d vCPUs: mean ReASSIgN/HEFT ratio %.4f, want < 1", v, mean[v])
+		}
+	}
+	for i := 1; i < len(vcpus); i++ {
+		if mean[vcpus[i]] > mean[vcpus[i-1]] {
+			t.Errorf("advantage shrinks from %d to %d vCPUs: ratio %.4f -> %.4f",
+				vcpus[i-1], vcpus[i], mean[vcpus[i-1]], mean[vcpus[i]])
+		}
 	}
 }
 
@@ -288,9 +362,6 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if o.TrainFluct == nil || o.ExecFluct == nil {
 		t.Fatal("fluctuation defaults missing")
-	}
-	if o.TimeScale <= 0 {
-		t.Fatal("timescale default missing")
 	}
 	if _, err := cloud.FleetTable1(o.VCPUs[0]); err != nil {
 		t.Fatal(err)

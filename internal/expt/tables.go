@@ -12,7 +12,7 @@ import (
 
 	"reassign/internal/cloud"
 	"reassign/internal/core"
-	"reassign/internal/engine"
+	"reassign/internal/exec"
 	"reassign/internal/metrics"
 	"reassign/internal/sched"
 	"reassign/internal/sim"
@@ -217,7 +217,7 @@ type Table4Row struct {
 	Makespan  float64 // virtual seconds
 }
 
-// Table4Reps is the number of execution-engine runs averaged per
+// Table4Reps is the number of plan executions averaged per
 // Table IV row. The paper reports single AWS runs; a single
 // fluctuation draw can swing a makespan by minutes (e.g. the critical
 // chain throttled twice), so we report the mean of several runs, with
@@ -226,9 +226,10 @@ const Table4Reps = 10
 
 // RunTable4 reproduces Table IV: it executes the HEFT plan and the
 // three ReASSIgN scenario plans (C1-C3: γ=1.0, ε=0.1,
-// α ∈ {1.0, 0.5, 0.1}) in the concurrent execution engine under the
-// "real cloud" fluctuation model, for every Table I fleet. Each row
-// is the mean of Table4Reps runs with distinct fluctuation seeds.
+// α ∈ {1.0, 0.5, 0.1}) on the exec master over in-process workers, in
+// virtual time, under the "real cloud" fluctuation model, for every
+// Table I fleet. Each row is the mean of Table4Reps runs with distinct
+// fluctuation seeds, so the rows are a pure function of o.
 func RunTable4(o Options) ([]Table4Row, error) {
 	o = o.withDefaults()
 	var rows []Table4Row
@@ -240,15 +241,15 @@ func RunTable4(o Options) ([]Table4Row, error) {
 		execPlan := func(plan core.Plan) (float64, error) {
 			var sum float64
 			for rep := 0; rep < Table4Reps; rep++ {
-				e, err := engine.New(o.Workflow, fleet, plan,
-					engine.WithFluctuation(o.ExecFluct),
-					engine.WithSeed(o.Seed+1000+int64(rep)), // unseen environment, paired across plans
-					engine.WithTimeScale(o.TimeScale),
-				)
+				runner := exec.SimRunner{
+					Fluct: o.ExecFluct,
+					Seed:  o.Seed + 1000 + int64(rep), // unseen environment, paired across plans
+				}
+				m, err := exec.New(o.Workflow, fleet, plan, &exec.InProc{Runner: runner})
 				if err != nil {
 					return 0, err
 				}
-				r, err := e.Execute(context.Background())
+				r, err := m.Run(context.Background())
 				if err != nil {
 					return 0, err
 				}
@@ -290,7 +291,7 @@ func RunTable4(o Options) ([]Table4Row, error) {
 // Table4 renders execution rows in the paper's layout: grouped by
 // vCPU count, sorted by total execution time within each group.
 func Table4(rows []Table4Row) *metrics.Table {
-	t := metrics.NewTable("Table IV: Actual execution time of Montage workflow (execution engine)",
+	t := metrics.NewTable("Table IV: Actual execution time of Montage workflow (exec master)",
 		"Algorithm", "vCPUs", "alpha", "gamma", "epsilon", "Total Execution Time")
 	sorted := append([]Table4Row(nil), rows...)
 	sort.SliceStable(sorted, func(i, j int) bool {

@@ -1,7 +1,7 @@
 // Package gantt renders schedules as Gantt charts — an ASCII timeline
-// for terminals and an SVG for reports — from simulation results or
-// execution-engine reports. Rows are VMs; concurrent activations on a
-// multi-slot VM stack within the row.
+// for terminals and an SVG for reports — from simulation results. Rows
+// are VMs; concurrent activations on a multi-slot VM stack within the
+// row.
 package gantt
 
 import (
@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"reassign/internal/cloud"
-	"reassign/internal/engine"
 	"reassign/internal/sim"
 )
 
@@ -52,32 +51,6 @@ func FromResult(res *sim.Result, fleet *cloud.Fleet) *Chart {
 			Activity: r.Activity,
 			Start:    r.StartAt,
 			End:      r.FinishAt,
-		})
-	}
-	c.sortSpans()
-	return c
-}
-
-// FromReport builds a chart from an execution-engine report.
-func FromReport(rep *engine.Report, fleet *cloud.Fleet) *Chart {
-	c := &Chart{Title: "execution"}
-	typeOf := make(map[int]string, fleet.Len())
-	for _, vm := range fleet.VMs {
-		typeOf[vm.ID] = vm.Type.Name
-	}
-	slotsOf := make(map[int]int, fleet.Len())
-	for _, vm := range fleet.VMs {
-		slotsOf[vm.ID] = vm.Type.VCPUs
-	}
-	for _, t := range rep.Tasks {
-		c.Spans = append(c.Spans, Span{
-			VMID:     t.VMID,
-			VMLabel:  fmt.Sprintf("vm%d(%s)", t.VMID, typeOf[t.VMID]),
-			VMSlots:  slotsOf[t.VMID],
-			TaskID:   t.TaskID,
-			Activity: t.Activity,
-			Start:    t.StartAt,
-			End:      t.FinishAt,
 		})
 	}
 	c.sortSpans()

@@ -1,7 +1,6 @@
 package gantt
 
 import (
-	"context"
 	"encoding/xml"
 	"math/rand"
 	"strings"
@@ -9,8 +8,6 @@ import (
 	"testing/quick"
 
 	"reassign/internal/cloud"
-	"reassign/internal/core"
-	"reassign/internal/engine"
 	"reassign/internal/sched"
 	"reassign/internal/sim"
 	"reassign/internal/trace"
@@ -118,32 +115,6 @@ func TestSVGEmpty(t *testing.T) {
 	}
 	if err := xml.Unmarshal([]byte(svg), new(any)); err != nil {
 		t.Fatalf("empty svg not well-formed: %v", err)
-	}
-}
-
-func TestFromReport(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	w := trace.Montage(rng, 4, 2)
-	fleet, _ := cloud.FleetTable1(16)
-	res, err := sim.Run(w, fleet, &sched.HEFT{}, sim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &engine.Engine{Workflow: w, Fleet: fleet, Plan: core.NewPlan(res.Plan), TimeScale: 1e-5}
-	rep, err := e.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := FromReport(rep, fleet)
-	if len(c.Spans) != w.Len() {
-		t.Fatalf("spans = %d", len(c.Spans))
-	}
-	if !strings.Contains(c.Spans[0].VMLabel, "t2.") {
-		t.Fatalf("label missing VM type: %q", c.Spans[0].VMLabel)
-	}
-	out := c.ASCII(50)
-	if !strings.Contains(out, "makespan") {
-		t.Fatal("ASCII render broken for reports")
 	}
 }
 

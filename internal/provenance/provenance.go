@@ -67,8 +67,7 @@ type Attempt struct {
 	Wall string `json:"wall,omitempty"`
 }
 
-// Store is an in-memory provenance database, safe for concurrent use
-// (the execution engine appends from worker goroutines).
+// Store is an in-memory provenance database, safe for concurrent use.
 type Store struct {
 	mu       sync.RWMutex
 	recs     []Execution

@@ -27,12 +27,6 @@ type Aggregator struct {
 	freelistHits   int64
 	freelistMisses int64
 	maxQueueDepth  int
-
-	spans           int
-	busySeconds     float64
-	engineRuns      int
-	engineMakespans []float64
-	peakWorkers     int
 }
 
 // NewAggregator returns an empty aggregator.
@@ -66,15 +60,6 @@ func (a *Aggregator) Emit(e Event) {
 		if ev.MaxQueueDepth > a.maxQueueDepth {
 			a.maxQueueDepth = ev.MaxQueueDepth
 		}
-	case SpanEvent:
-		a.spans++
-		a.busySeconds += ev.Finish - ev.Start
-	case EngineRunEvent:
-		a.engineRuns++
-		a.engineMakespans = append(a.engineMakespans, ev.Makespan)
-		if ev.PeakWorkers > a.peakWorkers {
-			a.peakWorkers = ev.PeakWorkers
-		}
 	}
 }
 
@@ -100,14 +85,6 @@ type Snapshot struct {
 	FreelistHits   int64
 	FreelistMisses int64
 	MaxQueueDepth  int
-
-	// Spans counts engine execution spans; BusySeconds is their total
-	// busy time in virtual seconds.
-	Spans          int
-	BusySeconds    float64
-	EngineRuns     int
-	EngineMakespan metrics.Summary
-	PeakWorkers    int
 }
 
 // FreelistHitRate returns the fraction of event schedules served from
@@ -146,11 +123,6 @@ func (a *Aggregator) Snapshot() Snapshot {
 		FreelistHits:    a.freelistHits,
 		FreelistMisses:  a.freelistMisses,
 		MaxQueueDepth:   a.maxQueueDepth,
-		Spans:           a.spans,
-		BusySeconds:     a.busySeconds,
-		EngineRuns:      a.engineRuns,
-		EngineMakespan:  metrics.Summarize(a.engineMakespans),
-		PeakWorkers:     a.peakWorkers,
 	}
 }
 
@@ -191,12 +163,5 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	counter("reassign_des_scheduled_total", "DES kernel events scheduled", s.KernelSched)
 	gauge("reassign_des_freelist_hit_rate", "Fraction of event schedules served from the freelist", s.FreelistHitRate())
 	gauge("reassign_des_queue_depth_max", "Future-event list high-water mark", s.MaxQueueDepth)
-	counter("reassign_engine_spans_total", "Engine execution spans", s.Spans)
-	counter("reassign_engine_busy_virtual_seconds_total", "Total busy time across engine workers", s.BusySeconds)
-	counter("reassign_engine_runs_total", "Execution-engine runs", s.EngineRuns)
-	if s.EngineRuns > 0 {
-		summary("reassign_engine_makespan_seconds", "Per-run engine makespan", s.EngineMakespan)
-	}
-	gauge("reassign_engine_peak_workers", "Maximum concurrently busy engine workers", s.PeakWorkers)
 	return err
 }

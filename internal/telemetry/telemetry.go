@@ -1,7 +1,8 @@
 // Package telemetry is the instrumentation layer threaded through the
 // learning and execution stages: a Sink interface receiving typed
 // events — per-episode learning stats, scheduler decisions, DES kernel
-// counters, and engine execution spans — with built-in sinks for JSONL
+// counters, and the exec master's dispatches, retries and completions
+// (exec.go) — with built-in sinks for JSONL
 // trace files (NewJSONL), an in-memory aggregator feeding
 // metrics.Summary (NewAggregator, with a Prometheus-text-format
 // snapshot writer), and fan-out composition (Multi).
@@ -9,8 +10,8 @@
 // The layer is zero-cost when disabled: instrumented code holds a Sink
 // that is nil by default and guards every emission with a nil check,
 // so the allocation-free learning hot path is untouched unless a sink
-// is installed. Sinks must be safe for concurrent use — the execution
-// engine emits spans from one goroutine per worker.
+// is installed. Sinks must be safe for concurrent use — replica-parallel
+// learning and the schedd daemon's job workers share one sink.
 package telemetry
 
 // Event is one typed telemetry record. The concrete types below are
@@ -108,35 +109,6 @@ type KernelEvent struct {
 
 // Kind implements Event.
 func (KernelEvent) Kind() string { return "kernel" }
-
-// SpanEvent records one activation's execution span in the concurrent
-// engine, in virtual seconds from run start. Workers emit spans
-// concurrently; sinks must tolerate that.
-type SpanEvent struct {
-	Task     string `json:"task"`
-	Activity string `json:"activity"`
-	VM       int    `json:"vm"`
-	// Worker is the executing worker's index within the engine's pool.
-	Worker int     `json:"worker"`
-	Start  float64 `json:"start"`
-	Finish float64 `json:"finish"`
-}
-
-// Kind implements Event.
-func (SpanEvent) Kind() string { return "span" }
-
-// EngineRunEvent summarises one execution-engine run.
-type EngineRunEvent struct {
-	Makespan    float64 `json:"makespan"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Tasks       int     `json:"tasks"`
-	// PeakWorkers is the maximum number of concurrently busy workers
-	// observed during the run.
-	PeakWorkers int `json:"peak_workers"`
-}
-
-// Kind implements Event.
-func (EngineRunEvent) Kind() string { return "engine_run" }
 
 // Sink receives telemetry events. Implementations must be safe for
 // concurrent use. A nil Sink means telemetry is disabled; emitting

@@ -43,8 +43,6 @@ func TestEventKinds(t *testing.T) {
 		EpisodeEvent{}:   "episode",
 		&DecisionEvent{}: "decision",
 		KernelEvent{}:    "kernel",
-		SpanEvent{}:      "span",
-		EngineRunEvent{}: "engine_run",
 	}
 	for ev, want := range kinds {
 		if got := ev.Kind(); got != want {
@@ -99,8 +97,6 @@ func TestAggregator(t *testing.T) {
 	a.Emit(&DecisionEvent{Greedy: false})
 	a.Emit(KernelEvent{Events: 10, Scheduled: 12, FreelistHits: 9, FreelistMisses: 1, MaxQueueDepth: 5})
 	a.Emit(KernelEvent{Events: 10, Scheduled: 10, FreelistHits: 0, FreelistMisses: 10, MaxQueueDepth: 3})
-	a.Emit(SpanEvent{Start: 1, Finish: 3})
-	a.Emit(EngineRunEvent{Makespan: 50, Tasks: 1, PeakWorkers: 4})
 
 	s := a.Snapshot()
 	if s.Episodes != 2 {
@@ -121,12 +117,6 @@ func TestAggregator(t *testing.T) {
 	if got := s.FreelistHitRate(); got != 0.45 {
 		t.Errorf("FreelistHitRate = %v, want 0.45", got)
 	}
-	if s.Spans != 1 || s.BusySeconds != 2 {
-		t.Errorf("spans %d busy %v", s.Spans, s.BusySeconds)
-	}
-	if s.EngineRuns != 1 || s.PeakWorkers != 4 {
-		t.Errorf("engine aggregates: %+v", s)
-	}
 
 	var buf bytes.Buffer
 	if err := s.WriteProm(&buf); err != nil {
@@ -137,7 +127,7 @@ func TestAggregator(t *testing.T) {
 		"reassign_episodes_total 2",
 		"reassign_decisions_total 3",
 		"reassign_des_freelist_hit_rate 0.45",
-		"reassign_engine_peak_workers 4",
+		"reassign_des_queue_depth_max 5",
 		"# TYPE reassign_episodes_total counter",
 	} {
 		if !strings.Contains(prom, want) {

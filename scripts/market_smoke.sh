@@ -4,7 +4,8 @@
 # bit-identical), replay it through the audited simulator with a
 # dynamic scheduler, then through the exec master over in-process
 # workers with both market policies, asserting the notice-reactive run
-# pays no more than reactive-only for the same trace.
+# pays no more than reactive-only for the same trace, and once more
+# with the default worker count, which must still honour -market.
 #
 # Usage: scripts/market_smoke.sh [bindir]   (default ./bin)
 set -euo pipefail
@@ -52,6 +53,17 @@ for log in nr ro; do
         exit 1
     }
 done
+
+echo "== market-smoke: -execute without -workers still executes under the market =="
+"$BIN/reassign" -market "$TMP/trace.json" -episodes 10 -execute | tee "$TMP/default.log"
+grep -q '50/50 activations' "$TMP/default.log" || {
+    echo "market-smoke: default-workers run lost activations" >&2
+    exit 1
+}
+grep -qE 'market: +[0-9]+ notices, [0-9]+ kills, [0-9]+ cordoned, [0-9]+ remediated' "$TMP/default.log" || {
+    echo "market-smoke: -execute without -workers ignored -market" >&2
+    exit 1
+}
 
 # Same trace, same plan inputs: the notice-reactive bill must not
 # exceed the reactive-only bill (both buy replacements at kill time;

@@ -10,10 +10,12 @@ set -euo pipefail
 BIN=${1:-./bin}
 ADDR=127.0.0.1:8425
 TMP=$(mktemp -d)
-trap 'rm -rf "$TMP"' EXIT
+DAEMON=
+# A failed assertion must not leave the daemon holding the port.
+trap '[ -n "$DAEMON" ] && kill "$DAEMON" 2>/dev/null; rm -rf "$TMP"' EXIT
 
 echo "== schedd-smoke: daemon + 50 concurrent jobs =="
-"$BIN/schedd" -listen "$ADDR" -queue 128 > "$TMP/schedd.log" 2>&1 &
+"$BIN/schedd" -listen "$ADDR" -queue 128 -workers 2 > "$TMP/schedd.log" 2>&1 &
 DAEMON=$!
 
 # Wait for the listener.
@@ -43,9 +45,12 @@ if grep -qE 'throughput +0\.00 jobs/s' "$TMP/load.log"; then
     echo "schedd-smoke: zero throughput" >&2
     exit 1
 fi
-# Two distinct structures across 50 jobs: at least 48 warm starts.
-grep -qE 'cache hits +4[89]/50' "$TMP/load.log" || {
-    echo "schedd-smoke: cache hit rate off (want 48/50)" >&2
+# Two distinct structures across 50 jobs on two workers: each worker
+# can start each structure cold before the other has stored its table,
+# so at most 2 x 2 = 4 cold starts and at least 46 warm ones.
+hits=$(grep -oE 'cache hits +[0-9]+/50' "$TMP/load.log" | grep -oE '[0-9]+/' | tr -d /)
+[ -n "$hits" ] && [ "$hits" -ge 46 ] || {
+    echo "schedd-smoke: cache hits ${hits:-?}/50, want >= 46" >&2
     exit 1
 }
 
@@ -68,6 +73,7 @@ if ! wait "$DAEMON"; then
     cat "$TMP/schedd.log" >&2
     exit 1
 fi
+DAEMON= # reaped: nothing left for the trap to kill
 grep -q 'shutdown clean' "$TMP/schedd.log" || {
     echo "schedd-smoke: no clean shutdown message" >&2
     cat "$TMP/schedd.log" >&2
