@@ -83,7 +83,7 @@ benchsmoke-large:
 	$(GO) test -run '^$$' -bench BenchmarkLearningLarge -benchtime 1x .
 
 ## exec-bench-smoke: one-iteration pass over the exec throughput tier
-## (InProc + loopback TCP with both codecs), keeping the wire path
+## (InProc + loopback TCP at 64 and 256 workers), keeping the wire path
 ## exercised in CI without benchmark noise
 exec-bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkExecThroughput -benchtime 1x .

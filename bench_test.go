@@ -118,15 +118,13 @@ func BenchmarkLearningLarge(b *testing.B) {
 
 // BenchmarkExecThroughput is the execution-stage wire-path tier: a
 // wide 1000-activation plan driven through the master over InProc
-// (the no-wire ceiling) and over loopback TCP with the JSON-lines and
-// framed-binary codecs at 64- and 256-worker pools. Headline metrics
+// (the no-wire ceiling) and over loopback TCP at 64- and 256-worker
+// pools. Headline metrics
 // are tasks/s and, on the TCP variants, wire B/task.
 func BenchmarkExecThroughput(b *testing.B) {
 	b.Run("inproc-1000x64", benchsuite.ExecInProc(1000, 64))
-	b.Run("tcp-json-1000x64", benchsuite.ExecTCP(1000, 64, false))
-	b.Run("tcp-bin-1000x64", benchsuite.ExecTCP(1000, 64, true))
-	b.Run("tcp-json-1000x256", benchsuite.ExecTCP(1000, 256, false))
-	b.Run("tcp-bin-1000x256", benchsuite.ExecTCP(1000, 256, true))
+	b.Run("tcp-bin-1000x64", benchsuite.ExecTCP(1000, 64))
+	b.Run("tcp-bin-1000x256", benchsuite.ExecTCP(1000, 256))
 }
 
 // BenchmarkLearningReplicas measures replica-parallel learning: K

@@ -8,7 +8,6 @@
 //	execworker -connect 127.0.0.1:7077
 //	execworker -connect master:7077 -runner sim -seed 3
 //	execworker -connect master:7077 -runner cmd     # exec the DAX argv
-//	execworker -connect master:7077 -codec json     # legacy wire protocol (v1)
 package main
 
 import (
@@ -39,18 +38,9 @@ func run() error {
 	fluct := flag.Bool("fluct", true, "apply the cloud fluctuation model (sim runner)")
 	failRate := flag.Float64("failrate", 0, "inject per-attempt failures with this probability")
 	retryFor := flag.Duration("retry", 10*time.Second, "keep retrying a refused connection for this long (the master may not be listening yet)")
-	codec := flag.String("codec", "binary", "wire codec: binary (framed, v2) or json (legacy JSON lines, v1)")
 	flag.Parse()
 	if *connect == "" {
 		return fmt.Errorf("-connect is required")
-	}
-	dial := exec.Dial
-	switch *codec {
-	case "binary":
-	case "json":
-		dial = exec.DialJSON
-	default:
-		return fmt.Errorf("unknown -codec %q (binary or json)", *codec)
 	}
 
 	newRunner := func(timeScale float64) exec.Runner {
@@ -78,7 +68,7 @@ func run() error {
 	defer stop()
 	deadline := time.Now().Add(*retryFor)
 	for {
-		err := dial(ctx, *connect, newRunner)
+		err := exec.Dial(ctx, *connect, newRunner)
 		if errors.Is(err, syscall.ECONNREFUSED) && time.Now().Before(deadline) && ctx.Err() == nil {
 			time.Sleep(200 * time.Millisecond)
 			continue

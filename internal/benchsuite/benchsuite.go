@@ -59,7 +59,7 @@ type Bench struct {
 // learning run, the replica-scaling ladder, the large-DAG tier
 // (1000- and 10k-activation workflows on 256- and 1024-vCPU fleets),
 // the exec wire-path tier (a wide 1000-activation plan over InProc
-// and loopback TCP with the JSON and binary codecs), the
+// and loopback TCP), the
 // open-system tier (a seeded multi-tenant trace replayed through
 // every policy lane at 3 and 6 tenants), and the spot-market tier
 // (trace-bill integration and a full replay under a hostile trace).
@@ -84,10 +84,8 @@ func Suite() []Bench {
 		{"BenchmarkLearningLarge/1000x256", LearningLarge(1000, 256, 100)},
 		{"BenchmarkLearningLarge/10000x1024", LearningLarge(10000, 1024, 5)},
 		{"BenchmarkExecThroughput/inproc-1000x64", ExecInProc(1000, 64)},
-		{"BenchmarkExecThroughput/tcp-json-1000x64", ExecTCP(1000, 64, false)},
-		{"BenchmarkExecThroughput/tcp-bin-1000x64", ExecTCP(1000, 64, true)},
-		{"BenchmarkExecThroughput/tcp-json-1000x256", ExecTCP(1000, 256, false)},
-		{"BenchmarkExecThroughput/tcp-bin-1000x256", ExecTCP(1000, 256, true)},
+		{"BenchmarkExecThroughput/tcp-bin-1000x64", ExecTCP(1000, 64)},
+		{"BenchmarkExecThroughput/tcp-bin-1000x256", ExecTCP(1000, 256)},
 		{"BenchmarkOpenSystem/3tenants", OpenSystem(3)},
 		{"BenchmarkOpenSystem/6tenants", OpenSystem(6)},
 		{"BenchmarkMarketPlayback/cost", MarketCost()},

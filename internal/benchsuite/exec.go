@@ -18,8 +18,7 @@ import (
 // The exec tier measures the execution-stage wire path: a wide
 // 1000-activation plan (no dependencies, so dispatch is pure
 // throughput) driven through the master over the InProc transport
-// (the no-wire ceiling) and over loopback TCP with the JSON-lines and
-// framed-binary codecs. Headline metrics are "tasks/s" and, for the
+// (the no-wire ceiling) and over loopback TCP. Headline metrics are "tasks/s" and, for the
 // TCP variants, "B/task" (wire bytes per completed activation, both
 // directions). Heartbeats and lease retries are disabled so the
 // numbers isolate codec + batching cost from timer noise.
@@ -81,9 +80,8 @@ func ExecInProc(tasks, workers int) func(*testing.B) {
 
 // ExecTCP returns the loopback-TCP benchmark: `workers` in-process
 // worker goroutines dial the master and serve the plan with an
-// instant runner, over the framed binary codec or the legacy
-// JSON-lines codec.
-func ExecTCP(tasks, workers int, binary bool) func(*testing.B) {
+// instant runner.
+func ExecTCP(tasks, workers int) func(*testing.B) {
 	return func(b *testing.B) {
 		fleet := execFleet(b, workers)
 		w, plan := execWorkload(tasks, fleet)
@@ -119,11 +117,7 @@ func ExecTCP(tasks, workers int, binary bool) func(*testing.B) {
 						return
 					}
 					conns[j] = conn
-					if binary {
-						go exec.ServeConn(context.Background(), conn, runner)
-					} else {
-						go exec.ServeConnJSON(context.Background(), conn, runner)
-					}
+					go exec.ServeConn(context.Background(), conn, runner)
 				}()
 			}
 			wg.Wait()

@@ -3,7 +3,6 @@ package exec
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -12,31 +11,27 @@ import (
 	"sync/atomic"
 )
 
-// The binary wire format (protocol version 2) replaces one-JSON-object
-// -per-line with length-prefixed frames so the master and workers can
-// coalesce many messages into one write. A binary connection opens
-// with a 4-byte preamble — 0xBF 'R' 'X' <version> — which a master
-// distinguishes from a JSON-lines worker by the first byte (JSON
-// always starts with '{'). After the preamble both directions speak
-// frames:
+// The wire format (protocol version 2) is length-prefixed binary
+// frames, so the master and workers can coalesce many messages into
+// one write. A connection opens with a 4-byte preamble — 0xBF 'R' 'X'
+// <version> — after which both directions speak frames:
 //
 //	frame   := uvarint(len(payload)) payload
 //	payload := type-byte fields…
 //
-// Field order is fixed per message type (see appendWireMsg); integers
-// are zig-zag varints, floats are 8-byte little-endian IEEE 754 bits,
-// strings and string lists are uvarint-counted. Encoding appends into
-// a reused buffer and allocates nothing in steady state; decoding
-// reuses the frame read buffer and allocates only the strings it must
-// materialise (on the master, task-ID interning removes even those).
-const (
-	wireVersionJSON   = 1
-	wireVersionBinary = 2
-)
+// Field order is fixed per message type (see appendWirePayload);
+// integers are zig-zag varints, floats are 8-byte little-endian IEEE
+// 754 bits, strings and string lists are uvarint-counted. Encoding
+// appends into a reused buffer and allocates nothing in steady state;
+// decoding reuses the frame read buffer and allocates only the
+// strings it must materialise (on the master, task-ID interning
+// removes even those). A master rejects a connection that opens with
+// '{' (JSON lines, wire version 1) with errWireV1.
+const wireVersion = 2
 
-// binPreamble opens a binary connection: a magic byte no JSON stream
-// can start with, two tag bytes, and the protocol version.
-var binPreamble = [4]byte{0xBF, 'R', 'X', wireVersionBinary}
+// binPreamble opens a connection: a magic byte, two tag bytes, and the
+// protocol version.
+var binPreamble = [4]byte{0xBF, 'R', 'X', wireVersion}
 
 // Binary payload type bytes (the wire form of the msg* strings).
 const (
@@ -52,88 +47,14 @@ const (
 // hostile stream, not a plausible message.
 const maxFrame = 1 << 20
 
-// queueMsg stages m on c. The binary codec is called through its
-// concrete type: its queue provably retains nothing, so escape
-// analysis keeps the caller's wireMsg on the stack — zero allocations
-// per message on the hot path. Other codecs get a copy, so the
-// caller's variable never flows into an interface call and stays
-// stack-allocated on every path. Not for task messages (m.Task would
-// alias the caller's stack through the copy); those call sites split
-// the branches by hand.
-func queueMsg(c wireCodec, m *wireMsg) error {
-	if bc, ok := c.(*binCodec); ok {
-		return bc.queue(m)
-	}
-	mm := *m
-	return c.queue(&mm)
-}
-
-// wireCodec is one connection's message codec. queue stages a message
-// for delivery (the JSON codec writes through immediately, the binary
-// codec appends a frame to a pending batch), flush forces staged
-// bytes onto the wire in one write, and read blocks for the next
-// message. nudge re-wakes the background flusher (if any) so it
-// re-checks its gather condition — a no-op for write-through codecs.
-// queue/flush/nudge may be called concurrently; read is single-
-// reader.
-// buffered reports whether a complete or partial message is already
-// sitting in the read buffer — the reader's cue that another read
-// will (almost certainly) not block, so consecutive messages can be
-// delivered upstream as one batch. Only the reading goroutine may
-// call it.
-type wireCodec interface {
-	queue(m *wireMsg) error
-	flush() error
-	read(m *wireMsg) error
-	buffered() bool
-	nudge()
-	version() int
-}
-
-// jsonCodec is the legacy JSON-lines protocol (version 1), kept
-// byte-compatible so old execworker binaries interoperate with a new
-// master. Every queue is an immediate Encode — one syscall and one
-// lock per message, the baseline the binary codec is measured against.
-type jsonCodec struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-	dec *json.Decoder
-}
-
-func newJSONCodec(w io.Writer, br *bufio.Reader) *jsonCodec {
-	return &jsonCodec{enc: json.NewEncoder(w), dec: json.NewDecoder(br)}
-}
-
-func (c *jsonCodec) queue(m *wireMsg) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.enc.Encode(m)
-}
-
-func (c *jsonCodec) flush() error { return nil }
-
-// The JSON decoder's internal buffering isn't worth second-guessing;
-// the legacy path delivers one event per read, as version 1 always
-// did.
-func (c *jsonCodec) buffered() bool { return false }
-
-func (c *jsonCodec) nudge() {}
-
-func (c *jsonCodec) read(m *wireMsg) error {
-	*m = wireMsg{}
-	err := c.dec.Decode(m)
-	m.Index = -1 // the legacy encoding doesn't carry a result index
-	return err
-}
-
-func (c *jsonCodec) version() int { return wireVersionJSON }
-
-// binCodec is the framed binary protocol (version 2). queue encodes
-// into a pending buffer under the lock; flush writes the whole batch
-// in one Write call. With kick non-nil (the worker side), every queue
-// nudges a flusher goroutine, so bursts of results coalesce into one
-// syscall; the master side flushes explicitly once per event-loop
-// turn instead.
+// binCodec is one connection's codec. queue encodes into a pending
+// buffer under the lock; flush writes the whole batch in one Write
+// call; read blocks for the next message. queue, flush and nudge may
+// be called concurrently; read, buffered and the decode state belong
+// to the single reading goroutine. With kick non-nil (the worker
+// side), every queue nudges a flusher goroutine, so bursts of results
+// coalesce into one syscall; the master side flushes explicitly once
+// per event-loop turn instead.
 type binCodec struct {
 	mu      sync.Mutex
 	w       io.Writer
@@ -312,9 +233,11 @@ func (c *binCodec) read(m *wireMsg) error {
 	return nil
 }
 
+// buffered reports whether a complete or partial message is already
+// sitting in the read buffer — the reader's cue that another read
+// will (almost certainly) not block, so consecutive messages can be
+// delivered upstream as one batch.
 func (c *binCodec) buffered() bool { return c.br.Buffered() > 0 }
-
-func (c *binCodec) version() int { return wireVersionBinary }
 
 // appendWireFrame appends m as one complete frame (length prefix +
 // payload) — the stand-alone form WireCheck and the tests use; the

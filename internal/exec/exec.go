@@ -19,7 +19,7 @@
 // Workers are dumb executors behind a Transport. Two transports ship:
 // InProc, a deterministic virtual-time transport whose runs are
 // bit-identical for a fixed seed (the test and CI grade), and TCP, a
-// JSON-lines protocol over real sockets that cmd/execworker processes
+// framed binary protocol over real sockets that cmd/execworker processes
 // join over loopback or a real network, standing in for the MPI
 // workers. What a worker does with an attempt is a pluggable Runner:
 // simulated durations, scaled wall-clock sleeps, or real
@@ -109,10 +109,10 @@ type Event struct {
 	Worker int
 	// Result fields (EvResult only).
 	TaskID string
-	// TaskIndex is the task's workflow index when the wire carried one
-	// (binary results echo it so the master can resolve the task
-	// without a map lookup), or -1 when only TaskID identifies it
-	// (legacy JSON results).
+	// TaskIndex is the task's workflow index, echoed from the
+	// dispatched TaskSpec so the master resolves the task without a
+	// map lookup. A result whose TaskIndex and TaskID disagree is
+	// dropped.
 	TaskIndex int
 	Attempt   int
 	Err       string
@@ -166,13 +166,12 @@ type Transport interface {
 }
 
 // Flusher is an optional Transport extension for transports that
-// stage Send into per-connection batches (the binary TCP codec). The
+// stage Send into per-connection batches (TCP). The
 // master calls Flush once per event-loop turn, after dispatching into
 // the freed slots, so a wave of assignments leaves in one write per
 // worker. Flush returns the IDs of workers whose batch could not be
 // delivered; the master treats each as lost. Transports without
-// batching (InProc, JSON-lines connections) simply don't implement
-// it.
+// batching (InProc) simply don't implement it.
 type Flusher interface {
 	Flush() []int
 }

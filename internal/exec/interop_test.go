@@ -1,10 +1,14 @@
 package exec
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,18 +17,18 @@ import (
 	"reassign/internal/trace"
 )
 
-// TestCrossVersionInterop runs a TCP master with a mixed fleet — one
-// worker speaking the framed binary protocol, one speaking the legacy
-// JSON-lines protocol — and requires the workflow to complete. This is
-// the no-flag-day guarantee: a master sniffs each connection's first
-// byte, so old execworker binaries keep joining new masters.
-func TestCrossVersionInterop(t *testing.T) {
+// TestJoinSkipsRejectedConnections: connections that fail the
+// handshake — a stale JSON-lines (wire v1) worker, an HTTP probe, a
+// preamble naming an unsupported version — are closed and not
+// counted, and the join goes on until the binary workers have
+// joined; the run then completes.
+func TestJoinSkipsRejectedConnections(t *testing.T) {
 	w := trace.Montage50(rand.New(rand.NewSource(7)))
 	fleet, err := cloud.FleetTable1(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp := &TCP{Addr: "127.0.0.1:0", Workers: 2, TimeScale: 1e-4}
+	tcp := &TCP{Addr: "127.0.0.1:0", Workers: 2, TimeScale: 1e-4, JoinTimeout: 20 * time.Second}
 	if err := tcp.Listen(); err != nil {
 		t.Fatal(err)
 	}
@@ -34,19 +38,35 @@ func TestCrossVersionInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Worker 1: binary codec (the ServeConn default).
-	conn := startWorker(t, tcp.ListenAddr(), nil)
-	defer conn.Close()
-	// Worker 2: JSON-lines codec, as an old binary would speak.
-	jconn, err := net.Dial("tcp", tcp.ListenAddr())
+	var strays []net.Conn
+	for _, greeting := range []string{
+		`{"type":"hello"}` + "\n",
+		"GET / HTTP/1.0\r\n\r\n",
+		"\xBFRX\x01",
+	} {
+		conn, err := net.Dial("tcp", tcp.ListenAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte(greeting)); err != nil {
+			t.Fatal(err)
+		}
+		strays = append(strays, conn)
+	}
+	for i := 0; i < 2; i++ {
+		conn := startWorker(t, tcp.ListenAddr(), nil)
+		defer conn.Close()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	ids, err := tcp.Open(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jconn.Close()
-	go ServeConnJSON(context.Background(), jconn, nil)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	if len(ids) != 2 {
+		t.Fatalf("joined workers = %v, want 2", ids)
+	}
 	rep, err := m.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -61,14 +81,80 @@ func TestCrossVersionInterop(t *testing.T) {
 	if in <= 0 || out <= 0 {
 		t.Fatalf("wire byte counters not moving: in=%d out=%d", in, out)
 	}
+	// The master closed every rejected connection without a welcome.
+	for i, conn := range strays {
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 64)); err != io.EOF {
+			t.Errorf("stray %d: read %d bytes, err %v; want EOF", i, n, err)
+		}
+	}
 }
 
-// TestCodecDeterminismOracle is the acceptance-criteria check: the
-// same seeded run must produce byte-identical provenance whether
-// messages skip the wire entirely, round-trip through the JSON codec,
-// or round-trip through the binary codec. Any semantic divergence
-// between the codecs (lost fields, precision drift, reordered argv)
-// breaks the byte comparison.
+// TestJoinTimeoutReportsRejections: when the join times out after
+// rejecting connections, the error says how many and why the last one
+// was refused.
+func TestJoinTimeoutReportsRejections(t *testing.T) {
+	tcp := &TCP{Addr: "127.0.0.1:0", Workers: 1, JoinTimeout: 300 * time.Millisecond}
+	if err := tcp.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", tcp.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte(`{"type":"hello","slots":4}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	_, err = tcp.Open(context.Background())
+	if err == nil {
+		t.Fatal("join with no binary worker succeeded")
+	}
+	for _, want := range []string{"0 of 1 joined", "1 connections rejected", errWireV1.Error()} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// TestReadPreamble: only 0xBF 'R' 'X' <wireVersion> opens a session; a
+// '{' first byte is named as wire v1.
+func TestReadPreamble(t *testing.T) {
+	cases := []struct {
+		in   string
+		ok   bool
+		want string
+	}{
+		{string(binPreamble[:]), true, ""},
+		{`{"type":"hello"}`, false, errWireV1.Error()},
+		{"\xBFRX\x01", false, "unsupported wire version 1"},
+		{"\xBFRX\x03", false, "unsupported wire version 3"},
+		{"\xBFQX\x02", false, "bad preamble"},
+		{"GET /", false, "bad preamble"},
+		{"\xBFR", false, "preamble"},
+		{"", false, "handshake read"},
+	}
+	for _, c := range cases {
+		err := readPreamble(bufio.NewReader(strings.NewReader(c.in)))
+		if c.ok {
+			if err != nil {
+				t.Errorf("%q: %v", c.in, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: err = %v, want one mentioning %q", c.in, err, c.want)
+		}
+	}
+	if err := readPreamble(bufio.NewReader(strings.NewReader("{"))); !errors.Is(err, errWireV1) {
+		t.Errorf("'{' first byte: err = %v, want errWireV1", err)
+	}
+}
+
+// TestCodecDeterminismOracle: the same seeded run must produce
+// byte-identical provenance whether messages skip the wire entirely or
+// round-trip through the codec. Any semantic divergence (lost fields,
+// precision drift, reordered argv) breaks the byte comparison.
 func TestCodecDeterminismOracle(t *testing.T) {
 	w := trace.Montage50(rand.New(rand.NewSource(3)))
 	fleet, err := cloud.FleetTable1(16)
@@ -100,11 +186,7 @@ func TestCodecDeterminismOracle(t *testing.T) {
 		return buf.Bytes()
 	}
 	bare := run(nil)
-	viaJSON := run(func(tr Transport) Transport { return &WireCheck{Inner: tr} })
-	viaBin := run(func(tr Transport) Transport { return &WireCheck{Inner: tr, Binary: true} })
-	if !bytes.Equal(bare, viaJSON) {
-		t.Fatal("JSON codec round trip changed provenance")
-	}
+	viaBin := run(func(tr Transport) Transport { return &WireCheck{Inner: tr} })
 	if !bytes.Equal(bare, viaBin) {
 		t.Fatal("binary codec round trip changed provenance")
 	}

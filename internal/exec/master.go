@@ -787,20 +787,13 @@ func (m *Master) send(ts *taskState, vs *vmState) error {
 // attempts (expired leases, dead workers) are ignored: the guard is
 // what makes the master idempotent under at-least-once delivery.
 func (m *Master) onResult(ev Event) {
-	// Binary results carry the task's workflow index, so the common
-	// path resolves state with a bounds check instead of a map lookup;
-	// the ID match guards against a stale or cross-run index. Legacy
-	// JSON results (index -1) fall back to the workflow's ID map.
-	var ts *taskState
-	if ev.TaskIndex >= 0 && ev.TaskIndex < len(m.tasks) && m.tasks[ev.TaskIndex].a.ID == ev.TaskID {
-		ts = m.tasks[ev.TaskIndex]
-	} else {
-		a := m.w.Get(ev.TaskID)
-		if a == nil {
-			return
-		}
-		ts = m.tasks[a.Index]
+	// Results carry the task's workflow index, so state resolves with
+	// a bounds check instead of a map lookup; the ID match drops a
+	// stale, cross-run or corrupt index as it would an unknown ID.
+	if ev.TaskIndex < 0 || ev.TaskIndex >= len(m.tasks) || m.tasks[ev.TaskIndex].a.ID != ev.TaskID {
+		return
 	}
+	ts := m.tasks[ev.TaskIndex]
 	if ts.done || ts.abandoned || !ts.running || ts.attempts != ev.Attempt || ts.worker != ev.Worker {
 		return
 	}

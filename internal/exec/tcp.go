@@ -3,6 +3,7 @@ package exec
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -14,10 +15,10 @@ import (
 
 // TCP is the real-network transport: the master listens on Addr and
 // waits for Workers execworker processes to join (loopback in tests
-// and CI, a real network in anger). Each connection's codec is
-// negotiated at join time — framed binary (version 2) for new
-// workers, JSON lines (version 1) for legacy binaries — so a mixed
-// fleet interoperates within one run. Events carry virtual timestamps
+// and CI, a real network in anger). Every connection speaks the
+// framed binary protocol (wire version 2, codec.go); a connection
+// that fails the preamble check or the hello is closed and not
+// counted, and the join keeps waiting. Events carry virtual timestamps
 // derived from the wall clock via TimeScale, so the master's lease
 // and backoff arithmetic is identical to the deterministic
 // transport's — only the clock source differs.
@@ -53,8 +54,8 @@ type TCP struct {
 	// free recycles consumed batch buffers back to the readers, so
 	// steady-state event delivery reuses slices instead of growing a
 	// fresh one per wave.
-	free  chan []Event
-	donec chan struct{}
+	free      chan []Event
+	donec     chan struct{}
 	mu        sync.Mutex
 	conns     map[int]*tcpConn
 	dirty     []int
@@ -67,7 +68,7 @@ type TCP struct {
 
 type tcpConn struct {
 	conn  net.Conn
-	c     wireCodec
+	c     *binCodec
 	dirty bool
 }
 
@@ -133,9 +134,11 @@ func (t *TCP) vnow() float64 {
 	return time.Since(t.start).Seconds() / t.TimeScale
 }
 
-// Open implements Transport: it accepts Workers connections,
-// negotiates each one's codec, handshakes it, and starts their reader
-// goroutines. Open is idempotent — a second call returns the worker
+// Open implements Transport: it accepts connections until Workers of
+// them have handshaken, then starts their reader goroutines. A
+// connection that fails the handshake (a port scan, a health probe, a
+// stale JSON-lines worker) is closed and does not count; it does not
+// end the join. Open is idempotent — a second call returns the worker
 // set the first call joined — so callers that need the fleet ready
 // before Run (pre-joining under a benchmark's stopped timer, or a
 // daemon separating join from execution) can open early.
@@ -170,6 +173,8 @@ func (t *TCP) Open(ctx context.Context) ([]int, error) {
 	}
 	deadline := time.Now().Add(t.JoinTimeout)
 	ids := make([]int, 0, t.Workers)
+	rejected := 0
+	var lastReject error
 	for len(ids) < t.Workers {
 		if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
 			deadline = dl
@@ -183,15 +188,20 @@ func (t *TCP) Open(ctx context.Context) ([]int, error) {
 			// The join count and bound address make a chaos/soak
 			// failure diagnosable: which side never showed up, and
 			// where it should have connected.
-			return nil, fmt.Errorf("exec: master on %s timed out waiting for workers: %d of %d joined: %w",
+			err = fmt.Errorf("exec: master on %s timed out waiting for workers: %d of %d joined: %w",
 				t.ListenAddr(), len(ids), t.Workers, err)
+			if rejected > 0 {
+				err = fmt.Errorf("%w (%d connections rejected, last: %v)", err, rejected, lastReject)
+			}
+			return nil, err
 		}
 		id := len(ids)
-		tc, err := t.handshake(conn, id, heartbeatMs)
+		tc, err := t.handshake(conn, id, heartbeatMs, deadline)
 		if err != nil {
 			conn.Close()
-			t.Close()
-			return nil, err
+			rejected++
+			lastReject = err
+			continue
 		}
 		t.mu.Lock()
 		t.conns[id] = tc
@@ -214,34 +224,37 @@ func (t *TCP) Open(ctx context.Context) ([]int, error) {
 	return ids, nil
 }
 
-// handshake sniffs the joining connection's codec (binary preamble vs
-// JSON's leading '{'), consumes the hello, and answers with a
-// welcome naming the worker, the run's time scale, and the protocol
-// version the master selected.
-func (t *TCP) handshake(conn net.Conn, id, heartbeatMs int) (*tcpConn, error) {
+// handshake checks the joining connection's preamble, consumes the
+// hello, and answers with a welcome naming the worker, the run's time
+// scale, and the protocol version. The handshake's reads are bounded
+// by 10 s and by the join deadline, whichever comes first, so a silent
+// connection cannot hold the join past JoinTimeout.
+func (t *TCP) handshake(conn net.Conn, id, heartbeatMs int, deadline time.Time) (*tcpConn, error) {
 	cc := countingConn{Conn: conn, t: t}
 	br := bufio.NewReader(cc)
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	c, err := sniffCodec(cc, br)
-	if err != nil {
+	if dl := time.Now().Add(10 * time.Second); dl.Before(deadline) {
+		deadline = dl
+	}
+	conn.SetReadDeadline(deadline)
+	if err := readPreamble(br); err != nil {
 		return nil, fmt.Errorf("exec: worker joining %s from %s: %w",
 			t.ListenAddr(), conn.RemoteAddr(), err)
 	}
+	c := newBinCodec(cc, br)
 	// Result decoding on the master's hot path interns task IDs the
 	// master itself dispatched, so it allocates nothing per result.
 	// Pre-sized here, off the run's hot path, so steady-state inserts
 	// rarely grow the map.
-	if bc, ok := c.(*binCodec); ok {
-		bc.intern = make(map[string]string, 128)
-	}
+	c.intern = make(map[string]string, 128)
 	var hello wireMsg
 	if err := c.read(&hello); err != nil || hello.Type != msgHello {
-		return nil, fmt.Errorf("exec: worker handshake on %s: got %q (%v)", t.ListenAddr(), hello.Type, err)
+		return nil, fmt.Errorf("exec: worker handshake on %s from %s: got %q (%v)",
+			t.ListenAddr(), conn.RemoteAddr(), hello.Type, err)
 	}
 	conn.SetReadDeadline(time.Time{})
 	tc := &tcpConn{conn: conn, c: c}
 	welcome := wireMsg{Type: msgWelcome, Worker: id, TimeScale: t.TimeScale,
-		HeartbeatMs: heartbeatMs, Version: c.version()}
+		HeartbeatMs: heartbeatMs, Version: wireVersion}
 	if err := c.queue(&welcome); err != nil {
 		return nil, fmt.Errorf("exec: welcome worker %d: %w", id, err)
 	}
@@ -251,31 +264,31 @@ func (t *TCP) handshake(conn net.Conn, id, heartbeatMs int) (*tcpConn, error) {
 	return tc, nil
 }
 
-// sniffCodec distinguishes a binary worker (preamble 0xBF 'R' 'X'
-// <version>) from a legacy JSON-lines worker ('{') by peeking the
-// first byte.
-func sniffCodec(cc countingConn, br *bufio.Reader) (wireCodec, error) {
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, fmt.Errorf("handshake read: %w", err)
+// errWireV1 is the handshake error for a connection that opens with
+// '{': a JSON-lines worker of wire version 1, which the master no
+// longer speaks.
+var errWireV1 = errors.New("JSON-lines wire v1 is no longer supported")
+
+// readPreamble consumes the 4-byte preamble 0xBF 'R' 'X' <version>
+// and rejects anything else.
+func readPreamble(br *bufio.Reader) error {
+	var pre [4]byte
+	if _, err := io.ReadFull(br, pre[:1]); err != nil {
+		return fmt.Errorf("handshake read: %w", err)
 	}
-	switch first[0] {
-	case binPreamble[0]:
-		var pre [4]byte
-		if _, err := io.ReadFull(br, pre[:]); err != nil {
-			return nil, fmt.Errorf("binary preamble: %w", err)
-		}
-		if pre[1] != binPreamble[1] || pre[2] != binPreamble[2] {
-			return nil, fmt.Errorf("bad binary preamble % x", pre)
-		}
-		if pre[3] != wireVersionBinary {
-			return nil, fmt.Errorf("unsupported wire version %d (want %d)", pre[3], wireVersionBinary)
-		}
-		return newBinCodec(cc, br), nil
-	case '{':
-		return newJSONCodec(cc, br), nil
+	if pre[0] == '{' {
+		return errWireV1
 	}
-	return nil, fmt.Errorf("unrecognised first byte 0x%02x (neither binary preamble nor JSON)", first[0])
+	if _, err := io.ReadFull(br, pre[1:]); err != nil {
+		return fmt.Errorf("preamble: %w", err)
+	}
+	if pre[0] != binPreamble[0] || pre[1] != binPreamble[1] || pre[2] != binPreamble[2] {
+		return fmt.Errorf("bad preamble % x", pre)
+	}
+	if pre[3] != wireVersion {
+		return fmt.Errorf("unsupported wire version %d (want %d)", pre[3], wireVersion)
+	}
+	return nil
 }
 
 // reader pumps one worker's messages into the event channel; a read
@@ -285,7 +298,7 @@ func sniffCodec(cc countingConn, br *bufio.Reader) (wireCodec, error) {
 // as one event batch, one master wakeup. (A partial trailing frame
 // makes one of those reads block briefly, but its remainder is
 // already in flight — the sender writes whole batches.)
-func (t *TCP) reader(id int, c wireCodec) {
+func (t *TCP) reader(id int, c *binCodec) {
 	const maxBatch = 512
 	var m wireMsg
 	for {
@@ -316,14 +329,7 @@ func (t *TCP) reader(id int, c wireCodec) {
 					default:
 						// Cold pool: start with room for a typical
 						// wave instead of growing through doublings.
-						// Legacy JSON connections never batch
-						// (buffered is always false), so their waves
-						// are single events.
-						n := 32
-						if _, ok := c.(*binCodec); !ok {
-							n = 1
-						}
-						batch = make([]Event, 0, n)
+						batch = make([]Event, 0, 32)
 					}
 				}
 			}
@@ -351,8 +357,7 @@ func (t *TCP) emit(evs []Event) {
 }
 
 // Send implements Transport: the message is staged on the worker's
-// connection and hits the wire at the next Flush (JSON-lines
-// connections write through immediately, as version 1 always did).
+// connection and hits the wire at the next Flush.
 func (t *TCP) Send(worker int, spec TaskSpec) error {
 	t.mu.Lock()
 	tc := t.conns[worker]
@@ -364,16 +369,11 @@ func (t *TCP) Send(worker int, spec TaskSpec) error {
 	if tc == nil {
 		return fmt.Errorf("exec: send to unknown worker %d", worker)
 	}
-	// Branches are split by hand so escape analysis sees two disjoint
-	// variables: the binary codec's queue retains nothing, so spec and
-	// the message stay on this stack frame — dispatching a task
-	// allocates nothing master-side. Only the legacy path pays a copy.
-	if bc, ok := tc.c.(*binCodec); ok {
-		m := wireMsg{Type: msgTask, Task: &spec}
-		return bc.queue(&m)
-	}
-	s := spec
-	return tc.c.queue(&wireMsg{Type: msgTask, Task: &s})
+	// The codec's queue retains nothing, so spec and the message stay
+	// on this stack frame: dispatching a task allocates nothing
+	// master-side.
+	m := wireMsg{Type: msgTask, Task: &spec}
+	return tc.c.queue(&m)
 }
 
 // Flush implements Flusher: every connection with staged messages

@@ -64,6 +64,10 @@ func TestTCPLoopbackSmoke(t *testing.T) {
 	if rep.Makespan <= 0 {
 		t.Fatalf("makespan = %v", rep.Makespan)
 	}
+	in, out := tcp.Bytes()
+	if in <= 0 || out <= 0 {
+		t.Fatalf("wire byte counters not moving: in=%d out=%d", in, out)
+	}
 }
 
 // TestTCPRunHonoursCancellation: a run whose only activation would
@@ -135,19 +139,7 @@ func TestSoakWorkerDeaths(t *testing.T) {
 			var conns []net.Conn
 			var mu sync.Mutex
 			for i := 0; i < 3; i++ {
-				// Mixed fleet: worker 1 speaks legacy JSON lines, so the
-				// soak covers both codecs (and their interleaving) under
-				// -race with mid-run deaths.
-				var conn net.Conn
-				if i == 1 {
-					conn, err = net.Dial("tcp", tcp.ListenAddr())
-					if err != nil {
-						t.Fatal(err)
-					}
-					go ServeConnJSON(context.Background(), conn, nil)
-				} else {
-					conn = startWorker(t, tcp.ListenAddr(), nil)
-				}
+				conn := startWorker(t, tcp.ListenAddr(), nil)
 				mu.Lock()
 				conns = append(conns, conn)
 				mu.Unlock()

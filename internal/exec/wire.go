@@ -2,46 +2,38 @@ package exec
 
 // wireMsg is the master↔worker message vocabulary, deliberately tiny
 // — the protocol stands in for the paper's MPI master/worker
-// messages, not for a general RPC layer. Two codecs carry it: the
-// legacy JSON-lines form (one object per line, protocol version 1)
-// and the framed binary form in codec.go (version 2, the default).
-// The master sniffs each joining connection's first byte, so old
-// JSON-lines execworker binaries interoperate with a new master, in
-// the same run as binary workers.
+// messages, not for a general RPC layer. Each message travels as one
+// binary frame (codec.go); the type byte selects the fields that
+// follow, in this order:
 //
-//	worker → master  {"type":"hello","slots":4,"version":2}
-//	master → worker  {"type":"welcome","worker":2,"timescale":0.001,"heartbeat_ms":100,"version":1}
-//	master → worker  {"type":"task","task":{...TaskSpec...}}
-//	worker → master  {"type":"heartbeat","running":3}
-//	worker → master  {"type":"result","task_id":"ID00007","attempt":1,"duration":12.5,"error":""}
-//	master → worker  {"type":"shutdown"}
+//	worker → master  hello      slots version
+//	master → worker  welcome    worker timescale heartbeat_ms version
+//	master → worker  task       task_id index activity vm vm_type attempt duration args…
+//	worker → master  heartbeat  running
+//	worker → master  result     task_id index attempt duration error
+//	master → worker  shutdown
 type wireMsg struct {
-	Type string `json:"type"`
+	Type string
 	// hello
-	Slots int `json:"slots,omitempty"`
-	// hello/welcome: the sender's wire protocol version (0 on legacy
-	// peers, which predate the field). The welcome echoes the version
-	// the master actually selected for the connection.
-	Version int `json:"version,omitempty"`
+	Slots int
+	// hello/welcome: the sender's wire protocol version.
+	Version int
 	// welcome
-	Worker      int     `json:"worker,omitempty"`
-	TimeScale   float64 `json:"timescale,omitempty"`
-	HeartbeatMs int     `json:"heartbeat_ms,omitempty"`
+	Worker      int
+	TimeScale   float64
+	HeartbeatMs int
 	// task
-	Task *TaskSpec `json:"task,omitempty"`
+	Task *TaskSpec
 	// result
-	TaskID string `json:"task_id,omitempty"`
+	TaskID string
 	// Index echoes the task's workflow index so the master resolves a
-	// binary result without hashing its ID. Wire version 2 only: the
-	// legacy JSON encoding must stay byte-identical to what version 1
-	// workers send, so the field never serialises there and JSON reads
-	// report -1 (unknown).
-	Index    int     `json:"-"`
-	Attempt  int     `json:"attempt,omitempty"`
-	Duration float64 `json:"duration,omitempty"`
-	Error    string  `json:"error,omitempty"`
+	// result without hashing its ID.
+	Index    int
+	Attempt  int
+	Duration float64
+	Error    string
 	// heartbeat
-	Running int `json:"running,omitempty"`
+	Running int
 }
 
 const (

@@ -14,9 +14,9 @@ import (
 // values: empty strings, negative ints, unicode, multi-arg argv.
 func wireSamples() []wireMsg {
 	return []wireMsg{
-		{Type: msgHello, Slots: 4, Version: wireVersionBinary},
+		{Type: msgHello, Slots: 4, Version: wireVersion},
 		{Type: msgHello},
-		{Type: msgWelcome, Worker: 129, TimeScale: 1e-3, HeartbeatMs: 20, Version: wireVersionBinary},
+		{Type: msgWelcome, Worker: 129, TimeScale: 1e-3, HeartbeatMs: 20, Version: wireVersion},
 		{Type: msgTask, Task: &TaskSpec{
 			TaskID: "ID00007", Index: 7, Activity: "mProjectPP", VM: 3,
 			VMType: "t2.micro", Attempt: 2, Duration: 12.75,

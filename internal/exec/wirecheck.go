@@ -2,41 +2,23 @@ package exec
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 )
 
 // WireCheck wraps a Transport and round-trips every task dispatch and
-// every result/heartbeat event through a wire codec — encode, then
+// every result/heartbeat event through the wire codec — encode, then
 // decode, then deliver the decoded struct. Over the deterministic
 // InProc transport this is the codec determinism oracle: a seeded run
 // must produce byte-identical provenance whether messages pass
-// through the JSON codec, the binary codec, or no codec at all, which
-// pins the two codecs to the same semantics without the wall-clock
-// nondeterminism of real sockets.
+// through the codec or not, which pins the codec to the in-process
+// semantics without the wall-clock nondeterminism of real sockets.
 type WireCheck struct {
 	Inner Transport
-	// Binary selects the framed binary codec; false round-trips
-	// through the JSON-lines encoding.
-	Binary bool
 }
 
-// roundTrip encodes m with the selected codec and decodes it back.
+// roundTrip encodes m's payload and decodes it back into m.
 func (t *WireCheck) roundTrip(m *wireMsg) error {
-	if t.Binary {
-		frame := appendWirePayload(nil, m)
-		return decodeWirePayload(frame, m, nil)
-	}
-	b, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	*m = wireMsg{}
-	if err := json.Unmarshal(b, m); err != nil {
-		return err
-	}
-	m.Index = -1 // mirror jsonCodec.read: the legacy wire has no index
-	return nil
+	return decodeWirePayload(appendWirePayload(nil, m), m, nil)
 }
 
 // Open implements Transport.

@@ -16,8 +16,8 @@ import (
 type NewRunner func(timeScale float64) Runner
 
 // ServeConn runs the worker side of the protocol over an established
-// connection using the framed binary codec (wire version 2, the
-// default for new workers): preamble + hello/welcome handshake, then
+// connection (wire version 2, codec.go): preamble + hello/welcome
+// handshake, then
 // a loop executing task messages (one goroutine per attempt),
 // heartbeating at the master-specified period, and reporting results.
 // Results and heartbeats are staged through a coalescing writer, so a
@@ -32,24 +32,10 @@ func ServeConn(ctx context.Context, conn net.Conn, newRunner NewRunner) error {
 	stop := make(chan struct{})
 	defer close(stop)
 	c.autoFlush(stop)
-	err := serveCodec(ctx, c, newRunner)
-	c.flush() // a batch the flusher was still holding must not die with the session
-	return err
-}
-
-// ServeConnJSON is ServeConn speaking the legacy JSON-lines protocol
-// (wire version 1) — exactly what pre-binary execworker binaries
-// send, kept as a first-class path so mixed fleets work and the
-// cross-version interop tests exercise the old framing against a new
-// master.
-func ServeConnJSON(ctx context.Context, conn net.Conn, newRunner NewRunner) error {
-	return serveCodec(ctx, newJSONCodec(conn, bufio.NewReader(conn)), newRunner)
-}
-
-// serveCodec is the codec-independent worker session: hello in,
-// welcome out, then heartbeats and the task loop until shutdown.
-func serveCodec(ctx context.Context, c wireCodec, newRunner NewRunner) error {
-	if err := c.queue(&wireMsg{Type: msgHello, Version: c.version()}); err != nil {
+	// Runs once every attempt has finished: a batch the flusher was
+	// still holding must not die with the session.
+	defer c.flush()
+	if err := c.queue(&wireMsg{Type: msgHello, Version: wireVersion}); err != nil {
 		return fmt.Errorf("exec: hello: %w", err)
 	}
 	if err := c.flush(); err != nil {
@@ -75,12 +61,10 @@ func serveCodec(ctx context.Context, c wireCodec, newRunner NewRunner) error {
 	inline := false
 	if ir, ok := runner.(InstantRunner); ok && ir.Instant() {
 		inline = true
-		if bc, ok := c.(*binCodec); ok {
-			bc.inline.Store(true)
-		}
+		c.inline.Store(true)
 	}
 	var running atomic.Int32
-	// Heartbeat until the session ends. The binary codec's flusher
+	// Heartbeat until the session ends. The codec's flusher
 	// coalesces a heartbeat with any results staged in the same
 	// window.
 	hb := time.Duration(welcome.HeartbeatMs) * time.Millisecond
@@ -96,7 +80,7 @@ func serveCodec(ctx context.Context, c wireCodec, newRunner NewRunner) error {
 				return
 			case <-tick.C:
 				hb := wireMsg{Type: msgHeartbeat, Running: int(running.Load())}
-				if queueMsg(c, &hb) != nil {
+				if c.queue(&hb) != nil {
 					return
 				}
 			}
@@ -117,7 +101,7 @@ func serveCodec(ctx context.Context, c wireCodec, newRunner NewRunner) error {
 		if err != nil {
 			res.Error = err.Error()
 		}
-		queueMsg(c, &res)
+		c.queue(&res)
 		running.Add(-1)
 		wg.Done()
 	}
@@ -139,7 +123,7 @@ func serveCodec(ctx context.Context, c wireCodec, newRunner NewRunner) error {
 				if err != nil {
 					res.Error = err.Error()
 				}
-				queueMsg(c, &res)
+				c.queue(&res)
 				// Results for the frames still buffered are coming on
 				// this same loop; flush once the wave is drained.
 				if !c.buffered() {
@@ -171,8 +155,7 @@ func serveCodec(ctx context.Context, c wireCodec, newRunner NewRunner) error {
 
 // Dial connects to a master at addr and serves until shutdown — the
 // body of cmd/execworker, exported so tests can run in-process worker
-// goroutines against a real TCP master. It speaks the binary codec;
-// DialJSON speaks the legacy JSON-lines protocol.
+// goroutines against a real TCP master.
 func Dial(ctx context.Context, addr string, newRunner NewRunner) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -180,15 +163,4 @@ func Dial(ctx context.Context, addr string, newRunner NewRunner) error {
 	}
 	defer conn.Close()
 	return ServeConn(ctx, conn, newRunner)
-}
-
-// DialJSON is Dial over the legacy JSON-lines codec (what an old
-// execworker binary does), kept for mixed-version fleets.
-func DialJSON(ctx context.Context, addr string, newRunner NewRunner) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("exec: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	return ServeConnJSON(ctx, conn, newRunner)
 }
