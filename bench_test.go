@@ -246,3 +246,8 @@ func BenchmarkMarketPlayback(b *testing.B) {
 	b.Run("cost", benchsuite.MarketCost())
 	b.Run("exec-200x16", benchsuite.MarketExec(200))
 }
+
+// BenchmarkProvenanceStore records one 100-activation run's provenance
+// the way the exec master does: pre-sized, one attempt and one
+// execution row per activation, then the All copy.
+func BenchmarkProvenanceStore(b *testing.B) { benchsuite.ProvenanceStore(100)(b) }

@@ -72,8 +72,22 @@ type SyntheticSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
+// Size bounds on what a spec may ask to be generated. Each is at least
+// ten times the largest legitimate request in the repository (the
+// 10000-activation, 1024-vCPU large-DAG learning tier) and is checked
+// before anything is built, so a few bytes of JSON cannot make a
+// server generate a billion-node workflow or fleet.
+const (
+	// MaxSyntheticNodes bounds SyntheticSpec.Nodes.
+	MaxSyntheticNodes = 100_000
+	// MaxFleetVCPUs bounds a fleet's total vCPUs: FleetSpec.VCPUs for a
+	// preset, the sum of count × type vCPUs for a custom fleet.
+	MaxFleetVCPUs = 16_384
+)
+
 // Build parses or generates the workflow. Errors are typed *Error
-// with Field "workflow" so handlers map them to 400.
+// with Field "workflow" so handlers map them to 400, or 413
+// (CodeTooLarge) for a synthetic spec over MaxSyntheticNodes.
 func (s WorkflowSpec) Build() (*dag.Workflow, error) {
 	format := s.Format
 	if format == "" && s.Synthetic != nil {
@@ -109,6 +123,10 @@ func (s WorkflowSpec) Build() (*dag.Workflow, error) {
 		nodes := spec.Nodes
 		if nodes <= 0 {
 			nodes = 50
+		}
+		if nodes > MaxSyntheticNodes {
+			return nil, &Error{Code: CodeTooLarge, Field: "workflow.synthetic.nodes",
+				Reason: fmt.Sprintf("%d nodes exceeds the bound of %d", nodes, MaxSyntheticNodes)}
 		}
 		rng := rand.New(rand.NewSource(spec.Seed))
 		switch strings.ToLower(spec.Family) {
@@ -154,18 +172,28 @@ type FleetSpec struct {
 }
 
 // Build provisions the fleet. Errors are typed *Error with Field
-// "fleet" so handlers map them to 400.
+// "fleet" so handlers map them to 400, or 413 (CodeTooLarge) for a
+// fleet over MaxFleetVCPUs.
 func (s FleetSpec) Build() (*cloud.Fleet, error) {
 	fail := func(reason string) (*cloud.Fleet, error) {
 		return nil, &Error{Code: CodeBadRequest, Field: "fleet", Reason: reason}
 	}
+	tooLarge := func(field string) (*cloud.Fleet, error) {
+		return nil, &Error{Code: CodeTooLarge, Field: field,
+			Reason: fmt.Sprintf("fleet exceeds the bound of %d vCPUs", MaxFleetVCPUs)}
+	}
 	if len(s.Types) > 0 {
 		types := make([]cloud.VMType, len(s.Types))
 		counts := make([]int, len(s.Types))
+		vcpus := 0
 		for i, tc := range s.Types {
 			t, ok := cloud.TypeByName(tc.Type)
 			if !ok {
 				return fail(fmt.Sprintf("unknown VM type %q", tc.Type))
+			}
+			// Clamping the count keeps the running sum from overflowing.
+			if vcpus += min(max(tc.Count, 0), MaxFleetVCPUs+1) * t.VCPUs; vcpus > MaxFleetVCPUs {
+				return tooLarge("fleet.types")
 			}
 			types[i] = t
 			counts[i] = tc.Count
@@ -179,6 +207,9 @@ func (s FleetSpec) Build() (*cloud.Fleet, error) {
 	vcpus := s.VCPUs
 	if vcpus == 0 {
 		vcpus = 16
+	}
+	if vcpus > MaxFleetVCPUs {
+		return tooLarge("fleet.vcpus")
 	}
 	var fleet *cloud.Fleet
 	var err error

@@ -61,8 +61,9 @@ type Bench struct {
 // the exec wire-path tier (a wide 1000-activation plan over InProc
 // and loopback TCP), the
 // open-system tier (a seeded multi-tenant trace replayed through
-// every policy lane at 3 and 6 tenants), and the spot-market tier
-// (trace-bill integration and a full replay under a hostile trace).
+// every policy lane at 3 and 6 tenants), the spot-market tier
+// (trace-bill integration and a full replay under a hostile trace),
+// and the provenance store (one 100-activation run recorded).
 func Suite() []Bench {
 	return []Bench{
 		{"BenchmarkQTableMap", QTable(func() *rl.Table {
@@ -90,6 +91,7 @@ func Suite() []Bench {
 		{"BenchmarkOpenSystem/6tenants", OpenSystem(6)},
 		{"BenchmarkMarketPlayback/cost", MarketCost()},
 		{"BenchmarkMarketPlayback/exec-200x16", MarketExec(200)},
+		{"BenchmarkProvenanceStore", ProvenanceStore(100)},
 	}
 }
 

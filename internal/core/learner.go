@@ -301,7 +301,5 @@ func (l *Learner) ExtractPlan(table *rl.Table) (Plan, float64, error) {
 			Events:    simRes.Events,
 		})
 	}
-	// The run's plan map is freshly built and not retained by the
-	// simulator, so the Plan can own it instead of copying.
-	return newPlanOwned(simRes.Plan), simRes.Makespan, nil
+	return NewPlan(simRes.Plan), simRes.Makespan, nil
 }

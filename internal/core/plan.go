@@ -3,7 +3,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"reassign/internal/cloud"
 	"reassign/internal/dag"
@@ -19,49 +20,44 @@ type PlanEntry struct {
 // learning stage and the input of the exec master. Unlike the
 // raw map it replaces, a Plan iterates in deterministic order
 // (lexicographic by activation ID) and round-trips through JSON.
-// The zero value is an empty plan.
+// It is one slice of entries, sorted and unique by activation; VM
+// binary-searches it. The zero value is an empty plan.
 type Plan struct {
-	entries []PlanEntry // sorted by Activation
-	byID    map[string]int
+	entries []PlanEntry // sorted by Activation, no duplicates
 }
 
-// NewPlan builds a Plan from an activation→VM map. The map is copied;
-// later mutations of m do not affect the plan.
+// NewPlan builds a Plan from an activation→VM map. The map is not
+// retained; later mutations of m do not affect the plan.
 func NewPlan(m map[string]int) Plan {
 	if len(m) == 0 {
 		return Plan{}
 	}
-	byID := make(map[string]int, len(m))
+	entries := make([]PlanEntry, 0, len(m))
 	for id, vm := range m {
-		byID[id] = vm
+		entries = append(entries, PlanEntry{Activation: id, VM: vm})
 	}
-	return newPlanOwned(byID)
+	sortEntries(entries)
+	return Plan{entries: entries}
 }
 
-// newPlanOwned builds a Plan around a map the caller hands over —
-// the allocation-light path for freshly built maps (plan extraction).
-func newPlanOwned(m map[string]int) Plan {
-	if len(m) == 0 {
-		return Plan{}
+// NewPlanFromEntries builds a Plan around entries, which it takes over
+// and sorts in place. Two entries for one activation are an error.
+func NewPlanFromEntries(entries []PlanEntry) (Plan, error) {
+	if len(entries) == 0 {
+		return Plan{}, nil
 	}
-	p := Plan{
-		entries: make([]PlanEntry, 0, len(m)),
-		byID:    m,
+	sortEntries(entries)
+	for i := 1; i < len(entries); i++ {
+		if entries[i].Activation == entries[i-1].Activation {
+			return Plan{}, fmt.Errorf("core: plan: duplicate activation %q", entries[i].Activation)
+		}
 	}
-	for id, vm := range m {
-		p.entries = append(p.entries, PlanEntry{Activation: id, VM: vm})
-	}
-	sort.Sort(entriesByActivation(p.entries))
-	return p
+	return Plan{entries: entries}, nil
 }
 
-// entriesByActivation sorts concretely — sort.Slice's reflection-based
-// swapper would allocate on the extraction path.
-type entriesByActivation []PlanEntry
-
-func (s entriesByActivation) Len() int           { return len(s) }
-func (s entriesByActivation) Less(i, j int) bool { return s[i].Activation < s[j].Activation }
-func (s entriesByActivation) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+func sortEntries(entries []PlanEntry) {
+	slices.SortFunc(entries, func(a, b PlanEntry) int { return strings.Compare(a.Activation, b.Activation) })
+}
 
 // Len returns the number of assignments.
 func (p Plan) Len() int { return len(p.entries) }
@@ -69,9 +65,20 @@ func (p Plan) Len() int { return len(p.entries) }
 // VM returns the VM ID assigned to the activation, and whether the
 // plan covers it.
 func (p Plan) VM(id string) (int, bool) {
-	vm, ok := p.byID[id]
-	return vm, ok
+	i, ok := slices.BinarySearchFunc(p.entries, id, func(e PlanEntry, id string) int {
+		return strings.Compare(e.Activation, id)
+	})
+	if !ok {
+		return 0, false
+	}
+	return p.entries[i].VM, true
 }
+
+// At returns the i-th assignment in activation-ID order, 0 ≤ i < Len:
+// the allocation-free walk over the plan. A consumer that needs every
+// activation's VM resolves each entry through the workflow's own index
+// (dag.Workflow.Get) once, not the plan per activation.
+func (p Plan) At(i int) PlanEntry { return p.entries[i] }
 
 // Entries returns the assignments in deterministic order
 // (lexicographic by activation ID). The slice is a copy.
@@ -135,16 +142,21 @@ func (p Plan) Validate(w *dag.Workflow, fleet *cloud.Fleet) error {
 			}
 		}
 	}
-	if w != nil {
-		for _, e := range p.entries {
-			if w.Get(e.Activation) == nil {
-				return &PlanError{Activation: e.Activation, VM: e.VM,
-					Reason: fmt.Sprintf("plan entry %s does not name an activation of workflow %s",
-						e.Activation, w.Name)}
-			}
+	if w == nil {
+		return nil
+	}
+	for _, e := range p.entries {
+		if w.Get(e.Activation) == nil {
+			return &PlanError{Activation: e.Activation, VM: e.VM,
+				Reason: fmt.Sprintf("plan entry %s does not name an activation of workflow %s",
+					e.Activation, w.Name)}
 		}
+	}
+	// Entries are unique and each named an activation of w, so the plan
+	// covers w exactly when the counts agree.
+	if len(p.entries) < w.Len() {
 		for _, a := range w.Activations() {
-			if _, ok := p.byID[a.ID]; !ok {
+			if _, ok := p.VM(a.ID); !ok {
 				return &PlanError{Activation: a.ID, VM: -1,
 					Reason: fmt.Sprintf("plan misses activation %s", a.ID)}
 			}
@@ -175,13 +187,10 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 		*p = NewPlan(m)
 		return nil
 	}
-	byID := make(map[string]int, len(entries))
-	for _, e := range entries {
-		if _, dup := byID[e.Activation]; dup {
-			return fmt.Errorf("core: plan: duplicate activation %q", e.Activation)
-		}
-		byID[e.Activation] = e.VM
+	plan, err := NewPlanFromEntries(entries)
+	if err != nil {
+		return err
 	}
-	*p = NewPlan(byID)
+	*p = plan
 	return nil
 }

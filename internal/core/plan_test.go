@@ -2,7 +2,11 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"testing"
+
+	"reassign/internal/cloud"
+	"reassign/internal/dag"
 )
 
 func TestPlanBasics(t *testing.T) {
@@ -96,5 +100,44 @@ func TestPlanJSONGarbage(t *testing.T) {
 	var p Plan
 	if err := json.Unmarshal([]byte(`"nope"`), &p); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+func TestPlanFromEntries(t *testing.T) {
+	p, err := NewPlanFromEntries([]PlanEntry{{"c", 0}, {"a", 1}, {"b", 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := json.Marshal(p); string(b) != `[{"activation":"a","vm":1},{"activation":"b","vm":2},{"activation":"c","vm":0}]` {
+		t.Fatalf("entries not sorted: %s", b)
+	}
+	if _, err := NewPlanFromEntries([]PlanEntry{{"b", 0}, {"a", 1}, {"b", 2}}); err == nil {
+		t.Fatal("duplicate activation accepted")
+	}
+}
+
+// TestPlanAtAndCoverage: At walks the entries in activation-ID order,
+// and Validate's count-based coverage check still names the missing
+// activation.
+func TestPlanAtAndCoverage(t *testing.T) {
+	w := dag.New("r")
+	w.MustAdd("z", "act", 1)
+	w.MustAdd("a", "act", 1)
+	w.MustAdd("m", "act", 1)
+	fleet := cloud.MustFleet("r", []cloud.VMType{cloud.T2Micro}, []int{3})
+	p := NewPlan(map[string]int{"z": 2, "a": 0, "m": 1})
+	if err := p.Validate(w, fleet); err != nil {
+		t.Fatal(err)
+	}
+	var got []PlanEntry
+	for i := 0; i < p.Len(); i++ {
+		got = append(got, p.At(i))
+	}
+	if len(got) != 3 || got[0] != (PlanEntry{"a", 0}) || got[1] != (PlanEntry{"m", 1}) || got[2] != (PlanEntry{"z", 2}) {
+		t.Fatalf("At walk = %v, want a, m, z", got)
+	}
+	var pe *PlanError
+	if err := NewPlan(map[string]int{"z": 2, "a": 0}).Validate(w, fleet); !errors.As(err, &pe) || pe.Activation != "m" {
+		t.Fatalf("incomplete plan: %v, want a PlanError naming m", err)
 	}
 }

@@ -242,6 +242,10 @@ func New(w *dag.Workflow, fleet *cloud.Fleet, plan core.Plan, tr Transport, opts
 	if err := m.validateMarketFleet(); err != nil {
 		return nil, err
 	}
+	if m.store != nil {
+		// One execution row per activation, and at least one attempt.
+		m.store.Grow(w.Len(), w.Len())
+	}
 	return m, nil
 }
 
@@ -348,10 +352,13 @@ func (m *Master) Run(ctx context.Context) (*Report, error) {
 	tsb := make([]taskState, m.w.Len())
 	m.tasks = make([]*taskState, m.w.Len())
 	for _, a := range m.w.Activations() {
-		vm, _ := m.plan.VM(a.ID) // plan validated complete in New
 		ts := &tsb[a.Index]
-		*ts = taskState{a: a, vm: vm, waiting: len(a.Parents()), worker: -1}
+		*ts = taskState{a: a, waiting: len(a.Parents()), worker: -1}
 		m.tasks[a.Index] = ts
+	}
+	for i := 0; i < m.plan.Len(); i++ {
+		e := m.plan.At(i)
+		tsb[m.w.Get(e.Activation).Index].vm = e.VM // New validated the plan complete
 	}
 	// Carve each VM's dispatch queue out of one backing array sized to
 	// the plan, so steady-state enqueues never grow a slice (repins
@@ -667,6 +674,7 @@ func (m *Master) backlog(vmID int) float64 {
 // call.
 func (m *Master) dispatch() error {
 	carry := m.carry[:0]
+	drained := m.work
 	for len(m.work) > 0 {
 		work := m.work
 		// Mid-pass marks append after the batch being read; the tail
@@ -708,9 +716,10 @@ func (m *Master) dispatch() error {
 			}
 		}
 	}
-	// The drained work array becomes next call's carry scratch, and the
-	// carried VMs become its worklist.
-	m.carry = m.work[:0]
+	// The drained work array becomes next call's carry scratch (m.work
+	// is only its exhausted tail now), and the carried VMs become its
+	// worklist.
+	m.carry = drained[:0]
 	m.work = carry
 	return nil
 }

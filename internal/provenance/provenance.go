@@ -13,11 +13,45 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 )
+
+// Stamp is a record's wall-clock storage time in whole Unix seconds.
+// It encodes as RFC 3339 text in UTC — the form records have always
+// carried — so a record is eight bytes of stamp in memory and the same
+// JSON on the wire. The zero Stamp means "not stamped" and is omitted
+// by the records' omitempty tags.
+type Stamp int64
+
+// StampOf returns t's Stamp, truncated to the second.
+func StampOf(t time.Time) Stamp { return Stamp(t.Unix()) }
+
+// Time returns the stamp as a UTC time.
+func (s Stamp) Time() time.Time { return time.Unix(int64(s), 0).UTC() }
+
+// MarshalText renders the stamp as RFC 3339 text.
+func (s Stamp) MarshalText() ([]byte, error) {
+	return s.Time().AppendFormat(make([]byte, 0, len(time.RFC3339)), time.RFC3339), nil
+}
+
+// UnmarshalText parses RFC 3339 text; the empty string is the zero
+// Stamp.
+func (s *Stamp) UnmarshalText(b []byte) error {
+	if len(b) == 0 {
+		*s = 0
+		return nil
+	}
+	t, err := time.Parse(time.RFC3339, string(b))
+	if err != nil {
+		return fmt.Errorf("provenance: wall stamp: %w", err)
+	}
+	*s = StampOf(t)
+	return nil
+}
 
 // Execution is one provenance record.
 type Execution struct {
@@ -32,8 +66,8 @@ type Execution struct {
 	FinishAt     float64 `json:"finish_at"`
 	Attempts     int     `json:"attempts"`
 	Success      bool    `json:"success"`
-	// Wall records when the record was stored (RFC 3339).
-	Wall string `json:"wall,omitempty"`
+	// Wall records when the record was stored.
+	Wall Stamp `json:"wall,omitempty"`
 }
 
 // QueueTime returns tf_i for the record.
@@ -63,8 +97,8 @@ type Attempt struct {
 	Outcome string `json:"outcome"`
 	// Error carries the failure message for non-ok outcomes.
 	Error string `json:"error,omitempty"`
-	// Wall records when the record was stored (RFC 3339).
-	Wall string `json:"wall,omitempty"`
+	// Wall records when the record was stored.
+	Wall Stamp `json:"wall,omitempty"`
 }
 
 // Store is an in-memory provenance database, safe for concurrent use.
@@ -88,18 +122,28 @@ func (s *Store) SetNow(fn func() time.Time) {
 }
 
 // stamp returns the wall-clock stamp under s.mu (read or write lock).
-func (s *Store) stamp() string {
+func (s *Store) stamp() Stamp {
 	fn := s.now
 	if fn == nil {
 		fn = time.Now
 	}
-	return fn().UTC().Format(time.RFC3339)
+	return StampOf(fn())
+}
+
+// Grow makes room for at least execs more execution records and
+// attempts more attempt records, so a caller that knows a run's size
+// appends them without the store doubling its way there.
+func (s *Store) Grow(execs, attempts int) {
+	s.mu.Lock()
+	s.recs = slices.Grow(s.recs, execs)
+	s.attempts = slices.Grow(s.attempts, attempts)
+	s.mu.Unlock()
 }
 
 // Add appends one record, stamping Wall if unset.
 func (s *Store) Add(e Execution) {
 	s.mu.Lock()
-	if e.Wall == "" {
+	if e.Wall == 0 {
 		e.Wall = s.stamp()
 	}
 	s.recs = append(s.recs, e)
@@ -109,7 +153,7 @@ func (s *Store) Add(e Execution) {
 // AddAttempt appends one attempt record, stamping Wall if unset.
 func (s *Store) AddAttempt(a Attempt) {
 	s.mu.Lock()
-	if a.Wall == "" {
+	if a.Wall == 0 {
 		a.Wall = s.stamp()
 	}
 	s.attempts = append(s.attempts, a)

@@ -37,7 +37,7 @@ func TestAddAndQuery(t *testing.T) {
 		t.Fatalf("Runs = %v", runs)
 	}
 	// Records carry a wall timestamp.
-	if s.All()[0].Wall == "" {
+	if s.All()[0].Wall == 0 {
 		t.Fatal("Wall not stamped")
 	}
 }

@@ -10,9 +10,9 @@ import (
 
 // lru is the daemon's one bounded cache: a mutex-guarded map with
 // least-recently-used eviction beyond maxEntries, and hit/miss
-// counters for /metrics. It backs both the warm Q-table cache and the
-// workflow intern table. Values are handed out as stored — what a
-// caller may do with one is the wrapping type's contract.
+// counters for /metrics. It backs the warm Q-table cache and the
+// workflow and fleet intern tables. Values are handed out as stored —
+// what a caller may do with one is the wrapping type's contract.
 type lru[K comparable, V any] struct {
 	mu         sync.Mutex
 	entries    map[K]V

@@ -3,8 +3,11 @@ package schedd
 import (
 	"bytes"
 	"crypto/sha256"
+	"strconv"
+	"strings"
 
 	"reassign/internal/api"
+	"reassign/internal/cloud"
 	"reassign/internal/dag"
 )
 
@@ -55,4 +58,57 @@ func (t workflowIntern) build(spec api.WorkflowSpec, scratch *bytes.Buffer) (*da
 	}
 	t.put(key, w)
 	return w, nil
+}
+
+// fleetIntern builds fleets through a bounded table keyed by the
+// spec's canonical form, so the jobs that ask for one fleet share one
+// *cloud.Fleet instead of provisioning a copy each. Sharing is safe for
+// the same reason as workflowIntern's: nothing downstream of
+// handleSubmit mutates a fleet (the exec master keeps market
+// replacement VMs in its own run state). Specs that fail to build are
+// never stored.
+type fleetIntern struct {
+	*lru[string, *cloud.Fleet]
+}
+
+func newFleetIntern(maxEntries int) fleetIntern {
+	return fleetIntern{newLRU[string, *cloud.Fleet](maxEntries)}
+}
+
+// build returns spec's fleet: the interned one when an equivalent spec
+// has been built before, else spec.Build()'s — with the same typed
+// errors — stored for the next submission.
+func (t fleetIntern) build(spec api.FleetSpec) (*cloud.Fleet, error) {
+	key := fleetKey(spec)
+	if f, ok := t.get(key); ok {
+		return f, nil
+	}
+	f, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	t.put(key, f)
+	return f, nil
+}
+
+// fleetKey is the canonical form of spec: the defaults Build applies
+// are filled in and type names are quoted, so two specs that share a
+// key build the same fleet.
+func fleetKey(spec api.FleetSpec) string {
+	if len(spec.Types) == 0 {
+		preset, vcpus := strings.ToLower(spec.Preset), spec.VCPUs
+		if preset == "" {
+			preset = "table1"
+		}
+		if vcpus == 0 {
+			vcpus = 16
+		}
+		return preset + "/" + strconv.Itoa(vcpus)
+	}
+	key := []byte("custom")
+	for _, tc := range spec.Types {
+		key = strconv.AppendQuote(append(key, '/'), tc.Type)
+		key = strconv.AppendInt(append(key, '*'), int64(tc.Count), 10)
+	}
+	return string(key)
 }

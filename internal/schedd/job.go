@@ -19,14 +19,16 @@ import (
 
 // job is one submission's full lifecycle: queued → running →
 // done/failed/canceled. The mutable state behind mu is what status()
-// snapshots for the API.
+// snapshots for the API. A finished job keeps only pointer-free data
+// beside the interned workflow and fleet it shares (see prov.go).
 type job struct {
 	id     string
-	req    api.SubmitRequest
-	tenant string // normalised accounting label (empty → "default")
+	req    api.SubmitRequest // as submitted, minus the workflow source and the plan
+	tenant string            // normalised accounting label (empty → "default")
 	w      *dag.Workflow
 	fleet  *cloud.Fleet
 	sig    string
+	replay []int32 // the submitted plan, VM per activation index; nil: learn one
 
 	mu         sync.Mutex
 	state      string
@@ -38,8 +40,9 @@ type job struct {
 	cacheHit       bool
 	episodes       int
 	learnSeconds   float64
-	plan           *api.PlanDocument
-	prov           []provenance.Execution
+	plan           []int32 // VM per activation index; nil until replayed or learned
+	planMakespan   float64
+	prov           provTable
 	execMakespan   float64
 	marketCost     float64
 	preemptions    int
@@ -58,10 +61,28 @@ func (j *job) finished() bool {
 	return false
 }
 
-// status snapshots the job as an api.JobStatus.
+// summary snapshots the job as an api.JobStatus without its plan and
+// provenance: the GET /v1/jobs form.
+func (j *job) summary() *api.JobStatus {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.summaryLocked()
+}
+
+// status snapshots the job as an api.JobStatus, rendering the plan
+// document and provenance records from their compact forms.
 func (j *job) status() *api.JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	st := j.summaryLocked()
+	if j.plan != nil {
+		st.Plan = api.NewPlanDocument(j.w.Name, j.fleet.Name, j.planMakespan, expandPlan(j.w, j.plan))
+	}
+	st.Provenance = j.prov.render(j.w, j.id)
+	return st
+}
+
+func (j *job) summaryLocked() *api.JobStatus {
 	st := &api.JobStatus{
 		SchemaVersion:       api.SchemaVersion,
 		ID:                  j.id,
@@ -74,8 +95,6 @@ func (j *job) status() *api.JobStatus {
 		Episodes:            j.episodes,
 		CacheHit:            j.cacheHit,
 		LearningSeconds:     j.learnSeconds,
-		Plan:                j.plan,
-		Provenance:          j.prov,
 		ExecMakespanSeconds: j.execMakespan,
 		MarketCostUSD:       j.marketCost,
 		Preemptions:         j.preemptions,
@@ -96,9 +115,6 @@ func (j *job) status() *api.JobStatus {
 
 // runJob executes one popped job on a worker goroutine.
 func (s *Server) runJob(j *job) {
-	if s.testHook != nil {
-		s.testHook(j)
-	}
 	j.mu.Lock()
 	if j.state != api.StateQueued {
 		// Canceled while queued; the cancel handler already settled it.
@@ -114,12 +130,13 @@ func (s *Server) runJob(j *job) {
 	s.tenants.started(j.tenant)
 
 	s.inflight.Add(1)
-	err := s.execute(ctx, j)
+	err := s.contain(ctx, j)
 	s.inflight.Add(-1)
 
 	now := time.Now()
 	j.mu.Lock()
 	j.finishedAt = now
+	j.cancelRun = nil
 	switch {
 	case err == nil:
 		j.state = api.StateDone
@@ -150,38 +167,82 @@ func (s *Server) runJob(j *job) {
 	s.tenants.finished(j.tenant, state, latency, deadline, true)
 }
 
-// execute runs the job's pipeline: replay a submitted plan, or learn
-// one (optionally warm-started from the cache), then optionally
-// execute it on the virtual-time master for provenance.
-func (s *Server) execute(ctx context.Context, j *job) error {
-	req := j.req
-	var fluct *cloud.FluctuationModel
-	if req.Fluctuation {
-		fm := cloud.DefaultFluctuation()
-		fluct = &fm
+// contain runs the job's pipeline and turns a panic in it into the
+// job's CodeInternal failure, so one bad job cannot take its worker —
+// and with it a share of the daemon's capacity — down.
+func (s *Server) contain(ctx context.Context, j *job) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panicked.Add(1)
+			err = api.Errorf(api.CodeInternal, "", "job panicked: %v", r)
+		}
+	}()
+	if s.testHook != nil {
+		s.testHook(j)
 	}
+	return s.execute(ctx, j)
+}
 
-	var doc *api.PlanDocument
-	if req.Plan != nil {
+// execute runs the job's pipeline: plan it, then — when the
+// submission asks — execute the plan on the virtual-time master and
+// keep the run's provenance.
+func (s *Server) execute(ctx context.Context, j *job) error {
+	plan, err := s.planJob(ctx, j)
+	if err != nil || !j.req.Execute {
+		return err
+	}
+	store := provenance.NewStore()
+	rep, pb, err := s.runPlan(ctx, j, plan, store)
+	if err != nil {
+		return err
+	}
+	if err := j.keepRun(store.All(), rep); err != nil {
+		return err
+	}
+	if pb != nil {
+		s.markets.record(pb, rep)
+	}
+	return nil
+}
+
+// fluctuation is the cloud fluctuation model the submission asked for,
+// or nil.
+func (j *job) fluctuation() *cloud.FluctuationModel {
+	if !j.req.Fluctuation {
+		return nil
+	}
+	fm := cloud.DefaultFluctuation()
+	return &fm
+}
+
+// planJob replays the submitted plan, or learns one (optionally
+// warm-started from the cache), and records it on the job.
+func (s *Server) planJob(ctx context.Context, j *job) (core.Plan, error) {
+	req := j.req
+	fluct := j.fluctuation()
+	var plan core.Plan
+	vms, makespan := j.replay, 0.0
+	if vms != nil {
 		// Replay path: the plan was validated at submission; simulate it
 		// for its makespan. The run carries the job's context, so cancel
 		// (and daemon shutdown) aborts a replay mid-simulation instead
 		// of blocking until it finishes.
+		plan = expandPlan(j.w, vms)
 		eng, err := s.pool.Acquire(j.w, j.fleet, &sched.Plan{
 			PlanName: "submitted",
-			Assign:   req.Plan.Plan.Map(),
+			Assign:   plan.Map(),
 		}, sim.Config{Seed: req.Seed, Fluct: fluct, Sink: s.agg, Ctx: ctx})
 		if err != nil {
-			return err
+			return plan, err
 		}
 		res, err := eng.Run()
-		if err != nil {
-			s.pool.Put(eng)
-			return err
+		if err == nil {
+			makespan = res.Makespan // res is the engine's: read it before the engine goes back
 		}
-		makespan := res.Makespan
 		s.pool.Put(eng)
-		doc = api.NewPlanDocument(j.w.Name, j.fleet.Name, makespan, req.Plan.Plan)
+		if err != nil {
+			return plan, err
+		}
 	} else {
 		params := core.DefaultParams()
 		if req.Learn.Alpha != 0 {
@@ -222,44 +283,42 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 			Sim:      sim.Config{Fluct: fluct},
 		}, opts...)
 		if err != nil {
-			return err
+			return plan, err
 		}
 		res, err := learner.Learn()
 		if err != nil {
-			return err
+			return plan, err
 		}
 		// The finished table feeds future same-structure submissions —
 		// including NoWarmStart ones, which skip the read but still
 		// contribute their result.
 		s.cache.put(j.sig, res.Table)
-		doc = api.NewPlanDocument(j.w.Name, j.fleet.Name, res.PlanMakespan, res.Plan)
+		plan, vms, makespan = res.Plan, compactPlan(j.w, res.Plan), res.PlanMakespan
 		j.mu.Lock()
 		j.episodes = len(res.Episodes)
 		j.learnSeconds = res.LearningTime.Seconds()
 		j.mu.Unlock()
 	}
 	j.mu.Lock()
-	j.plan = doc
+	j.plan, j.planMakespan = vms, makespan
 	j.mu.Unlock()
+	return plan, nil
+}
 
-	if !req.Execute {
-		return nil
-	}
-	store := provenance.NewStore()
-	workers := j.fleet.Len()
-	if workers > 8 {
-		workers = 8
-	}
+// runPlan executes plan on the virtual-time master, recording into
+// store, under the job's generated market trace when it asks for one
+// (pb is then that trace's playback).
+func (s *Server) runPlan(ctx context.Context, j *job, plan core.Plan, store *provenance.Store) (rep *exec.Report, pb *market.Playback, err error) {
+	req := j.req
 	var tr exec.Transport = &exec.InProc{
-		Workers: workers,
-		Runner:  exec.SimRunner{Fluct: fluct, Seed: req.Seed + 2000},
+		Workers: min(j.fleet.Len(), 8),
+		Runner:  exec.SimRunner{Fluct: j.fluctuation(), Seed: req.Seed + 2000},
 	}
 	opts := []exec.Option{exec.WithStore(store, j.id), exec.WithSink(s.agg)}
 
 	// Market replay: generate the trace against the job's fleet and
 	// wrap the transport so traced notices, kills and health changes
 	// reach the master interleaved with worker traffic.
-	var pb *market.Playback
 	if req.Market != nil {
 		rg, _ := market.RegimeByName(req.Market.Regime) // validated at submit
 		mseed := req.Market.Seed
@@ -272,11 +331,10 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 		}
 		trc, err := market.Generate(market.DefaultCatalogue(), j.fleet, rg, mseed, horizon)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		pb, err = market.NewPlayback(trc, nil)
-		if err != nil {
-			return err
+		if pb, err = market.NewPlayback(trc, nil); err != nil {
+			return nil, nil, err
 		}
 		tr = exec.NewMarketFeed(tr, pb)
 		opts = append(opts, exec.WithMarket(pb))
@@ -285,24 +343,30 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 		}
 	}
 
-	m, err := exec.New(j.w, j.fleet, doc.Plan, tr, opts...)
+	m, err := exec.New(j.w, j.fleet, plan, tr, opts...)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	rep, err := m.Run(ctx)
+	rep, err = m.Run(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rep, pb, nil
+}
+
+// keepRun records an executed run's results on the job: its
+// provenance compacted to rows, its makespan and (zero without a
+// market) its traced bill and preemptions.
+func (j *job) keepRun(recs []provenance.Execution, rep *exec.Report) error {
+	prov, err := newProvTable(j.w, j.id, recs)
 	if err != nil {
 		return err
 	}
 	j.mu.Lock()
-	j.prov = store.All()
+	j.prov = prov
 	j.execMakespan = rep.Makespan
-	if pb != nil {
-		j.marketCost = rep.Cost
-		j.preemptions = rep.Preempted
-	}
+	j.marketCost = rep.Cost
+	j.preemptions = rep.Preempted
 	j.mu.Unlock()
-	if pb != nil {
-		s.markets.record(pb, rep)
-	}
 	return nil
 }

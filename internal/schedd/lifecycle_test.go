@@ -171,10 +171,9 @@ func TestCancelDuringReplay(t *testing.T) {
 	if _, err := sim.Run(w, fleet, h, sim.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	req.Plan = api.NewPlanDocument(w.Name, fleet.Name, 1, core.NewPlan(h.Assign()))
 
 	j := &job{id: "replay", req: req, tenant: DefaultTenant, w: w, fleet: fleet,
-		state: api.StateQueued, submitted: time.Now()}
+		replay: compactPlan(w, core.NewPlan(h.Assign())), state: api.StateQueued, submitted: time.Now()}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := s.execute(ctx, j); !errors.Is(err, context.Canceled) {

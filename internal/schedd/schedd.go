@@ -9,7 +9,8 @@
 // submission handler builds the workflow and fleet from the request's
 // specs — an inline document through the content-addressed intern
 // table (workflowIntern), so a resubmitted DAG is parsed once and
-// shared read-only. Each worker runs one job at a time: learn a plan
+// shared read-only, and the fleet through fleetIntern by its spec's
+// canonical form. Each worker runs one job at a time: learn a plan
 // with core.NewLearner — drawing simulation engines from a shared
 // sync.Pool of Reset-able sim.Engines and warm-starting from the
 // Q-table cache when a job with the same workflow-structure signature
@@ -61,7 +62,7 @@ type Config struct {
 	// are evicted beyond it (default 4096).
 	MaxJobs int
 	// CacheEntries bounds the warm Q-table cache and, separately, the
-	// workflow intern table (default 512 each).
+	// workflow and fleet intern tables (default 512 each).
 	CacheEntries int
 	// MaxBodyBytes bounds request bodies (default 8 MiB).
 	MaxBodyBytes int64
@@ -104,6 +105,7 @@ type Server struct {
 	queue     chan *job
 	cache     tableCache
 	workflows workflowIntern
+	fleets    fleetIntern
 	pool      *sim.Pool
 	agg       *telemetry.Aggregator
 
@@ -121,6 +123,7 @@ type Server struct {
 	failed    atomic.Int64
 	canceled  atomic.Int64
 	rejected  atomic.Int64
+	panicked  atomic.Int64
 	inflight  atomic.Int64
 	draining  atomic.Bool
 
@@ -146,6 +149,7 @@ func New(cfg Config) *Server {
 		queue:     make(chan *job, cfg.QueueDepth),
 		cache:     newTableCache(cfg.CacheEntries),
 		workflows: newWorkflowIntern(cfg.CacheEntries),
+		fleets:    newFleetIntern(cfg.CacheEntries),
 		pool:      sim.NewPool(),
 		agg:       telemetry.NewAggregator(),
 		jobs:      make(map[string]*job),
@@ -316,17 +320,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Workflow.Source = ""
-	fleet, err := req.Fleet.Build()
+	fleet, err := s.fleets.build(req.Fleet)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
+	// A submitted plan is validated here (a typed *core.PlanError → 400
+	// with the offending entry) and kept as one VM per activation.
+	var replay []int32
 	if req.Plan != nil {
 		if err := req.Plan.Plan.Validate(wf, fleet); err != nil {
-			// Typed *core.PlanError → 400 with the offending entry.
 			writeErr(w, err)
 			return
 		}
+		replay = compactPlan(wf, req.Plan.Plan)
+		req.Plan = nil
 	}
 
 	j := &job{
@@ -336,6 +344,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w:         wf,
 		fleet:     fleet,
 		sig:       api.StructureSignature(wf, fleet),
+		replay:    replay,
 		state:     api.StateQueued,
 		submitted: time.Now(),
 	}
@@ -413,10 +422,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	out := make([]*api.JobStatus, 0, len(s.order))
 	for _, id := range s.order {
 		if j := s.jobs[id]; j != nil {
-			st := j.status()
-			st.Plan = nil // summaries stay small
-			st.Provenance = nil
-			out = append(out, st)
+			out = append(out, j.summary())
 		}
 	}
 	s.mu.Unlock()
@@ -513,6 +519,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("schedd_jobs_failed_total", "Jobs that failed", s.failed.Load())
 	counter("schedd_jobs_canceled_total", "Jobs canceled", s.canceled.Load())
 	counter("schedd_jobs_rejected_total", "Submissions rejected by the full admission queue", s.rejected.Load())
+	counter("schedd_jobs_panicked_total", "Jobs failed by a panic in their pipeline (the worker survives)", s.panicked.Load())
 	gauge("schedd_queue_depth", "Jobs waiting in the admission queue", len(s.queue))
 	gauge("schedd_queue_capacity", "Admission queue bound", s.cfg.QueueDepth)
 	gauge("schedd_jobs_inflight", "Jobs currently executing", s.inflight.Load())
