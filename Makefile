@@ -1,9 +1,13 @@
 GO ?= go
 
-.PHONY: check race race-replicas race-exec exec-smoke schedd-smoke loadgen-smoke market-smoke bench benchsmoke benchsmoke-large exec-bench-smoke guard e2e e2e-trace e2e-smoke test build vet audit fuzz-smoke
+.PHONY: check fmt race race-replicas race-exec exec-smoke schedd-smoke loadgen-smoke market-smoke bench benchsmoke benchsmoke-large exec-bench-smoke guard e2e e2e-trace e2e-smoke test build vet audit fuzz-smoke
 
-## check: vet, build, and test everything (the tier-1 gate)
-check: vet build test
+## check: gofmt, vet, build, and test everything (the tier-1 gate)
+check: fmt vet build test
+
+## fmt: fail, listing the offenders, if any Go file is not gofmt-clean
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...

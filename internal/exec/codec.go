@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"reassign/internal/dag"
 )
 
 // The wire format (protocol version 2) is length-prefixed binary
@@ -24,9 +26,11 @@ import (
 // 754 bits, strings and string lists are uvarint-counted. Encoding
 // appends into a reused buffer and allocates nothing in steady state;
 // decoding reuses the frame read buffer and allocates only the
-// strings it must materialise (on the master, task-ID interning
-// removes even those). A master rejects a connection that opens with
-// '{' (JSON lines, wire version 1) with errWireV1.
+// strings it must materialise. On the master even a result's task ID
+// is not materialised: it resolves by the result's task index to the
+// bound workflow's own ID string (see taskID), so there is no intern
+// map to keep. A master rejects a connection that opens with '{'
+// (JSON lines, wire version 1) with errWireV1.
 const wireVersion = 2
 
 // binPreamble opens a connection: a magic byte, two tag bytes, and the
@@ -77,13 +81,11 @@ type binCodec struct {
 
 	br   *bufio.Reader
 	rbuf []byte
-	// intern maps previously-encoded strings (task IDs the master
-	// dispatched) back to their canonical Go string, making result
-	// decoding allocation-free on the master's hot path. internMu
-	// guards it: the master goroutine inserts as it queues tasks while
-	// the connection's reader goroutine probes it decoding results.
-	intern   map[string]string
-	internMu sync.Mutex
+	// wf, on the master side, points at the transport's bound workflow
+	// (nil until a Master binds one): results decode their task IDs
+	// against it by index. It is read once per message, so a master
+	// may bind while results are already flowing.
+	wf *atomic.Pointer[dag.Workflow]
 	// cache interns strings that repeat across messages but were never
 	// encoded on this side (a worker sees the same activity and VM-type
 	// names on every task). Bounded by the workload's distinct names.
@@ -112,11 +114,6 @@ func (c *binCodec) queue(m *wireMsg) error {
 		return err
 	}
 	c.scratch = appendWirePayload(c.scratch[:0], m)
-	if c.intern != nil && m.Task != nil {
-		c.internMu.Lock()
-		c.intern[m.Task.TaskID] = m.Task.TaskID
-		c.internMu.Unlock()
-	}
 	var lb [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lb[:], uint64(len(c.scratch)))
 	c.pend = append(c.pend, lb[:n]...)
@@ -217,14 +214,11 @@ func (c *binCodec) read(m *wireMsg) error {
 	if c.cache == nil {
 		c.cache = make(map[string]string)
 	}
-	if c.intern != nil {
-		c.internMu.Lock()
+	var w *dag.Workflow
+	if c.wf != nil {
+		w = c.wf.Load()
 	}
-	err = decodeWire(c.rbuf, m, c.intern, c.cache, &c.taskBuf)
-	if c.intern != nil {
-		c.internMu.Unlock()
-	}
-	if err != nil {
+	if err := decodeWire(c.rbuf, m, w, c.cache, &c.taskBuf); err != nil {
 		return err
 	}
 	if m.Type == msgTask {
@@ -298,23 +292,23 @@ func appendWirePayload(dst []byte, m *wireMsg) []byte {
 // decodeWirePayload decodes one frame payload into m, resetting every
 // field first. It rejects truncated or oversized fields without
 // panicking — corrupt input must read as a broken connection, never
-// as a crash. intern, when non-nil, canonicalises known strings
-// without allocating. Task messages get a freshly allocated TaskSpec;
-// the codec's read path reuses a buffer instead.
-func decodeWirePayload(p []byte, m *wireMsg, intern map[string]string) error {
-	return decodeWire(p, m, intern, nil, nil)
+// as a crash. w, when non-nil, resolves result task IDs by index
+// without allocating (see taskID). Task messages get a freshly
+// allocated TaskSpec; the codec's read path reuses a buffer instead.
+func decodeWirePayload(p []byte, m *wireMsg, w *dag.Workflow) error {
+	return decodeWire(p, m, w, nil, nil)
 }
 
 // decodeWire is decodeWirePayload with the codec's reusable state:
 // cache interns repeated decoded strings, tbuf (when non-nil) backs
 // m.Task so decoding a task allocates no struct — the returned m.Task
 // then aliases tbuf and is only valid until the next call.
-func decodeWire(p []byte, m *wireMsg, intern, cache map[string]string, tbuf *TaskSpec) error {
+func decodeWire(p []byte, m *wireMsg, w *dag.Workflow, cache map[string]string, tbuf *TaskSpec) error {
 	*m = wireMsg{}
 	if len(p) == 0 {
 		return fmt.Errorf("exec: empty wire frame")
 	}
-	d := wireDecoder{p: p[1:], intern: intern, cache: cache}
+	d := wireDecoder{p: p[1:], cache: cache}
 	switch p[0] {
 	case binHello:
 		m.Type = msgHello
@@ -352,8 +346,9 @@ func decodeWire(p []byte, m *wireMsg, intern, cache map[string]string, tbuf *Tas
 		m.Task = t
 	case binResult:
 		m.Type = msgResult
-		m.TaskID = d.str()
+		id := d.raw()
 		m.Index = d.int()
+		m.TaskID = taskID(w, id, m.Index)
 		m.Attempt = d.int()
 		m.Duration = d.float()
 		m.Error = d.str()
@@ -374,6 +369,19 @@ func decodeWire(p []byte, m *wireMsg, intern, cache map[string]string, tbuf *Tas
 		return fmt.Errorf("exec: %d trailing bytes after wire message", len(d.p))
 	}
 	return nil
+}
+
+// taskID returns a result's task ID: the workflow's own ID string when
+// index names an activation whose ID is exactly these bytes — the
+// steady state, which allocates nothing — and otherwise a copy of the
+// bytes, which the master then drops as an unknown task.
+func taskID(w *dag.Workflow, b []byte, index int) string {
+	if w != nil && index >= 0 && index < w.Len() {
+		if id := w.ByIndex(index).ID; id == string(b) {
+			return id
+		}
+	}
+	return string(b)
 }
 
 func appendInt(dst []byte, v int) []byte {
@@ -398,10 +406,9 @@ func appendString(dst []byte, s string) []byte {
 // wireDecoder consumes payload fields front to back, latching the
 // first error so callers can decode a whole message and check once.
 type wireDecoder struct {
-	p      []byte
-	intern map[string]string
-	cache  map[string]string
-	err    error
+	p     []byte
+	cache map[string]string
+	err   error
 }
 
 func (d *wireDecoder) fail(format string, args ...any) {
@@ -436,24 +443,22 @@ func (d *wireDecoder) float() float64 {
 	return v
 }
 
-func (d *wireDecoder) str() string {
+func (d *wireDecoder) str() string { return string(d.raw()) }
+
+// raw consumes a string field and returns its bytes, aliasing the
+// payload.
+func (d *wireDecoder) raw() []byte {
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	n, w := binary.Uvarint(d.p)
 	if w <= 0 || n > uint64(len(d.p)-w) {
 		d.fail("truncated string")
-		return ""
+		return nil
 	}
 	b := d.p[w : w+int(n)]
 	d.p = d.p[w+int(n):]
-	if len(b) == 0 {
-		return ""
-	}
-	if s, ok := d.intern[string(b)]; ok { // no-alloc map probe
-		return s
-	}
-	return string(b)
+	return b
 }
 
 // strCached is str for fields whose values repeat across messages
@@ -462,21 +467,9 @@ func (d *wireDecoder) str() string {
 // allocates. Unsuitable for unique-per-message fields like task IDs —
 // the cache would grow without bound.
 func (d *wireDecoder) strCached() string {
-	if d.cache == nil {
-		return d.str()
-	}
-	if d.err != nil {
-		return ""
-	}
-	n, w := binary.Uvarint(d.p)
-	if w <= 0 || n > uint64(len(d.p)-w) {
-		d.fail("truncated string")
-		return ""
-	}
-	b := d.p[w : w+int(n)]
-	d.p = d.p[w+int(n):]
-	if len(b) == 0 {
-		return ""
+	b := d.raw()
+	if d.cache == nil || len(b) == 0 {
+		return string(b)
 	}
 	if s, ok := d.cache[string(b)]; ok { // no-alloc map probe
 		return s

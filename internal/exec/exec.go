@@ -30,6 +30,8 @@ import (
 	"context"
 	"errors"
 	"math"
+
+	"reassign/internal/dag"
 )
 
 // TaskSpec describes one attempt handed to a worker. All times are
@@ -174,6 +176,21 @@ type Transport interface {
 // batching (InProc) simply don't implement it.
 type Flusher interface {
 	Flush() []int
+}
+
+// workflowBinder is implemented by transports that decode results off
+// a wire (TCP) and by wrappers that forward to one (Fault, MarketFeed):
+// New binds the run's read-only workflow, so a result's task ID
+// resolves by index to the workflow's own string.
+type workflowBinder interface {
+	bind(w *dag.Workflow)
+}
+
+// bindWorkflow hands w to tr if tr decodes against one.
+func bindWorkflow(tr Transport, w *dag.Workflow) {
+	if b, ok := tr.(workflowBinder); ok {
+		b.bind(w)
+	}
 }
 
 // Runner executes one attempt and reports its duration in virtual

@@ -3,6 +3,8 @@ package exec
 import (
 	"context"
 	"math/rand"
+
+	"reassign/internal/dag"
 )
 
 // Fault wraps a Transport with seeded worker-death injection, the
@@ -107,6 +109,9 @@ func (f *Fault) Flush() []int {
 
 // Close implements Transport.
 func (f *Fault) Close() error { return f.Inner.Close() }
+
+// bind implements workflowBinder by forwarding to the inner transport.
+func (f *Fault) bind(w *dag.Workflow) { bindWorkflow(f.Inner, w) }
 
 // Kills reports how many deaths were injected.
 func (f *Fault) Kills() int { return f.kills }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"reassign/internal/cloud"
+	"reassign/internal/dag"
 	"reassign/internal/market"
 	"reassign/internal/telemetry"
 )
@@ -76,6 +77,9 @@ func (f *MarketFeed) Flush() []int {
 
 // Close delegates to the inner transport.
 func (f *MarketFeed) Close() error { return f.inner.Close() }
+
+// bind implements workflowBinder by forwarding to the inner transport.
+func (f *MarketFeed) bind(w *dag.Workflow) { bindWorkflow(f.inner, w) }
 
 // synthMarketEvent maps one traced event onto the master-side kind.
 func synthMarketEvent(e market.VMEvent) Event {
@@ -186,6 +190,7 @@ func (m *Master) onPreemptNotice(ev Event) {
 			continue
 		}
 		ts.running = false
+		m.clearTimer(ts)
 		vs.busy--
 		m.recordAttempt(ts, "lost", "preemption notice: cannot finish before kill")
 		m.retry(ts, "preempted")
@@ -221,10 +226,8 @@ func (m *Master) drainUnfit(vs *vmState) {
 	for len(free) < vs.slots {
 		free = append(free, m.now)
 	}
-	queue := append([]int(nil), vs.queue...)
-	sort.Ints(queue)
 	var keep, drop []int
-	for _, i := range queue {
+	for _, i := range vs.queue {
 		ts := m.tasks[i]
 		est := m.est(ts.a, vs.vm)
 		if vs.slow > 1 {
@@ -297,6 +300,7 @@ func (m *Master) onVMKill(ev Event) {
 	for _, ts := range m.tasks {
 		if ts.running && ts.vm == vs.vm.ID {
 			ts.running = false
+			m.clearTimer(ts)
 			m.recordAttempt(ts, "lost", "vm preempted")
 			m.retry(ts, "preempted")
 		}
@@ -304,7 +308,6 @@ func (m *Master) onVMKill(ev Event) {
 	if !vs.remediated && m.needsCapacity(vs) {
 		m.remediate(vs)
 	}
-	sort.Ints(orphaned)
 	for _, i := range orphaned {
 		ts := m.tasks[i]
 		ts.queued = false
@@ -434,7 +437,6 @@ func (m *Master) cordon(vs *vmState) {
 	m.cordonedCount++
 	orphaned := append([]int(nil), vs.queue...)
 	vs.queue = nil
-	sort.Ints(orphaned)
 	for _, i := range orphaned {
 		ts := m.tasks[i]
 		ts.queued = false

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -58,6 +59,15 @@ type Master struct {
 	// VMs that keep a backlog across turns.
 	work  []int
 	carry []int
+	// timers holds every pending lease and backoff wake-up (timers.go),
+	// so the loop's deadline is a heap root instead of a task scan;
+	// expired is expireLeases' reusable scratch.
+	timers  timerHeap
+	expired []int
+	// finished logs completed task indices in completion order. m.now
+	// never decreases, so that is also finish-time order, and report
+	// builds Results from it without sorting the workflow.
+	finished []int32
 
 	done, abandoned                           int
 	attempts, retries, reassigned, workerLost int
@@ -71,6 +81,10 @@ type Master struct {
 	degradedCount                                        int
 	bills                                                []replacementBill
 	acq                                                  []pendingAcquire
+
+	// checkTurn, when set (tests only), inspects the master at the end
+	// of every event-loop turn.
+	checkTurn func()
 }
 
 type taskState struct {
@@ -87,10 +101,13 @@ type taskState struct {
 	running   bool
 	done      bool
 	abandoned bool
-	worker    int
-	start     float64
-	lease     float64
-	finish    float64
+	// tpos is the task's position in Master.timers, -1 without an
+	// entry (an int32 beside the flags keeps the struct at 88 bytes).
+	tpos   int32
+	worker int
+	start  float64
+	lease  float64
+	finish float64
 }
 
 type vmState struct {
@@ -99,7 +116,7 @@ type vmState struct {
 	dead   bool
 	slots  int
 	busy   int
-	queue  []int // task indices awaiting dispatch on this VM
+	queue  []int // task indices awaiting dispatch on this VM, ascending
 	idx    int   // position in Master.vms, the deterministic dispatch order
 	marked bool  // already on the dispatch worklist
 
@@ -246,6 +263,7 @@ func New(w *dag.Workflow, fleet *cloud.Fleet, plan core.Plan, tr Transport, opts
 		// One execution row per activation, and at least one attempt.
 		m.store.Grow(w.Len(), w.Len())
 	}
+	bindWorkflow(tr, w)
 	return m, nil
 }
 
@@ -335,11 +353,13 @@ func (m *Master) Run(ctx context.Context) (*Report, error) {
 	vsb := make([]vmState, len(m.fleet.VMs))
 	m.vms = make([]*vmState, 0, m.fleet.Len())
 	m.vmByID = make(map[int]*vmState, m.fleet.Len())
+	fleetSlots := 0
 	for i, vm := range m.fleet.VMs {
 		slots := vm.Type.VCPUs
 		if slots <= 0 {
 			slots = 1
 		}
+		fleetSlots += slots
 		vs := &vsb[i]
 		*vs = vmState{vm: vm, owner: workers[i%len(workers)], slots: slots, idx: i, slow: 1}
 		m.vms = append(m.vms, vs)
@@ -353,7 +373,7 @@ func (m *Master) Run(ctx context.Context) (*Report, error) {
 	m.tasks = make([]*taskState, m.w.Len())
 	for _, a := range m.w.Activations() {
 		ts := &tsb[a.Index]
-		*ts = taskState{a: a, waiting: len(a.Parents()), worker: -1}
+		*ts = taskState{a: a, waiting: len(a.Parents()), worker: -1, tpos: -1}
 		m.tasks[a.Index] = ts
 	}
 	for i := 0; i < m.plan.Len(); i++ {
@@ -378,6 +398,9 @@ func (m *Master) Run(ctx context.Context) (*Report, error) {
 	}
 	m.work = make([]int, 0, len(vsb))
 	m.carry = make([]int, 0, len(vsb))
+	m.finished = make([]int32, 0, len(tsb))
+	// Mostly leases, one per busy slot: sized so the heap rarely grows.
+	m.timers = make(timerHeap, 0, min(len(tsb), fleetSlots))
 	for _, ts := range m.tasks {
 		if ts.waiting == 0 {
 			m.release(ts)
@@ -393,9 +416,9 @@ func (m *Master) Run(ctx context.Context) (*Report, error) {
 	n := m.w.Len()
 	for m.done+m.abandoned < n {
 		// Fast path: take an already-pending event without computing
-		// the O(tasks) lease deadline. Only when the transport has
-		// nothing ready (EvTick at m.now) does the loop pay for the
-		// deadline scan and block.
+		// the deadline. Only when the transport has nothing ready
+		// (EvTick at m.now) does the loop look up the next wake-up and
+		// block.
 		ev, err := m.tr.Next(ctx, m.now)
 		if err == nil && ev.Kind == EvTick {
 			ev, err = m.tr.Next(ctx, m.deadline())
@@ -440,6 +463,9 @@ func (m *Master) Run(ctx context.Context) (*Report, error) {
 		}
 		if err := m.flushSends(); err != nil {
 			return m.report(wallStart), err
+		}
+		if m.checkTurn != nil {
+			m.checkTurn()
 		}
 	}
 
@@ -535,16 +561,18 @@ func (m *Master) flushSends() error {
 }
 
 // deadline computes the next virtual instant the master must wake at
-// even without an event: the earliest lease expiry or backoff gate.
+// even without an event: the earliest lease expiry or backoff gate (the
+// timer heap's root, once passed gates are dropped), replacement boot
+// or deferred acquire.
 func (m *Master) deadline() float64 {
 	dl := Forever
-	for _, ts := range m.tasks {
-		if ts.running && ts.lease < dl {
-			dl = ts.lease
+	for len(m.timers) > 0 {
+		top := m.timers[0]
+		if at := top.wakeAt(); top.running || at > m.now {
+			dl = at
+			break
 		}
-		if ts.queued && ts.nextAt > m.now && ts.nextAt < dl {
-			dl = ts.nextAt
-		}
+		m.clearTimer(top) // a backoff gate already passed
 	}
 	for _, vs := range m.vms {
 		if !vs.dead && len(vs.queue) > 0 && vs.bootAt > m.now && vs.bootAt < dl {
@@ -564,18 +592,29 @@ func (m *Master) release(ts *taskState) {
 	m.enqueue(ts)
 }
 
-// enqueue places a task on its VM's queue, repinning first if the VM
-// has died or been cordoned since planning.
+// enqueue places a task on its VM's queue, in index order, repinning
+// first if the VM has died or been cordoned since planning. A task
+// still backing off gets a timer for its gate.
 func (m *Master) enqueue(ts *taskState) {
 	vs := m.vmByID[ts.vm]
 	if vs == nil || vs.dead || (vs.cordoned && !m.fitsBeforeKill(vs, ts)) {
 		vs = m.repin(ts)
 		if vs == nil {
+			m.clearTimer(ts)
 			return // no survivors; the run is already failing
 		}
 	}
 	ts.queued = true
-	vs.queue = append(vs.queue, ts.a.Index)
+	i, q := ts.a.Index, vs.queue
+	if n := len(q); n == 0 || q[n-1] < i {
+		vs.queue = append(q, i)
+	} else {
+		at, _ := slices.BinarySearch(q, i)
+		vs.queue = slices.Insert(q, at, i)
+	}
+	if ts.nextAt > m.now {
+		m.setTimer(ts)
+	}
 	m.markVM(vs)
 }
 
@@ -725,9 +764,12 @@ func (m *Master) dispatch() error {
 }
 
 // pickQueued removes and returns the lowest-index dispatchable task
-// on the VM's queue, or -1.
+// on the VM's queue, or -1. The queue is in index order, so that is the
+// first dispatchable entry — the head, unless a backoff or a pending
+// kill holds it back. Popping the head advances the slice; the
+// capacity that strands is never needed again, because a queue never
+// takes more entries than the plan pinned to its VM (repins aside).
 func (m *Master) pickQueued(vs *vmState) int {
-	best, bestAt := -1, -1
 	for at, i := range vs.queue {
 		ts := m.tasks[i]
 		if ts.nextAt > m.now {
@@ -743,15 +785,14 @@ func (m *Master) pickQueued(vs *vmState) int {
 				continue
 			}
 		}
-		if best == -1 || i < best {
-			best, bestAt = i, at
+		if at == 0 {
+			vs.queue = vs.queue[1:]
+		} else {
+			vs.queue = append(vs.queue[:at], vs.queue[at+1:]...)
 		}
+		return i
 	}
-	if best < 0 {
-		return -1
-	}
-	vs.queue = append(vs.queue[:bestAt], vs.queue[bestAt+1:]...)
-	return best
+	return -1
 }
 
 // send dispatches one attempt to the VM's owning worker.
@@ -774,6 +815,7 @@ func (m *Master) send(ts *taskState, vs *vmState) error {
 	ts.worker = vs.owner
 	ts.start = m.now
 	ts.lease = m.now + lease
+	m.setTimer(ts)
 	vs.busy++
 	spec := TaskSpec{
 		TaskID: ts.a.ID, Index: ts.a.Index, Activity: ts.a.Activity,
@@ -807,6 +849,7 @@ func (m *Master) onResult(ev Event) {
 		return
 	}
 	ts.running = false
+	m.clearTimer(ts)
 	if vs := m.vmByID[ts.vm]; vs != nil {
 		vs.busy--
 		m.markVM(vs) // a freed slot may unblock this VM's backlog
@@ -815,6 +858,7 @@ func (m *Master) onResult(ev Event) {
 		ts.done = true
 		ts.finish = m.now
 		m.done++
+		m.finished = append(m.finished, int32(ts.a.Index))
 		m.recordAttempt(ts, "ok", "")
 		if m.store != nil {
 			m.store.Add(provenance.Execution{
@@ -855,6 +899,7 @@ func (m *Master) onHeartbeat(ev Event) {
 			running++
 			if ext := m.now + m.leaseTTL; ext > ts.lease {
 				ts.lease = ext
+				m.setTimer(ts)
 			}
 		}
 	}
@@ -864,12 +909,23 @@ func (m *Master) onHeartbeat(ev Event) {
 }
 
 // expireLeases retries every in-flight attempt whose lease has
-// lapsed: the worker may be wedged, partitioned, or silently dead.
+// lapsed: the worker may be wedged, partitioned, or silently dead. The
+// lapsed leases are the timer heap's due entries (passed backoff gates
+// pop with them and are dropped); they are handled in task-index
+// order, so the retries, repins and provenance rows come out as a
+// scan of every task would produce them.
 func (m *Master) expireLeases() {
-	for _, ts := range m.tasks {
-		if !ts.running || ts.lease > m.now {
-			continue
+	exp := m.expired[:0]
+	for len(m.timers) > 0 && m.timers[0].wakeAt() <= m.now {
+		ts := m.timers[0]
+		m.clearTimer(ts)
+		if ts.running {
+			exp = append(exp, ts.a.Index)
 		}
+	}
+	slices.Sort(exp)
+	for _, i := range exp {
+		ts := m.tasks[i]
 		ts.running = false
 		if vs := m.vmByID[ts.vm]; vs != nil {
 			vs.busy--
@@ -878,6 +934,7 @@ func (m *Master) expireLeases() {
 		m.recordAttempt(ts, "expired", "lease expired")
 		m.retry(ts, "expired")
 	}
+	m.expired = exp[:0]
 }
 
 // onWorkerLost recovers from a worker death: its VMs die with it,
@@ -908,6 +965,7 @@ func (m *Master) onWorkerLost(worker int) error {
 	for _, ts := range m.tasks {
 		if ts.running && ts.worker == worker {
 			ts.running = false
+			m.clearTimer(ts)
 			m.recordAttempt(ts, "lost", "worker lost")
 			m.retry(ts, "worker-lost")
 		}
@@ -1001,7 +1059,11 @@ func (m *Master) recordAttempt(ts *taskState, outcome, errMsg string) {
 	})
 }
 
-// report assembles the run summary from current state.
+// report assembles the run summary from current state. Results come
+// from the completion log, already in finish-time order; within a run
+// of equal finish times they go in index order (the log's sub-runs are
+// sorted in place, which later calls find already sorted), then the
+// unfinished activations follow in index order.
 func (m *Master) report(wallStart time.Time) *Report {
 	rep := &Report{
 		Wall: time.Since(wallStart), Tasks: m.w.Len(), Done: m.done,
@@ -1009,17 +1071,30 @@ func (m *Master) report(wallStart time.Time) *Report {
 		WorkerLost: m.workerLost, Abandoned: m.abandoned,
 		Results: make([]TaskResult, 0, len(m.tasks)),
 	}
-	for _, ts := range m.tasks {
-		if ts.done && ts.finish > rep.Makespan {
-			rep.Makespan = ts.finish
+	log := m.finished
+	for at := 0; at < len(log); {
+		f, end := m.tasks[log[at]].finish, at+1
+		for end < len(log) && m.tasks[log[end]].finish == f {
+			end++
 		}
+		if end-at > 1 {
+			slices.Sort(log[at:end])
+		}
+		at = end
+	}
+	for _, i := range log {
+		rep.Results = append(rep.Results, m.tasks[i].result())
+	}
+	if n := len(log); n > 0 {
+		rep.Makespan = m.tasks[log[n-1]].finish
+	}
+	for _, ts := range m.tasks {
 		if ts.abandoned {
 			rep.Failed = append(rep.Failed, ts.a.ID)
 		}
-		rep.Results = append(rep.Results, TaskResult{
-			ID: ts.a.ID, Activity: ts.a.Activity, VM: ts.vm, Worker: ts.worker,
-			Attempts: ts.attempts, Start: ts.start, Finish: ts.finish, Done: ts.done,
-		})
+		if !ts.done {
+			rep.Results = append(rep.Results, ts.result())
+		}
 	}
 	if m.market != nil {
 		rep.PreemptNotices, rep.Preempted = m.preemptNotices, m.preempted
@@ -1034,15 +1109,13 @@ func (m *Master) report(wallStart time.Time) *Report {
 		rep.CostByProvider = cost.ByProvider
 	}
 	sort.Strings(rep.Failed)
-	sort.SliceStable(rep.Results, func(i, j int) bool {
-		a, b := rep.Results[i], rep.Results[j]
-		if a.Done != b.Done {
-			return a.Done
-		}
-		if !a.Done {
-			return false
-		}
-		return a.Finish < b.Finish
-	})
 	return rep
+}
+
+// result is the task's row of Report.Results.
+func (ts *taskState) result() TaskResult {
+	return TaskResult{
+		ID: ts.a.ID, Activity: ts.a.Activity, VM: ts.vm, Worker: ts.worker,
+		Attempts: ts.attempts, Start: ts.start, Finish: ts.finish, Done: ts.done,
+	}
 }

@@ -601,3 +601,29 @@ func TestReassignerPolicies(t *testing.T) {
 		t.Fatalf("EarliestFinish ignored backlog, picked vm%d", got)
 	}
 }
+
+// TestDispatchWorklistAllocFree: a dispatch pass recycles its drained
+// worklist as the next pass's carry scratch, so marking VMs and
+// dispatching allocates nothing once warm — handing the next pass an
+// exhausted tail would regrow the worklist on every turn.
+func TestDispatchWorklistAllocFree(t *testing.T) {
+	w, fleet := diamond(t), twoLarge(t)
+	m, err := New(w, fleet, spreadPlan(w, fleet), &InProc{Workers: 2, Runner: SimRunner{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, vs := range m.vms {
+			m.markVM(vs)
+		}
+		if err := m.dispatch(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a dispatch pass allocates %.1f times, want 0", allocs)
+	}
+}

@@ -1,0 +1,213 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"testing/quick"
+	"time"
+
+	"reassign/internal/cloud"
+	"reassign/internal/dag"
+	"reassign/internal/market"
+	"reassign/internal/provenance"
+	"reassign/internal/trace"
+)
+
+// scanDeadline is the O(tasks) deadline the timer heap replaced: every
+// running lease and every pending backoff gate, plus the boot and
+// acquire terms.
+func scanDeadline(m *Master) float64 {
+	dl := Forever
+	for _, ts := range m.tasks {
+		if ts.running && ts.lease < dl {
+			dl = ts.lease
+		}
+		if ts.queued && ts.nextAt > m.now && ts.nextAt < dl {
+			dl = ts.nextAt
+		}
+	}
+	for _, vs := range m.vms {
+		if !vs.dead && len(vs.queue) > 0 && vs.bootAt > m.now && vs.bootAt < dl {
+			dl = vs.bootAt
+		}
+	}
+	if len(m.acq) > 0 && m.acq[0].at < dl {
+		dl = m.acq[0].at
+	}
+	return dl
+}
+
+// sortedResults is the Results order the completion log replaced: every
+// task in index order, stably sorted finished-first by finish time.
+func sortedResults(m *Master) []TaskResult {
+	res := make([]TaskResult, 0, len(m.tasks))
+	for _, ts := range m.tasks {
+		res = append(res, ts.result())
+	}
+	sort.SliceStable(res, func(i, j int) bool {
+		a, b := res[i], res[j]
+		if a.Done != b.Done {
+			return a.Done
+		}
+		if !a.Done {
+			return false
+		}
+		return a.Finish < b.Finish
+	})
+	return res
+}
+
+// turnOracle checks the master's incremental bookkeeping against the
+// scans it replaced, once per event-loop turn: the timer heap's shape
+// and entries, its deadline against scanDeadline, each VM queue's
+// index order, and report against sortedResults.
+func turnOracle(m *Master) error {
+	for i, ts := range m.timers {
+		if int(ts.tpos) != i {
+			return fmt.Errorf("timer %d (task %s) records position %d", i, ts.a.ID, ts.tpos)
+		}
+		if p := (i - 1) / 2; i > 0 && m.timers[p].wakeAt() > ts.wakeAt() {
+			return fmt.Errorf("timer heap out of order at %d", i)
+		}
+		if !ts.running && !ts.queued {
+			return fmt.Errorf("task %s has a stale timer while neither running nor queued", ts.a.ID)
+		}
+	}
+	for _, ts := range m.tasks {
+		if (ts.running || (ts.queued && ts.nextAt > m.now)) && ts.tpos < 0 {
+			return fmt.Errorf("task %s needs a timer and has none", ts.a.ID)
+		}
+	}
+	if want, got := scanDeadline(m), m.deadline(); got != want {
+		return fmt.Errorf("deadline at t=%v: heap %v, scan %v", m.now, got, want)
+	}
+	for _, vs := range m.vms {
+		if !sort.IntsAreSorted(vs.queue) {
+			return fmt.Errorf("vm %d queue out of index order: %v", vs.vm.ID, vs.queue)
+		}
+	}
+	rep := m.report(time.Now())
+	if want := sortedResults(m); !reflect.DeepEqual(rep.Results, want) {
+		return fmt.Errorf("report at t=%v: results differ from the stable sort", m.now)
+	}
+	return nil
+}
+
+// expiryOrdered checks that lapsed leases were retried in task-index
+// order: the "expired" attempt rows of one expiry pass share its
+// instant and must ascend by index, as a scan over the tasks emits
+// them.
+func expiryOrdered(w *dag.Workflow, store *provenance.Store) error {
+	last, lastAt := -1, -1.0
+	for _, a := range store.Attempts() {
+		if a.Outcome != "expired" {
+			continue
+		}
+		i := w.Get(a.TaskID).Index
+		if a.EndAt == lastAt && i < last {
+			return fmt.Errorf("at t=%v task %d expired after task %d", a.EndAt, i, last)
+		}
+		last, lastAt = i, a.EndAt
+	}
+	return nil
+}
+
+// TestTurnOracle is the differential check on the master's per-event
+// bookkeeping: randomised InProc runs with injected worker deaths,
+// failing attempts and their backoffs, heartbeats, swallowed results
+// (lease expiry), runtimes that tie or not, and in half the runs a
+// hostile market — notices, cordons, kills and booting replacements —
+// with every turn checked by turnOracle and the expiry order checked
+// after the run.
+func TestTurnOracle(t *testing.T) {
+	fleet, err := cloud.FleetTable1(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile, _ := market.RegimeByName("hostile")
+	fl := cloud.DefaultFluctuation()
+	expiries := 0
+	f := func(seed int64, nodes, workers, mode uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		maxRt := 40.0
+		if mode&8 != 0 {
+			maxRt = 200 // attempts that outlast a preemption notice's lead
+		}
+		w := trace.RandomLayered(rng, 10+int(nodes)%70, 1+int(nodes)%6, 3, 1, maxRt)
+		sim := SimRunner{Fluct: &fl, Seed: seed}
+		if mode&4 == 0 {
+			// Whole-second runtimes without fluctuation: attempts finish
+			// together, so the completion log has equal-finish runs.
+			for _, a := range w.Activations() {
+				a.Runtime = float64(1 + int(a.Runtime)%4)
+			}
+			sim = SimRunner{}
+		}
+		var tr Transport = &InProc{
+			Workers:        1 + int(workers)%4,
+			HeartbeatEvery: 2 + float64(mode%5),
+			Runner:         FailingRunner{Inner: sim, Rate: 0.15, Seed: seed},
+		}
+		tr = &dropResults{Transport: tr, n: int(mode % 4)}
+		tr = &Fault{Inner: tr, Rate: 0.02, Seed: seed, MaxKills: 2}
+		store := provenance.NewStore()
+		// A TTL longer than most estimates gives whole dispatch waves
+		// the same lease, so expiries land together.
+		opts := []Option{WithStore(store, "oracle"), WithLease(45, 1), WithBackoff(0.5, 8), WithMaxAttempts(4)}
+		if mode&1 == 1 {
+			mt, err := market.Generate(market.DefaultCatalogue(), fleet, hostile, seed, 600)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			pb, err := market.NewPlayback(mt, nil)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			tr = NewMarketFeed(tr, pb)
+			opts = append(opts, WithMarket(pb))
+			if mode&2 == 2 {
+				opts = append(opts, WithHealthCordon(1.2))
+			}
+		}
+		m, err := New(w, fleet, randomPlan(w, fleet, rng), tr, opts...)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		var bad error
+		m.checkTurn = func() {
+			if bad == nil {
+				bad = turnOracle(m)
+			}
+		}
+		m.Run(context.Background()) // abandons and lost fleets are fair outcomes here
+		if bad == nil {
+			bad = turnOracle(m)
+		}
+		if bad == nil {
+			bad = expiryOrdered(w, store)
+		}
+		if bad != nil {
+			t.Logf("seed %d nodes %d workers %d mode %d: %v", seed, nodes, workers, mode, bad)
+			return false
+		}
+		for _, a := range store.Attempts() {
+			if a.Outcome == "expired" {
+				expiries++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+	if expiries == 0 {
+		t.Fatal("no run expired a lease; the expiry path went unchecked")
+	}
+}

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"reassign/internal/dag"
 )
 
 // TCP is the real-network transport: the master listens on Addr and
@@ -26,7 +28,10 @@ import (
 // Sends are staged per connection and flushed in one write per
 // master event-loop turn (see Flusher); with many activations
 // multiplexed over each worker connection, a dispatch wave costs one
-// syscall per worker instead of one per task.
+// syscall per worker instead of one per task. Results resolve their
+// task IDs by index against the workflow the Master binds (exec.New
+// does), so decoding one allocates nothing and no connection keeps a
+// map of the IDs it was sent.
 type TCP struct {
 	// Addr is the listen address (e.g. "127.0.0.1:0").
 	Addr string
@@ -51,15 +56,22 @@ type TCP struct {
 	events chan []Event
 	evbuf  []Event
 	evhead int
+	// timer bounds Next's finite-deadline waits; one per transport,
+	// reset per wait (master goroutine only).
+	timer *time.Timer
 	// free recycles consumed batch buffers back to the readers, so
 	// steady-state event delivery reuses slices instead of growing a
 	// fresh one per wave.
-	free      chan []Event
-	donec     chan struct{}
-	mu        sync.Mutex
-	conns     map[int]*tcpConn
-	dirty     []int
-	closed    bool
+	free   chan []Event
+	donec  chan struct{}
+	mu     sync.Mutex
+	conns  map[int]*tcpConn
+	dirty  []int
+	closed bool
+	// wf is the workflow the master bound, read by every reader
+	// goroutine's result decoding; atomic because Open may start the
+	// readers before or after New binds it.
+	wf        atomic.Pointer[dag.Workflow]
 	bytesIn   atomic.Int64
 	bytesOut  atomic.Int64
 	readsIn   atomic.Int64
@@ -241,11 +253,7 @@ func (t *TCP) handshake(conn net.Conn, id, heartbeatMs int, deadline time.Time) 
 			t.ListenAddr(), conn.RemoteAddr(), err)
 	}
 	c := newBinCodec(cc, br)
-	// Result decoding on the master's hot path interns task IDs the
-	// master itself dispatched, so it allocates nothing per result.
-	// Pre-sized here, off the run's hot path, so steady-state inserts
-	// rarely grow the map.
-	c.intern = make(map[string]string, 128)
+	c.wf = &t.wf
 	var hello wireMsg
 	if err := c.read(&hello); err != nil || hello.Type != msgHello {
 		return nil, fmt.Errorf("exec: worker handshake on %s from %s: got %q (%v)",
@@ -389,8 +397,9 @@ func (t *TCP) Flush() []int {
 		t.mu.Unlock()
 		return nil
 	}
+	// The lock is held throughout, so no Send appends while the list is
+	// walked, and the walked array is handed back for the next turn.
 	ids := t.dirty
-	t.dirty = t.dirty[len(t.dirty):]
 	sort.Ints(ids)
 	var lost []int
 	for _, id := range ids {
@@ -405,6 +414,7 @@ func (t *TCP) Flush() []int {
 			delete(t.conns, id)
 		}
 	}
+	t.dirty = ids[:0]
 	t.mu.Unlock()
 	return lost
 }
@@ -442,17 +452,35 @@ func (t *TCP) Next(ctx context.Context, deadline float64) (Event, error) {
 			return Event{Kind: EvTick, Time: t.vnow()}, nil
 		}
 	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
+	if t.timer == nil {
+		t.timer = time.NewTimer(wait)
+	} else {
+		t.timer.Reset(wait) // stopped and drained by the previous wait
+	}
 	select {
 	case evs := <-t.events:
+		t.stopTimer()
 		return t.take(evs), nil
-	case <-timer.C:
+	case <-t.timer.C:
 		return Event{Kind: EvTick, Time: t.vnow()}, nil
 	case <-ctx.Done():
+		t.stopTimer()
 		return Event{}, ctx.Err()
 	}
 }
+
+// stopTimer stops the wait timer after a wait that did not receive
+// from it. go.mod targets Go 1.22, whose timer channels buffer the
+// fire: a timer that fired before Stop holds a stale value, which must
+// be drained, or the next Reset's wait would end at once.
+func (t *TCP) stopTimer() {
+	if !t.timer.Stop() {
+		<-t.timer.C
+	}
+}
+
+// bind implements workflowBinder.
+func (t *TCP) bind(w *dag.Workflow) { t.wf.Store(w) }
 
 // take adopts a received batch (always non-empty) and returns its
 // first event.

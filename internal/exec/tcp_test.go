@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"reassign/internal/cloud"
 	"reassign/internal/core"
@@ -228,5 +230,129 @@ func TestPlanValidateViaMaster(t *testing.T) {
 		&InProc{Workers: 1, Runner: SimRunner{}})
 	if err == nil {
 		t.Fatal("stale plan accepted")
+	}
+}
+
+// TestTCPBindWhileResultsFlow runs under -race in `make race-exec`: the
+// transport opens and its reader decodes results before New binds the
+// workflow, and keeps decoding while New binds it. Results decoded
+// before the bind carry copies of their IDs; once bound, they carry the
+// workflow's own strings.
+func TestTCPBindWhileResultsFlow(t *testing.T) {
+	w := soakWorkflow(20, 1)
+	fleet, err := cloud.NewFleet("bind", []cloud.VMType{cloud.T2Large}, []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp := &TCP{Addr: "127.0.0.1:0", Workers: 1, TimeScale: 1e-4}
+	if err := tcp.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	conn, err := net.Dial("tcp", tcp.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A worker that, once joined, streams results for every activation
+	// until the master goes away.
+	go func() {
+		hello := append(binPreamble[:], appendWireFrame(nil, &wireMsg{Type: msgHello, Slots: 1, Version: wireVersion})...)
+		if _, err := conn.Write(hello); err != nil {
+			return
+		}
+		var batch []byte
+		for _, a := range w.Activations() {
+			batch = appendWireFrame(batch, &wireMsg{Type: msgResult, TaskID: a.ID, Index: a.Index, Attempt: 1})
+		}
+		for {
+			if _, err := conn.Write(batch); err != nil {
+				return
+			}
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := tcp.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	canonical := func(ev Event) bool {
+		return ev.Kind == EvResult && unsafe.StringData(ev.TaskID) == unsafe.StringData(w.ByIndex(ev.TaskIndex).ID)
+	}
+	ev, err := tcp.Next(ctx, Forever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Kind != EvResult || ev.TaskID != w.ByIndex(ev.TaskIndex).ID || canonical(ev) {
+		t.Fatalf("before the bind: event %+v, want a result carrying a copy of its ID", ev)
+	}
+	if _, err := New(w, fleet, spreadPlan(w, fleet), tcp); err != nil {
+		t.Fatal(err)
+	}
+	for !canonical(ev) {
+		if ev, err = tcp.Next(ctx, Forever); err != nil {
+			t.Fatalf("no result resolved against the bound workflow: %v", err)
+		}
+		if ev.Kind == EvResult && ev.TaskID != w.ByIndex(ev.TaskIndex).ID {
+			t.Fatalf("result %+v: ID does not match its index", ev)
+		}
+	}
+}
+
+// TestTCPFlushAllocFree: once warm, staging sends and flushing them
+// allocates nothing — Flush hands its walked dirty list back for the
+// next turn instead of leaving the next Send an exhausted tail to grow.
+func TestTCPFlushAllocFree(t *testing.T) {
+	tcp := &TCP{conns: map[int]*tcpConn{}}
+	for id := 0; id < 3; id++ {
+		tcp.conns[id] = &tcpConn{c: newBinCodec(io.Discard, nil)}
+	}
+	spec := TaskSpec{TaskID: "x0001", Index: 1, Activity: "bench", VM: 2, VMType: "t2.large", Attempt: 1, Duration: 3}
+	turn := func() {
+		for _, id := range []int{2, 0} {
+			if err := tcp.Send(id, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if lost := tcp.Flush(); len(lost) != 0 {
+			t.Fatalf("lost workers %v", lost)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, turn); allocs != 0 {
+		t.Fatalf("a send+flush turn allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestTCPNextReusesTimer: finite-deadline waits share one timer, so a
+// timed-out wait allocates nothing, and a wait that ended on an event
+// leaves no stale fire behind for the next wait to return early on.
+func TestTCPNextReusesTimer(t *testing.T) {
+	tcp := &TCP{TimeScale: 1e-4, events: make(chan []Event, 1), start: time.Now()}
+	ctx := context.Background()
+	tick := func(virtual float64) {
+		t.Helper()
+		ev, err := tcp.Next(ctx, tcp.vnow()+virtual)
+		if err != nil || ev.Kind != EvTick {
+			t.Fatalf("wait: %+v, %v; want a tick", ev, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { tick(2) }); allocs != 0 {
+		t.Fatalf("a timed-out wait allocates %.1f times, want 0", allocs)
+	}
+	for i := 0; i < 20; i++ {
+		// A 1 µs wait that an already-queued event ends.
+		tcp.events <- []Event{{Kind: EvHeartbeat}}
+		if ev, err := tcp.Next(ctx, tcp.vnow()+1e-2); err != nil || ev.Kind != EvHeartbeat {
+			if ev.Kind != EvTick {
+				t.Fatalf("short wait: %+v, %v", ev, err)
+			}
+			<-tcp.events // the tick won; drop the event
+		}
+		time.Sleep(time.Millisecond) // an armed timer would fire here
+		start := time.Now()
+		tick(50) // 5 ms of wall time
+		if d := time.Since(start); d < 4*time.Millisecond {
+			t.Fatalf("round %d: a 5 ms wait returned after %v", i, d)
+		}
 	}
 }

@@ -47,8 +47,8 @@ func (q inprocQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q inprocQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *inprocQueue) Push(x any)        { *q = append(*q, x.(inprocItem)) }
+func (q inprocQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *inprocQueue) Push(x any)   { *q = append(*q, x.(inprocItem)) }
 func (q *inprocQueue) Pop() any {
 	old := *q
 	n := len(old)

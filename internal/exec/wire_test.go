@@ -1,13 +1,12 @@
 package exec
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
-	"fmt"
-	"io"
 	"reflect"
 	"testing"
+	"unsafe"
+
+	"reassign/internal/dag"
 )
 
 // wireSamples covers every message type, including awkward field
@@ -132,54 +131,50 @@ func TestWireArgsCountCapped(t *testing.T) {
 	}
 }
 
-func TestWireInternReturnsCanonicalString(t *testing.T) {
-	canon := "ID00007"
-	intern := map[string]string{canon: canon}
-	m := wireMsg{Type: msgResult, TaskID: "ID00007", Attempt: 1}
-	payload := appendWirePayload(nil, &m)
-	var got wireMsg
-	if err := decodeWirePayload(payload, &got, intern); err != nil {
-		t.Fatal(err)
+// TestWireResultIDResolvesByIndex: a result whose index names an
+// activation with the same ID decodes to the workflow's own string,
+// allocating nothing; a result whose index is out of range or names a
+// different activation decodes to a copy of its wire bytes (which the
+// master drops as an unknown task), and so does any result decoded
+// without a workflow.
+func TestWireResultIDResolvesByIndex(t *testing.T) {
+	w := dag.New("ids")
+	w.MustAdd("a", "act", 1)
+	b := w.MustAdd("ID00007", "act", 1)
+	payload := func(id string, index int) []byte {
+		return appendWirePayload(nil, &wireMsg{Type: msgResult, TaskID: id, Index: index, Attempt: 1})
 	}
-	if got.TaskID != canon {
-		t.Fatalf("TaskID = %q", got.TaskID)
-	}
-}
-
-// TestBinCodecInternSharedWithReader drives the master side of one
-// binary connection the way a run does: the master goroutine queues
-// tasks, inserting their IDs into the codec's intern map, while the
-// connection's reader goroutine decodes results that probe it. Run
-// under -race; unsynchronised, the map access is a data race and can
-// crash the process with a concurrent map read and write.
-func TestBinCodecInternSharedWithReader(t *testing.T) {
-	const n = 2000
-	var frames []byte
-	for i := 0; i < n; i++ {
-		frames = appendWireFrame(frames, &wireMsg{Type: msgResult, TaskID: fmt.Sprintf("t%d", i), Attempt: 1})
-	}
-	c := newBinCodec(io.Discard, bufio.NewReader(bytes.NewReader(frames)))
-	c.intern = make(map[string]string)
-	done := make(chan error, 1)
-	go func() {
+	decode := func(p []byte, wf *dag.Workflow) string {
+		t.Helper()
 		var m wireMsg
-		for i := 0; i < n; i++ {
-			if err := c.read(&m); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	for i := 0; i < n; i++ {
-		if err := c.queue(&wireMsg{Type: msgTask, Task: &TaskSpec{TaskID: fmt.Sprintf("t%d", i), Attempt: 1}}); err != nil {
+		if err := decodeWirePayload(p, &m, wf); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.flush(); err != nil {
-			t.Fatal(err)
+		return m.TaskID
+	}
+	canonical := func(s, id string) bool { return unsafe.StringData(s) == unsafe.StringData(id) }
+	if got := decode(payload(b.ID, b.Index), w); got != b.ID || !canonical(got, b.ID) {
+		t.Fatalf("matching index: TaskID %q is not the workflow's string", got)
+	}
+	for _, c := range []struct {
+		id    string
+		index int
+		wf    *dag.Workflow
+	}{
+		{b.ID, 0, w}, {b.ID, 2, w}, {b.ID, -1, w}, {"zz", b.Index, w}, {b.ID, b.Index, nil},
+	} {
+		if got := decode(payload(c.id, c.index), c.wf); got != c.id || canonical(got, b.ID) {
+			t.Errorf("id %q index %d: TaskID %q, want an uncanonical copy", c.id, c.index, got)
 		}
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	p := payload(b.ID, b.Index)
+	var m wireMsg
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := decodeWirePayload(p, &m, w); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decoding a resolvable result allocates %.1f times, want 0", allocs)
 	}
 }

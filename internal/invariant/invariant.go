@@ -187,9 +187,9 @@ type runAudit struct {
 
 	// Market-trace state (see market.go): cordoned maps a noticed VM
 	// to its notice time.
-	cordoned           map[*sim.VMState]float64
+	cordoned            map[*sim.VMState]float64
 	mNotices, mDegrades int
-	lastMarketCost     float64
+	lastMarketCost      float64
 }
 
 func (r *runAudit) fail(now float64, rule, format string, args ...any) {

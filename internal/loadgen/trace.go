@@ -92,10 +92,10 @@ type Arrival struct {
 // time-ordered arrivals referencing it. Traces serialise to JSON for
 // replay by other processes (cmd/schedload -trace).
 type Trace struct {
-	Seed     int64              `json:"seed"`
-	Horizon  float64            `json:"horizon"`
+	Seed      int64              `json:"seed"`
+	Horizon   float64            `json:"horizon"`
 	Workflows []api.WorkflowSpec `json:"workflows"`
-	Arrivals []Arrival          `json:"arrivals"`
+	Arrivals  []Arrival          `json:"arrivals"`
 }
 
 // Tenants returns the distinct tenant names in sorted order, which
