@@ -210,7 +210,7 @@ func run() error {
 		p.Alpha, p.Gamma, p.Epsilon = *alpha, *gamma, *epsilon
 		opts := []core.Option{core.WithSeed(*seed), core.WithSink(sink)}
 		if *qIn != "" {
-			tab := rl.NewTable(rand.New(rand.NewSource(*seed)), 1.0)
+			tab := rl.NewTable(w.Len(), len(fleet.VMs), rand.New(rand.NewSource(*seed)), 1.0)
 			if err := tab.LoadFile(*qIn); err != nil {
 				return err
 			}

@@ -108,7 +108,7 @@ func main() {
 	if err := first.Table.SaveFile(qPath); err != nil {
 		log.Fatal(err)
 	}
-	resumed := rl.NewTable(rand.New(rand.NewSource(99)), 1)
+	resumed := rl.NewTable(w.Len(), len(fleet.VMs), rand.New(rand.NewSource(99)), 1)
 	if err := resumed.LoadFile(qPath); err != nil {
 		log.Fatal(err)
 	}

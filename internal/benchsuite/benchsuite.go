@@ -55,7 +55,7 @@ type Bench struct {
 }
 
 // Suite returns the governed benchmarks in a stable order: the
-// Q-table micro-benchmarks, the TD hot path, the headline 100-episode
+// Q-table micro-benchmark, the TD hot path, the headline 100-episode
 // learning run, the replica-scaling ladder, the large-DAG tier
 // (1000- and 10k-activation workflows on 256- and 1024-vCPU fleets),
 // the exec wire-path tier (a wide 1000-activation plan over InProc
@@ -66,18 +66,8 @@ type Bench struct {
 // and the provenance store (one 100-activation run recorded).
 func Suite() []Bench {
 	return []Bench{
-		{"BenchmarkQTableMap", QTable(func() *rl.Table {
-			return rl.NewTable(rand.New(rand.NewSource(1)), 1.0)
-		}, 50, 16)},
-		{"BenchmarkQTableDense", QTable(func() *rl.Table {
-			return rl.NewDenseTable(50, 16, rand.New(rand.NewSource(1)), 1.0)
-		}, 50, 16)},
-		{"BenchmarkTDHotPath/map", TDHotPath(func(i, numTasks, numVMs int) *rl.Table {
-			return rl.NewTable(rand.New(rand.NewSource(int64(i))), 1.0)
-		})},
-		{"BenchmarkTDHotPath/dense", TDHotPath(func(i, numTasks, numVMs int) *rl.Table {
-			return rl.NewDenseTable(numTasks, numVMs, rand.New(rand.NewSource(int64(i))), 1.0)
-		})},
+		{"BenchmarkQTableDense", QTable(50, 16)},
+		{"BenchmarkTDHotPath/dense", TDHotPath},
 		{"BenchmarkLearning100Episodes", Learning100},
 		{"BenchmarkLearningReplicas/1", LearningReplicas(1)},
 		{"BenchmarkLearningReplicas/4", LearningReplicas(4)},
@@ -113,8 +103,8 @@ func reportThroughput(b *testing.B, acts, episodesPerOp int) {
 }
 
 // QTable benchmarks a MaxRect + TDUpdate + Best round per op on a
-// numTasks×numVMs action space.
-func QTable(mk func() *rl.Table, numTasks, numVMs int) func(*testing.B) {
+// numTasks×numVMs table.
+func QTable(numTasks, numVMs int) func(*testing.B) {
 	return func(b *testing.B) {
 		vms := make([]int, numVMs)
 		for i := range vms {
@@ -124,7 +114,7 @@ func QTable(mk func() *rl.Table, numTasks, numVMs int) func(*testing.B) {
 		for i := range tasks {
 			tasks[i] = i
 		}
-		tab := mk()
+		tab := rl.NewTable(numTasks, numVMs, rand.New(rand.NewSource(1)), 1.0)
 		rng := rand.New(rand.NewSource(42))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -138,24 +128,23 @@ func QTable(mk func() *rl.Table, numTasks, numVMs int) func(*testing.B) {
 }
 
 // TDHotPath runs one full learning episode per op.
-func TDHotPath(mk func(i int, numTasks, numVMs int) *rl.Table) func(*testing.B) {
-	return func(b *testing.B) {
-		w := trace.Montage50(rand.New(rand.NewSource(6)))
-		fleet, err := cloud.FleetTable1(16)
+func TDHotPath(b *testing.B) {
+	w := trace.Montage50(rand.New(rand.NewSource(6)))
+	fleet, err := cloud.FleetTable1(16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fluct := cloud.DefaultFluctuation()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tab := rl.NewTable(w.Len(), len(fleet.VMs), rand.New(rand.NewSource(int64(i))), 1.0)
+		agent, err := core.NewScheduler(core.DefaultParams(), tab, rand.New(rand.NewSource(int64(i))))
 		if err != nil {
 			b.Fatal(err)
 		}
-		fluct := cloud.DefaultFluctuation()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			agent, err := core.NewScheduler(core.DefaultParams(), mk(i, w.Len(), len(fleet.VMs)), rand.New(rand.NewSource(int64(i))))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sim.Run(w, fleet, agent, sim.Config{Seed: int64(i), Fluct: &fluct}); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := sim.Run(w, fleet, agent, sim.Config{Seed: int64(i), Fluct: &fluct}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

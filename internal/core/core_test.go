@@ -99,7 +99,7 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestNewSchedulerErrors(t *testing.T) {
-	if _, err := NewScheduler(Params{Alpha: -1}, rl.NewTable(nil, 1), nil); err == nil {
+	if _, err := NewScheduler(Params{Alpha: -1}, rl.NewTable(1, 1, nil, 1), nil); err == nil {
 		t.Fatal("invalid params accepted")
 	}
 	if _, err := NewScheduler(DefaultParams(), nil, nil); err == nil {
@@ -122,7 +122,7 @@ func fleet(t testing.TB, vcpus int) *cloud.Fleet {
 
 func TestSchedulerCompletesEpisode(t *testing.T) {
 	w := montage50(t, 1)
-	tab := rl.NewTable(rand.New(rand.NewSource(2)), 1)
+	tab := rl.NewTable(w.Len(), len(fleet(t, 16).VMs), rand.New(rand.NewSource(2)), 1)
 	agent, err := NewScheduler(DefaultParams(), tab, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
@@ -162,13 +162,7 @@ func TestLearnerImprovesOverRandomInit(t *testing.T) {
 	var planSum, randSum float64
 	for _, wseed := range []int64{1, 2, 3, 9} {
 		w := montage50(t, wseed)
-		l := &Learner{
-			Workflow: w, Fleet: fl,
-			Params:    DefaultParams(),
-			Episodes:  100,
-			Seed:      wseed,
-			SimConfig: sim.Config{Fluct: &fluct},
-		}
+		l := newLearner(t, Config{Workflow: w, Fleet: fl, Episodes: 100, Sim: sim.Config{Fluct: &fluct}}, WithSeed(wseed))
 		res, err := l.Learn()
 		if err != nil {
 			t.Fatal(err)
@@ -208,7 +202,7 @@ func TestLearnerDeterministic(t *testing.T) {
 	w := montage50(t, 6)
 	fl := fleet(t, 16)
 	run := func() *Result {
-		l := &Learner{Workflow: w, Fleet: fl, Params: DefaultParams(), Episodes: 10, Seed: 11}
+		l := newLearner(t, Config{Workflow: w, Fleet: fl, Episodes: 10}, WithSeed(11))
 		res, err := l.Learn()
 		if err != nil {
 			t.Fatal(err)
@@ -234,13 +228,13 @@ func TestLearnerDeterministic(t *testing.T) {
 func TestLearnerContinuesFromTable(t *testing.T) {
 	w := montage50(t, 7)
 	fl := fleet(t, 16)
-	l1 := &Learner{Workflow: w, Fleet: fl, Params: DefaultParams(), Episodes: 5, Seed: 13}
+	l1 := newLearner(t, Config{Workflow: w, Fleet: fl, Episodes: 5}, WithSeed(13))
 	r1, err := l1.Learn()
 	if err != nil {
 		t.Fatal(err)
 	}
 	entries := r1.Table.Len()
-	l2 := &Learner{Workflow: w, Fleet: fl, Params: DefaultParams(), Episodes: 5, Seed: 17, Table: r1.Table}
+	l2 := newLearner(t, Config{Workflow: w, Fleet: fl, Episodes: 5}, WithSeed(17), WithTable(r1.Table))
 	r2, err := l2.Learn()
 	if err != nil {
 		t.Fatal(err)
@@ -254,19 +248,28 @@ func TestLearnerContinuesFromTable(t *testing.T) {
 }
 
 func TestLearnerErrors(t *testing.T) {
-	if _, err := (&Learner{}).Learn(); err == nil {
+	if _, err := NewLearner(Config{}); err == nil {
 		t.Fatal("nil workflow accepted")
 	}
 	w := montage50(t, 8)
-	l := &Learner{Workflow: w, Fleet: fleet(t, 16), Params: Params{Alpha: 9}}
-	if _, err := l.Learn(); err == nil {
+	if _, err := NewLearner(Config{Workflow: w, Fleet: fleet(t, 16), Params: Params{Alpha: 9}}); err == nil {
 		t.Fatal("invalid params accepted")
 	}
 }
 
+// newLearner is NewLearner for inputs the test knows are valid.
+func newLearner(t testing.TB, cfg Config, opts ...Option) *Learner {
+	t.Helper()
+	l, err := NewLearner(cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 func TestPlanExtractorFrozen(t *testing.T) {
 	w := montage50(t, 9)
-	tab := rl.NewTable(rand.New(rand.NewSource(1)), 1)
+	tab := rl.NewTable(w.Len(), len(fleet(t, 16).VMs), rand.New(rand.NewSource(1)), 1)
 	ext, err := NewPlanExtractor(DefaultParams(), tab)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +301,7 @@ func TestSARSAVariantRuns(t *testing.T) {
 	w := montage50(t, 10)
 	p := DefaultParams()
 	p.Rule = SARSA
-	l := &Learner{Workflow: w, Fleet: fleet(t, 16), Params: p, Episodes: 5, Seed: 3}
+	l := newLearner(t, Config{Workflow: w, Fleet: fleet(t, 16), Params: p, Episodes: 5}, WithSeed(3))
 	res, err := l.Learn()
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +316,7 @@ func TestConstantGammaVariantRuns(t *testing.T) {
 	p := DefaultParams()
 	p.GammaPowerT = false
 	p.Gamma = 0.9
-	l := &Learner{Workflow: w, Fleet: fleet(t, 16), Params: p, Episodes: 5, Seed: 3}
+	l := newLearner(t, Config{Workflow: w, Fleet: fleet(t, 16), Params: p, Episodes: 5}, WithSeed(3))
 	if _, err := l.Learn(); err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +326,7 @@ func TestBoltzmannPolicyVariantRuns(t *testing.T) {
 	w := montage50(t, 12)
 	p := DefaultParams()
 	p.Policy = rl.Boltzmann{Temperature: 0.5}
-	l := &Learner{Workflow: w, Fleet: fleet(t, 16), Params: p, Episodes: 5, Seed: 3}
+	l := newLearner(t, Config{Workflow: w, Fleet: fleet(t, 16), Params: p, Episodes: 5}, WithSeed(3))
 	if _, err := l.Learn(); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +338,7 @@ func TestPerfStdDevBehaviour(t *testing.T) {
 	w := dag.New("w")
 	w.MustAdd("a", "x", 5)
 	fl := cloud.MustFleet("one", []cloud.VMType{cloud.T2Micro}, []int{1})
-	tab := rl.NewTable(rand.New(rand.NewSource(1)), 1)
+	tab := rl.NewTable(1, 1, rand.New(rand.NewSource(1)), 1)
 	agent, _ := NewScheduler(DefaultParams(), tab, rand.New(rand.NewSource(2)))
 	if _, err := sim.Run(w, fl, agent, sim.Config{}); err != nil {
 		t.Fatal(err)
@@ -354,7 +357,10 @@ func TestPropertyLearnerProducesValidPlans(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		l := &Learner{Workflow: w, Fleet: fl, Params: DefaultParams(), Episodes: 3, Seed: seed}
+		l, err := NewLearner(Config{Workflow: w, Fleet: fl, Episodes: 3}, WithSeed(seed))
+		if err != nil {
+			return false
+		}
 		res, err := l.Learn()
 		if err != nil {
 			return false
@@ -376,7 +382,7 @@ func TestPropertyLearnerProducesValidPlans(t *testing.T) {
 func BenchmarkEpisodeMontage50(b *testing.B) {
 	w := montage50(b, 1)
 	fl, _ := cloud.FleetTable1(16)
-	tab := rl.NewTable(rand.New(rand.NewSource(1)), 1)
+	tab := rl.NewTable(w.Len(), len(fl.VMs), rand.New(rand.NewSource(1)), 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -396,7 +402,7 @@ func BenchmarkLearn100Episodes(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l := &Learner{Workflow: w, Fleet: fl, Params: DefaultParams(), Episodes: 100, Seed: int64(i)}
+		l := newLearner(b, Config{Workflow: w, Fleet: fl, Episodes: 100}, WithSeed(int64(i)))
 		if _, err := l.Learn(); err != nil {
 			b.Fatal(err)
 		}
@@ -422,8 +428,7 @@ func TestCostAwareRewardShiftsWorkToCheapSlots(t *testing.T) {
 	runWeight := func(cw float64) (busyCost, makespan float64) {
 		p := DefaultParams()
 		p.CostWeight = cw
-		l := &Learner{Workflow: w, Fleet: fl, Params: p, Episodes: 100, Seed: 3,
-			SimConfig: sim.Config{Fluct: &fluct}}
+		l := newLearner(t, Config{Workflow: w, Fleet: fl, Params: p, Episodes: 100, Sim: sim.Config{Fluct: &fluct}}, WithSeed(3))
 		res, err := l.Learn()
 		if err != nil {
 			t.Fatal(err)
@@ -454,7 +459,7 @@ func TestBusyCostAccounting(t *testing.T) {
 	w := dag.New("c")
 	w.MustAdd("a", "x", 3600)
 	fl := cloud.MustFleet("one", []cloud.VMType{cloud.T2Micro}, []int{1})
-	tab := rl.NewTable(rand.New(rand.NewSource(1)), 1)
+	tab := rl.NewTable(1, 1, rand.New(rand.NewSource(1)), 1)
 	agent, _ := NewScheduler(DefaultParams(), tab, rand.New(rand.NewSource(1)))
 	res, err := sim.Run(w, fl, agent, sim.Config{})
 	if err != nil {
@@ -469,7 +474,7 @@ func TestDoubleQVariantRuns(t *testing.T) {
 	w := montage50(t, 13)
 	p := DefaultParams()
 	p.Rule = DoubleQ
-	l := &Learner{Workflow: w, Fleet: fleet(t, 16), Params: p, Episodes: 10, Seed: 13}
+	l := newLearner(t, Config{Workflow: w, Fleet: fleet(t, 16), Params: p, Episodes: 10}, WithSeed(13))
 	res, err := l.Learn()
 	if err != nil {
 		t.Fatal(err)
@@ -481,7 +486,7 @@ func TestDoubleQVariantRuns(t *testing.T) {
 		t.Fatal("second table never materialised")
 	}
 	// Determinism holds for DoubleQ too.
-	l2 := &Learner{Workflow: w, Fleet: fleet(t, 16), Params: p, Episodes: 10, Seed: 13}
+	l2 := newLearner(t, Config{Workflow: w, Fleet: fleet(t, 16), Params: p, Episodes: 10}, WithSeed(13))
 	res2, err := l2.Learn()
 	if err != nil {
 		t.Fatal(err)
@@ -502,7 +507,7 @@ func TestDoubleQDampensInflation(t *testing.T) {
 	meanQ := func(rule UpdateRule) float64 {
 		p := DefaultParams()
 		p.Rule = rule
-		l := &Learner{Workflow: w, Fleet: fl, Params: p, Episodes: 30, Seed: 14}
+		l := newLearner(t, Config{Workflow: w, Fleet: fl, Params: p, Episodes: 30}, WithSeed(14))
 		res, err := l.Learn()
 		if err != nil {
 			t.Fatal(err)
@@ -514,4 +519,27 @@ func TestDoubleQDampensInflation(t *testing.T) {
 	if double >= single {
 		t.Fatalf("DoubleQ mean %v not below Q-learning mean %v", double, single)
 	}
+}
+
+// BenchmarkTDHotPath measures one full learning episode — Pick,
+// bootstrap, and TDUpdate on every completion — on the table the
+// Learner builds. The sub-benchmark keeps the name it had when a map
+// backed table ran beside it.
+func BenchmarkTDHotPath(b *testing.B) {
+	w := montage50(b, 6)
+	fl := fleet(b, 16)
+	fluct := cloud.DefaultFluctuation()
+	b.Run("dense", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tab := rl.NewTable(w.Len(), len(fl.VMs), rand.New(rand.NewSource(int64(i))), 1.0)
+			agent, err := NewScheduler(DefaultParams(), tab, rand.New(rand.NewSource(int64(i))))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sim.Run(w, fl, agent, sim.Config{Seed: int64(i), Fluct: &fluct}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

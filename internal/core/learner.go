@@ -9,41 +9,41 @@ import (
 
 	"reassign/internal/cloud"
 	"reassign/internal/dag"
+	"reassign/internal/provenance"
 	"reassign/internal/rl"
 	"reassign/internal/sim"
 	"reassign/internal/telemetry"
 )
 
 // Learner drives the two-stage pipeline of §III.D: stage one runs
-// Episodes simulated executions of the workflow, each an RL episode
+// Config.Episodes simulated executions of the workflow, each an RL episode
 // updating a shared Q table; stage two extracts the final scheduling
 // plan greedily from the learned table. The plan is then handed to
 // the exec master (package exec) for the "real" run.
 //
 // Construct Learners with NewLearner, which validates the inputs and
 // exposes seed, telemetry and schedules as options.
-//
-// Deprecated: constructing a Learner as a struct literal still works
-// in this release but will lose exported fields in the next one; use
-// NewLearner.
 type Learner struct {
-	Workflow *dag.Workflow
-	Fleet    *cloud.Fleet
-	Params   Params
-	// Episodes is the number of learning episodes (the paper uses 100).
-	Episodes int
-	// SimConfig configures the learning simulator (WorkflowSim stage).
-	SimConfig sim.Config
-	// Seed drives Q initialisation and exploration.
-	Seed int64
-	// Table, when non-nil, continues learning from a previous run
+	workflow *dag.Workflow
+	fleet    *cloud.Fleet
+	params   Params
+	// episodes is the number of learning episodes (the paper uses 100).
+	episodes int
+	// simConfig configures the learning simulator (WorkflowSim stage).
+	simConfig sim.Config
+	// seed drives Q initialisation and exploration.
+	seed int64
+	// table, when non-nil, continues learning from a previous run
 	// (the paper's provenance-backed cross-execution learning).
-	Table *rl.Table
-	// AlphaSchedule and EpsilonSchedule, when non-nil, override the
+	table *rl.Table
+	// alphaSchedule and epsilonSchedule, when non-nil, override the
 	// fixed α and ε per episode (e.g. rl.ExpDecay to explore early and
 	// exploit late — an extension over the paper's constants).
-	AlphaSchedule   rl.Schedule
-	EpsilonSchedule rl.Schedule
+	alphaSchedule   rl.Schedule
+	epsilonSchedule rl.Schedule
+	// seedStore, set by WithProvenanceSeed, becomes table once every
+	// option is applied.
+	seedStore *provenance.Store
 
 	// tableB is the DoubleQ second table, persisted across this
 	// learner's episodes.
@@ -101,34 +101,18 @@ func (l *Learner) Learn() (*Result, error) {
 		}
 		return rr.BestResult(), nil
 	}
-	if l.Workflow == nil || l.Fleet == nil {
-		return nil, fmt.Errorf("core: learner needs a workflow and a fleet")
-	}
-	if l.Episodes < 0 {
-		return nil, fmt.Errorf("core: negative episode budget %d", l.Episodes)
-	}
-	if err := l.Params.Validate(); err != nil {
-		return nil, err
-	}
-	episodes := l.Episodes
-	if episodes == 0 {
-		episodes = DefaultEpisodes
-	}
-	rng := rand.New(rand.NewSource(l.Seed))
-	table := l.Table
+	rng := rand.New(rand.NewSource(l.seed))
+	table := l.table
 	if table == nil {
 		// Algorithm 2: "Start Q(s,a) at random". The learner knows the
 		// action space up front — Workflow.Len() activations × the
-		// fleet's VM IDs — so it uses a rectangle backing (dense, or
-		// banded for large problems); all backings materialise lazily
-		// in access order, making the learned values (and thus plans)
-		// identical to the sparse map for a given seed.
-		table = rl.NewAutoTable(l.Workflow.Len(), len(l.Fleet.VMs), rand.New(rand.NewSource(rng.Int63())), 1.0)
+		// fleet's VM IDs — so the table is sized to it.
+		table = rl.NewTable(l.workflow.Len(), len(l.fleet.VMs), rand.New(rand.NewSource(rng.Int63())), 1.0)
 	}
 
 	res := &Result{
 		Table:               table,
-		Episodes:            make([]EpisodeStats, 0, episodes),
+		Episodes:            make([]EpisodeStats, 0, l.episodes),
 		BestEpisodeMakespan: math.Inf(1),
 	}
 	start := time.Now()
@@ -145,20 +129,20 @@ func (l *Learner) Learn() (*Result, error) {
 			l.enginePool.Put(eng)
 		}
 	}()
-	for ep := 0; ep < episodes; ep++ {
+	for ep := 0; ep < l.episodes; ep++ {
 		if l.ctx != nil {
 			if err := l.ctx.Err(); err != nil {
 				return nil, fmt.Errorf("core: learning canceled at episode %d: %w", ep, err)
 			}
 		}
-		params := l.Params
-		if l.AlphaSchedule != nil {
-			params.Alpha = l.AlphaSchedule.At(ep)
+		params := l.params
+		if l.alphaSchedule != nil {
+			params.Alpha = l.alphaSchedule.At(ep)
 		}
 		// The ε schedule feeds the default ε-greedy policy; an explicit
 		// Params.Policy takes precedence and ignores it.
-		if l.EpsilonSchedule != nil && params.Policy == nil {
-			params.Epsilon = l.EpsilonSchedule.At(ep)
+		if l.epsilonSchedule != nil && params.Policy == nil {
+			params.Epsilon = l.epsilonSchedule.At(ep)
 		}
 		seed := rng.Int63()
 		var err error
@@ -172,12 +156,12 @@ func (l *Learner) Learn() (*Result, error) {
 		}
 		if params.Rule == DoubleQ {
 			if l.tableB == nil {
-				l.tableB = rl.NewAutoTable(l.Workflow.Len(), len(l.Fleet.VMs), rand.New(rand.NewSource(rng.Int63())), 1.0)
+				l.tableB = rl.NewTable(l.workflow.Len(), len(l.fleet.VMs), rand.New(rand.NewSource(rng.Int63())), 1.0)
 			}
 			agent.WithSecondTable(l.tableB)
 		}
 		agent.instrument(l.sink, ep)
-		cfg := l.SimConfig
+		cfg := l.simConfig
 		cfg.Seed = rng.Int63()
 		// The episode loop only reads makespan and reward; skip the
 		// per-episode plan map (plan extraction runs with it on).
@@ -194,9 +178,9 @@ func (l *Learner) Learn() (*Result, error) {
 		var simRes *sim.Result
 		if eng == nil {
 			if l.enginePool != nil {
-				eng, err = l.enginePool.Acquire(l.Workflow, l.Fleet, agent, cfg)
+				eng, err = l.enginePool.Acquire(l.workflow, l.fleet, agent, cfg)
 			} else {
-				eng, err = sim.NewEngine(l.Workflow, l.Fleet, agent, cfg)
+				eng, err = sim.NewEngine(l.workflow, l.fleet, agent, cfg)
 			}
 		} else {
 			err = eng.Reset(cfg)
@@ -257,21 +241,21 @@ func (l *Learner) Learn() (*Result, error) {
 // against the table and returns the resulting activation→VM plan and
 // its simulated makespan.
 func (l *Learner) ExtractPlan(table *rl.Table) (Plan, float64, error) {
-	agent, err := NewPlanExtractor(l.Params, table)
+	agent, err := NewPlanExtractor(l.params, table)
 	if err != nil {
 		return Plan{}, 0, err
 	}
 	// Episode -1 marks the extraction pass on decision events; the
 	// aggregator excludes it from the learning-curve series.
 	agent.instrument(l.sink, -1)
-	cfg := l.SimConfig
-	cfg.Seed = l.Seed
+	cfg := l.simConfig
+	cfg.Seed = l.seed
 	if cfg.Sink == nil {
 		cfg.Sink = l.sink
 	}
 	var simRes *sim.Result
 	if l.enginePool != nil {
-		eng, aerr := l.enginePool.Acquire(l.Workflow, l.Fleet, agent, cfg)
+		eng, aerr := l.enginePool.Acquire(l.workflow, l.fleet, agent, cfg)
 		if aerr == nil {
 			simRes, aerr = eng.Run()
 			// The Result borrows engine buffers, so the engine is only
@@ -281,7 +265,7 @@ func (l *Learner) ExtractPlan(table *rl.Table) (Plan, float64, error) {
 		}
 		err = aerr
 	} else {
-		simRes, err = sim.Run(l.Workflow, l.Fleet, agent, cfg)
+		simRes, err = sim.Run(l.workflow, l.fleet, agent, cfg)
 	}
 	if err != nil {
 		return Plan{}, 0, fmt.Errorf("core: plan extraction: %w", err)
@@ -294,8 +278,8 @@ func (l *Learner) ExtractPlan(table *rl.Table) (Plan, float64, error) {
 			Episode:   -1,
 			Makespan:  simRes.Makespan,
 			Reward:    agent.EpisodeReward(),
-			Alpha:     l.Params.Alpha,
-			Epsilon:   l.Params.Epsilon,
+			Alpha:     l.params.Alpha,
+			Epsilon:   l.params.Epsilon,
 			State:     simRes.State.String(),
 			Decisions: simRes.Decisions,
 			Events:    simRes.Events,

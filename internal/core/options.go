@@ -38,7 +38,7 @@ type Option func(*Learner) error
 // WithSeed sets the seed driving Q initialisation and exploration.
 func WithSeed(seed int64) Option {
 	return func(l *Learner) error {
-		l.Seed = seed
+		l.seed = seed
 		return nil
 	}
 }
@@ -57,13 +57,14 @@ func WithSink(sink telemetry.Sink) Option {
 }
 
 // WithTable continues learning from an existing Q table (the paper's
-// provenance-backed cross-execution learning).
+// provenance-backed cross-execution learning). It overrides an earlier
+// WithProvenanceSeed.
 func WithTable(t *rl.Table) Option {
 	return func(l *Learner) error {
 		if t == nil {
 			return fmt.Errorf("core: WithTable(nil)")
 		}
-		l.Table = t
+		l.table, l.seedStore = t, nil
 		return nil
 	}
 }
@@ -117,7 +118,7 @@ func WithEnginePool(p *sim.Pool) Option {
 // per-episode schedule.
 func WithAlphaSchedule(s rl.Schedule) Option {
 	return func(l *Learner) error {
-		l.AlphaSchedule = s
+		l.alphaSchedule = s
 		return nil
 	}
 }
@@ -126,16 +127,14 @@ func WithAlphaSchedule(s rl.Schedule) Option {
 // with a per-episode schedule (ignored when Params.Policy is set).
 func WithEpsilonSchedule(s rl.Schedule) Option {
 	return func(l *Learner) error {
-		l.EpsilonSchedule = s
+		l.epsilonSchedule = s
 		return nil
 	}
 }
 
 // NewLearner validates cfg, applies defaults (Params zero value →
 // DefaultParams, Episodes 0 → DefaultEpisodes) and the options, and
-// returns a ready-to-Learn Learner. This is the supported way to
-// construct a Learner; the struct literal form remains for one more
-// release (see Learner).
+// returns a ready-to-Learn Learner.
 func NewLearner(cfg Config, opts ...Option) (*Learner, error) {
 	if cfg.Workflow == nil || cfg.Fleet == nil {
 		return nil, fmt.Errorf("core: learner needs a workflow and a fleet")
@@ -153,16 +152,25 @@ func NewLearner(cfg Config, opts ...Option) (*Learner, error) {
 		return nil, err
 	}
 	l := &Learner{
-		Workflow:  cfg.Workflow,
-		Fleet:     cfg.Fleet,
-		Params:    cfg.Params,
-		Episodes:  cfg.Episodes,
-		SimConfig: cfg.Sim,
+		workflow:  cfg.Workflow,
+		fleet:     cfg.Fleet,
+		params:    cfg.Params,
+		episodes:  cfg.Episodes,
+		simConfig: cfg.Sim,
 	}
 	for _, opt := range opts {
 		if err := opt(l); err != nil {
 			return nil, err
 		}
+	}
+	if l.seedStore != nil {
+		// Built only now, so the table's own draws follow the final seed
+		// whatever the option order.
+		t, err := SeedTable(l.seedStore, l.workflow, l.fleet, l.seed)
+		if err != nil {
+			return nil, err
+		}
+		l.table, l.seedStore = t, nil
 	}
 	return l, nil
 }

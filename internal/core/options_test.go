@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"reassign/internal/rl"
@@ -37,11 +36,11 @@ func TestNewLearnerDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Episodes != DefaultEpisodes {
-		t.Errorf("Episodes = %d, want %d", l.Episodes, DefaultEpisodes)
+	if l.episodes != DefaultEpisodes {
+		t.Errorf("episodes = %d, want %d", l.episodes, DefaultEpisodes)
 	}
-	if l.Params.Alpha != DefaultParams().Alpha || l.Params.Gamma != DefaultParams().Gamma {
-		t.Errorf("Params = %+v, want DefaultParams", l.Params)
+	if l.params.Alpha != DefaultParams().Alpha || l.params.Gamma != DefaultParams().Gamma {
+		t.Errorf("params = %+v, want DefaultParams", l.params)
 	}
 	if l.sink != nil {
 		t.Error("sink should default to nil (telemetry disabled)")
@@ -51,7 +50,7 @@ func TestNewLearnerDefaults(t *testing.T) {
 func TestNewLearnerOptions(t *testing.T) {
 	w := montage50(t, 4)
 	fl := fleet(t, 16)
-	table := rl.NewTable(rand.New(rand.NewSource(5)), 1.0)
+	table := rl.NewTable(w.Len(), len(fl.VMs), rand.New(rand.NewSource(5)), 1.0)
 	agg := telemetry.NewAggregator()
 	l, err := NewLearner(Config{Workflow: w, Fleet: fl, Episodes: 3},
 		WithSeed(42), WithSink(agg), WithTable(table),
@@ -61,10 +60,10 @@ func TestNewLearnerOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Seed != 42 || l.Table != table || l.sink != telemetry.Sink(agg) {
+	if l.seed != 42 || l.table != table || l.sink != telemetry.Sink(agg) {
 		t.Errorf("options not applied: %+v", l)
 	}
-	if l.AlphaSchedule == nil || l.EpsilonSchedule == nil {
+	if l.alphaSchedule == nil || l.epsilonSchedule == nil {
 		t.Error("schedules not applied")
 	}
 	// WithSink(Discard) normalises to nil so the hot path stays guarded
@@ -78,21 +77,13 @@ func TestNewLearnerOptions(t *testing.T) {
 	}
 }
 
-func TestLearnNegativeEpisodesOnStructLiteral(t *testing.T) {
-	// The deprecated literal form bypasses NewLearner's validation, so
-	// Learn itself must reject a negative budget rather than silently
-	// running zero episodes.
-	l := &Learner{Workflow: montage50(t, 4), Fleet: fleet(t, 16), Params: DefaultParams(), Episodes: -3}
-	_, err := l.Learn()
-	if err == nil || !strings.Contains(err.Error(), "negative episode budget") {
-		t.Fatalf("Learn with negative episodes: %v", err)
-	}
-}
-
 func TestLearnZeroEpisodesDefaults(t *testing.T) {
 	// Episodes 0 means "the paper's default budget", not "skip learning":
 	// the result must report DefaultEpisodes learning episodes.
-	l := &Learner{Workflow: montage50(t, 4), Fleet: fleet(t, 16), Params: DefaultParams(), Seed: 2}
+	l, err := NewLearner(Config{Workflow: montage50(t, 4), Fleet: fleet(t, 16)}, WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := l.Learn()
 	if err != nil {
 		t.Fatal(err)

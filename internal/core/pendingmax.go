@@ -25,8 +25,8 @@ type rowMax struct {
 }
 
 // build snapshots the cached row maximum of every pending activation.
-// The heap stays unbuilt when some pending row has none (a sparse
-// table, or an activation outside the table's rectangle).
+// The heap stays unbuilt when some pending row has none (an
+// activation outside the table's rectangle).
 func (p *pendingMax) build(tab *rl.Table, pending []bool) {
 	p.built = false
 	h := p.heap[:0]

@@ -105,7 +105,7 @@ func (r *run) learn(t *testing.T, episodes int) {
 		t.Fatal(err)
 	}
 	if r.params.Rule == DoubleQ {
-		agent.WithSecondTable(rl.NewAutoTable(r.w.Len(), len(r.fleet.VMs), rand.New(rand.NewSource(77)), 1.0))
+		agent.WithSecondTable(rl.NewTable(r.w.Len(), len(r.fleet.VMs), rand.New(rand.NewSource(77)), 1.0))
 	}
 	r.agent = agent
 	if r.checked {
@@ -181,7 +181,7 @@ func sameTable(t *testing.T, what string, a, b *rl.Table) {
 func learned(t *testing.T, w *dag.Workflow, fl *cloud.Fleet, seed int64) *rl.Table {
 	t.Helper()
 	r := &run{w: w, fleet: fl, params: DefaultParams(), cfgs: []sim.Config{{}},
-		table: rl.NewDenseTable(w.Len(), len(fl.VMs), rand.New(rand.NewSource(seed)), 1.0)}
+		table: rl.NewTable(w.Len(), len(fl.VMs), rand.New(rand.NewSource(seed)), 1.0)}
 	r.learn(t, 4)
 	return r.table
 }
@@ -193,11 +193,8 @@ func TestIncrementalBootstrapMatchesScan(t *testing.T) {
 	fl := fleet(t, 16)
 	nv := len(fl.VMs)
 	fluct := cloud.DefaultFluctuation()
-	dense := func(seed int64, span float64) func() *rl.Table {
-		return func() *rl.Table { return rl.NewDenseTable(w.Len(), nv, rand.New(rand.NewSource(seed)), span) }
-	}
-	sparse := func(seed int64) func() *rl.Table {
-		return func() *rl.Table { return rl.NewTable(rand.New(rand.NewSource(seed)), 1.0) }
+	fresh := func(seed int64, span float64) func() *rl.Table {
+		return func() *rl.Table { return rl.NewTable(w.Len(), nv, rand.New(rand.NewSource(seed)), span) }
 	}
 
 	big := trace.MontageN(rand.New(rand.NewSource(6)), 300)
@@ -228,7 +225,7 @@ func TestIncrementalBootstrapMatchesScan(t *testing.T) {
 	abort := sim.Config{FailureByActivity: map[string]float64{"mBgModel": 1}}
 
 	multi := cloud.MustFleet("multi", []cloud.VMType{cloud.T2Large, cloud.T22XLarge}, []int{2, 1})
-	multiTable := func() *rl.Table { return rl.NewDenseTable(w.Len(), 3, rand.New(rand.NewSource(23)), 1.0) }
+	multiTable := func() *rl.Table { return rl.NewTable(w.Len(), 3, rand.New(rand.NewSource(23)), 1.0) }
 
 	const (
 		always = iota // every bootstrap is answered with the heap standing
@@ -236,20 +233,23 @@ func TestIncrementalBootstrapMatchesScan(t *testing.T) {
 		partly        // built, then dropped when the fleet grows
 	)
 	cases := []struct {
-		name     string
-		w        *dag.Workflow
-		fleet    *cloud.Fleet
-		table    func() *rl.Table
-		twin     func() *rl.Table // same seed, sparse: the scan-only path
+		name  string
+		w     *dag.Workflow
+		fleet *cloud.Fleet
+		table func() *rl.Table
+		// twin adds a run on the scan-only path: a table of the same seed
+		// one column wider than the fleet, so fleetIsColumns is false
+		// while the fleet keeps its size.
+		twin     bool
 		cfgs     []sim.Config
 		episodes int
 		heap     int
 	}{
-		{name: "cold-dense", w: w, fleet: fl, table: dense(23, 1), twin: sparse(23),
+		{name: "cold-dense", w: w, fleet: fl, table: fresh(23, 1), twin: true,
 			cfgs: []sim.Config{{Fluct: &fluct}}, episodes: 5, heap: always},
 		{name: "cold-banded", w: big, fleet: bigFleet, episodes: 2, heap: always,
 			table: func() *rl.Table {
-				return rl.NewBandedTable(big.Len(), len(bigFleet.VMs), rand.New(rand.NewSource(23)), 1.0)
+				return rl.NewTable(big.Len(), len(bigFleet.VMs), rand.New(rand.NewSource(23)), 1.0)
 			},
 			cfgs: []sim.Config{{}}},
 		{name: "warm-copy", w: w, fleet: fl, episodes: 4, heap: always,
@@ -260,24 +260,24 @@ func TestIncrementalBootstrapMatchesScan(t *testing.T) {
 				return rl.Average(rand.New(rand.NewSource(4)), learned(t, w, fl, 3), learned(t, w, fl, 5))
 			},
 			cfgs: []sim.Config{{}}},
-		{name: "retries", w: w, fleet: fl, table: dense(23, 1), twin: sparse(23), episodes: 5, heap: always,
+		{name: "retries", w: w, fleet: fl, table: fresh(23, 1), twin: true, episodes: 5, heap: always,
 			cfgs: []sim.Config{{Fluct: &fluct, Failure: cloud.FailureModel{Rate: 0.15}, MaxRetries: 8}}},
-		{name: "aborted-then-prepare", w: w, fleet: fl, table: dense(23, 1), twin: sparse(23), episodes: 5, heap: always,
+		{name: "aborted-then-prepare", w: w, fleet: fl, table: fresh(23, 1), twin: true, episodes: 5, heap: always,
 			cfgs: []sim.Config{{}, abort}},
-		{name: "autoscale-grows", w: fan, fleet: fl, twin: sparse(23), episodes: 4, heap: partly,
-			table: func() *rl.Table { return rl.NewDenseTable(fan.Len(), nv, rand.New(rand.NewSource(23)), 1.0) },
+		{name: "autoscale-grows", w: fan, fleet: fl, twin: true, episodes: 4, heap: partly,
+			table: func() *rl.Table { return rl.NewTable(fan.Len(), nv, rand.New(rand.NewSource(23)), 1.0) },
 			cfgs:  []sim.Config{autoscale}},
 		// Revoked VMs stay listed, with the work they finished: the fleet
 		// is still the table's columns. The VMs the autoscaler replaces
 		// them with (from t=0 at this threshold) are not.
-		{name: "spot", w: w, fleet: multi, table: multiTable, twin: sparse(23), episodes: 4, heap: always,
+		{name: "spot", w: w, fleet: multi, table: multiTable, twin: true, episodes: 4, heap: always,
 			cfgs: []sim.Config{{Fluct: &fluct, Spot: &sim.SpotPolicy{MeanLifetime: 300, KeepOne: true}}}},
-		{name: "spot+autoscale", w: w, fleet: multi, table: multiTable, twin: sparse(23), episodes: 4, heap: never,
+		{name: "spot+autoscale", w: w, fleet: multi, table: multiTable, twin: true, episodes: 4, heap: never,
 			cfgs: []sim.Config{{Spot: &sim.SpotPolicy{MeanLifetime: 250, KeepOne: true},
 				Autoscale: &sim.Autoscale{Type: cloud.T2Large, MaxVMs: 5, BootDelay: 5, IdleTimeout: 150, QueuePerFreeSlot: 0.5}}}},
 		{name: "gapped-ids", w: w, fleet: gapped, episodes: 3, heap: never,
-			table: func() *rl.Table { return rl.NewDenseTable(w.Len(), 4, rand.New(rand.NewSource(23)), 1.0) },
-			twin:  sparse(23), cfgs: []sim.Config{{}}},
+			table: func() *rl.Table { return rl.NewTable(w.Len(), 4, rand.New(rand.NewSource(23)), 1.0) },
+			twin:  true, cfgs: []sim.Config{{}}},
 		// Four VMs and four columns, every row maximum cached by an earlier
 		// run on VMs 0..3: only the last ID says the columns are not these.
 		{name: "gapped-ids-warm", w: w, fleet: gapped, episodes: 3, heap: never, cfgs: []sim.Config{{}},
@@ -291,17 +291,16 @@ func TestIncrementalBootstrapMatchesScan(t *testing.T) {
 				return tab
 			}},
 		{name: "table-wider-than-fleet", w: w, fleet: fl, episodes: 3, heap: never,
-			table: func() *rl.Table { return rl.NewDenseTable(w.Len(), nv+3, rand.New(rand.NewSource(23)), 1.0) },
-			twin:  sparse(23), cfgs: []sim.Config{{}}},
+			table: func() *rl.Table { return rl.NewTable(w.Len(), nv+3, rand.New(rand.NewSource(23)), 1.0) },
+			twin:  true, cfgs: []sim.Config{{}}},
 		{name: "table-shorter-than-workflow", w: w, fleet: fl, episodes: 3, heap: never,
-			table: func() *rl.Table { return rl.NewDenseTable(w.Len()-5, nv, rand.New(rand.NewSource(23)), 1.0) },
-			twin:  sparse(23), cfgs: []sim.Config{{}}},
-		{name: "sparse", w: w, fleet: fl, table: sparse(23), episodes: 3, heap: never, cfgs: []sim.Config{{}}},
-		{name: "all-ties", w: w, fleet: fl, table: dense(23, 0), episodes: 4, heap: always, cfgs: []sim.Config{{}}},
+			table: func() *rl.Table { return rl.NewTable(w.Len()-5, nv, rand.New(rand.NewSource(23)), 1.0) },
+			twin:  true, cfgs: []sim.Config{{}}},
+		{name: "all-ties", w: w, fleet: fl, table: fresh(23, 0), episodes: 4, heap: always, cfgs: []sim.Config{{}}},
 		// One episode: a TD update of a −Inf cell stores NaN at the flush.
 		{name: "neg-inf-rows", w: w, fleet: fl, episodes: 1, heap: always, cfgs: []sim.Config{{}},
 			table: func() *rl.Table {
-				tab := dense(23, 1)()
+				tab := fresh(23, 1)()
 				for task := w.Len() / 2; task < w.Len(); task++ {
 					for vm := 0; vm < nv; vm++ {
 						tab.Set(rl.Key{Task: task, VM: vm}, math.Inf(-1))
@@ -348,10 +347,11 @@ func TestIncrementalBootstrapMatchesScan(t *testing.T) {
 					t.Fatalf("episode states %v: want both aborted and completed episodes", r.states)
 				}
 			}
-			if tc.twin != nil {
-				ref := &run{w: tc.w, fleet: tc.fleet, table: tc.twin(), params: DefaultParams(), cfgs: tc.cfgs}
+			if tc.twin {
+				wide := rl.NewTable(tc.w.Len(), len(tc.fleet.VMs)+1, rand.New(rand.NewSource(23)), 1.0)
+				ref := &run{w: tc.w, fleet: tc.fleet, table: wide, params: DefaultParams(), cfgs: tc.cfgs}
 				ref.learn(t, tc.episodes)
-				sameTable(t, "rectangle vs sparse (scan-only)", r.table, ref.table)
+				sameTable(t, "fleet-wide vs one column wider (scan-only)", r.table, ref.table)
 			}
 		})
 	}
@@ -371,7 +371,7 @@ func TestOtherRulesKeepEnumerating(t *testing.T) {
 			p := DefaultParams()
 			mod(&p)
 			r := &run{w: w, fleet: fl, params: p, cfgs: []sim.Config{{}},
-				table: rl.NewDenseTable(w.Len(), len(fl.VMs), rand.New(rand.NewSource(23)), 1.0)}
+				table: rl.NewTable(w.Len(), len(fl.VMs), rand.New(rand.NewSource(23)), 1.0)}
 			r.learn(t, 2)
 			if r.agent.pmax.built || len(r.agent.pmax.heap) != 0 {
 				t.Fatalf("%s built the pending-max heap", name)
@@ -391,7 +391,7 @@ func TestEngineModesLearnIdenticalTables(t *testing.T) {
 	cfgs := []sim.Config{{Fluct: &fluct, Failure: cloud.FailureModel{Rate: 0.1}, MaxRetries: 8}}
 	learn := func(mode engineMode) *rl.Table {
 		r := &run{w: w, fleet: fl, params: DefaultParams(), cfgs: cfgs, mode: mode, checked: true,
-			table: rl.NewDenseTable(w.Len(), len(fl.VMs), rand.New(rand.NewSource(23)), 1.0)}
+			table: rl.NewTable(w.Len(), len(fl.VMs), rand.New(rand.NewSource(23)), 1.0)}
 		r.learn(t, 5)
 		return r.table
 	}

@@ -49,7 +49,7 @@ func (r *ReplicaResult) EnsembleTable(seed int64) *rl.Table {
 // LearnReplicas runs the learner's replica ensemble: K independent
 // learners (K = WithReplicas, default 1), each with its own seed,
 // Q table and simulation engine, concurrently. The seeds are split
-// from l.Seed up front via one deterministic rng stream, so the
+// from the learner's seed up front via one deterministic rng stream, so the
 // ensemble's results are bit-identical for any GOMAXPROCS setting —
 // parallelism changes wall-clock time, never the outcome.
 //
@@ -59,24 +59,15 @@ func (r *ReplicaResult) EnsembleTable(seed int64) *rl.Table {
 // replica number (sinks must be safe for concurrent use, which all
 // built-in sinks are).
 func (l *Learner) LearnReplicas() (*ReplicaResult, error) {
-	if l.Workflow == nil || l.Fleet == nil {
-		return nil, fmt.Errorf("core: learner needs a workflow and a fleet")
-	}
-	if l.Episodes < 0 {
-		return nil, fmt.Errorf("core: negative episode budget %d", l.Episodes)
-	}
-	if err := l.Params.Validate(); err != nil {
-		return nil, err
-	}
 	k := l.replicas
 	if k < 1 {
 		k = 1
 	}
 	// Split the seed stream before spawning anything: replica i's
-	// seeds depend only on l.Seed and i, never on scheduling order.
+	// seeds depend only on l.seed and i, never on scheduling order.
 	// The table seed is drawn even when unused (no continuation table)
 	// so the split is stable across both modes.
-	rng := rand.New(rand.NewSource(l.Seed))
+	rng := rand.New(rand.NewSource(l.seed))
 	learnSeeds := make([]int64, k)
 	tableSeeds := make([]int64, k)
 	for i := 0; i < k; i++ {
@@ -93,29 +84,29 @@ func (l *Learner) LearnReplicas() (*ReplicaResult, error) {
 	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
 		sub := &Learner{
-			Workflow:        l.Workflow,
-			Fleet:           l.Fleet,
-			Params:          l.Params,
-			Episodes:        l.Episodes,
-			SimConfig:       l.SimConfig,
-			Seed:            learnSeeds[i],
-			AlphaSchedule:   l.AlphaSchedule,
-			EpsilonSchedule: l.EpsilonSchedule,
+			workflow:        l.workflow,
+			fleet:           l.fleet,
+			params:          l.params,
+			episodes:        l.episodes,
+			simConfig:       l.simConfig,
+			seed:            learnSeeds[i],
+			alphaSchedule:   l.alphaSchedule,
+			epsilonSchedule: l.epsilonSchedule,
 			sink:            telemetry.WithReplicaLabel(l.sink, i),
 			ctx:             l.ctx,
 			enginePool:      l.enginePool,
 		}
-		if l.Table != nil {
+		if l.table != nil {
 			// Own copy per replica: concurrent TD updates must not share
 			// a table, and the caller's table must survive unchanged.
-			sub.Table = l.Table.Copy(rand.New(rand.NewSource(tableSeeds[i])))
+			sub.table = l.table.Copy(rand.New(rand.NewSource(tableSeeds[i])))
 		}
 		wg.Add(1)
 		go func(i int, sub *Learner) {
 			defer wg.Done()
 			res, err := sub.Learn()
 			if err != nil {
-				errs[i] = fmt.Errorf("core: replica %d (seed %d): %w", i, sub.Seed, err)
+				errs[i] = fmt.Errorf("core: replica %d (seed %d): %w", i, sub.seed, err)
 				return
 			}
 			rr.Results[i] = res

@@ -170,7 +170,7 @@ func TestReplicaSharedSinkRace(t *testing.T) {
 func TestReplicaTableContinuation(t *testing.T) {
 	w := montage50(t, 1)
 	f := fleet(t, 16)
-	seedTable := rl.NewDenseTable(w.Len(), len(f.VMs), rand.New(rand.NewSource(9)), 1.0)
+	seedTable := rl.NewTable(w.Len(), len(f.VMs), rand.New(rand.NewSource(9)), 1.0)
 	// Materialise some entries so the copy has content to preserve.
 	for task := 0; task < 5; task++ {
 		for vm := 0; vm < 3; vm++ {

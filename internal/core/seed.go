@@ -37,7 +37,7 @@ func SeedTable(store *provenance.Store, w *dag.Workflow, fleet *cloud.Fleet, see
 	if store != nil {
 		est.ObserveStore(store, "")
 	}
-	table := rl.NewDenseTable(w.Len(), len(fleet.VMs), rand.New(rand.NewSource(seed)), 1.0)
+	table := rl.NewTable(w.Len(), len(fleet.VMs), rand.New(rand.NewSource(seed)), 1.0)
 	preds := make([]float64, fleet.Len())
 	for _, a := range w.Activations() {
 		tmin := math.Inf(1)
@@ -61,18 +61,14 @@ func SeedTable(store *provenance.Store, w *dag.Workflow, fleet *cloud.Fleet, see
 // WithProvenanceSeed initialises the learner's Q table from a
 // provenance store via SeedTable — the cross-execution learning loop:
 // a store written by the execution stage seeds the next learning run.
-// It overrides any table set earlier; combine with WithTable by
-// ordering the options.
+// The table is built once every option is applied, from the learner's
+// final seed. Of WithTable and WithProvenanceSeed, the later one wins.
 func WithProvenanceSeed(store *provenance.Store) Option {
 	return func(l *Learner) error {
 		if store == nil {
 			return fmt.Errorf("core: WithProvenanceSeed(nil)")
 		}
-		t, err := SeedTable(store, l.Workflow, l.Fleet, l.Seed)
-		if err != nil {
-			return err
-		}
-		l.Table = t
+		l.table, l.seedStore = nil, store
 		return nil
 	}
 }

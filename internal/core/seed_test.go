@@ -8,6 +8,7 @@ import (
 	"reassign/internal/dag"
 	"reassign/internal/provenance"
 	"reassign/internal/rl"
+	"reassign/internal/sim"
 	"reassign/internal/trace"
 )
 
@@ -103,6 +104,63 @@ func TestLearnerWithProvenanceSeed(t *testing.T) {
 		Workflow: w, Fleet: fleet, Params: DefaultParams(), Episodes: 1,
 	}, WithProvenanceSeed(nil)); err == nil {
 		t.Fatal("nil store accepted")
+	}
+}
+
+// TestProvenanceSeedOptionOrder pins that the seeded table's own
+// draws — the cells of autoscaled VMs, outside the fleet rectangle —
+// follow the learner's seed whichever order WithSeed and
+// WithProvenanceSeed come in, and that the last of WithTable and
+// WithProvenanceSeed decides the table.
+func TestProvenanceSeedOptionOrder(t *testing.T) {
+	w := trace.Montage50(rand.New(rand.NewSource(4)))
+	fleet, err := cloud.FleetTable1(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := provenance.NewStore()
+	for _, a := range w.Activations()[:10] {
+		store.Add(provenance.Execution{
+			RunID: "prev", TaskID: a.ID, Activity: a.Activity,
+			VMType: "t2.2xlarge", StartAt: 0, FinishAt: a.Runtime / 4,
+			Success: true,
+		})
+	}
+	cfg := Config{Workflow: w, Fleet: fleet, Episodes: 5, Sim: sim.Config{
+		Autoscale: &sim.Autoscale{Type: cloud.T2Micro, MaxVMs: 12, BootDelay: 5, IdleTimeout: 150, QueuePerFreeSlot: 0.5}}}
+	learn := func(opts ...Option) *Result {
+		l, err := NewLearner(cfg, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := l.Learn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a := learn(WithProvenanceSeed(store), WithSeed(7))
+	b := learn(WithSeed(7), WithProvenanceSeed(store))
+	if a.Table.Len() <= w.Len()*len(fleet.VMs) {
+		t.Fatalf("table has %d entries: no autoscaled VM reached it", a.Table.Len())
+	}
+	if da, db := resultDigest(a), resultDigest(b); da != db {
+		t.Fatalf("option order changed what was learned: %s vs %s", da, db)
+	}
+
+	tab := rl.NewTable(w.Len(), len(fleet.VMs), rand.New(rand.NewSource(5)), 1.0)
+	l, err := NewLearner(cfg, WithProvenanceSeed(store), WithTable(tab))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.table != tab {
+		t.Error("WithTable after WithProvenanceSeed did not win")
+	}
+	if l, err = NewLearner(cfg, WithTable(tab), WithProvenanceSeed(store)); err != nil {
+		t.Fatal(err)
+	}
+	if l.table == tab || l.table == nil {
+		t.Error("WithProvenanceSeed after WithTable did not win")
 	}
 }
 

@@ -1,13 +1,16 @@
 package invariant
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"testing"
 
 	"reassign/internal/cloud"
 	"reassign/internal/core"
 	"reassign/internal/dag"
-	"reassign/internal/rl"
 	"reassign/internal/sched"
 	"reassign/internal/sim"
 	"reassign/internal/trace"
@@ -126,28 +129,33 @@ func TestFreshVsResetClustered(t *testing.T) {
 	}
 }
 
-// TestMapVsDenseReplayDifferential trains one learner on a sparse
-// (map) Q table and one on a dense table built from the same init
-// seed, then replays both final plans through the simulator: the
-// traces must be bit-identical, not just the makespans.
-func TestMapVsDenseReplayDifferential(t *testing.T) {
+// TestPooledVsFreshReplayDifferential trains one learner on engines
+// of its own and one on a shared engine pool, pins what both learned
+// to a digest, then replays both final plans through the audited
+// simulator: the traces must be bit-identical, not just the makespans.
+// The digest was recorded when learners could still be given a map
+// backed table; it matched the dense one.
+func TestPooledVsFreshReplayDifferential(t *testing.T) {
 	w := montage(t, 6)
 	fl := fleet16(t)
-	learn := func(table *rl.Table) *core.Result {
-		l := &core.Learner{Workflow: w, Fleet: fl, Params: core.DefaultParams(),
-			Episodes: 8, Seed: 17, Table: table}
+	learn := func(opts ...core.Option) *core.Result {
+		l, err := core.NewLearner(core.Config{Workflow: w, Fleet: fl, Episodes: 8},
+			append(opts, core.WithSeed(17))...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := l.Learn()
 		if err != nil {
 			t.Fatal(err)
 		}
+		const want = "13b43ead24bbecb50b574050ece990598ea575ef72f260085ed1c6fc7a467c36"
+		if got := learnedDigest(res); got != want {
+			t.Errorf("learned digest %s, want %s", got, want)
+		}
 		return res
 	}
-	const initSeed = 23
-	a := learn(rl.NewTable(rand.New(rand.NewSource(initSeed)), 1.0))
-	b := learn(rl.NewDenseTable(w.Len(), len(fl.VMs), rand.New(rand.NewSource(initSeed)), 1.0))
-	if a.PlanMakespan != b.PlanMakespan {
-		t.Fatalf("plan makespans diverge: %v (map) vs %v (dense)", a.PlanMakespan, b.PlanMakespan)
-	}
+	a := learn()
+	b := learn(core.WithEnginePool(sim.NewPool()))
 
 	replay := func(p core.Plan) *sim.Result {
 		assign := make(map[string]int, p.Len())
@@ -169,8 +177,30 @@ func TestMapVsDenseReplayDifferential(t *testing.T) {
 		for _, d := range diffs {
 			t.Errorf("  %s", d)
 		}
-		t.Fatal("map-trained and dense-trained plan replays diverge")
+		t.Fatal("fresh-trained and pool-trained plan replays diverge")
 	}
+}
+
+// learnedDigest is a SHA-256 over a learning run's table Snapshot,
+// plan and plan makespan.
+func learnedDigest(res *core.Result) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	for _, e := range res.Table.Snapshot() {
+		put(uint64(e.Key.Task))
+		put(uint64(e.Key.VM))
+		put(math.Float64bits(e.Value))
+	}
+	for _, e := range res.Plan.Entries() {
+		h.Write([]byte(e.Activation))
+		put(uint64(e.VM))
+	}
+	put(math.Float64bits(res.PlanMakespan))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestSoloVsReplicaDifferential checks the replica-splitting

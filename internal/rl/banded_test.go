@@ -6,18 +6,18 @@ import (
 )
 
 // TestBandedEquivalenceZeroInit drives identical operation sequences
-// against the sparse, dense and banded backings with deterministic
-// (zero) initialisation, across band sizes from one row per band to
-// larger-than-the-table.
+// against the map reference, NewTable's layout and explicit band
+// sizes with deterministic (zero) initialisation, across band sizes
+// from one row per band to larger-than-the-table.
 func TestBandedEquivalenceZeroInit(t *testing.T) {
 	const numTasks, numVMs = 12, 5
 	for _, shift := range []uint{0, 1, 2, 5} {
 		for seed := int64(0); seed < 5; seed++ {
-			m := NewTable(rand.New(rand.NewSource(99)), 0)
+			m := newMapTable(rand.New(rand.NewSource(99)), 0)
 			bd := newRect(numTasks, numVMs, shift, rand.New(rand.NewSource(99)), 0)
 			driveTables(t, m, bd, numTasks, numVMs, seed)
 
-			d := NewDenseTable(numTasks, numVMs, rand.New(rand.NewSource(99)), 0)
+			d := NewTable(numTasks, numVMs, rand.New(rand.NewSource(99)), 0)
 			bd2 := newRect(numTasks, numVMs, shift, rand.New(rand.NewSource(99)), 0)
 			driveTables(t, d, bd2, numTasks, numVMs, seed)
 		}
@@ -26,17 +26,17 @@ func TestBandedEquivalenceZeroInit(t *testing.T) {
 
 // TestBandedEquivalenceRandomInit is the contract the Learner relies
 // on: with the same init seed and the same access sequence, lazily
-// materialised random entries are bit-identical across all three
-// backings.
+// materialised random entries are bit-identical whatever the band
+// size, and equal to the map reference's.
 func TestBandedEquivalenceRandomInit(t *testing.T) {
 	const numTasks, numVMs = 9, 4
 	for _, shift := range []uint{0, 1, 2, 4} {
 		for seed := int64(0); seed < 5; seed++ {
-			m := NewTable(rand.New(rand.NewSource(7*seed+1)), 1.0)
+			m := newMapTable(rand.New(rand.NewSource(7*seed+1)), 1.0)
 			bd := newRect(numTasks, numVMs, shift, rand.New(rand.NewSource(7*seed+1)), 1.0)
 			driveTables(t, m, bd, numTasks, numVMs, seed)
 
-			d := NewDenseTable(numTasks, numVMs, rand.New(rand.NewSource(7*seed+1)), 1.0)
+			d := NewTable(numTasks, numVMs, rand.New(rand.NewSource(7*seed+1)), 1.0)
 			bd2 := newRect(numTasks, numVMs, shift, rand.New(rand.NewSource(7*seed+1)), 1.0)
 			driveTables(t, d, bd2, numTasks, numVMs, seed)
 		}
@@ -55,11 +55,11 @@ func TestBandedPropertyRandomShapes(t *testing.T) {
 		initSpan := float64(shapes.Intn(2)) // zero- and random-init
 		seed := shapes.Int63()
 
-		m := NewTable(rand.New(rand.NewSource(seed)), initSpan)
+		m := newMapTable(rand.New(rand.NewSource(seed)), initSpan)
 		bd := newRect(numTasks, numVMs, shift, rand.New(rand.NewSource(seed)), initSpan)
 		driveTables(t, m, bd, numTasks, numVMs, int64(iter))
 
-		d := NewDenseTable(numTasks, numVMs, rand.New(rand.NewSource(seed)), initSpan)
+		d := NewTable(numTasks, numVMs, rand.New(rand.NewSource(seed)), initSpan)
 		bd2 := newRect(numTasks, numVMs, shift, rand.New(rand.NewSource(seed)), initSpan)
 		driveTables(t, d, bd2, numTasks, numVMs, int64(iter))
 	}
@@ -80,13 +80,11 @@ func TestBandedTieBreakingLargeVMSet(t *testing.T) {
 		tasks[i] = i
 	}
 	backings := map[string]*Table{
-		"map":    NewTable(rand.New(rand.NewSource(3)), 0),
-		"dense":  NewDenseTable(numTasks, numVMs, rand.New(rand.NewSource(3)), 0),
-		"banded": NewBandedTable(numTasks, numVMs, rand.New(rand.NewSource(3)), 0),
+		"one-band": newRect(numTasks, numVMs, 6, rand.New(rand.NewSource(3)), 0),
+		"banded":   NewTable(numTasks, numVMs, rand.New(rand.NewSource(3)), 0),
 	}
-	if !backings["banded"].Banded() {
-		t.Fatalf("NewBandedTable(%d, %d) built %d band(s), want > 1",
-			numTasks, numVMs, len(backings["banded"].bands))
+	if n := len(backings["banded"].bands); n < 2 {
+		t.Fatalf("NewTable(%d, %d) built %d band(s), want > 1", numTasks, numVMs, n)
 	}
 	for name, tab := range backings {
 		// Zero-init: every value ties at 0, so the lowest VM ID wins.
@@ -123,12 +121,12 @@ func TestBandedTieBreakingLargeVMSet(t *testing.T) {
 	}
 }
 
-// TestBandedLazyAllocation checks the banded backing's reason to
-// exist: a 10k × 1000 table that only touches a few rows allocates
-// only those rows' bands.
+// TestBandedLazyAllocation checks the bands' reason to exist: a
+// 10k × 1000 table that only touches a few rows allocates only those
+// rows' bands.
 func TestBandedLazyAllocation(t *testing.T) {
-	tab := NewBandedTable(10000, 1000, rand.New(rand.NewSource(1)), 1.0)
-	if !tab.Banded() {
+	tab := NewTable(10000, 1000, rand.New(rand.NewSource(1)), 1.0)
+	if len(tab.bands) < 2 {
 		t.Fatal("10000x1000 table is not banded")
 	}
 	touched := func() int {
@@ -158,18 +156,18 @@ func TestBandedLazyAllocation(t *testing.T) {
 }
 
 // TestBandedCopyAverage checks the ensemble operations preserve the
-// banded backing and its contents.
+// band layout and the contents.
 func TestBandedCopyAverage(t *testing.T) {
-	a := NewBandedTable(2000, 40, rand.New(rand.NewSource(4)), 1.0)
-	if !a.Banded() {
+	a := NewTable(2000, 40, rand.New(rand.NewSource(4)), 1.0)
+	if len(a.bands) < 2 {
 		t.Fatal("2000x40 table is not banded")
 	}
 	for i := 0; i < 60; i++ {
 		a.TDUpdate(Key{Task: i * 33, VM: i % 40}, 0.5, float64(i), 0.9, 1)
 	}
 	cp := a.Copy(rand.New(rand.NewSource(5)))
-	if !cp.Banded() {
-		t.Fatal("copy of banded table is not banded")
+	if cp.bandShift != a.bandShift || len(cp.bands) != len(a.bands) {
+		t.Fatalf("copy has %d bands of %d rows, original %d of %d", len(cp.bands), cp.bandRows, len(a.bands), a.bandRows)
 	}
 	wa, wc := a.Snapshot(), cp.Snapshot()
 	if len(wa) != len(wc) {
@@ -188,9 +186,8 @@ func TestBandedCopyAverage(t *testing.T) {
 	b := a.Copy(rand.New(rand.NewSource(6)))
 	b.Set(Key{Task: 0, VM: 0}, 100)
 	avg := Average(rand.New(rand.NewSource(7)), a, b)
-	if !avg.Dense() || !avg.Banded() {
-		t.Fatalf("Average of banded tables: Dense=%v Banded=%v, want rectangle-backed and banded",
-			avg.Dense(), avg.Banded())
+	if avg.bandShift != a.bandShift || len(avg.bands) != len(a.bands) {
+		t.Fatalf("Average has %d bands of %d rows, inputs %d of %d", len(avg.bands), avg.bandRows, len(a.bands), a.bandRows)
 	}
 	va, vb := a.Value(Key{Task: 0, VM: 0}), 100.0
 	if got, want := avg.Value(Key{Task: 0, VM: 0}), (va+vb)/2; got != want {

@@ -9,7 +9,7 @@ import (
 // driveTables applies the same mixed access sequence (TDUpdate, Best,
 // MaxOver, MaxRect, Set, Value) to both tables, failing on the first
 // divergent return value.
-func driveTables(t *testing.T, a, b *Table, numTasks, numVMs int, seed int64) {
+func driveTables(t *testing.T, a, b qtable, numTasks, numVMs int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	vms := make([]int, numVMs)
@@ -27,7 +27,7 @@ func driveTables(t *testing.T, a, b *Table, numTasks, numVMs int, seed int64) {
 		case 0:
 			r, g, n := rng.Float64(), rng.Float64(), rng.Float64()
 			if va, vb := a.TDUpdate(k, 0.3, r, g, n), b.TDUpdate(k, 0.3, r, g, n); va != vb {
-				t.Fatalf("step %d: TDUpdate(%v) = %v (map) vs %v (dense)", step, k, va, vb)
+				t.Fatalf("step %d: TDUpdate(%v) = %v vs %v", step, k, va, vb)
 			}
 		case 1:
 			vma, qa := a.Best(k.Task, vms)
@@ -58,7 +58,7 @@ func driveTables(t *testing.T, a, b *Table, numTasks, numVMs int, seed int64) {
 		}
 	}
 	if a.Len() != b.Len() {
-		t.Fatalf("Len: %d (map) vs %d (dense)", a.Len(), b.Len())
+		t.Fatalf("Len: %d vs %d", a.Len(), b.Len())
 	}
 	sa, sb := a.Snapshot(), b.Snapshot()
 	if len(sa) != len(sb) {
@@ -72,36 +72,36 @@ func driveTables(t *testing.T, a, b *Table, numTasks, numVMs int, seed int64) {
 }
 
 // TestMapDenseEquivalenceZeroInit drives identical operation
-// sequences against both backings with deterministic (zero)
-// initialisation: every returned value and the final snapshots must
-// match exactly.
+// sequences against the map reference and a table with deterministic
+// (zero) initialisation: every returned value and the final snapshots
+// must match exactly.
 func TestMapDenseEquivalenceZeroInit(t *testing.T) {
 	const numTasks, numVMs = 12, 5
 	for seed := int64(0); seed < 10; seed++ {
-		m := NewTable(rand.New(rand.NewSource(99)), 0)
-		d := NewDenseTable(numTasks, numVMs, rand.New(rand.NewSource(99)), 0)
+		m := newMapTable(rand.New(rand.NewSource(99)), 0)
+		d := NewTable(numTasks, numVMs, rand.New(rand.NewSource(99)), 0)
 		driveTables(t, m, d, numTasks, numVMs, seed)
 	}
 }
 
 // TestMapDenseEquivalenceRandomInit is the stronger contract the
 // Learner relies on: with the same init seed and the same access
-// sequence, lazily materialised random entries are bit-identical
-// across backings.
+// sequence, lazily materialised random entries are bit-identical to
+// the map reference's.
 func TestMapDenseEquivalenceRandomInit(t *testing.T) {
 	const numTasks, numVMs = 9, 4
 	for seed := int64(0); seed < 10; seed++ {
-		m := NewTable(rand.New(rand.NewSource(7*seed+1)), 1.0)
-		d := NewDenseTable(numTasks, numVMs, rand.New(rand.NewSource(7*seed+1)), 1.0)
+		m := newMapTable(rand.New(rand.NewSource(7*seed+1)), 1.0)
+		d := NewTable(numTasks, numVMs, rand.New(rand.NewSource(7*seed+1)), 1.0)
 		driveTables(t, m, d, numTasks, numVMs, seed)
 	}
 }
 
-// TestDenseOverflowKeys checks keys outside the dense rectangle (the
+// TestDenseOverflowKeys checks keys outside the rectangle (the
 // autoscaling case) spill into the overflow map and behave like
-// sparse entries.
+// entries inside it.
 func TestDenseOverflowKeys(t *testing.T) {
-	d := NewDenseTable(3, 2, rand.New(rand.NewSource(1)), 0)
+	d := NewTable(3, 2, rand.New(rand.NewSource(1)), 0)
 	out := Key{Task: 10, VM: 7} // outside 3×2
 	if v := d.Value(out); v != 0 {
 		t.Fatalf("overflow Value = %v, want 0", v)
@@ -125,11 +125,12 @@ func TestDenseOverflowKeys(t *testing.T) {
 	}
 }
 
-// TestSaveLoadAcrossBackings persists a dense table (including an
-// overflow entry) and loads it into both a sparse and another dense
-// table: all three must agree entry-for-entry.
+// TestSaveLoadAcrossBackings persists a table (including an overflow
+// entry) and loads it into tables of the same, a smaller and a larger
+// shape. Each must hold the saved entries, whichever of them land in
+// overflow, and then behave like the map reference holding them.
 func TestSaveLoadAcrossBackings(t *testing.T) {
-	src := NewDenseTable(4, 3, rand.New(rand.NewSource(5)), 1.0)
+	src := NewTable(4, 3, rand.New(rand.NewSource(5)), 1.0)
 	for task := 0; task < 4; task++ {
 		for vm := 0; vm < 3; vm++ {
 			src.TDUpdate(Key{Task: task, VM: vm}, 0.4, float64(task*vm), 0.9, 0.5)
@@ -143,36 +144,41 @@ func TestSaveLoadAcrossBackings(t *testing.T) {
 	}
 	saved := buf.Bytes()
 
-	intoMap := NewTable(nil, 0)
-	if err := intoMap.Load(bytes.NewReader(saved)); err != nil {
-		t.Fatal(err)
-	}
-	intoDense := NewDenseTable(4, 3, nil, 0)
-	if err := intoDense.Load(bytes.NewReader(saved)); err != nil {
-		t.Fatal(err)
-	}
-
 	want := src.Snapshot()
-	for name, got := range map[string][]Entry{"map": intoMap.Snapshot(), "dense": intoDense.Snapshot()} {
+	for _, shape := range [][2]int{{4, 3}, {2, 2}, {16, 16}} {
+		into := NewTable(shape[0], shape[1], rand.New(rand.NewSource(3)), 1.0)
+		if err := into.Load(bytes.NewReader(saved)); err != nil {
+			t.Fatal(err)
+		}
+		got := into.Snapshot()
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d entries, want %d", name, len(got), len(want))
+			t.Fatalf("%v: %d entries, want %d", shape, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s: entry %d = %+v, want %+v", name, i, got[i], want[i])
+				t.Fatalf("%v: entry %d = %+v, want %+v", shape, i, got[i], want[i])
 			}
 		}
+		m := newMapTable(rand.New(rand.NewSource(3)), 1.0)
+		for _, e := range want {
+			m.Set(e.Key, e.Value)
+		}
+		driveTables(t, m, into, 12, 12, 1)
 	}
 }
 
 // TestDenseTablePanicsOnBadDims pins the constructor contract.
 func TestDenseTablePanicsOnBadDims(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewDenseTable(0, 3) did not panic")
-		}
-	}()
-	NewDenseTable(0, 3, nil, 0)
+	for _, dims := range [][2]int{{0, 3}, {3, 0}, {-1, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewTable(%d, %d) did not panic", dims[0], dims[1])
+				}
+			}()
+			NewTable(dims[0], dims[1], nil, 0)
+		}()
+	}
 }
 
 // qtableBench drives a TD-style workload — the per-completion access
@@ -198,10 +204,6 @@ func qtableBench(b *testing.B, mk func() *Table, numTasks, numVMs int) {
 	}
 }
 
-func BenchmarkQTableMap(b *testing.B) {
-	qtableBench(b, func() *Table { return NewTable(rand.New(rand.NewSource(1)), 1.0) }, 50, 16)
-}
-
 func BenchmarkQTableDense(b *testing.B) {
-	qtableBench(b, func() *Table { return NewDenseTable(50, 16, rand.New(rand.NewSource(1)), 1.0) }, 50, 16)
+	qtableBench(b, func() *Table { return NewTable(50, 16, rand.New(rand.NewSource(1)), 1.0) }, 50, 16)
 }

@@ -12,37 +12,30 @@ func (t *Table) Copy(rng *rand.Rand) *Table {
 		rng = rand.New(rand.NewSource(1))
 	}
 	c := &Table{
-		seenN:    t.seenN,
-		numTasks: t.numTasks,
-		numVMs:   t.numVMs,
-		rng:      rng,
-		initSpan: t.initSpan,
+		bandShift: t.bandShift,
+		bandRows:  t.bandRows,
+		bands:     make([]band, len(t.bands)),
+		seenN:     t.seenN,
+		numTasks:  t.numTasks,
+		numVMs:    t.numVMs,
+		rowN:      append([]int32(nil), t.rowN...),
+		rowMax:    append([]float64(nil), t.rowMax...),
+		rowArg:    append([]int32(nil), t.rowArg...),
+		rowOK:     append([]bool(nil), t.rowOK...),
+		rng:       rng,
+		initSpan:  t.initSpan,
 	}
-	if t.bands != nil {
-		c.bandShift = t.bandShift
-		c.bandRows = t.bandRows
-		c.bands = make([]band, len(t.bands))
-		for i := range t.bands {
-			if t.bands[i].vals != nil {
-				c.bands[i].vals = append([]float64(nil), t.bands[i].vals...)
-				c.bands[i].seen = append([]uint64(nil), t.bands[i].seen...)
-			}
+	for i := range t.bands {
+		if t.bands[i].vals != nil {
+			c.bands[i].vals = append([]float64(nil), t.bands[i].vals...)
+			c.bands[i].seen = append([]uint64(nil), t.bands[i].seen...)
 		}
-		c.rowN = append([]int32(nil), t.rowN...)
-		c.rowMax = append([]float64(nil), t.rowMax...)
-		c.rowArg = append([]int32(nil), t.rowArg...)
-		c.rowOK = append([]bool(nil), t.rowOK...)
-		if len(t.overflow) > 0 {
-			c.overflow = make(map[Key]float64, len(t.overflow))
-			for k, v := range t.overflow {
-				c.overflow[k] = v
-			}
-		}
-		return c
 	}
-	c.values = make(map[Key]float64, len(t.values))
-	for k, v := range t.values {
-		c.values[k] = v
+	if len(t.overflow) > 0 {
+		c.overflow = make(map[Key]float64, len(t.overflow))
+		for k, v := range t.overflow {
+			c.overflow[k] = v
+		}
 	}
 	return c
 }
@@ -54,32 +47,16 @@ func (t *Table) Copy(rng *rand.Rand) *Table {
 // cross-execution continuation — K replicas explore independently and
 // their consensus values seed the next execution's learning.
 //
-// The result is rectangle-backed when every input is rectangle-backed
-// with equal dimensions (inheriting tables[0]'s rectangle, band
-// layout, and initSpan), sparse otherwise. rng becomes the result's
-// source for future materialisation. Average panics on an empty table
-// list.
+// The result takes tables[0]'s rectangle, band layout and initSpan;
+// entries outside that rectangle (from tables of other shapes) land in
+// its overflow map. rng becomes the result's source for future
+// materialisation. Average panics on an empty table list.
 func Average(rng *rand.Rand, tables ...*Table) *Table {
 	if len(tables) == 0 {
 		panic("rl: Average of no tables")
 	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
 	first := tables[0]
-	allRect := first.bands != nil
-	for _, t := range tables[1:] {
-		if t.bands == nil || t.numTasks != first.numTasks || t.numVMs != first.numVMs {
-			allRect = false
-			break
-		}
-	}
-	var out *Table
-	if allRect {
-		out = newRect(first.numTasks, first.numVMs, first.bandShift, rng, first.initSpan)
-	} else {
-		out = NewTable(rng, first.initSpan)
-	}
+	out := newRect(first.numTasks, first.numVMs, first.bandShift, rng, first.initSpan)
 	sum := make(map[Key]float64)
 	count := make(map[Key]int)
 	for _, t := range tables {

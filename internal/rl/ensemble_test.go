@@ -6,24 +6,27 @@ import (
 	"testing"
 )
 
+// TestCopyIsIndependent copies a small table ("dense": one band) and a
+// large, sparsely touched one ("sparse": most bands never allocated),
+// each with an overflow entry.
 func TestCopyIsIndependent(t *testing.T) {
-	for _, dense := range []bool{true, false} {
-		name := "sparse"
-		mk := func() *Table { return NewTable(rand.New(rand.NewSource(1)), 1.0) }
-		if dense {
-			name = "dense"
-			mk = func() *Table { return NewDenseTable(10, 4, rand.New(rand.NewSource(1)), 1.0) }
-		}
-		t.Run(name, func(t *testing.T) {
-			orig := mk()
+	for _, tc := range []struct {
+		name           string
+		numTasks, nVMs int
+	}{{"dense", 10, 4}, {"sparse", 2000, 40}} {
+		t.Run(tc.name, func(t *testing.T) {
+			orig := NewTable(tc.numTasks, tc.nVMs, rand.New(rand.NewSource(1)), 1.0)
 			orig.Set(Key{Task: 1, VM: 2}, 3.5)
-			orig.Set(Key{Task: 20, VM: 9}, -1.0) // overflow in dense mode
+			orig.Set(Key{Task: 4000, VM: 99}, -1.0) // overflow
 			cp := orig.Copy(rand.New(rand.NewSource(2)))
 			if cp.Len() != orig.Len() {
 				t.Fatalf("copy has %d entries, original %d", cp.Len(), orig.Len())
 			}
 			if got := cp.Value(Key{Task: 1, VM: 2}); got != 3.5 {
 				t.Fatalf("copied value = %v, want 3.5", got)
+			}
+			if got, ok := cp.Peek(Key{Task: 4000, VM: 99}); !ok || got != -1 {
+				t.Fatalf("copied overflow value = (%v, %v), want (-1, true)", got, ok)
 			}
 			// Writes to the copy must not touch the original and vice
 			// versa — including lazily materialised entries.
@@ -35,22 +38,27 @@ func TestCopyIsIndependent(t *testing.T) {
 			if _, ok := cp.Peek(Key{Task: 2, VM: 0}); ok {
 				t.Fatal("copy sees entry materialised on the original")
 			}
-			if dense {
-				nt, nv := cp.Dims()
-				if nt != 10 || nv != 4 {
-					t.Fatalf("copy dims = %dx%d, want 10x4", nt, nv)
+			if nt, nv := cp.Dims(); nt != tc.numTasks || nv != tc.nVMs {
+				t.Fatalf("copy dims = %dx%d, want %dx%d", nt, nv, tc.numTasks, tc.nVMs)
+			}
+			allocated := func(tab *Table) (n int) {
+				for i := range tab.bands {
+					if tab.bands[i].vals != nil {
+						n++
+					}
 				}
-				if !cp.Dense() {
-					t.Fatal("copy of a dense table should be dense")
-				}
+				return n
+			}
+			if a, c := allocated(orig), allocated(cp); a != c || len(orig.bands) != len(cp.bands) {
+				t.Fatalf("copy allocated %d of %d bands, original %d of %d", c, len(cp.bands), a, len(orig.bands))
 			}
 		})
 	}
 }
 
 func TestAverageArithmetic(t *testing.T) {
-	a := NewDenseTable(4, 3, rand.New(rand.NewSource(1)), 0)
-	b := NewDenseTable(4, 3, rand.New(rand.NewSource(2)), 0)
+	a := NewTable(4, 3, rand.New(rand.NewSource(1)), 0)
+	b := NewTable(4, 3, rand.New(rand.NewSource(2)), 0)
 	k1 := Key{Task: 0, VM: 0}
 	k2 := Key{Task: 1, VM: 2}
 	k3 := Key{Task: 3, VM: 1}
@@ -60,8 +68,8 @@ func TestAverageArithmetic(t *testing.T) {
 	b.Set(k3, -6) // only b materialised k3
 
 	avg := Average(rand.New(rand.NewSource(3)), a, b)
-	if !avg.Dense() {
-		t.Fatal("average of equal-dims dense tables should be dense")
+	if nt, nv := avg.Dims(); nt != 4 || nv != 3 {
+		t.Fatalf("average dims = %dx%d, want 4x3", nt, nv)
 	}
 	if got, _ := avg.Peek(k1); got != 3 {
 		t.Fatalf("avg[k1] = %v, want 3 (mean of 2 and 4)", got)
@@ -79,18 +87,29 @@ func TestAverageArithmetic(t *testing.T) {
 	}
 }
 
-func TestAverageMixedBackingsFallsBackToSparse(t *testing.T) {
-	a := NewDenseTable(4, 3, rand.New(rand.NewSource(1)), 0)
-	b := NewTable(rand.New(rand.NewSource(2)), 0)
-	k := Key{Task: 2, VM: 1}
+// TestAverageMixedShapesKeepsFirstRectangle averages tables of two
+// shapes: the result takes the first table's rectangle, and entries
+// outside it land in overflow without changing what the average holds.
+func TestAverageMixedShapesKeepsFirstRectangle(t *testing.T) {
+	a := NewTable(4, 3, rand.New(rand.NewSource(1)), 0)
+	b := NewTable(8, 5, rand.New(rand.NewSource(2)), 0)
+	k, out := Key{Task: 2, VM: 1}, Key{Task: 7, VM: 4}
 	a.Set(k, 1)
 	b.Set(k, 5)
+	b.Set(out, 2)
 	avg := Average(nil, a, b)
-	if avg.Dense() {
-		t.Fatal("average over mixed backings should be sparse")
+	if nt, nv := avg.Dims(); nt != 4 || nv != 3 {
+		t.Fatalf("average dims = %dx%d, want tables[0]'s 4x3", nt, nv)
 	}
-	if got, _ := avg.Peek(k); math.Abs(got-3) > 1e-15 {
-		t.Fatalf("avg = %v, want 3", got)
+	want := []Entry{{Key: k, Value: 3}, {Key: out, Value: 2}}
+	got := avg.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("Snapshot = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key || math.Abs(got[i].Value-want[i].Value) > 1e-15 {
+			t.Fatalf("Snapshot = %+v, want %+v", got, want)
+		}
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 
 // FuzzBandIndex probes the band index math (locate / allocBand /
 // bitset offsets) with arbitrary table shapes and band shifts,
-// checking every banded read and write against the sparse map
-// backing, including keys outside the rectangle (overflow map).
+// checking every read and write against the map reference, including
+// keys outside the rectangle (overflow map).
 func FuzzBandIndex(f *testing.F) {
 	f.Add(uint16(12), uint8(5), uint8(2), int64(1))
 	f.Add(uint16(1), uint8(1), uint8(0), int64(2))
@@ -19,7 +19,7 @@ func FuzzBandIndex(f *testing.F) {
 		numVMs := 1 + int(rawVMs)
 		shift := uint(rawShift) % 11 // band sizes 1 .. 1024 rows
 
-		m := NewTable(rand.New(rand.NewSource(seed)), 1.0)
+		m := newMapTable(rand.New(rand.NewSource(seed)), 1.0)
 		bd := newRect(numTasks, numVMs, shift, rand.New(rand.NewSource(seed)), 1.0)
 
 		ops := rand.New(rand.NewSource(seed ^ 0x5eed))

@@ -4,26 +4,23 @@
 // Boltzmann softmax for ablation), parameter schedules, and episode
 // persistence so learning progresses across workflow executions.
 //
-// A Table has interchangeable backings. NewTable returns the sparse
-// backing — a map keyed by (task, VM) — which handles unbounded key
-// spaces. NewDenseTable and NewBandedTable return rectangle backings
-// over tasks [0, numTasks) × VMs [0, numVMs): Q(task, vm) lives at a
-// fixed offset in a contiguous row, which gives O(1) access without
-// hashing and lets the row/rectangle maxima (Best, MaxRect,
-// ArgmaxRect) run as tight loops over contiguous memory. The dense
-// form allocates the whole rectangle up front; the banded form groups
-// rows into cache-sized bands allocated lazily on first touch, so a
-// 10k-activation × 1000-VM problem only pays for the rows it visits
-// and row scans stay cache-resident. NewAutoTable picks between them
-// by rectangle size.
+// A Table covers the action space a learner knows up front — tasks
+// [0, numTasks) × VMs [0, numVMs) — with Q(task, vm) at a fixed
+// offset in a contiguous row, which gives O(1) access without hashing
+// and lets the row/rectangle maxima (Best, MaxRect, ArgmaxRect) run as
+// tight loops over contiguous memory. Rows are grouped into
+// cache-sized bands allocated lazily on first touch: a small table is
+// one band sized to its rows, and a 10k-activation × 1000-VM problem
+// only pays for the rows it visits while row scans stay
+// cache-resident.
 //
-// All backings materialise entries lazily on first access, drawing
-// random initial values from the table's source in access order, so
-// for the same seed and the same access sequence every backing holds
-// bit-identical values; entries outside a rectangle (e.g. autoscaled
-// VMs beyond the initial fleet) spill into a sparse overflow map.
-// Save/Load use one JSON format, so persisted tables round-trip
-// across backings.
+// Entries materialise lazily on first access, drawing random initial
+// values from the table's source in access order, so the same seed
+// and the same access sequence give bit-identical values whatever the
+// band layout. Keys outside the rectangle (autoscaled VMs beyond the
+// initial fleet, or entries loaded from a table of another shape)
+// spill into an overflow map. Save/Load use one JSON format, so a
+// persisted table loads into a table of any shape.
 package rl
 
 import (
@@ -44,16 +41,10 @@ type Key struct {
 	VM   int `json:"vm"`
 }
 
-const (
-	// bandTargetBytes sizes one band's value array for NewBandedTable:
-	// small enough that a band stays cache-resident while Best/MaxRect
-	// scan its rows, large enough to amortise per-band bookkeeping.
-	bandTargetBytes = 256 << 10
-
-	// autoCells is the rectangle size above which NewAutoTable picks
-	// the banded backing over the eagerly allocated dense one.
-	autoCells = 1 << 17
-)
+// bandTargetBytes sizes one band's value array: small enough that a
+// band stays cache-resident while Best/MaxRect scan its rows, large
+// enough to amortise per-band bookkeeping.
+const bandTargetBytes = 256 << 10
 
 // band is one group of consecutive task rows. vals is nil until the
 // band is first touched; seen is a bitset over vals tracking which
@@ -69,22 +60,17 @@ func (b *band) mark(off int)        { b.seen[off>>6] |= 1 << (uint(off) & 63) }
 // Table is the evaluation table Q: schedule-action → expected reward.
 // Per the paper's Algorithm 2 it is initialised at random; entries
 // materialise lazily on first access so the table never stores
-// untouched pairs. See the package comment for the backings.
+// untouched pairs. See the package comment for the layout.
 type Table struct {
-	// Sparse backing (nil when rectangle-backed).
-	values map[Key]float64
-
-	// Rectangle backing (nil when sparse): row task lives in band
-	// task>>bandShift at row offset task&(bandRows-1). Dense tables
-	// hold one eagerly allocated band; banded tables allocate bands
-	// on first touch.
+	// Row task lives in band task>>bandShift at row offset
+	// task&(bandRows-1); bands are allocated on first touch.
 	bands     []band
 	bandShift uint
 	bandRows  int
 	seenN     int
 	numTasks  int
 	numVMs    int
-	// overflow holds rectangle-mode entries outside the rectangle.
+	// overflow holds the entries outside the rectangle.
 	overflow map[Key]float64
 
 	// Row-max cache for the MaxRect bootstrap fast path. rowN counts
@@ -105,21 +91,27 @@ type Table struct {
 	initSpan float64
 }
 
-// NewTable returns a sparse (map-backed) table whose unseen entries
-// initialise uniformly in [0, initSpan) using the given source.
-func NewTable(rng *rand.Rand, initSpan float64) *Table {
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
+// NewTable returns a table covering tasks [0, numTasks) × VMs
+// [0, numVMs) whose entries initialise uniformly in [0, initSpan)
+// from rng (a nil rng falls back to a fixed seed). Rows are grouped
+// into bands of at most 256 KiB, each allocated on first touch. Keys
+// outside the rectangle still work: they spill into an overflow map.
+// Both dimensions must be positive.
+func NewTable(numTasks, numVMs int, rng *rand.Rand, initSpan float64) *Table {
+	if numTasks <= 0 || numVMs <= 0 {
+		panic(fmt.Sprintf("rl: table (%d, %d): dimensions must be positive", numTasks, numVMs))
 	}
-	return &Table{values: make(map[Key]float64), rng: rng, initSpan: initSpan}
+	rowsPerBand := bandTargetBytes / (numVMs * 8)
+	shift := uint(0)
+	for 1<<(shift+1) <= rowsPerBand {
+		shift++
+	}
+	return newRect(numTasks, numVMs, shift, rng, initSpan)
 }
 
-// newRect builds a rectangle-backed table with 1<<bandShift rows per
-// band and no bands allocated yet.
+// newRect builds a table with 1<<bandShift rows per band and no bands
+// allocated yet.
 func newRect(numTasks, numVMs int, bandShift uint, rng *rand.Rand, initSpan float64) *Table {
-	if numTasks <= 0 || numVMs <= 0 {
-		panic(fmt.Sprintf("rl: rectangle table (%d, %d): dimensions must be positive", numTasks, numVMs))
-	}
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
@@ -140,56 +132,7 @@ func newRect(numTasks, numVMs int, bandShift uint, rng *rand.Rand, initSpan floa
 	}
 }
 
-// NewDenseTable returns a rectangle table covering tasks
-// [0, numTasks) × VMs [0, numVMs) with the whole rectangle allocated
-// up front as a single band. Keys outside the rectangle still work —
-// they spill into a sparse overflow map — but lose the O(1) path.
-// Both dimensions must be positive.
-func NewDenseTable(numTasks, numVMs int, rng *rand.Rand, initSpan float64) *Table {
-	shift := uint(0)
-	for 1<<shift < numTasks {
-		shift++
-	}
-	t := newRect(numTasks, numVMs, shift, rng, initSpan)
-	t.allocBand(0)
-	return t
-}
-
-// NewBandedTable returns a rectangle table whose rows are grouped
-// into cache-sized bands allocated lazily on first touch: ideal for
-// very large rectangles where learning visits rows incrementally.
-// Both dimensions must be positive.
-func NewBandedTable(numTasks, numVMs int, rng *rand.Rand, initSpan float64) *Table {
-	if numVMs <= 0 {
-		panic(fmt.Sprintf("rl: rectangle table (%d, %d): dimensions must be positive", numTasks, numVMs))
-	}
-	rowsPerBand := bandTargetBytes / (numVMs * 8)
-	shift := uint(0)
-	for 1<<(shift+1) <= rowsPerBand {
-		shift++
-	}
-	return newRect(numTasks, numVMs, shift, rng, initSpan)
-}
-
-// NewAutoTable returns a rectangle table sized for the workload:
-// dense (eager, single-band) below autoCells cells, banded (lazy,
-// cache-sized bands) above. Both dimensions must be positive.
-func NewAutoTable(numTasks, numVMs int, rng *rand.Rand, initSpan float64) *Table {
-	if numTasks > 0 && numVMs > 0 && numTasks*numVMs >= autoCells {
-		return NewBandedTable(numTasks, numVMs, rng, initSpan)
-	}
-	return NewDenseTable(numTasks, numVMs, rng, initSpan)
-}
-
-// Dense reports whether the table uses a rectangle backing (dense or
-// banded) rather than the sparse map.
-func (t *Table) Dense() bool { return t.bands != nil }
-
-// Banded reports whether the rectangle backing spans multiple
-// lazily allocated bands.
-func (t *Table) Banded() bool { return len(t.bands) > 1 }
-
-// Dims returns the rectangle (0, 0 for sparse tables).
+// Dims returns the rectangle.
 func (t *Table) Dims() (numTasks, numVMs int) { return t.numTasks, t.numVMs }
 
 // draw produces one random initial value.
@@ -200,7 +143,7 @@ func (t *Table) draw() float64 {
 	return 0
 }
 
-// inRect reports whether k falls inside the rectangle backing.
+// inRect reports whether k falls inside the rectangle.
 func (t *Table) inRect(k Key) bool {
 	return k.Task >= 0 && k.Task < t.numTasks && k.VM >= 0 && k.VM < t.numVMs
 }
@@ -228,6 +171,34 @@ func (t *Table) locate(task int) (b *band, base int) {
 		b = t.allocBand(bi)
 	}
 	return b, (task - bi<<t.bandShift) * t.numVMs
+}
+
+// materialise draws the initial value of task's unseen cell at band
+// offset off, stores it and returns it.
+func (t *Table) materialise(b *band, off, task int) float64 {
+	v := t.draw()
+	b.vals[off] = v
+	b.mark(off)
+	t.seenN++
+	t.rowN[task]++
+	return v
+}
+
+// overflowValue is Value for a key outside the rectangle.
+func (t *Table) overflowValue(k Key) float64 {
+	if v, ok := t.overflow[k]; ok {
+		return v
+	}
+	v := t.draw()
+	t.setOverflow(k, v)
+	return v
+}
+
+func (t *Table) setOverflow(k Key, v float64) {
+	if t.overflow == nil {
+		t.overflow = make(map[Key]float64)
+	}
+	t.overflow[k] = v
 }
 
 // updateRowCache folds an in-rectangle write Q(task, vm) = v into the
@@ -263,131 +234,84 @@ func (t *Table) rescanRow(task int) {
 // Value returns Q(k), materialising a random initial value on first
 // access.
 func (t *Table) Value(k Key) float64 {
-	if t.bands != nil {
-		if t.inRect(k) {
-			b, base := t.locate(k.Task)
-			off := base + k.VM
-			if !b.isSeen(off) {
-				v := t.draw()
-				b.vals[off] = v
-				b.mark(off)
-				t.seenN++
-				t.rowN[k.Task]++
-				return v
-			}
-			return b.vals[off]
-		}
-		if v, ok := t.overflow[k]; ok {
-			return v
-		}
-		v := t.draw()
-		if t.overflow == nil {
-			t.overflow = make(map[Key]float64)
-		}
-		t.overflow[k] = v
-		return v
+	if !t.inRect(k) {
+		return t.overflowValue(k)
 	}
-	if v, ok := t.values[k]; ok {
-		return v
+	b, base := t.locate(k.Task)
+	off := base + k.VM
+	if !b.isSeen(off) {
+		return t.materialise(b, off, k.Task)
 	}
-	v := t.draw()
-	t.values[k] = v
-	return v
+	return b.vals[off]
 }
 
 // Peek returns Q(k) without materialising it; ok is false for unseen
 // entries.
 func (t *Table) Peek(k Key) (v float64, ok bool) {
-	if t.bands != nil {
-		if t.inRect(k) {
-			bi := k.Task >> t.bandShift
-			b := &t.bands[bi]
-			if b.vals == nil {
-				return 0, false
-			}
-			off := (k.Task-bi<<t.bandShift)*t.numVMs + k.VM
-			if !b.isSeen(off) {
-				return 0, false
-			}
-			return b.vals[off], true
-		}
+	if !t.inRect(k) {
 		v, ok = t.overflow[k]
 		return v, ok
 	}
-	v, ok = t.values[k]
-	return v, ok
+	bi := k.Task >> t.bandShift
+	b := &t.bands[bi]
+	if b.vals == nil {
+		return 0, false
+	}
+	off := (k.Task-bi<<t.bandShift)*t.numVMs + k.VM
+	if !b.isSeen(off) {
+		return 0, false
+	}
+	return b.vals[off], true
 }
 
 // Set overwrites Q(k).
 func (t *Table) Set(k Key, v float64) {
-	if t.bands != nil {
-		if t.inRect(k) {
-			b, base := t.locate(k.Task)
-			off := base + k.VM
-			if !b.isSeen(off) {
-				b.mark(off)
-				t.seenN++
-				t.rowN[k.Task]++
-			}
-			b.vals[off] = v
-			t.updateRowCache(k.Task, k.VM, v)
-			return
-		}
-		if t.overflow == nil {
-			t.overflow = make(map[Key]float64)
-		}
-		t.overflow[k] = v
+	if !t.inRect(k) {
+		t.setOverflow(k, v)
 		return
 	}
-	t.values[k] = v
+	b, base := t.locate(k.Task)
+	off := base + k.VM
+	if !b.isSeen(off) {
+		b.mark(off)
+		t.seenN++
+		t.rowN[k.Task]++
+	}
+	b.vals[off] = v
+	t.updateRowCache(k.Task, k.VM, v)
 }
 
 // Add increments Q(k) by delta (materialising first).
 func (t *Table) Add(k Key, delta float64) { t.Set(k, t.Value(k)+delta) }
 
 // Len returns the number of materialised entries.
-func (t *Table) Len() int {
-	if t.bands != nil {
-		return t.seenN + len(t.overflow)
-	}
-	return len(t.values)
-}
+func (t *Table) Len() int { return t.seenN + len(t.overflow) }
 
 // Best returns the VM with the highest Q value for the task among the
 // candidates, ties broken by lowest VM ID for determinism. It panics
-// on an empty candidate list. On a rectangle table this is the
-// row-max primitive: one pass over the task's contiguous row.
+// on an empty candidate list. This is the row-max primitive: one pass
+// over the task's contiguous row.
 func (t *Table) Best(task int, vms []int) (vm int, value float64) {
 	if len(vms) == 0 {
 		panic("rl: Best with no candidate VMs")
 	}
-	best, bestV := -1, math.Inf(-1)
-	if t.bands != nil && task >= 0 && task < t.numTasks {
-		b, base := t.locate(task)
-		for _, id := range vms {
-			var v float64
-			if id >= 0 && id < t.numVMs {
-				off := base + id
-				if !b.isSeen(off) {
-					v = t.draw()
-					b.vals[off] = v
-					b.mark(off)
-					t.seenN++
-					t.rowN[task]++
-				} else {
-					v = b.vals[off]
-				}
-			} else {
-				v = t.Value(Key{Task: task, VM: id})
-			}
-			if v > bestV || (v == bestV && (best == -1 || id < best)) {
-				best, bestV = id, v
-			}
-		}
-		return best, bestV
+	inRow := task >= 0 && task < t.numTasks
+	var b *band
+	var base int
+	if inRow {
+		b, base = t.locate(task)
 	}
+	best, bestV := -1, math.Inf(-1)
 	for _, id := range vms {
-		v := t.Value(Key{Task: task, VM: id})
+		var v float64
+		switch {
+		case !inRow || id < 0 || id >= t.numVMs:
+			v = t.overflowValue(Key{Task: task, VM: id})
+		case b.isSeen(base + id):
+			v = b.vals[base+id]
+		default:
+			v = t.materialise(b, base+id, task)
+		}
 		if v > bestV || (v == bestV && (best == -1 || id < best)) {
 			best, bestV = id, v
 		}
@@ -412,10 +336,10 @@ func (t *Table) MaxOver(keys []Key) float64 {
 
 // MaxRect returns the maximum Q value over the tasks × vms cross
 // product, materialising entries in task-major order (the same order
-// a nested Value loop would), or 0 when either list is empty. On a
-// rectangle table each task scans its contiguous row; when vms spans
-// every fleet column the scan consults the row-max cache, making the
-// Q-learning bootstrap O(1) per already-cached row.
+// a nested Value loop would), or 0 when either list is empty. Each
+// task scans its contiguous row; when vms spans every column the scan
+// consults the row-max cache, making the Q-learning bootstrap O(1) per
+// already-cached row.
 func (t *Table) MaxRect(tasks, vms []int) float64 {
 	if len(tasks) == 0 || len(vms) == 0 {
 		return 0
@@ -437,92 +361,65 @@ func (t *Table) ArgmaxRect(tasks, vms []int) (Key, float64) {
 func (t *Table) argmaxRect(tasks, vms []int) (Key, float64) {
 	bestKey := Key{Task: tasks[0], VM: vms[0]}
 	bestV := math.Inf(-1)
-	if t.bands != nil {
-		allIn := true
-		for _, vm := range vms {
-			if vm < 0 || vm >= t.numVMs {
-				allIn = false
-				break
-			}
+	// fullCols: vms is exactly the identity [0, numVMs) — the common
+	// bootstrap shape — which permits the row-max cache.
+	allIn, fullCols := true, len(vms) == t.numVMs
+	for i, vm := range vms {
+		if vm < 0 || vm >= t.numVMs {
+			allIn, fullCols = false, false
+			break
 		}
-		if allIn {
-			// fullCols: vms is exactly the identity [0, numVMs) — the
-			// common bootstrap shape — which both permits the row-max
-			// cache and guarantees the row scan below materialises in
-			// ascending column order.
-			fullCols := len(vms) == t.numVMs
-			if fullCols {
-				for i, vm := range vms {
-					if vm != i {
-						fullCols = false
-						break
-					}
-				}
-			}
-			for _, task := range tasks {
-				if task < 0 || task >= t.numTasks {
-					for _, vm := range vms {
-						if v := t.Value(Key{Task: task, VM: vm}); v > bestV {
-							bestV, bestKey = v, Key{Task: task, VM: vm}
-						}
-					}
-					continue
-				}
-				if fullCols && int(t.rowN[task]) == t.numVMs {
-					if !t.rowOK[task] {
-						t.rescanRow(task)
-					}
-					if v := t.rowMax[task]; v > bestV {
-						bestV, bestKey = v, Key{Task: task, VM: int(t.rowArg[task])}
-					}
-					continue
-				}
-				b, base := t.locate(task)
-				rowBest, rowArg := math.Inf(-1), -1
-				for _, vm := range vms {
-					off := base + vm
-					v := b.vals[off]
-					if !b.isSeen(off) {
-						v = t.draw()
-						b.vals[off] = v
-						b.mark(off)
-						t.seenN++
-						t.rowN[task]++
-					}
-					if v > rowBest {
-						rowBest, rowArg = v, vm
-					}
-				}
-				if fullCols {
-					t.rowMax[task], t.rowArg[task], t.rowOK[task] = rowBest, int32(rowArg), true
-				}
-				if rowBest > bestV {
-					bestV, bestKey = rowBest, Key{Task: task, VM: rowArg}
-				}
-			}
-			return bestKey, bestV
-		}
+		fullCols = fullCols && vm == i
 	}
 	for _, task := range tasks {
-		for _, vm := range vms {
-			if v := t.Value(Key{Task: task, VM: vm}); v > bestV {
-				bestV, bestKey = v, Key{Task: task, VM: vm}
+		if !allIn || task < 0 || task >= t.numTasks {
+			for _, vm := range vms {
+				if v := t.Value(Key{Task: task, VM: vm}); v > bestV {
+					bestV, bestKey = v, Key{Task: task, VM: vm}
+				}
 			}
+			continue
+		}
+		if fullCols && int(t.rowN[task]) == t.numVMs {
+			if !t.rowOK[task] {
+				t.rescanRow(task)
+			}
+			if v := t.rowMax[task]; v > bestV {
+				bestV, bestKey = v, Key{Task: task, VM: int(t.rowArg[task])}
+			}
+			continue
+		}
+		b, base := t.locate(task)
+		rowBest, rowArg := math.Inf(-1), -1
+		for _, vm := range vms {
+			off := base + vm
+			v := b.vals[off]
+			if !b.isSeen(off) {
+				v = t.materialise(b, off, task)
+			}
+			if v > rowBest {
+				rowBest, rowArg = v, vm
+			}
+		}
+		if fullCols {
+			t.rowMax[task], t.rowArg[task], t.rowOK[task] = rowBest, int32(rowArg), true
+		}
+		if rowBest > bestV {
+			bestV, bestKey = rowBest, Key{Task: task, VM: rowArg}
 		}
 	}
 	return bestKey, bestV
 }
 
-// RowMax returns the cached maximum of task's rectangle row. ok is
-// true only when every cell of the row has materialised and the cache
-// entry is current — the state a MaxRect/ArgmaxRect over all fleet
-// columns leaves every row it visits in. The value then stays the
-// row's maximum until the next write to the row, so a caller that
-// knows no write intervenes (core's deferred TD stores) can hold on to
-// it instead of asking again.
+// RowMax returns the cached maximum of task's row. ok is true only
+// when every cell of the row has materialised and the cache entry is
+// current — the state a MaxRect/ArgmaxRect over all columns leaves
+// every row it visits in. The value then stays the row's maximum until
+// the next write to the row, so a caller that knows no write
+// intervenes (core's deferred TD stores) can hold on to it instead of
+// asking again.
 func (t *Table) RowMax(task int) (max float64, ok bool) {
-	if t.bands == nil || task < 0 || task >= t.numTasks ||
-		!t.rowOK[task] || int(t.rowN[task]) != t.numVMs {
+	if task < 0 || task >= t.numTasks || !t.rowOK[task] || int(t.rowN[task]) != t.numVMs {
 		return 0, false
 	}
 	return t.rowMax[task], true
@@ -535,25 +432,19 @@ func (t *Table) Mean() float64 {
 		return 0
 	}
 	var s float64
-	if t.bands != nil {
-		for bi := range t.bands {
-			b := &t.bands[bi]
-			if b.vals == nil {
-				continue
-			}
-			for off, v := range b.vals {
-				if b.isSeen(off) {
-					s += v
-				}
+	for bi := range t.bands {
+		b := &t.bands[bi]
+		if b.vals == nil {
+			continue
+		}
+		for off, v := range b.vals {
+			if b.isSeen(off) {
+				s += v
 			}
 		}
-		for _, v := range t.overflow {
-			s += v
-		}
-	} else {
-		for _, v := range t.values {
-			s += v
-		}
+	}
+	for _, v := range t.overflow {
+		s += v
 	}
 	return s / float64(n)
 }
@@ -562,29 +453,23 @@ func (t *Table) Mean() float64 {
 // table contents.
 func (t *Table) Snapshot() []Entry {
 	out := make([]Entry, 0, t.Len())
-	if t.bands != nil {
-		for bi := range t.bands {
-			b := &t.bands[bi]
-			if b.vals == nil {
-				continue
-			}
-			start := bi << t.bandShift
-			for off, v := range b.vals {
-				if b.isSeen(off) {
-					out = append(out, Entry{Key: Key{Task: start + off/t.numVMs, VM: off % t.numVMs}, Value: v})
-				}
+	for bi := range t.bands {
+		b := &t.bands[bi]
+		if b.vals == nil {
+			continue
+		}
+		start := bi << t.bandShift
+		for off, v := range b.vals {
+			if b.isSeen(off) {
+				out = append(out, Entry{Key: Key{Task: start + off/t.numVMs, VM: off % t.numVMs}, Value: v})
 			}
 		}
-		for k, v := range t.overflow {
-			out = append(out, Entry{Key: k, Value: v})
-		}
-		if len(t.overflow) == 0 {
-			return out // band-major rectangle iteration is already sorted
-		}
-	} else {
-		for k, v := range t.values {
-			out = append(out, Entry{Key: k, Value: v})
-		}
+	}
+	if len(t.overflow) == 0 {
+		return out // band-major rectangle iteration is already sorted
+	}
+	for k, v := range t.overflow {
+		out = append(out, Entry{Key: k, Value: v})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Key.Task != out[j].Key.Task {
@@ -603,7 +488,7 @@ type Entry struct {
 
 // Save writes the table as JSON, preserving learned values across
 // episodes and processes (the paper's cross-episode learning state).
-// The format is backing-independent.
+// The format does not record the rectangle.
 func (t *Table) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -611,28 +496,24 @@ func (t *Table) Save(w io.Writer) error {
 }
 
 // Load replaces the table contents with a previously saved snapshot.
-// The snapshot may come from any backing; entries outside a rectangle
-// table's rectangle land in its overflow map.
+// The snapshot may come from a table of any shape; entries outside
+// this table's rectangle land in its overflow map.
 func (t *Table) Load(r io.Reader) error {
 	var entries []Entry
 	if err := json.NewDecoder(r).Decode(&entries); err != nil {
 		return fmt.Errorf("rl: load table: %w", err)
 	}
-	if t.bands != nil {
-		for bi := range t.bands {
-			b := &t.bands[bi]
-			if b.vals != nil {
-				clear(b.vals)
-				clear(b.seen)
-			}
+	for bi := range t.bands {
+		b := &t.bands[bi]
+		if b.vals != nil {
+			clear(b.vals)
+			clear(b.seen)
 		}
-		clear(t.rowN)
-		clear(t.rowOK)
-		t.seenN = 0
-		t.overflow = nil
-	} else {
-		t.values = make(map[Key]float64, len(entries))
 	}
+	clear(t.rowN)
+	clear(t.rowOK)
+	t.seenN = 0
+	t.overflow = nil
 	for _, e := range entries {
 		t.Set(e.Key, e.Value)
 	}
@@ -666,42 +547,27 @@ func (t *Table) LoadFile(path string) error {
 // Q(k) ← Q(k) + α·(reward + γ·next − Q(k)) and returns the new value.
 // It is the single update rule behind Algorithm 2 (next is
 // max_a' Q(s', a') for Q-learning, a policy sample for SARSA), and
-// the hot-path primitive: one lookup and one store on any backing.
+// the hot-path primitive: one lookup and one store.
 func (t *Table) TDUpdate(k Key, alpha, reward, gamma, next float64) float64 {
-	if t.bands != nil {
-		if t.inRect(k) {
-			b, base := t.locate(k.Task)
-			off := base + k.VM
-			var q float64
-			if !b.isSeen(off) {
-				q = t.draw()
-				b.mark(off)
-				t.seenN++
-				t.rowN[k.Task]++
-			} else {
-				q = b.vals[off]
-			}
-			q += alpha * (reward + gamma*next - q)
-			b.vals[off] = q
-			t.updateRowCache(k.Task, k.VM, q)
-			return q
-		}
-		q, ok := t.overflow[k]
-		if !ok {
-			q = t.draw()
-		}
+	if !t.inRect(k) {
+		q := t.overflowValue(k)
 		q += alpha * (reward + gamma*next - q)
-		if t.overflow == nil {
-			t.overflow = make(map[Key]float64)
-		}
 		t.overflow[k] = q
 		return q
 	}
-	q, ok := t.values[k]
-	if !ok {
+	b, base := t.locate(k.Task)
+	off := base + k.VM
+	var q float64
+	if !b.isSeen(off) {
 		q = t.draw()
+		b.mark(off)
+		t.seenN++
+		t.rowN[k.Task]++
+	} else {
+		q = b.vals[off]
 	}
 	q += alpha * (reward + gamma*next - q)
-	t.values[k] = q
+	b.vals[off] = q
+	t.updateRowCache(k.Task, k.VM, q)
 	return q
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestValueRandomInit(t *testing.T) {
-	tab := NewTable(rand.New(rand.NewSource(1)), 1.0)
+	tab := NewTable(4, 4, rand.New(rand.NewSource(1)), 1.0)
 	k := Key{Task: 0, VM: 0}
 	v1 := tab.Value(k)
 	if v1 < 0 || v1 >= 1 {
@@ -25,19 +25,19 @@ func TestValueRandomInit(t *testing.T) {
 }
 
 func TestZeroInitSpan(t *testing.T) {
-	tab := NewTable(rand.New(rand.NewSource(1)), 0)
+	tab := NewTable(4, 4, rand.New(rand.NewSource(1)), 0)
 	if v := tab.Value(Key{1, 2}); v != 0 {
 		t.Fatalf("zero-span init = %v", v)
 	}
 }
 
 func TestNilRNGDefaults(t *testing.T) {
-	tab := NewTable(nil, 1.0)
+	tab := NewTable(1, 1, nil, 1.0)
 	_ = tab.Value(Key{0, 0}) // must not panic
 }
 
 func TestPeekSetAdd(t *testing.T) {
-	tab := NewTable(rand.New(rand.NewSource(1)), 0)
+	tab := NewTable(4, 4, rand.New(rand.NewSource(1)), 0)
 	if _, ok := tab.Peek(Key{0, 0}); ok {
 		t.Fatal("Peek materialised an entry")
 	}
@@ -52,7 +52,7 @@ func TestPeekSetAdd(t *testing.T) {
 }
 
 func TestBestAndTies(t *testing.T) {
-	tab := NewTable(rand.New(rand.NewSource(1)), 0)
+	tab := NewTable(4, 4, rand.New(rand.NewSource(1)), 0)
 	tab.Set(Key{0, 0}, 1)
 	tab.Set(Key{0, 1}, 3)
 	tab.Set(Key{0, 2}, 3)
@@ -69,7 +69,7 @@ func TestBestAndTies(t *testing.T) {
 }
 
 func TestMaxOver(t *testing.T) {
-	tab := NewTable(rand.New(rand.NewSource(1)), 0)
+	tab := NewTable(4, 4, rand.New(rand.NewSource(1)), 0)
 	tab.Set(Key{0, 0}, -5)
 	tab.Set(Key{1, 0}, 2)
 	if got := tab.MaxOver([]Key{{0, 0}, {1, 0}}); got != 2 {
@@ -81,7 +81,7 @@ func TestMaxOver(t *testing.T) {
 }
 
 func TestMean(t *testing.T) {
-	tab := NewTable(rand.New(rand.NewSource(1)), 0)
+	tab := NewTable(4, 4, rand.New(rand.NewSource(1)), 0)
 	if tab.Mean() != 0 {
 		t.Fatal("empty mean != 0")
 	}
@@ -93,21 +93,22 @@ func TestMean(t *testing.T) {
 }
 
 func TestSnapshotSorted(t *testing.T) {
-	tab := NewTable(rand.New(rand.NewSource(1)), 0)
+	tab := NewTable(4, 4, rand.New(rand.NewSource(1)), 0)
 	tab.Set(Key{1, 1}, 1)
 	tab.Set(Key{0, 2}, 2)
 	tab.Set(Key{0, 1}, 3)
+	tab.Set(Key{0, 9}, 4) // overflow sorts among the rectangle's entries
 	s := tab.Snapshot()
-	if len(s) != 3 {
+	if len(s) != 4 {
 		t.Fatalf("snapshot = %v", s)
 	}
-	if s[0].Key != (Key{0, 1}) || s[1].Key != (Key{0, 2}) || s[2].Key != (Key{1, 1}) {
+	if s[0].Key != (Key{0, 1}) || s[1].Key != (Key{0, 2}) || s[2].Key != (Key{0, 9}) || s[3].Key != (Key{1, 1}) {
 		t.Fatalf("snapshot order = %v", s)
 	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	tab := NewTable(rand.New(rand.NewSource(1)), 1)
+	tab := NewTable(5, 3, rand.New(rand.NewSource(1)), 1)
 	for i := 0; i < 20; i++ {
 		tab.Set(Key{i % 5, i % 3}, float64(i)*0.7)
 	}
@@ -115,7 +116,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := tab.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	tab2 := NewTable(rand.New(rand.NewSource(99)), 1)
+	tab2 := NewTable(5, 3, rand.New(rand.NewSource(99)), 1)
 	if err := tab2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadBadJSON(t *testing.T) {
-	tab := NewTable(nil, 1)
+	tab := NewTable(1, 1, nil, 1)
 	if err := tab.Load(bytes.NewBufferString("not json")); err == nil {
 		t.Fatal("bad JSON accepted")
 	}
@@ -138,12 +139,12 @@ func TestLoadBadJSON(t *testing.T) {
 
 func TestSaveLoadFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "q.json")
-	tab := NewTable(rand.New(rand.NewSource(1)), 1)
+	tab := NewTable(4, 5, rand.New(rand.NewSource(1)), 1)
 	tab.Set(Key{3, 4}, 9.5)
 	if err := tab.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	tab2 := NewTable(nil, 1)
+	tab2 := NewTable(4, 5, nil, 1)
 	if err := tab2.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestSaveLoadFile(t *testing.T) {
 
 func TestEpsilonGreedyPaperConvention(t *testing.T) {
 	// ε=1.0 under the paper's convention always exploits.
-	tab := NewTable(rand.New(rand.NewSource(1)), 0)
+	tab := NewTable(1, 2, rand.New(rand.NewSource(1)), 0)
 	tab.Set(Key{0, 0}, 0)
 	tab.Set(Key{0, 1}, 10)
 	rng := rand.New(rand.NewSource(2))
@@ -179,7 +180,7 @@ func TestEpsilonGreedyPaperConvention(t *testing.T) {
 }
 
 func TestEpsilonGreedyTextbookConvention(t *testing.T) {
-	tab := NewTable(rand.New(rand.NewSource(1)), 0)
+	tab := NewTable(1, 2, rand.New(rand.NewSource(1)), 0)
 	tab.Set(Key{0, 0}, 0)
 	tab.Set(Key{0, 1}, 10)
 	rng := rand.New(rand.NewSource(2))
@@ -192,7 +193,7 @@ func TestEpsilonGreedyTextbookConvention(t *testing.T) {
 }
 
 func TestGreedyPolicy(t *testing.T) {
-	tab := NewTable(rand.New(rand.NewSource(1)), 0)
+	tab := NewTable(1, 8, rand.New(rand.NewSource(1)), 0)
 	tab.Set(Key{0, 3}, 1)
 	tab.Set(Key{0, 7}, 5)
 	rng := rand.New(rand.NewSource(2))
@@ -202,7 +203,7 @@ func TestGreedyPolicy(t *testing.T) {
 }
 
 func TestBoltzmannFavorsHighQ(t *testing.T) {
-	tab := NewTable(rand.New(rand.NewSource(1)), 0)
+	tab := NewTable(1, 2, rand.New(rand.NewSource(1)), 0)
 	tab.Set(Key{0, 0}, 0)
 	tab.Set(Key{0, 1}, 5)
 	rng := rand.New(rand.NewSource(2))
@@ -231,7 +232,7 @@ func TestBoltzmannFavorsHighQ(t *testing.T) {
 }
 
 func TestPolicyPanicsOnEmpty(t *testing.T) {
-	tab := NewTable(nil, 0)
+	tab := NewTable(1, 1, nil, 0)
 	rng := rand.New(rand.NewSource(1))
 	for _, p := range []Policy{EpsilonGreedy{}, Boltzmann{Temperature: 1}} {
 		func() {
@@ -278,7 +279,7 @@ func TestSchedules(t *testing.T) {
 func TestPropertySaveLoadRoundTrip(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tab := NewTable(rng, 1)
+		tab := NewTable(50, 15, rng, 1)
 		for i := 0; i < int(n); i++ {
 			tab.Set(Key{rng.Intn(50), rng.Intn(15)}, rng.NormFloat64()*10)
 		}
@@ -286,7 +287,7 @@ func TestPropertySaveLoadRoundTrip(t *testing.T) {
 		if err := tab.Save(&buf); err != nil {
 			return false
 		}
-		tab2 := NewTable(nil, 1)
+		tab2 := NewTable(50, 15, nil, 1)
 		if err := tab2.Load(&buf); err != nil {
 			return false
 		}
@@ -313,7 +314,7 @@ func TestPropertyBestIsArgmax(t *testing.T) {
 			return true
 		}
 		rng := rand.New(rand.NewSource(seed))
-		tab := NewTable(rng, 1)
+		tab := NewTable(1, 32, rng, 1)
 		seen := map[int]bool{}
 		var vms []int
 		for _, r := range rawVMs {
@@ -345,7 +346,7 @@ func TestPropertyBestIsArgmax(t *testing.T) {
 }
 
 func BenchmarkTableUpdate(b *testing.B) {
-	tab := NewTable(rand.New(rand.NewSource(1)), 1)
+	tab := NewTable(50, 15, rand.New(rand.NewSource(1)), 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -354,7 +355,7 @@ func BenchmarkTableUpdate(b *testing.B) {
 }
 
 func BenchmarkEpsilonGreedySelect(b *testing.B) {
-	tab := NewTable(rand.New(rand.NewSource(1)), 1)
+	tab := NewTable(50, 9, rand.New(rand.NewSource(1)), 1)
 	vms := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
 	rng := rand.New(rand.NewSource(2))
 	p := EpsilonGreedy{Epsilon: 0.1}
@@ -366,7 +367,7 @@ func BenchmarkEpsilonGreedySelect(b *testing.B) {
 }
 
 func TestTDUpdateBasics(t *testing.T) {
-	tab := NewTable(nil, 0)
+	tab := NewTable(1, 1, nil, 0)
 	k := Key{0, 0}
 	// α=1, γ=0: Q jumps straight to the reward.
 	if got := tab.TDUpdate(k, 1, 5, 0, 99); got != 5 {
@@ -389,7 +390,7 @@ func TestPropertyTDConvergesOnBandit(t *testing.T) {
 	f := func(seed int64, rawAlpha uint8) bool {
 		alpha := float64(rawAlpha%100+1) / 100
 		rng := rand.New(rand.NewSource(seed))
-		tab := NewTable(rng, 1)
+		tab := NewTable(1, 2, rng, 1)
 		good, bad := Key{0, 1}, Key{0, 0}
 		for i := 0; i < 1500; i++ {
 			tab.TDUpdate(good, alpha, 1, 0, 0)
@@ -414,7 +415,7 @@ func TestPropertyTDBounded(t *testing.T) {
 	f := func(seed int64, rawGamma uint8) bool {
 		gamma := float64(rawGamma%90) / 100 // [0, 0.9)
 		rng := rand.New(rand.NewSource(seed))
-		tab := NewTable(rng, 1)
+		tab := NewTable(2, 2, rng, 1)
 		keys := []Key{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
 		bound := 1/(1-gamma) + 1 // +1 covers random init
 		for i := 0; i < 2000; i++ {
