@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
 	"strings"
 
 	"reassign/internal/dag"
@@ -98,14 +99,12 @@ func run() error {
 			acts[a.Activity] = true
 			sum += a.Runtime
 		}
-		names := ""
-		for _, n := range sortedKeys(acts) {
-			if names != "" {
-				names += ", "
-			}
-			names += n
+		names := make([]string, 0, len(acts))
+		for n := range acts {
+			names = append(names, n)
 		}
-		lt.AddRowF(i, len(lv), names, sum)
+		sort.Strings(names)
+		lt.AddRowF(i, len(lv), strings.Join(names, ", "), sum)
 	}
 	fmt.Println(lt.String())
 
@@ -120,17 +119,4 @@ func run() error {
 	}
 	fmt.Println(at.String())
 	return nil
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -8,6 +8,7 @@ import (
 
 	"reassign/internal/cloud"
 	"reassign/internal/dag"
+	"reassign/internal/metrics"
 	"reassign/internal/rl"
 	"reassign/internal/sim"
 	"reassign/internal/telemetry"
@@ -449,7 +450,7 @@ func (s *Scheduler) OnTaskComplete(t *sim.Task, env *sim.Env) {
 			s.perfBuf = append(s.perfBuf, s.perfIdx[i])
 		}
 	}
-	stdv := StdDev(s.perfBuf)
+	stdv := metrics.StdDev(s.perfBuf)
 	crisp := CrispReward(pi, pw, stdv)
 	if cw := s.params.CostWeight; cw > 0 && s.maxSlotPrice > 0 {
 		costTerm := 1 - 2*slotPrice(t.VM)/s.maxSlotPrice

@@ -6,8 +6,7 @@
 package core
 
 import (
-	"math"
-
+	"reassign/internal/metrics"
 	"reassign/internal/sim"
 )
 
@@ -43,31 +42,12 @@ func AppendPerfIndices(dst []float64, vms []*sim.VMState, mu float64) []float64 
 	return dst
 }
 
-// StdDev computes the population standard deviation of xs, or 0 with
-// fewer than two observations.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	var mean float64
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // PerfStdDev computes the population standard deviation of the per-VM
 // mean performance indices \overline{Pi_j}, across VMs that have
 // executed at least one activation. With fewer than two active VMs
 // it returns 0.
 func PerfStdDev(vms []*sim.VMState, mu float64) float64 {
-	return StdDev(AppendPerfIndices(nil, vms, mu))
+	return metrics.StdDev(AppendPerfIndices(nil, vms, mu))
 }
 
 // CrispReward computes r_i (Eq. 6): -1 when the VM's mean performance

@@ -18,6 +18,7 @@ import (
 
 	"reassign/internal/cloud"
 	"reassign/internal/dag"
+	"reassign/internal/metrics"
 	"reassign/internal/provenance"
 	"reassign/internal/sim"
 )
@@ -176,11 +177,7 @@ func (e *Estimator) SlowdownFactorMin(vmType string, minSamples int) float64 {
 	if len(ratios) == 0 {
 		return 1
 	}
-	var s float64
-	for _, r := range ratios {
-		s += r
-	}
-	return s / float64(len(ratios))
+	return metrics.Mean(ratios)
 }
 
 // Report summarises the model as sorted lines, for diagnostics.

@@ -106,11 +106,10 @@ func buildLaneReport(lane *LaneResult, tenants []string) LaneReport {
 		outs := byTenant[name]
 		ts := TenantSummary{Tenant: name, Jobs: len(outs)}
 		if len(outs) > 0 {
-			var slow, wait float64
+			var slow float64
 			tWaits := make([]float64, 0, len(outs))
 			for _, o := range outs {
 				slow += o.Slowdown()
-				wait += o.Wait
 				ts.CostUSD += o.Cost
 				tWaits = append(tWaits, o.Wait)
 				if o.DeadlineAt > 0 {
@@ -121,9 +120,8 @@ func buildLaneReport(lane *LaneResult, tenants []string) LaneReport {
 				}
 			}
 			ts.MeanSlowdown = slow / float64(len(outs))
-			ts.MeanWait = wait / float64(len(outs))
 			tws := metrics.Summarize(tWaits)
-			ts.WaitP50, ts.WaitP95, ts.WaitP99 = tws.P50, tws.P95, tws.P99
+			ts.MeanWait, ts.WaitP50, ts.WaitP95, ts.WaitP99 = tws.Mean, tws.P50, tws.P95, tws.P99
 			if ts.SLAJobs > 0 {
 				ts.SLAHitRate /= float64(ts.SLAJobs)
 			}
@@ -167,19 +165,11 @@ func maxMinRatio(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	min, max := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	if max == 0 {
+	hi := metrics.Max(xs)
+	if hi == 0 {
 		return 0
 	}
-	return min / max
+	return metrics.Min(xs) / hi
 }
 
 // String renders the report as aligned tables: one lane scorecard,

@@ -1,6 +1,8 @@
 // Package metrics provides the descriptive statistics, duration
 // formatting and plain-text table rendering the experiment harness
-// uses to print the paper's tables.
+// uses to print the paper's tables, and the two pieces every
+// /metrics-style export shares: a bounded sample Window and the
+// Prometheus text writer (PromWriter).
 package metrics
 
 import (
@@ -68,6 +70,11 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	ys := append([]float64(nil), xs...)
 	sort.Float64s(ys)
+	return percentileSorted(ys, p)
+}
+
+// percentileSorted is Percentile over an ascending, non-empty slice.
+func percentileSorted(ys []float64, p float64) float64 {
 	if p <= 0 {
 		return ys[0]
 	}
@@ -207,20 +214,23 @@ type Summary struct {
 	P99  float64
 }
 
-// Summarize computes a Summary (zero value for an empty sample).
+// Summarize computes a Summary (zero value for an empty sample). Its
+// three percentiles read one sorted copy of xs.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
+	ys := append([]float64(nil), xs...)
+	sort.Float64s(ys)
 	return Summary{
 		N:    len(xs),
 		Mean: Mean(xs),
 		Std:  StdDev(xs),
 		Min:  Min(xs),
 		Max:  Max(xs),
-		P50:  Percentile(xs, 50),
-		P95:  Percentile(xs, 95),
-		P99:  Percentile(xs, 99),
+		P50:  percentileSorted(ys, 50),
+		P95:  percentileSorted(ys, 95),
+		P99:  percentileSorted(ys, 99),
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 type job struct {
 	id     string
 	req    api.SubmitRequest // as submitted, minus the workflow source and the plan
-	tenant string            // normalised accounting label (empty → "default")
 	w      *dag.Workflow
 	fleet  *cloud.Fleet
 	sig    string
@@ -127,7 +126,7 @@ func (s *Server) runJob(j *job) {
 	j.cancelRun = cancel
 	j.mu.Unlock()
 	defer cancel()
-	s.tenants.started(j.tenant)
+	s.tenants.add(j.req.Tenant, counts{jobsQueued: -1, jobsRunning: 1})
 
 	s.inflight.Add(1)
 	err := s.contain(ctx, j)
@@ -154,17 +153,7 @@ func (s *Server) runJob(j *job) {
 		j.deadlineMissed = true
 	}
 	j.mu.Unlock()
-
-	switch state {
-	case api.StateDone:
-		s.completed.Add(1)
-	case api.StateCanceled:
-		s.canceled.Add(1)
-	default:
-		s.failed.Add(1)
-	}
-	s.recordLatency(latency)
-	s.tenants.finished(j.tenant, state, latency, deadline, true)
+	s.tenants.finished(j.req.Tenant, state, latency, deadline, true)
 }
 
 // contain runs the job's pipeline and turns a panic in it into the

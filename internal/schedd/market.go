@@ -1,13 +1,12 @@
 package schedd
 
 import (
-	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"reassign/internal/exec"
 	"reassign/internal/market"
+	"reassign/internal/metrics"
 )
 
 // marketTracker aggregates spot-market series across every market
@@ -74,40 +73,13 @@ func (mt *marketTracker) writeProm(w io.Writer) {
 	if mt.runs == 0 {
 		return
 	}
-	fmt.Fprintf(w, "# HELP schedd_market_runs_total Jobs executed over a spot-market trace\n"+
-		"# TYPE schedd_market_runs_total counter\nschedd_market_runs_total %d\n", mt.runs)
-
-	series := func(metric, typ, help string, values map[string]int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", metric, help, metric, typ)
-		for _, p := range sortedKeys(values) {
-			fmt.Fprintf(w, "%s{provider=%q} %d\n", metric, p, values[p])
-		}
-	}
-	series("schedd_market_preempt_notices_total", "counter",
-		"Traced preemption notices delivered during market executions", mt.notices)
-	series("schedd_market_revocations_total", "counter",
-		"Traced spot kills delivered during market executions", mt.kills)
-
-	fmt.Fprintf(w, "# HELP schedd_market_cost_usd_total Cumulative traced bill of market executions\n"+
-		"# TYPE schedd_market_cost_usd_total counter\n")
-	costProviders := make([]string, 0, len(mt.cost))
-	for p := range mt.cost {
-		costProviders = append(costProviders, p)
-	}
-	sort.Strings(costProviders)
-	for _, p := range costProviders {
-		fmt.Fprintf(w, "schedd_market_cost_usd_total{provider=%q} %v\n", p, mt.cost[p])
-	}
-
-	fmt.Fprintf(w, "# HELP schedd_market_cordoned_vms VMs cordoned by a notice and never killed, cumulative\n"+
-		"# TYPE schedd_market_cordoned_vms gauge\nschedd_market_cordoned_vms %d\n", mt.cordoned)
-}
-
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	p := metrics.NewPromWriter(w)
+	p.Counter("schedd_market_runs_total", "Jobs executed over a spot-market trace", mt.runs)
+	metrics.Labeled(p, "schedd_market_preempt_notices_total", "counter",
+		"Traced preemption notices delivered during market executions", "provider", mt.notices)
+	metrics.Labeled(p, "schedd_market_revocations_total", "counter",
+		"Traced spot kills delivered during market executions", "provider", mt.kills)
+	metrics.Labeled(p, "schedd_market_cost_usd_total", "counter",
+		"Cumulative traced bill of market executions", "provider", mt.cost)
+	p.Gauge("schedd_market_cordoned_vms", "VMs cordoned by a notice and never killed, cumulative", mt.cordoned)
 }

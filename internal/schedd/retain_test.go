@@ -55,7 +55,7 @@ func replayJob(t *testing.T, s *Server, id string, nodes int, seed int64) (*job,
 	}
 	submitted := api.NewPlanDocument(w.Name, fleet.Name, res.Makespan, core.NewPlan(h.Assign()))
 	req.Workflow.Source = ""
-	return &job{id: id, req: req, tenant: DefaultTenant, w: w, fleet: fleet,
+	return &job{id: id, req: req, w: w, fleet: fleet,
 		sig: api.StructureSignature(w, fleet), replay: compactPlan(w, submitted.Plan),
 		state: api.StateQueued, submitted: time.Now()}, submitted
 }

@@ -111,21 +111,15 @@ type Server struct {
 
 	mu    sync.Mutex
 	jobs  map[string]*job
-	order []string     // submission order, for listing and eviction
-	lat   *latencyRing // submit→finish seconds, bounded to LatencyWindow
+	order []string // submission order, for listing and eviction
 
-	tenants *tenantTracker
+	tenants *tenantTracker // the job ledger: lifecycle counts and latencies, per tenant and in total
 	markets *marketTracker
 
-	seq       atomic.Int64
-	submitted atomic.Int64
-	completed atomic.Int64
-	failed    atomic.Int64
-	canceled  atomic.Int64
-	rejected  atomic.Int64
-	panicked  atomic.Int64
-	inflight  atomic.Int64
-	draining  atomic.Bool
+	seq      atomic.Int64
+	panicked atomic.Int64
+	inflight atomic.Int64
+	draining atomic.Bool
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -153,7 +147,6 @@ func New(cfg Config) *Server {
 		pool:      sim.NewPool(),
 		agg:       telemetry.NewAggregator(),
 		jobs:      make(map[string]*job),
-		lat:       newLatencyRing(cfg.LatencyWindow),
 		tenants:   newTenantTracker(cfg.LatencyWindow),
 		markets:   newMarketTracker(),
 		baseCtx:   ctx,
@@ -340,7 +333,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := &job{
 		id:        fmt.Sprintf("j%06d", s.seq.Add(1)),
 		req:       req,
-		tenant:    tenantLabel(req.Tenant),
 		w:         wf,
 		fleet:     fleet,
 		sig:       api.StructureSignature(wf, fleet),
@@ -359,12 +351,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	select {
 	case s.queue <- j:
-		s.submitted.Add(1)
-		s.tenants.enqueued(j.tenant)
+		s.tenants.add(j.req.Tenant, counts{jobsSubmitted: 1, jobsQueued: 1})
 		writeJSON(w, http.StatusAccepted, j.status())
 	default:
-		s.rejected.Add(1)
-		s.tenants.rejected(j.tenant)
+		s.tenants.add(j.req.Tenant, counts{jobsRejected: 1})
 		// Roll back the registration by removing this job's own ID. The
 		// registry lock was released between registration and the queue
 		// send, so concurrent submissions may have appended behind us —
@@ -460,9 +450,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		latency := j.finishedAt.Sub(j.submitted).Seconds()
 		deadline := j.req.DeadlineSeconds
 		j.mu.Unlock()
-		s.canceled.Add(1)
-		s.recordLatency(latency)
-		s.tenants.finished(j.tenant, api.StateCanceled, latency, deadline, false)
+		s.tenants.finished(j.req.Tenant, api.StateCanceled, latency, deadline, false)
 	case api.StateRunning:
 		cancel := j.cancelRun
 		j.mu.Unlock()
@@ -476,14 +464,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, j.status())
-}
-
-// recordLatency adds one submit→finish sample to the bounded global
-// window.
-func (s *Server) recordLatency(seconds float64) {
-	s.mu.Lock()
-	s.lat.add(seconds)
-	s.mu.Unlock()
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -500,43 +480,35 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// kernel counters), then the daemon's own series.
 	s.agg.Snapshot().WriteProm(w)
 
-	s.mu.Lock()
-	lat := metrics.Summarize(s.lat.snapshot(nil))
-	s.mu.Unlock()
+	jobs, lat := s.tenants.totals()
 	hits, misses := s.cache.stats()
 	wfHits, wfMisses := s.workflows.stats()
 	reused, fresh := s.pool.Stats()
 
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-	counter := func(name, help string, v any) {
-		p("# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v any) {
-		p("# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
-	}
-	counter("schedd_jobs_submitted_total", "Jobs admitted", s.submitted.Load())
-	counter("schedd_jobs_completed_total", "Jobs finished successfully", s.completed.Load())
-	counter("schedd_jobs_failed_total", "Jobs that failed", s.failed.Load())
-	counter("schedd_jobs_canceled_total", "Jobs canceled", s.canceled.Load())
-	counter("schedd_jobs_rejected_total", "Submissions rejected by the full admission queue", s.rejected.Load())
-	counter("schedd_jobs_panicked_total", "Jobs failed by a panic in their pipeline (the worker survives)", s.panicked.Load())
-	gauge("schedd_queue_depth", "Jobs waiting in the admission queue", len(s.queue))
-	gauge("schedd_queue_capacity", "Admission queue bound", s.cfg.QueueDepth)
-	gauge("schedd_jobs_inflight", "Jobs currently executing", s.inflight.Load())
-	counter("schedd_qtable_cache_hits_total", "Submissions warm-started from the Q-table cache", hits)
-	counter("schedd_qtable_cache_misses_total", "Submissions that learned from scratch", misses)
-	gauge("schedd_qtable_cache_entries", "Cached Q tables", s.cache.len())
-	counter("schedd_workflow_intern_hits_total", "Inline workflow documents served from the intern table without parsing", wfHits)
-	counter("schedd_workflow_intern_misses_total", "Inline workflow document lookups that missed the intern table (parsed, or rejected as malformed)", wfMisses)
-	gauge("schedd_workflow_intern_entries", "Interned workflows", s.workflows.len())
-	counter("schedd_engine_pool_reused_total", "Sim engines served by rebinding a pooled engine", reused)
-	counter("schedd_engine_pool_fresh_total", "Sim engines newly constructed", fresh)
+	p := metrics.NewPromWriter(w)
+	p.Counter("schedd_jobs_submitted_total", "Jobs admitted", jobs[jobsSubmitted])
+	p.Counter("schedd_jobs_completed_total", "Jobs finished successfully", jobs[jobsCompleted])
+	p.Counter("schedd_jobs_failed_total", "Jobs that failed", jobs[jobsFailed])
+	p.Counter("schedd_jobs_canceled_total", "Jobs canceled", jobs[jobsCanceled])
+	p.Counter("schedd_jobs_rejected_total", "Submissions rejected by the full admission queue", jobs[jobsRejected])
+	p.Counter("schedd_jobs_panicked_total", "Jobs failed by a panic in their pipeline (the worker survives)", s.panicked.Load())
+	p.Gauge("schedd_queue_depth", "Jobs waiting in the admission queue", len(s.queue))
+	p.Gauge("schedd_queue_capacity", "Admission queue bound", s.cfg.QueueDepth)
+	p.Gauge("schedd_jobs_inflight", "Jobs currently executing", s.inflight.Load())
+	p.Counter("schedd_qtable_cache_hits_total", "Submissions warm-started from the Q-table cache", hits)
+	p.Counter("schedd_qtable_cache_misses_total", "Submissions that learned from scratch", misses)
+	p.Gauge("schedd_qtable_cache_entries", "Cached Q tables", s.cache.len())
+	p.Counter("schedd_workflow_intern_hits_total", "Inline workflow documents served from the intern table without parsing", wfHits)
+	p.Counter("schedd_workflow_intern_misses_total", "Inline workflow document lookups that missed the intern table (parsed, or rejected as malformed)", wfMisses)
+	p.Gauge("schedd_workflow_intern_entries", "Interned workflows", s.workflows.len())
+	p.Counter("schedd_engine_pool_reused_total", "Sim engines served by rebinding a pooled engine", reused)
+	p.Counter("schedd_engine_pool_fresh_total", "Sim engines newly constructed", fresh)
 	if lat.N > 0 {
-		gauge("schedd_job_latency_seconds_p50", "Submit-to-finish latency (median)", lat.P50)
-		gauge("schedd_job_latency_seconds_p95", "Submit-to-finish latency (95th percentile)", lat.P95)
-		gauge("schedd_job_latency_seconds_p99", "Submit-to-finish latency (99th percentile)", lat.P99)
-		gauge("schedd_job_latency_seconds_mean", "Submit-to-finish latency (mean)", lat.Mean)
-		gauge("schedd_job_latency_seconds_max", "Submit-to-finish latency (max)", lat.Max)
+		p.Gauge("schedd_job_latency_seconds_p50", "Submit-to-finish latency (median)", lat.P50)
+		p.Gauge("schedd_job_latency_seconds_p95", "Submit-to-finish latency (95th percentile)", lat.P95)
+		p.Gauge("schedd_job_latency_seconds_p99", "Submit-to-finish latency (99th percentile)", lat.P99)
+		p.Gauge("schedd_job_latency_seconds_mean", "Submit-to-finish latency (mean)", lat.Mean)
+		p.Gauge("schedd_job_latency_seconds_max", "Submit-to-finish latency (max)", lat.Max)
 	}
 	s.tenants.writeProm(w)
 	s.markets.writeProm(w)

@@ -260,8 +260,8 @@ func TestQueueFull(t *testing.T) {
 	if resp.Err == nil || resp.Err.Code != api.CodeQueueFull {
 		t.Fatalf("error body %+v", resp.Err)
 	}
-	if s.rejected.Load() != 1 {
-		t.Fatalf("rejected counter %d, want 1", s.rejected.Load())
+	if jobs, _ := s.tenants.totals(); jobs[jobsRejected] != 1 {
+		t.Fatalf("rejected counter %d, want 1", jobs[jobsRejected])
 	}
 	// The rejected job is not registered.
 	if got := getStatusCode(t, ts.URL+"/v1/jobs/"+jobIDAfter(second.ID)); got != http.StatusNotFound {
@@ -383,8 +383,8 @@ func TestCancelRunning(t *testing.T) {
 	if done.State != api.StateCanceled {
 		t.Fatalf("state %q, want canceled (err %+v)", done.State, done.Error)
 	}
-	if s.canceled.Load() != 1 {
-		t.Fatalf("canceled counter %d, want 1", s.canceled.Load())
+	if jobs, _ := s.tenants.totals(); jobs[jobsCanceled] != 1 {
+		t.Fatalf("canceled counter %d, want 1", jobs[jobsCanceled])
 	}
 }
 

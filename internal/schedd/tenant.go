@@ -1,127 +1,115 @@
 package schedd
 
 import (
-	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"reassign/internal/api"
 	"reassign/internal/metrics"
 )
 
-// latencyRing is a bounded window over the most recent latency
-// samples. The daemon used to append every finish to an unbounded
-// slice — harmless in a load test, a slow leak in a long-running
-// service. The ring keeps the last cap(buf) samples: percentiles
-// become "over the recent window", which is also the more useful
-// operational quantity. Not safe for concurrent use; callers hold
-// their own lock.
-type latencyRing struct {
-	buf  []float64
-	next int // overwrite cursor once full
-}
-
-func newLatencyRing(window int) *latencyRing {
-	return &latencyRing{buf: make([]float64, 0, window)}
-}
-
-func (r *latencyRing) add(v float64) {
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, v)
-		return
-	}
-	r.buf[r.next] = v
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-	}
-}
-
-// snapshot copies the window into dst (sample order is immaterial to
-// metrics.Summarize).
-func (r *latencyRing) snapshot(dst []float64) []float64 {
-	return append(dst[:0], r.buf...)
-}
-
-func (r *latencyRing) n() int { return len(r.buf) }
-
 // DefaultTenant is the accounting label for submissions that carry no
 // tenant.
 const DefaultTenant = "default"
 
-// tenantStats is one tenant's live accounting: lifecycle counters,
-// queue occupancy gauges, deadline outcomes and a bounded latency
-// window.
-type tenantStats struct {
-	submitted int64
-	completed int64
-	failed    int64
-	canceled  int64
-	rejected  int64
+// maxTenants caps the distinct tenant labels /metrics carries. A tenant
+// first seen once the ledger holds maxTenants-1 labels is accounted
+// under otherTenant, so clients inventing names cannot grow the scrape
+// without bound.
+const (
+	maxTenants  = 256
+	otherTenant = "other"
+)
 
-	queued  int64
-	running int64
+// The job counts the ledger keeps, in /metrics order.
+const (
+	jobsSubmitted = iota
+	jobsCompleted
+	jobsFailed
+	jobsCanceled
+	jobsRejected
+	jobsQueued
+	jobsRunning
+	deadlineHits
+	deadlineMisses
+	numCounts
+)
 
-	deadlineHits   int64
-	deadlineMisses int64
+// counts is one ledger record's lifecycle counters, queue occupancy
+// gauges and deadline outcomes, indexed by the constants above.
+type counts [numCounts]int64
 
-	lat *latencyRing
+// countSeries is the per-tenant /metrics series of each count.
+var countSeries = [numCounts]struct{ metric, typ, help string }{
+	{"schedd_tenant_jobs_submitted_total", "counter", "Jobs admitted per tenant"},
+	{"schedd_tenant_jobs_completed_total", "counter", "Jobs finished successfully per tenant"},
+	{"schedd_tenant_jobs_failed_total", "counter", "Jobs failed per tenant"},
+	{"schedd_tenant_jobs_canceled_total", "counter", "Jobs canceled per tenant"},
+	{"schedd_tenant_jobs_rejected_total", "counter", "Queue-full rejections per tenant"},
+	{"schedd_tenant_jobs_queued", "gauge", "Jobs waiting in the admission queue per tenant"},
+	{"schedd_tenant_jobs_running", "gauge", "Jobs executing per tenant"},
+	{"schedd_tenant_deadline_hits_total", "counter", "Jobs finished within their deadline hint per tenant"},
+	{"schedd_tenant_deadline_misses_total", "counter", "Jobs that overran their deadline hint per tenant"},
 }
 
-// tenantTracker aggregates per-tenant series for /metrics. All
-// transitions take the tracker lock; the daemon's request rate is
-// nowhere near making that contended.
+// tenantStats is one ledger record: its counts and a bounded window of
+// submit→finish latencies.
+type tenantStats struct {
+	n   counts
+	lat *metrics.Window
+}
+
+// tenantTracker is the daemon's job ledger. Every lifecycle transition
+// updates the tenant's record and the total beside it under one lock,
+// so the daemon-wide and per-tenant series of /metrics cannot drift
+// apart; the daemon's request rate is nowhere near making that lock
+// contended.
 type tenantTracker struct {
 	mu      sync.Mutex
 	window  int
+	total   tenantStats
 	tenants map[string]*tenantStats
 }
 
 func newTenantTracker(window int) *tenantTracker {
-	return &tenantTracker{window: window, tenants: make(map[string]*tenantStats)}
-}
-
-// tenantLabel normalises a submission's tenant for accounting.
-func tenantLabel(t string) string {
-	if t == "" {
-		return DefaultTenant
+	return &tenantTracker{
+		window:  window,
+		total:   tenantStats{lat: metrics.NewWindow(window)},
+		tenants: make(map[string]*tenantStats),
 	}
-	return t
 }
 
+// get returns the record a submission's tenant is accounted under,
+// creating it while the label cap allows. Records are never removed,
+// so a tenant lands in the same record on every transition.
 func (tt *tenantTracker) get(name string) *tenantStats {
-	ts := tt.tenants[name]
-	if ts == nil {
-		ts = &tenantStats{lat: newLatencyRing(tt.window)}
-		tt.tenants[name] = ts
+	if name == "" {
+		name = DefaultTenant
 	}
+	if ts := tt.tenants[name]; ts != nil {
+		return ts
+	}
+	if len(tt.tenants) >= maxTenants-1 && name != otherTenant {
+		return tt.get(otherTenant)
+	}
+	ts := &tenantStats{lat: metrics.NewWindow(tt.window)}
+	tt.tenants[name] = ts
 	return ts
 }
 
-// enqueued records an accepted submission.
-func (tt *tenantTracker) enqueued(tenant string) {
+// add applies one lifecycle transition, its count deltas d and any
+// latency samples, to the tenant's record and to the total.
+func (tt *tenantTracker) add(tenant string, d counts, latency ...float64) {
 	tt.mu.Lock()
-	ts := tt.get(tenant)
-	ts.submitted++
-	ts.queued++
-	tt.mu.Unlock()
-}
-
-// rejected records a queue-full rejection.
-func (tt *tenantTracker) rejected(tenant string) {
-	tt.mu.Lock()
-	tt.get(tenant).rejected++
-	tt.mu.Unlock()
-}
-
-// started records a queued job beginning execution.
-func (tt *tenantTracker) started(tenant string) {
-	tt.mu.Lock()
-	ts := tt.get(tenant)
-	ts.queued--
-	ts.running++
-	tt.mu.Unlock()
+	defer tt.mu.Unlock()
+	for _, ts := range [2]*tenantStats{tt.get(tenant), &tt.total} {
+		for i, v := range d {
+			ts.n[i] += v
+		}
+		for _, v := range latency {
+			ts.lat.Add(v)
+		}
+	}
 }
 
 // finished records a terminal state. ran distinguishes jobs settled
@@ -129,95 +117,65 @@ func (tt *tenantTracker) started(tenant string) {
 // straight out of the queue (canceled while queued). deadline is the
 // submission's SLA hint in seconds (0 = none).
 func (tt *tenantTracker) finished(tenant, state string, latency, deadline float64, ran bool) {
-	tt.mu.Lock()
-	ts := tt.get(tenant)
+	var d counts
 	if ran {
-		ts.running--
+		d[jobsRunning] = -1
 	} else {
-		ts.queued--
+		d[jobsQueued] = -1
 	}
 	switch state {
 	case api.StateDone:
-		ts.completed++
+		d[jobsCompleted] = 1
 	case api.StateCanceled:
-		ts.canceled++
+		d[jobsCanceled] = 1
 	default:
-		ts.failed++
+		d[jobsFailed] = 1
 	}
-	ts.lat.add(latency)
-	if deadline > 0 {
-		if latency <= deadline {
-			ts.deadlineHits++
-		} else {
-			ts.deadlineMisses++
-		}
+	switch {
+	case deadline <= 0:
+	case latency <= deadline:
+		d[deadlineHits] = 1
+	default:
+		d[deadlineMisses] = 1
 	}
-	tt.mu.Unlock()
+	tt.add(tenant, d, latency)
+}
+
+// totals returns the daemon-wide counts and a summary of its latency
+// window.
+func (tt *tenantTracker) totals() (counts, metrics.Summary) {
+	tt.mu.Lock()
+	defer tt.mu.Unlock()
+	return tt.total.n, tt.total.lat.Summary()
 }
 
 // writeProm emits the per-tenant series in Prometheus text form, one
-// labeled sample per tenant per metric, tenants in sorted order so the
-// output is stable.
+// labeled sample per tenant per metric.
 func (tt *tenantTracker) writeProm(w io.Writer) {
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
 	if len(tt.tenants) == 0 {
 		return
 	}
-	names := make([]string, 0, len(tt.tenants))
-	for name := range tt.tenants {
-		names = append(names, name)
+	p := metrics.NewPromWriter(w)
+	for c, s := range countSeries {
+		values := make(map[string]float64, len(tt.tenants))
+		for name, ts := range tt.tenants {
+			values[name] = float64(ts.n[c])
+		}
+		metrics.Labeled(p, s.metric, s.typ, s.help, "tenant", values)
 	}
-	sort.Strings(names)
 
-	series := func(metric, typ, help string, value func(*tenantStats) (float64, bool)) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", metric, help, metric, typ)
-		for _, name := range names {
-			if v, ok := value(tt.tenants[name]); ok {
-				fmt.Fprintf(w, "%s{tenant=%q} %v\n", metric, name, v)
-			}
+	// Latency percentiles over each tenant's bounded window; a tenant
+	// with no finished job has none.
+	lat := [3]map[string]float64{{}, {}, {}}
+	for name, ts := range tt.tenants {
+		if s := ts.lat.Summary(); s.N > 0 {
+			lat[0][name], lat[1][name], lat[2][name] = s.P50, s.P95, s.P99
 		}
 	}
-	count := func(v int64) (float64, bool) { return float64(v), true }
-	series("schedd_tenant_jobs_submitted_total", "counter", "Jobs admitted per tenant",
-		func(ts *tenantStats) (float64, bool) { return count(ts.submitted) })
-	series("schedd_tenant_jobs_completed_total", "counter", "Jobs finished successfully per tenant",
-		func(ts *tenantStats) (float64, bool) { return count(ts.completed) })
-	series("schedd_tenant_jobs_failed_total", "counter", "Jobs failed per tenant",
-		func(ts *tenantStats) (float64, bool) { return count(ts.failed) })
-	series("schedd_tenant_jobs_canceled_total", "counter", "Jobs canceled per tenant",
-		func(ts *tenantStats) (float64, bool) { return count(ts.canceled) })
-	series("schedd_tenant_jobs_rejected_total", "counter", "Queue-full rejections per tenant",
-		func(ts *tenantStats) (float64, bool) { return count(ts.rejected) })
-	series("schedd_tenant_jobs_queued", "gauge", "Jobs waiting in the admission queue per tenant",
-		func(ts *tenantStats) (float64, bool) { return count(ts.queued) })
-	series("schedd_tenant_jobs_running", "gauge", "Jobs executing per tenant",
-		func(ts *tenantStats) (float64, bool) { return count(ts.running) })
-	series("schedd_tenant_deadline_hits_total", "counter", "Jobs finished within their deadline hint per tenant",
-		func(ts *tenantStats) (float64, bool) { return count(ts.deadlineHits) })
-	series("schedd_tenant_deadline_misses_total", "counter", "Jobs that overran their deadline hint per tenant",
-		func(ts *tenantStats) (float64, bool) { return count(ts.deadlineMisses) })
-
-	// Latency percentiles over each tenant's bounded window.
-	sums := make(map[string]metrics.Summary, len(names))
-	for _, name := range names {
-		sums[name] = metrics.Summarize(tt.tenants[name].lat.snapshot(nil))
-	}
-	for _, m := range []struct {
-		suffix string
-		help   string
-		value  func(metrics.Summary) float64
-	}{
-		{"p50", "Per-tenant submit-to-finish latency (median, recent window)", func(s metrics.Summary) float64 { return s.P50 }},
-		{"p95", "Per-tenant submit-to-finish latency (95th percentile, recent window)", func(s metrics.Summary) float64 { return s.P95 }},
-		{"p99", "Per-tenant submit-to-finish latency (99th percentile, recent window)", func(s metrics.Summary) float64 { return s.P99 }},
-	} {
-		metric := "schedd_tenant_job_latency_seconds_" + m.suffix
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", metric, m.help, metric)
-		for _, name := range names {
-			if s := sums[name]; s.N > 0 {
-				fmt.Fprintf(w, "%s{tenant=%q} %v\n", metric, name, m.value(s))
-			}
-		}
+	for i, q := range [3]struct{ suffix, what string }{{"p50", "median"}, {"p95", "95th percentile"}, {"p99", "99th percentile"}} {
+		metrics.Labeled(p, "schedd_tenant_job_latency_seconds_"+q.suffix, "gauge",
+			"Per-tenant submit-to-finish latency ("+q.what+", recent window)", "tenant", lat[i])
 	}
 }

@@ -1,12 +1,17 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
 	"sync"
 
 	"reassign/internal/metrics"
 )
+
+// episodeWindow bounds the per-episode series an Aggregator keeps: its
+// summaries cover the newest 65,536 learning episodes, while
+// Snapshot.Episodes counts every one, so a long-running process such
+// as the schedd daemon holds at most three windows of samples.
+const episodeWindow = 1 << 16
 
 // Aggregator is an in-memory Sink that folds the event stream into
 // descriptive statistics. It is safe for concurrent use; Snapshot
@@ -14,9 +19,10 @@ import (
 type Aggregator struct {
 	mu sync.Mutex
 
-	rewards   []float64
-	makespans []float64
-	qdeltas   []float64
+	episodes  int
+	rewards   *metrics.Window
+	makespans *metrics.Window
+	qdeltas   *metrics.Window
 
 	decisions       int
 	greedyDecisions int
@@ -31,7 +37,11 @@ type Aggregator struct {
 
 // NewAggregator returns an empty aggregator.
 func NewAggregator() *Aggregator {
-	return &Aggregator{}
+	return &Aggregator{
+		rewards:   metrics.NewWindow(episodeWindow),
+		makespans: metrics.NewWindow(episodeWindow),
+		qdeltas:   metrics.NewWindow(episodeWindow),
+	}
 }
 
 // Emit implements Sink.
@@ -43,9 +53,10 @@ func (a *Aggregator) Emit(e Event) {
 		if ev.Episode < 0 {
 			return // plan extraction is not a learning episode
 		}
-		a.rewards = append(a.rewards, ev.Reward)
-		a.makespans = append(a.makespans, ev.Makespan)
-		a.qdeltas = append(a.qdeltas, ev.QDelta)
+		a.episodes++
+		a.rewards.Add(ev.Reward)
+		a.makespans.Add(ev.Makespan)
+		a.qdeltas.Add(ev.QDelta)
 	case *DecisionEvent:
 		a.decisions++
 		if ev.Greedy {
@@ -66,7 +77,8 @@ func (a *Aggregator) Emit(e Event) {
 // Snapshot is a consistent view of everything an Aggregator has seen.
 type Snapshot struct {
 	// Episodes counts learning episodes; Reward, Makespan and QDelta
-	// summarise their per-episode series.
+	// summarise their per-episode series over the newest 65,536
+	// episodes.
 	Episodes int
 	Reward   metrics.Summary
 	Makespan metrics.Summary
@@ -111,10 +123,10 @@ func (a *Aggregator) Snapshot() Snapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return Snapshot{
-		Episodes:        len(a.rewards),
-		Reward:          metrics.Summarize(a.rewards),
-		Makespan:        metrics.Summarize(a.makespans),
-		QDelta:          metrics.Summarize(a.qdeltas),
+		Episodes:        a.episodes,
+		Reward:          a.rewards.Summary(),
+		Makespan:        a.makespans.Summary(),
+		QDelta:          a.qdeltas.Summary(),
 		Decisions:       a.decisions,
 		GreedyDecisions: a.greedyDecisions,
 		SimRuns:         a.simRuns,
@@ -130,38 +142,27 @@ func (a *Aggregator) Snapshot() Snapshot {
 // format (untyped metrics would also scrape; we declare counters and
 // gauges for clarity). Metric names share the reassign_ prefix.
 func (s Snapshot) WriteProm(w io.Writer) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	counter := func(name, help string, v any) {
-		p("# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v any) {
-		p("# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
-	}
+	p := metrics.NewPromWriter(w)
 	summary := func(name, help string, sum metrics.Summary) {
-		gauge(name+"_mean", help+" (mean)", sum.Mean)
-		gauge(name+"_min", help+" (min)", sum.Min)
-		gauge(name+"_p50", help+" (median)", sum.P50)
-		gauge(name+"_p95", help+" (95th percentile)", sum.P95)
-		gauge(name+"_p99", help+" (99th percentile)", sum.P99)
-		gauge(name+"_max", help+" (max)", sum.Max)
+		p.Gauge(name+"_mean", help+" (mean)", sum.Mean)
+		p.Gauge(name+"_min", help+" (min)", sum.Min)
+		p.Gauge(name+"_p50", help+" (median)", sum.P50)
+		p.Gauge(name+"_p95", help+" (95th percentile)", sum.P95)
+		p.Gauge(name+"_p99", help+" (99th percentile)", sum.P99)
+		p.Gauge(name+"_max", help+" (max)", sum.Max)
 	}
-	counter("reassign_episodes_total", "Learning episodes observed", s.Episodes)
+	p.Counter("reassign_episodes_total", "Learning episodes observed", s.Episodes)
 	if s.Episodes > 0 {
 		summary("reassign_episode_reward", "Per-episode accumulated crisp reward", s.Reward)
 		summary("reassign_episode_makespan_seconds", "Per-episode simulated makespan", s.Makespan)
 		summary("reassign_episode_q_delta", "Per-episode L2 norm of TD updates", s.QDelta)
 	}
-	counter("reassign_decisions_total", "Scheduler decisions", s.Decisions)
-	counter("reassign_decisions_greedy_total", "Decisions that exploited the Q table", s.GreedyDecisions)
-	counter("reassign_sim_runs_total", "Simulator runs finished", s.SimRuns)
-	counter("reassign_des_events_total", "DES kernel events executed", s.KernelEvents)
-	counter("reassign_des_scheduled_total", "DES kernel events scheduled", s.KernelSched)
-	gauge("reassign_des_freelist_hit_rate", "Fraction of event schedules served from the freelist", s.FreelistHitRate())
-	gauge("reassign_des_queue_depth_max", "Future-event list high-water mark", s.MaxQueueDepth)
-	return err
+	p.Counter("reassign_decisions_total", "Scheduler decisions", s.Decisions)
+	p.Counter("reassign_decisions_greedy_total", "Decisions that exploited the Q table", s.GreedyDecisions)
+	p.Counter("reassign_sim_runs_total", "Simulator runs finished", s.SimRuns)
+	p.Counter("reassign_des_events_total", "DES kernel events executed", s.KernelEvents)
+	p.Counter("reassign_des_scheduled_total", "DES kernel events scheduled", s.KernelSched)
+	p.Gauge("reassign_des_freelist_hit_rate", "Fraction of event schedules served from the freelist", s.FreelistHitRate())
+	p.Gauge("reassign_des_queue_depth_max", "Future-event list high-water mark", s.MaxQueueDepth)
+	return p.Err()
 }
