@@ -62,10 +62,10 @@ loadgen-smoke:
 	bash scripts/loadgen_smoke.sh ./bin
 
 ## market-smoke: end-to-end smoke of the spot-market subsystem:
-## generate a hostile trace (bit-identical across two runs), replay it
-## through the audited simulator, then through the exec master under
-## both market policies, asserting notice-reactive pays no more than
-## reactive-only
+## generate a hostile trace (bit-identical across two runs), check
+## that -market without -execute is refused, then replay the trace
+## through the exec master under both market policies, asserting
+## notice-reactive pays no more than reactive-only
 market-smoke:
 	mkdir -p bin
 	$(GO) build -o bin/reassign ./cmd/reassign

@@ -85,7 +85,7 @@ func run() error {
 	metricsOut := flag.String("metrics", "", "write aggregated metrics in Prometheus text format to this file on exit")
 	audit := flag.Bool("audit", false, "attach the runtime invariant auditor to every simulation and fail on violations")
 	marketGen := flag.String("marketgen", "", "generate a spot-market trace (JSON) for the fleet, write it to this file and exit")
-	marketIn := flag.String("market", "", "replay a spot-market trace (JSON): traced prices, preemptions and node health drive plan simulation and execution (learning episodes stay clean)")
+	marketIn := flag.String("market", "", "with -execute, replay a spot-market trace (JSON): traced prices, preemptions and node health drive the execution (scheduling stays market-free)")
 	regime := flag.String("regime", "volatile", "market regime for -marketgen: stable|volatile|hostile")
 	horizon := flag.Float64("horizon", 3600, "market trace horizon in virtual seconds for -marketgen")
 	reactiveOnly := flag.Bool("reactiveonly", false, "with -market and -execute, disable notice-reactive cordon/drain: the master reacts to kills only")
@@ -96,6 +96,9 @@ func run() error {
 	}
 	if *workers < 1 {
 		return fmt.Errorf("-workers must be >= 1, got %d", *workers)
+	}
+	if *marketIn != "" && !*execute {
+		return fmt.Errorf("-market replays a trace on the exec master and needs -execute")
 	}
 
 	// Telemetry: a JSONL trace and/or an in-memory aggregator, fanned
@@ -165,7 +168,7 @@ func run() error {
 		f := cloud.DefaultFluctuation()
 		fm = &f
 	}
-	cfg := sim.Config{Fluct: fm, Seed: *seed, Market: marketPB}
+	cfg := sim.Config{Fluct: fm, Seed: *seed}
 	if *autoscale > 0 {
 		cfg.Autoscale = &sim.Autoscale{
 			Type: cloud.T2Large, MaxVMs: *autoscale,
@@ -227,12 +230,8 @@ func run() error {
 			opts = append(opts, core.WithProvenanceSeed(ps))
 			fmt.Printf("seed:     Q table seeded from %s (%d records)\n", *seedProv, ps.Len())
 		}
-		// Learning episodes run market-free: the trace drives plan
-		// replay and execution, not the Q-learning environment.
-		lcfg := cfg
-		lcfg.Market = nil
 		l, err := core.NewLearner(core.Config{
-			Workflow: w, Fleet: fleet, Params: p, Episodes: *episodes, Sim: lcfg,
+			Workflow: w, Fleet: fleet, Params: p, Episodes: *episodes, Sim: cfg,
 		}, opts...)
 		if err != nil {
 			return err
@@ -307,11 +306,6 @@ func run() error {
 	fmt.Printf("plan:     %d activations scheduled, simulated makespan %.3fs (%s)\n",
 		plan.Len(), makespan, metrics.FormatDuration(makespan))
 	printPlanSummary(plan, fleet)
-	if lastRes != nil && lastRes.Market != nil {
-		mr := lastRes.Market
-		fmt.Printf("market:   %d notices, %d kills, %d degraded, bill $%.4f\n",
-			mr.Notices, mr.Kills, mr.Degraded, mr.Cost.Total)
-	}
 
 	if *ascii || *ganttOut != "" {
 		if lastRes == nil {

@@ -139,8 +139,9 @@ type pendingAcquire struct {
 	idx int // doomed VM's index in Master.vms
 }
 
-// validateMarketFleet checks the trace assigns every fleet VM, the
-// same up-front guard the simulation engine applies.
+// validateMarketFleet checks the trace assigns every fleet VM, so a
+// trace generated for another fleet fails at New instead of
+// under-billing the run.
 func (m *Master) validateMarketFleet() error {
 	if m.market == nil {
 		return nil
@@ -182,7 +183,7 @@ func (m *Master) onPreemptNotice(ev Event) {
 		if !ts.running || ts.vm != vs.vm.ID {
 			continue
 		}
-		est := m.est(ts.a, vs.vm)
+		est := nominalExec(ts.a, vs.vm)
 		if vs.slow > 1 {
 			est *= vs.slow
 		}
@@ -216,7 +217,7 @@ func (m *Master) drainUnfit(vs *vmState) {
 	free := make([]float64, 0, vs.slots)
 	for _, ts := range m.tasks {
 		if ts.running && ts.vm == vs.vm.ID {
-			est := m.est(ts.a, vs.vm)
+			est := nominalExec(ts.a, vs.vm)
 			if vs.slow > 1 {
 				est *= vs.slow
 			}
@@ -229,7 +230,7 @@ func (m *Master) drainUnfit(vs *vmState) {
 	var keep, drop []int
 	for _, i := range vs.queue {
 		ts := m.tasks[i]
-		est := m.est(ts.a, vs.vm)
+		est := nominalExec(ts.a, vs.vm)
 		if vs.slow > 1 {
 			est *= vs.slow
 		}
@@ -379,7 +380,7 @@ func (m *Master) slotTimes(vs *vmState) []float64 {
 	free := make([]float64, 0, vs.slots)
 	for _, ts := range m.tasks {
 		if ts.running && ts.vm == vs.vm.ID {
-			est := m.est(ts.a, vs.vm)
+			est := nominalExec(ts.a, vs.vm)
 			if vs.slow > 1 {
 				est *= vs.slow
 			}
@@ -390,7 +391,7 @@ func (m *Master) slotTimes(vs *vmState) []float64 {
 		free = append(free, m.now)
 	}
 	for _, i := range vs.queue {
-		est := m.est(m.tasks[i].a, vs.vm)
+		est := nominalExec(m.tasks[i].a, vs.vm)
 		if vs.slow > 1 {
 			est *= vs.slow
 		}
@@ -413,7 +414,7 @@ func (m *Master) fitsBeforeKill(vs *vmState, ts *taskState) bool {
 		return false
 	}
 	free := m.slotTimes(vs)
-	est := m.est(ts.a, vs.vm)
+	est := nominalExec(ts.a, vs.vm)
 	if vs.slow > 1 {
 		est *= vs.slow
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -164,6 +165,15 @@ func TestMarketReactiveOnlyRetriesAfterKill(t *testing.T) {
 	// Killed at 5, restarted immediately on VM 0, 20s of work: 25.
 	if rep.Makespan != 25 {
 		t.Fatalf("makespan = %v, want 25 (immediate retry, no backoff)", rep.Makespan)
+	}
+	// No replacement was bought, so the bill is exactly the traced
+	// fleet's: per-second spot prices, VM 1 clipped at its kill.
+	want := pb.FleetCost(rep.Makespan)
+	if rep.Cost != want.Total {
+		t.Fatalf("cost = %v, want traced fleet bill %v", rep.Cost, want.Total)
+	}
+	if !reflect.DeepEqual(rep.CostByProvider, want.ByProvider) {
+		t.Fatalf("cost by provider = %+v, want %+v", rep.CostByProvider, want.ByProvider)
 	}
 }
 

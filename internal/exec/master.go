@@ -38,7 +38,6 @@ type Master struct {
 	leaseTTL    float64
 	leaseFactor float64
 	reassigner  Reassigner
-	est         func(a *dag.Activation, vm *cloud.VM) float64
 	keepOpen    bool
 
 	// Market execution (WithMarket).
@@ -202,17 +201,6 @@ func WithReassigner(r Reassigner) Option {
 	}
 }
 
-// WithEstimator overrides the execution-time estimate used for lease
-// sizing, dispatch durations and reassignment (default
-// runtime/speed, the simulator's nominal model).
-func WithEstimator(fn func(a *dag.Activation, vm *cloud.VM) float64) Option {
-	return func(m *Master) {
-		if fn != nil {
-			m.est = fn
-		}
-	}
-}
-
 // WithCallerOwnedTransport leaves the transport open when Run
 // returns: the caller closes it (Run closes it by default). Used
 // where transport lifetime outlives the run — the benchmark harness
@@ -249,9 +237,6 @@ func New(w *dag.Workflow, fleet *cloud.Fleet, plan core.Plan, tr Transport, opts
 		backoffBase: 1, backoffMax: 60,
 		leaseTTL: 30, leaseFactor: 4,
 		reassigner: EarliestFinish{},
-		est: func(a *dag.Activation, vm *cloud.VM) float64 {
-			return a.Runtime / vm.Type.Speed
-		},
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -265,6 +250,13 @@ func New(w *dag.Workflow, fleet *cloud.Fleet, plan core.Plan, tr Transport, opts
 	}
 	bindWorkflow(tr, w)
 	return m, nil
+}
+
+// nominalExec is the execution-time estimate used for lease sizing,
+// dispatch durations and reassignment: runtime/speed, the simulator's
+// nominal model.
+func nominalExec(a *dag.Activation, vm *cloud.VM) float64 {
+	return a.Runtime / vm.Type.Speed
 }
 
 // TaskResult summarises one activation after the run.
@@ -652,7 +644,7 @@ func (m *Master) repin(ts *taskState) *vmState {
 		Activation: ts.a,
 		Candidates: cands,
 		Backlog:    m.backlog,
-		Estimate:   m.est,
+		Estimate:   nominalExec,
 	}
 	to := m.reassigner.Pick(rc)
 	vs := m.vmByID[to]
@@ -681,11 +673,11 @@ func (m *Master) backlog(vmID int) float64 {
 	}
 	var sum float64
 	for _, i := range vs.queue {
-		sum += m.est(m.tasks[i].a, vs.vm)
+		sum += nominalExec(m.tasks[i].a, vs.vm)
 	}
 	for _, ts := range m.tasks {
 		if ts.running && ts.vm == vmID {
-			sum += m.est(ts.a, vs.vm)
+			sum += nominalExec(ts.a, vs.vm)
 		}
 	}
 	if vs.slow > 1 {
@@ -777,7 +769,7 @@ func (m *Master) pickQueued(vs *vmState) int {
 		}
 		if vs.killAt > 0 {
 			// Pending kill: only start work that finishes before it.
-			est := m.est(ts.a, vs.vm)
+			est := nominalExec(ts.a, vs.vm)
 			if vs.slow > 1 {
 				est *= vs.slow
 			}
@@ -799,7 +791,7 @@ func (m *Master) pickQueued(vs *vmState) int {
 func (m *Master) send(ts *taskState, vs *vmState) error {
 	ts.attempts++
 	m.attempts++
-	est := m.est(ts.a, vs.vm)
+	est := nominalExec(ts.a, vs.vm)
 	if vs.slow > 1 {
 		// Degraded node health: the attempt runs slower, so both the
 		// duration handed to the runner and the lease must stretch, or

@@ -16,9 +16,6 @@
 //     strictly increasing IDs (which also catches duplicate IDs from
 //     autoscaler allocation bugs);
 //   - dead VMs (spot-revoked or idle-retired) never accept work;
-//   - under a market trace: cordoned VMs never start new work, every
-//     kill was preceded by its notice, and the traced bill is
-//     non-negative and monotone (see market.go);
 //
 // and at the end of the run:
 //
@@ -184,12 +181,6 @@ type runAudit struct {
 
 	added, retired, revoked int
 	readyEvents             int
-
-	// Market-trace state (see market.go): cordoned maps a noticed VM
-	// to its notice time.
-	cordoned            map[*sim.VMState]float64
-	mNotices, mDegrades int
-	lastMarketCost      float64
 }
 
 func (r *runAudit) fail(now float64, rule, format string, args ...any) {
@@ -264,7 +255,6 @@ func (r *runAudit) Decision(now float64, ctx *sim.Context) {
 	}
 	r.checkVMOrder(now, ctx.IdleVMs, "idle")
 	r.checkVMOrder(now, ctx.AllVMs, "all")
-	r.marketCost(now)
 }
 
 // TaskReady implements sim.RunHook.
@@ -300,7 +290,6 @@ func (r *runAudit) TaskStart(now float64, t *sim.Task, v *sim.VMState) {
 	if !v.Booted() {
 		r.fail(now, "unbooted-start", "task %s started on unbooted %v", t.Act.ID, v)
 	}
-	r.marketStart(now, t, v)
 	r.busy[v]++
 	if r.busy[v] > v.Slots {
 		r.fail(now, "slot-overcommit", "%v holds %d tasks with %d slots", v, r.busy[v], v.Slots)
@@ -401,7 +390,6 @@ func (r *runAudit) VMRevoked(now float64, v *sim.VMState) {
 	if r.dead[v] {
 		r.fail(now, "revoke-dead", "%v revoked twice", v)
 	}
-	r.marketRevoke(now, v)
 	r.dead[v] = true
 }
 
@@ -491,14 +479,10 @@ func (r *runAudit) RunEnd(res *sim.Result) {
 		}
 	}
 
-	// Cost and BusyCost consistency. A market run bills against the
-	// traced prices instead of the fleet's nominal rate; marketEnd
-	// checks that bill.
+	// Cost and BusyCost consistency.
 	fleet := r.env.Fleet()
 	base := fleet.Cost(res.Makespan)
-	if res.Market != nil {
-		// checked in marketEnd
-	} else if res.Elasticity == nil {
+	if res.Elasticity == nil {
 		if math.Abs(res.Cost-base) > eps {
 			r.fail(now, "cost", "Cost %v != fleet cost %v", res.Cost, base)
 		}
@@ -529,6 +513,4 @@ func (r *runAudit) RunEnd(res *sim.Result) {
 	if res.Revocations != r.revoked {
 		r.fail(now, "revocation-count", "result says %d revocations, auditor observed %d", res.Revocations, r.revoked)
 	}
-
-	r.marketEnd(res)
 }

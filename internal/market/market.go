@@ -3,11 +3,11 @@
 // on-demand and spot prices, boot delays, preemption-notice lead
 // times), seeded price/preemption trace generation under named market
 // regimes, and deterministic JSON trace playback with per-VM cost
-// integration. The simulator (sim.Config.Market) replays a trace so
-// revocations arrive as notice-then-kill events and each run is
-// billed against the traced prices; the exec master (exec.WithMarket)
-// uses the same trace to cordon, drain and remediate VMs before the
-// kill lands instead of waiting for lease expiry.
+// integration. The exec master (exec.WithMarket) replays a trace: it
+// cordons, drains and remediates VMs on a preemption notice before
+// the kill lands instead of waiting for lease expiry, and bills the
+// run against the traced prices. The simulator has no market replay;
+// learning and plan simulation stay market-free.
 package market
 
 import (

@@ -86,9 +86,6 @@ func LoadPlayback(path string, cat *Catalogue) (*Playback, error) {
 // Trace returns the replayed trace.
 func (p *Playback) Trace() *Trace { return p.trace }
 
-// Catalogue returns the catalogue prices are resolved against.
-func (p *Playback) Catalogue() *Catalogue { return p.cat }
-
 // Events returns the trace's time-sorted lifecycle events.
 func (p *Playback) Events() []VMEvent { return p.trace.Events }
 

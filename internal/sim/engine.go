@@ -10,7 +10,6 @@ import (
 	"reassign/internal/cloud"
 	"reassign/internal/dag"
 	"reassign/internal/des"
-	"reassign/internal/market"
 	"reassign/internal/telemetry"
 )
 
@@ -88,12 +87,6 @@ type Config struct {
 	// Spot, when non-nil, revokes eligible VMs at random times,
 	// aborting and requeueing their running activations.
 	Spot *SpotPolicy
-	// Market, when non-nil, replays a market trace: preemptions arrive
-	// as notice-then-kill events (notice cordons the VM, the kill
-	// revokes it), health degradations slow tasks, and Result.Cost is
-	// billed against the traced per-provider prices. Mutually
-	// exclusive with Spot and Autoscale.
-	Market *market.Playback
 	// Seed drives all randomness in the run.
 	Seed int64
 	// Horizon aborts runaway simulations (virtual seconds; 0 = none).
@@ -226,15 +219,6 @@ func (e *Env) Fleet() *cloud.Fleet { return e.fleet }
 // VMStates returns all VM states sorted by ID.
 func (e *Env) VMStates() []*VMState { return e.vms }
 
-// VMStateByID returns the state of the VM with the given ID, or nil
-// when absent.
-func (e *Env) VMStateByID(id int) *VMState {
-	if i := e.VMIndexByID(id); i >= 0 {
-		return e.vms[i]
-	}
-	return nil
-}
-
 // VMIndexByID returns the position in VMStates of the VM with the
 // given ID, or -1 when absent. Initial-fleet IDs resolve in O(1) (vms
 // is ID-sorted and starts gap-free); autoscaled or churned fleets fall
@@ -306,9 +290,6 @@ type Result struct {
 	Elasticity *ElasticityReport
 	// Revocations counts spot VMs revoked during the run.
 	Revocations int
-	// Market is set when Config.Market was active: the traced bill and
-	// market event counters (Cost then equals Market.Cost.Total).
-	Market *MarketReport
 }
 
 // Run simulates the workflow on the fleet under the scheduler. It is
@@ -341,9 +322,6 @@ func NewEngine(w *dag.Workflow, fleet *cloud.Fleet, sched Scheduler, cfg Config)
 	if err := validateConfig(cfg); err != nil {
 		return nil, err
 	}
-	if err := validateMarket(fleet, cfg.Market); err != nil {
-		return nil, err
-	}
 	return &Engine{
 		w:     w,
 		fleet: fleet,
@@ -370,14 +348,6 @@ func validateConfig(cfg Config) error {
 	if cfg.Spot != nil {
 		if err := cfg.Spot.validate(); err != nil {
 			return err
-		}
-	}
-	if cfg.Market != nil {
-		if cfg.Spot != nil {
-			return fmt.Errorf("sim: Market and Spot are mutually exclusive (the trace owns preemption)")
-		}
-		if cfg.Autoscale != nil {
-			return fmt.Errorf("sim: Market does not support Autoscale (acquired VMs are untraced)")
 		}
 	}
 	return nil
@@ -441,12 +411,8 @@ type Engine struct {
 	scaler      *scaler
 	peakBooted  int
 	// hook is this run's observer (cfg.Hook.RunStart), nil when
-	// observation is disabled; mhook is its optional market extension,
-	// resolved once per run.
-	hook  RunHook
-	mhook MarketRunHook
-	// marketStats accumulates the per-run market event counters.
-	marketStats marketCounters
+	// observation is disabled.
+	hook RunHook
 	// abortBuf is reused scratch for collecting the tasks a spot
 	// revocation kills, so they can be aborted in task-index order
 	// rather than map order.
@@ -473,9 +439,6 @@ type Engine struct {
 // must copy first.
 func (g *Engine) Reset(cfg Config) error {
 	if err := validateConfig(cfg); err != nil {
-		return err
-	}
-	if err := validateMarket(g.fleet, cfg.Market); err != nil {
 		return err
 	}
 	if g.result != nil {
@@ -511,7 +474,7 @@ func (g *Engine) setup() {
 		if len(fileAt) > 0 {
 			clear(fileAt)
 		}
-		*st = VMState{VM: vm, Slots: vm.Type.VCPUs, booted: true, slow: 1, fileAt: fileAt}
+		*st = VMState{VM: vm, Slots: vm.Type.VCPUs, booted: true, fileAt: fileAt}
 		g.vms = append(g.vms, st)
 	}
 	if g.env == nil {
@@ -545,12 +508,7 @@ func (g *Engine) setup() {
 	} else {
 		g.hook = nil
 	}
-	g.mhook = nil
-	if g.hook != nil {
-		g.mhook, _ = g.hook.(MarketRunHook)
-	}
 	g.scheduleRevocations()
-	g.scheduleMarket()
 	n := g.w.Len()
 	if g.taskBacking == nil {
 		g.taskBacking = make([]Task, n)
@@ -661,11 +619,7 @@ func (g *Engine) Run() (*Result, error) {
 			g.result.Makespan = r.FinishAt
 		}
 	}
-	if g.cfg.Market != nil {
-		g.finishMarket()
-	} else {
-		g.result.Cost = g.fleet.Cost(g.result.Makespan)
-	}
+	g.result.Cost = g.fleet.Cost(g.result.Makespan)
 	g.result.Events = g.sim.Steps()
 	if g.anyFailed {
 		g.result.State = FinishedFailed
@@ -897,13 +851,6 @@ func (g *Engine) duration(t *Task, v *VMState) float64 {
 			}
 			d += float64(f.Size) / (rate * 1e6)
 		}
-	}
-	if v.slow > 1 {
-		// Degraded node health (market trace): the whole execution runs
-		// slower. Applied before fluctuation, and never reflected in
-		// EstimateExec — degradation is part of the unmodelled
-		// environment the scheduler must adapt to.
-		d *= v.slow
 	}
 	if g.cfg.Fluct != nil {
 		d = g.cfg.Fluct.Apply(g.env.rng, v.VM, d)

@@ -18,16 +18,6 @@ type VMState struct {
 	booted bool // false while the VM is still provisioning
 	stats  VMStats
 
-	// slow multiplies task durations on this VM (1 = full speed);
-	// market health degradations raise it, recovery restores it.
-	slow float64
-	// cordoned marks a VM that must accept no new work: a market
-	// preemption notice arrived and the kill is pending.
-	cordoned bool
-	// noticedAt/killAt record the market preemption notice, for
-	// schedulers and reports (meaningful only when cordoned).
-	noticedAt, killAt float64
-
 	// fileAt records which output files are already resident on this
 	// VM, to skip transfer costs for locally produced inputs. It is
 	// allocated lazily on the first output produced here.
@@ -39,7 +29,6 @@ func newVMState(vm *cloud.VM) *VMState {
 		VM:     vm,
 		Slots:  vm.Type.VCPUs,
 		booted: true,
-		slow:   1,
 	}
 }
 
@@ -47,25 +36,11 @@ func newVMState(vm *cloud.VM) *VMState {
 func (v *VMState) FreeSlots() int { return v.Slots - v.busy }
 
 // Idle reports whether the VM can accept at least one activation —
-// the paper's "idle" VM state. A VM still provisioning is never idle,
-// and neither is a cordoned one (preemption notice pending).
-func (v *VMState) Idle() bool { return v.booted && !v.cordoned && v.busy < v.Slots }
+// the paper's "idle" VM state. A VM still provisioning is never idle.
+func (v *VMState) Idle() bool { return v.booted && v.busy < v.Slots }
 
 // Booted reports whether the VM has finished provisioning.
 func (v *VMState) Booted() bool { return v.booted }
-
-// Cordoned reports whether a market preemption notice has cordoned
-// the VM: running work may finish, but no new work is dispatched.
-func (v *VMState) Cordoned() bool { return v.cordoned }
-
-// HealthFactor returns the current task-duration multiplier (1 =
-// healthy, >1 = degraded).
-func (v *VMState) HealthFactor() float64 {
-	if v.slow < 1 {
-		return 1
-	}
-	return v.slow
-}
 
 // Stats returns the execution history aggregate for this VM.
 func (v *VMState) Stats() VMStats { return v.stats }
