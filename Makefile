@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt race race-replicas race-exec exec-smoke schedd-smoke loadgen-smoke market-smoke bench benchsmoke benchsmoke-large exec-bench-smoke guard e2e e2e-trace e2e-smoke test build vet audit fuzz-smoke
+.PHONY: check fmt race race-replicas race-exec exec-smoke schedd-smoke loadgen-smoke market-smoke bench benchsmoke benchsmoke-large exec-bench-smoke guard e2e e2e-trace e2e-smoke ab test build vet audit fuzz-smoke
 
 ## check: gofmt, vet, build, and test everything (the tier-1 gate)
 check: fmt vet build test
@@ -114,6 +114,15 @@ e2e-trace:
 ## workload's plan digest differs between the two runs
 e2e-smoke:
 	GO=$(GO) bash scripts/e2e_smoke.sh
+
+## ab: alternating-pair A/B of the end-to-end benchmark between two
+## revisions (scripts/ab.sh): median, quartiles and wins per metric,
+## failing if the plan digests differ, e.g.
+##   make ab A=07f53f6 B=HEAD AB_ARGS='-workload svc-cold-large -pairs 5'
+A ?= HEAD~1
+B ?= HEAD
+ab:
+	GO=$(GO) bash scripts/ab.sh $(A) $(B) $(AB_ARGS)
 
 ## audit: the simulation correctness harness — invariant auditor
 ## sweeps, fresh-vs-reset differential grid, and the spot/autoscale

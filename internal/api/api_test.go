@@ -99,6 +99,34 @@ func TestStructureSignature(t *testing.T) {
 	if StructureSignature(wf, fleet16) == StructureSignature(wf, fleet32) {
 		t.Fatal("different fleets must change the signature")
 	}
+
+	// The signature keys the warm-start cache, so its bytes are pinned:
+	// these literals were recorded before the hashing was rewritten.
+	for _, tc := range []struct {
+		wf    WorkflowSpec
+		fleet FleetSpec
+		want  string
+	}{
+		{WorkflowSpec{Synthetic: &SyntheticSpec{Family: "montage", Nodes: 1000, Seed: 1}},
+			FleetSpec{Preset: "scaled", VCPUs: 256}, "f763f3d6c2f45038f3c026e46d700146"},
+		{WorkflowSpec{Synthetic: &SyntheticSpec{Family: "cybershake", Nodes: 100, Seed: 7}},
+			FleetSpec{Preset: "table1", VCPUs: 32}, "bb150c857cf49961bafbc889b063facc"},
+	} {
+		wf, err := tc.wf.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet, err := tc.fleet.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := StructureSignature(wf, fleet); got != tc.want {
+			t.Errorf("%s on %s: signature %s, want %s", wf.Name, fleet.Name, got, tc.want)
+		}
+		if n := testing.AllocsPerRun(10, func() { StructureSignature(wf, fleet) }); n > 2 {
+			t.Errorf("%s on %s: %v allocs per signature, want ≤ 2", wf.Name, fleet.Name, n)
+		}
+	}
 }
 
 func TestPlanDocumentRoundTrip(t *testing.T) {

@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
-	"io"
 	"math"
 
 	"reassign/internal/cloud"
@@ -24,35 +22,41 @@ import (
 // every learning parameter: a Montage DAG resubmitted under a new
 // name with different ε still hits the cache, while adding one edge
 // or swapping a VM type misses.
+//
+// The hashed stream is appended into one buffer, written to the digest
+// whenever it passes flushAt, so the digest and buffer stay on the
+// stack and a call allocates only the returned string, whatever the
+// workflow's size.
 func StructureSignature(w *dag.Workflow, fleet *cloud.Fleet) string {
+	const flushAt = 4096
 	h := sha256.New()
-	writeInt(h, int64(w.Len()))
-	for _, a := range w.Activations() {
-		io.WriteString(h, a.ID)
-		h.Write([]byte{0})
-		io.WriteString(h, a.Activity)
-		h.Write([]byte{0})
-		writeFloat(h, a.Runtime)
-		writeInt(h, int64(len(a.Parents())))
-		for _, p := range a.Parents() {
-			writeInt(h, int64(p.Index))
+	buf := make([]byte, 0, 2*flushAt)
+	flush := func() {
+		if len(buf) >= flushAt {
+			h.Write(buf)
+			buf = buf[:0]
 		}
 	}
-	writeInt(h, int64(fleet.Len()))
-	for _, vm := range fleet.VMs {
-		writeInt(h, int64(vm.ID))
-		io.WriteString(h, vm.Type.Name)
-		h.Write([]byte{0})
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(w.Len()))
+	for _, a := range w.Activations() {
+		buf = append(append(buf, a.ID...), 0)
+		buf = append(append(buf, a.Activity...), 0)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.Runtime))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(a.Parents())))
+		for _, p := range a.Parents() {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Index))
+		}
+		flush()
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-func writeInt(h hash.Hash, v int64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	h.Write(buf[:])
-}
-
-func writeFloat(h hash.Hash, v float64) {
-	writeInt(h, int64(math.Float64bits(v)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(fleet.Len()))
+	for _, vm := range fleet.VMs {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(vm.ID))
+		buf = append(append(buf, vm.Type.Name...), 0)
+		flush()
+	}
+	h.Write(buf)
+	sum := h.Sum(buf[:0])
+	text := sum[sha256.Size : sha256.Size+32]
+	hex.Encode(text, sum[:16])
+	return string(text)
 }

@@ -11,20 +11,21 @@ import (
 	"reassign/internal/dag"
 )
 
-// workflowIntern builds inline workflow documents through a bounded
-// content-addressed table, so a DAG submitted again — the paper's
-// premise: the same workflow, run after run — is parsed once.
+// workflowIntern builds workflows through a bounded content-addressed
+// table, so a DAG submitted again — the paper's premise: the same
+// workflow, run after run — is parsed or generated once.
 //
-// The key is SHA-256 over (format, source). It is a cryptographic
-// digest, as api.StructureSignature is, because submissions come from
-// different tenants and a collision would silently schedule the wrong
-// DAG. The value is the validated *dag.Workflow, shared read-only by
-// every job that submitted those bytes: nothing downstream of
-// handleSubmit mutates a workflow (replica learners already share
-// one). Only documents that parsed are stored, a racing duplicate
-// parse of a new document is allowed (last put wins; both results are
-// equivalent), and evicting an entry never affects a job that already
-// holds the pointer.
+// The key is SHA-256 over the spec's canonical form: (format, source)
+// for an inline document, (family, nodes, seed) for a synthetic spec,
+// which is a pure function of them. It is a cryptographic digest, as
+// api.StructureSignature is, because submissions come from different
+// tenants and a collision would silently schedule the wrong DAG. The
+// value is the validated *dag.Workflow, shared read-only by every job
+// that submitted that spec: nothing downstream of handleSubmit mutates
+// a workflow (replica learners already share one). Only specs that
+// built are stored, a racing duplicate build of a new spec is allowed
+// (last put wins; both results are equivalent), and evicting an entry
+// never affects a job that already holds the pointer.
 type workflowIntern struct {
 	*lru[[sha256.Size]byte, *dag.Workflow]
 }
@@ -33,21 +34,26 @@ func newWorkflowIntern(maxEntries int) workflowIntern {
 	return workflowIntern{newLRU[[sha256.Size]byte, *dag.Workflow](maxEntries)}
 }
 
-// build returns spec's workflow: the interned one when this inline
-// document has been built before, else spec.Build()'s — with the same
-// typed errors — stored for the next submission. Synthetic specs (and
-// unknown formats, which Build rejects) bypass the table. scratch is
-// overwritten: the key is hashed from one contiguous copy of format
-// and source laid out in it, which costs no allocation when scratch
-// already held the request body that source was decoded from.
+// build returns spec's workflow: the interned one when an equivalent
+// spec has been built before, else spec.Build()'s — with the same typed
+// errors — stored for the next submission. Specs without a format
+// (and unknown formats), which Build rejects, bypass the table.
+// scratch is overwritten with the hash input: for an inline document
+// that is one contiguous copy of format and source, which costs no
+// allocation when scratch already held the request body that source
+// was decoded from.
 func (t workflowIntern) build(spec api.WorkflowSpec, scratch *bytes.Buffer) (*dag.Workflow, error) {
-	if spec.Format != "dax" && spec.Format != "wfjson" {
+	scratch.Reset()
+	switch {
+	case spec.Format == "dax" || spec.Format == "wfjson":
+		scratch.WriteString(spec.Format)
+		scratch.WriteByte(0)
+		scratch.WriteString(spec.Source)
+	case spec.Format == "synthetic" || spec.Format == "" && spec.Synthetic != nil:
+		syntheticKey(scratch, spec.Synthetic)
+	default:
 		return spec.Build()
 	}
-	scratch.Reset()
-	scratch.WriteString(spec.Format)
-	scratch.WriteByte(0)
-	scratch.WriteString(spec.Source)
 	key := sha256.Sum256(scratch.Bytes())
 	if w, ok := t.get(key); ok {
 		return w, nil
@@ -58,6 +64,28 @@ func (t workflowIntern) build(spec api.WorkflowSpec, scratch *bytes.Buffer) (*da
 	}
 	t.put(key, w)
 	return w, nil
+}
+
+// syntheticKey writes the canonical form of a synthetic spec into
+// scratch, with the defaults api.WorkflowSpec.Build applies filled in,
+// so two specs that share a key generate the same workflow.
+func syntheticKey(scratch *bytes.Buffer, spec *api.SyntheticSpec) {
+	if spec == nil {
+		spec = &api.SyntheticSpec{}
+	}
+	family, nodes := strings.ToLower(spec.Family), spec.Nodes
+	if family == "" {
+		family = "montage"
+	}
+	if nodes <= 0 {
+		nodes = 50
+	}
+	scratch.WriteString("synthetic\x00")
+	scratch.WriteString(family)
+	scratch.WriteByte(0)
+	scratch.Write(strconv.AppendInt(scratch.AvailableBuffer(), int64(nodes), 10))
+	scratch.WriteByte(0)
+	scratch.Write(strconv.AppendInt(scratch.AvailableBuffer(), spec.Seed, 10))
 }
 
 // fleetIntern builds fleets through a bounded table keyed by the

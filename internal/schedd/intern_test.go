@@ -43,11 +43,16 @@ func inlineDoc(t *testing.T, format string, seed int64) string {
 	return doc.String()
 }
 
+// specJob is smallJob over the given workflow spec.
+func specJob(spec api.WorkflowSpec, seed int64) api.SubmitRequest {
+	req := smallJob(seed)
+	req.Workflow = spec
+	return req
+}
+
 // inlineJob is smallJob over an inline document.
 func inlineJob(format, source string, seed int64) api.SubmitRequest {
-	req := smallJob(seed)
-	req.Workflow = api.WorkflowSpec{Format: format, Source: source}
-	return req
+	return specJob(api.WorkflowSpec{Format: format, Source: source}, seed)
 }
 
 func mustSubmit(t *testing.T, url string, req api.SubmitRequest) *api.JobStatus {
@@ -284,21 +289,23 @@ func TestInternBoundedLRU(t *testing.T) {
 }
 
 // TestInternConcurrentSubmits: 8 goroutines submit a mix of identical
-// and distinct documents — learn, learn+execute and plan replay — and
-// every job passes the happy-path checks. Under -race this is the
-// proof that jobs only read the workflow they share.
+// and distinct specs — inline documents and synthetic specs; learn,
+// learn+execute and plan replay — and every job passes the happy-path
+// checks. Under -race this is the proof that jobs only read the
+// workflow they share.
 func TestInternConcurrentSubmits(t *testing.T) {
 	s, url := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
-	type doc struct{ format, source string }
-	docs := []doc{
-		{"dax", inlineDoc(t, "dax", 1)},
-		{"wfjson", inlineDoc(t, "wfjson", 1)},
-		{"dax", inlineDoc(t, "dax", 2)},
+	docs := []api.WorkflowSpec{
+		{Format: "dax", Source: inlineDoc(t, "dax", 1)},
+		{Format: "wfjson", Source: inlineDoc(t, "wfjson", 1)},
+		{Format: "dax", Source: inlineDoc(t, "dax", 2)},
+		{Synthetic: &api.SyntheticSpec{Nodes: 20, Seed: 1}},
+		{Format: "synthetic", Synthetic: &api.SyntheticSpec{Family: "montage", Nodes: 20, Seed: 2}},
 	}
-	// A replayable plan per document: HEFT over the parsed workflow.
+	// A replayable plan per spec: HEFT over the built workflow.
 	plans := make([]*api.PlanDocument, len(docs))
 	for i, d := range docs {
-		w, err := api.WorkflowSpec{Format: d.format, Source: d.source}.Build()
+		w, err := d.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,8 +334,7 @@ func TestInternConcurrentSubmits(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perGoroutine; i++ {
 				n := g*perGoroutine + i
-				d := docs[n%len(docs)]
-				req := inlineJob(d.format, d.source, int64(n))
+				req := specJob(docs[n%len(docs)], int64(n))
 				// Each request carries its own tenant label, so a string
 				// decoded into a recycled body buffer would show.
 				req.Tenant = fmt.Sprintf("tenant-%02d", n)
@@ -364,33 +370,88 @@ func TestInternConcurrentSubmits(t *testing.T) {
 			t.Errorf("job %s tenant %q, want %q", sj.id, done.Tenant, sj.tenant)
 		}
 	}
-	// Racing first submissions of a document may each parse it, so the
-	// miss count has a range; the table still ends with one entry per
-	// document and no job is left with anything but a parsed workflow.
+	// Racing first submissions of a spec may each build it, so the miss
+	// count has a range; the table still ends with one entry per spec
+	// and no job is left with anything but a built workflow.
 	hits, misses, entries := internStats(s)
 	if entries != len(docs) || hits+misses != goroutines*perGoroutine || misses < int64(len(docs)) {
-		t.Fatalf("intern hits=%d misses=%d entries=%d over %d submissions of %d documents",
+		t.Fatalf("intern hits=%d misses=%d entries=%d over %d submissions of %d specs",
 			hits, misses, entries, goroutines*perGoroutine, len(docs))
 	}
 	if len(shared) != int(misses) {
-		t.Fatalf("%d distinct workflows in use after %d parses", len(shared), misses)
+		t.Fatalf("%d distinct workflows in use after %d builds", len(shared), misses)
 	}
 }
 
-// TestSyntheticBypassesIntern: a synthetic spec is generated per
-// submission, as before.
-func TestSyntheticBypassesIntern(t *testing.T) {
+// TestSyntheticInterned: synthetic specs are interned by their
+// canonical form — the defaults Build applies filled in — so every
+// spelling of one (family, nodes, seed) shares one workflow, any other
+// triple gets its own, and a spec Build refuses is never stored.
+func TestSyntheticInterned(t *testing.T) {
 	s, url := newTestServer(t, Config{Workers: 1})
-	a := mustSubmit(t, url, smallJob(1))
-	b := mustSubmit(t, url, smallJob(2))
-	if hits, misses, entries := internStats(s); hits != 0 || misses != 0 || entries != 0 {
-		t.Fatalf("intern hits=%d misses=%d entries=%d after synthetic submissions, want 0/0/0", hits, misses, entries)
+	var ids []string
+	workflowOf := func(spec api.WorkflowSpec) *dag.Workflow {
+		t.Helper()
+		st := mustSubmit(t, url, specJob(spec, 1))
+		ids = append(ids, st.ID)
+		return s.lookup(st.ID).w
 	}
-	if s.lookup(a.ID).w == s.lookup(b.ID).w {
-		t.Fatal("synthetic submissions share a workflow")
+	syn := func(format, family string, nodes int, seed int64) api.WorkflowSpec {
+		return api.WorkflowSpec{Format: format, Synthetic: &api.SyntheticSpec{Family: family, Nodes: nodes, Seed: seed}}
 	}
-	waitDone(t, url, a.ID)
-	waitDone(t, url, b.ID)
+
+	for _, group := range [][]api.WorkflowSpec{
+		{syn("", "", 20, 1), syn("", "montage", 20, 1), syn("", "MONTAGE", 20, 1), syn("synthetic", "Montage", 20, 1)},
+		{syn("", "montage", 0, 1), syn("synthetic", "montage", 50, 1), syn("", "", -3, 1)},
+		{{Format: "synthetic"}, syn("synthetic", "", 0, 0)},
+	} {
+		w := workflowOf(group[0])
+		for _, spec := range group[1:] {
+			if got := workflowOf(spec); got != w {
+				t.Errorf("%q %+v built workflow %p, not %q %+v's %p",
+					spec.Format, spec.Synthetic, got, group[0].Format, group[0].Synthetic, w)
+			}
+		}
+	}
+	if hits, misses, entries := internStats(s); hits != 6 || misses != 3 || entries != 3 {
+		t.Fatalf("intern hits=%d misses=%d entries=%d, want 6/3/3", hits, misses, entries)
+	}
+
+	w := workflowOf(syn("", "montage", 20, 1))
+	if workflowOf(syn("", "montage", 20, 2)) == w || workflowOf(syn("", "montage", 21, 1)) == w ||
+		workflowOf(syn("", "cybershake", 20, 1)) == w {
+		t.Fatal("a different seed, node count or family shares a workflow")
+	}
+	if _, _, entries := internStats(s); entries != 6 {
+		t.Fatalf("intern entries=%d, want 6", entries)
+	}
+
+	for _, tc := range []struct {
+		spec   api.WorkflowSpec
+		status int
+		code   string
+		field  string
+	}{
+		{syn("", "montage", api.MaxSyntheticNodes+1, 1), http.StatusRequestEntityTooLarge, api.CodeTooLarge, "workflow.synthetic.nodes"},
+		{syn("synthetic", "nope", 20, 1), http.StatusBadRequest, api.CodeBadRequest, "workflow"},
+	} {
+		for i := 0; i < 2; i++ {
+			st, resp := submit(t, url, specJob(tc.spec, 1))
+			if st != nil || resp.StatusCode != tc.status || resp.Err == nil ||
+				resp.Err.Code != tc.code || resp.Err.Field != tc.field {
+				t.Fatalf("%+v, attempt %d: HTTP %d %+v, want %d %s on %s",
+					tc.spec.Synthetic, i, resp.StatusCode, resp.Err, tc.status, tc.code, tc.field)
+			}
+		}
+	}
+	if _, misses, entries := internStats(s); misses != 10 || entries != 6 {
+		t.Fatalf("intern misses=%d entries=%d after refused specs, want 10/6", misses, entries)
+	}
+	for _, id := range ids {
+		if done := waitDone(t, url, id); done.State != api.StateDone {
+			t.Errorf("job %s ended %s: %+v", id, done.State, done.Error)
+		}
+	}
 }
 
 func TestInternMetrics(t *testing.T) {
@@ -399,11 +460,15 @@ func TestInternMetrics(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		waitDone(t, url, mustSubmit(t, url, inlineJob("dax", doc, seed)).ID)
 	}
+	// A synthetic spec counts the same way: one miss, then one hit.
+	for seed := int64(1); seed <= 2; seed++ {
+		waitDone(t, url, mustSubmit(t, url, smallJob(seed)).ID)
+	}
 	body := fetchMetrics(t, url)
 	for _, want := range []string{
-		"schedd_workflow_intern_hits_total 2",
-		"schedd_workflow_intern_misses_total 1",
-		"schedd_workflow_intern_entries 1",
+		"schedd_workflow_intern_hits_total 3",
+		"schedd_workflow_intern_misses_total 2",
+		"schedd_workflow_intern_entries 2",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

@@ -266,18 +266,66 @@ func TestSubmitBoundsTooLarge(t *testing.T) {
 	}
 }
 
+// synthJob registers nothing: it builds a learn-only, no-warm-start
+// synthetic Montage job the way handleSubmit would, the workflow and
+// fleet through the server's intern tables.
+func synthJob(t *testing.T, s *Server, id string, nodes int, seed int64) *job {
+	t.Helper()
+	req := api.SubmitRequest{
+		Workflow:    api.WorkflowSpec{Synthetic: &api.SyntheticSpec{Family: "montage", Nodes: nodes, Seed: seed}},
+		Learn:       api.LearnSpec{Episodes: 2},
+		NoWarmStart: true,
+	}
+	w, err := s.workflows.build(req.Workflow, new(bytes.Buffer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := s.fleets.build(req.Fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &job{id: id, req: req, w: w, fleet: fleet, sig: api.StructureSignature(w, fleet),
+		state: api.StateQueued, submitted: time.Now()}
+}
+
 // TestRetainedHeapFlat: the daemon's heap stops growing once the
-// registry holds MaxJobs finished jobs, and what each executed market
-// job keeps is a few kilobytes of rows, not its records.
+// registry holds MaxJobs finished jobs, and what each finished job
+// keeps is a few kilobytes: rows, not the records of an executed
+// market job; its plan, not a private copy of the workflow a
+// synthetic spec generates.
 func TestRetainedHeapFlat(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 1024 executed jobs")
+		t.Skip("runs 1024 jobs per variant")
 	}
+	for _, tc := range []struct {
+		name   string
+		maxKB  float64
+		newJob func(t *testing.T, s *Server, id string, seed int64) *job
+	}{
+		{"replay-market", 8, func(t *testing.T, s *Server, id string, seed int64) *job {
+			j, _ := replayJob(t, s, id, 100, seed)
+			return j
+		}},
+		{"learn-synthetic", 16, func(t *testing.T, s *Server, id string, seed int64) *job {
+			return synthJob(t, s, id, 200, seed)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkRetainedHeapFlat(t, tc.maxKB, tc.newJob)
+		})
+	}
+}
+
+// checkRetainedHeapFlat runs 4×MaxJobs jobs from newJob, cycling over 8
+// seeds, through execute and into the registry, and checks that the
+// heap is flat from 2×MaxJobs on and that each registered job retains
+// at most maxKB.
+func checkRetainedHeapFlat(t *testing.T, maxKB float64, newJob func(t *testing.T, s *Server, id string, seed int64) *job) {
 	const maxJobs = 256
 	s := New(Config{MaxJobs: maxJobs})
 	run := func(from, n int) {
 		for i := from; i < from+n; i++ {
-			j, _ := replayJob(t, s, fmt.Sprintf("j%06d", i+1), 100, int64(i%8)+1)
+			j := newJob(t, s, fmt.Sprintf("j%06d", i+1), int64(i%8)+1)
 			if err := s.execute(context.Background(), j); err != nil {
 				t.Fatal(err)
 			}
@@ -310,8 +358,8 @@ func TestRetainedHeapFlat(t *testing.T) {
 	s.jobs, s.order = map[string]*job{}, nil
 	s.mu.Unlock()
 	perJob := (at4 - heap()) / maxJobs
-	if perJob > 8<<10 {
-		t.Errorf("an executed job retains %.1f KB, want ≤ 8 KB", perJob/1024)
+	if perJob > maxKB*1024 {
+		t.Errorf("a finished job retains %.1f KB, want ≤ %.0f KB", perJob/1024, maxKB)
 	}
 	t.Logf("heap %.2f MB at 2×MaxJobs, %.2f MB at 4×; %.2f KB per retained job", at2/(1<<20), at4/(1<<20), perJob/1024)
 }

@@ -7,10 +7,11 @@
 // queue rejects with 429 — the service degrades by shedding load, not
 // by growing unboundedly) and drained by a fixed pool of workers. The
 // submission handler builds the workflow and fleet from the request's
-// specs — an inline document through the content-addressed intern
-// table (workflowIntern), so a resubmitted DAG is parsed once and
-// shared read-only, and the fleet through fleetIntern by its spec's
-// canonical form. Each worker runs one job at a time: learn a plan
+// specs — the workflow through the content-addressed intern table
+// (workflowIntern), keyed by an inline document's bytes or a synthetic
+// spec's canonical form, so a resubmitted DAG is parsed or generated
+// once and shared read-only, and the fleet through fleetIntern by its
+// spec's canonical form. Each worker runs one job at a time: learn a plan
 // with core.NewLearner — drawing simulation engines from a shared
 // sync.Pool of Reset-able sim.Engines and warm-starting from the
 // Q-table cache when a job with the same workflow-structure signature
@@ -498,8 +499,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Counter("schedd_qtable_cache_hits_total", "Submissions warm-started from the Q-table cache", hits)
 	p.Counter("schedd_qtable_cache_misses_total", "Submissions that learned from scratch", misses)
 	p.Gauge("schedd_qtable_cache_entries", "Cached Q tables", s.cache.len())
-	p.Counter("schedd_workflow_intern_hits_total", "Inline workflow documents served from the intern table without parsing", wfHits)
-	p.Counter("schedd_workflow_intern_misses_total", "Inline workflow document lookups that missed the intern table (parsed, or rejected as malformed)", wfMisses)
+	p.Counter("schedd_workflow_intern_hits_total", "Workflow specs served from the intern table without parsing or generating", wfHits)
+	p.Counter("schedd_workflow_intern_misses_total", "Workflow spec lookups that missed the intern table (parsed or generated, or rejected)", wfMisses)
 	p.Gauge("schedd_workflow_intern_entries", "Interned workflows", s.workflows.len())
 	p.Counter("schedd_engine_pool_reused_total", "Sim engines served by rebinding a pooled engine", reused)
 	p.Counter("schedd_engine_pool_fresh_total", "Sim engines newly constructed", fresh)

@@ -129,7 +129,7 @@ func (g *Engine) autoscaleStep() {
 				sc.released++
 				sc.releaseTime[v] = now
 				delete(sc.idleSince, v)
-				v.booted = false // never idle again
+				g.setBooted(v, false) // never idle again
 				if g.hook != nil {
 					g.hook.VMRetired(now, v)
 				}
@@ -165,8 +165,7 @@ func (g *Engine) autoscaleStep() {
 	if len(g.fleet.VMs) > 0 {
 		vm.Site = g.fleet.VMs[0].Site
 	}
-	v := newVMState(vm)
-	v.booted = false
+	v := &VMState{VM: vm, Slots: vm.Type.VCPUs} // not booted yet
 	sc.isAcquired[v] = true
 	g.vms = append(g.vms, v)
 	g.env.vms = g.vms
@@ -176,7 +175,7 @@ func (g *Engine) autoscaleStep() {
 	}
 	g.sim.At(now+p.BootDelay, func() {
 		if !sc.dead[v] {
-			v.booted = true
+			g.setBooted(v, true)
 			g.postCycle()
 		}
 	})

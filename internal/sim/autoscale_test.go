@@ -293,3 +293,82 @@ func TestSpotRevokedVMFreesAutoscaleCapacity(t *testing.T) {
 		t.Fatalf("no record on any replacement VM: %v", res.PerVM)
 	}
 }
+
+// bootedAudit checks at every engine transition that the engine's
+// booted-VM counter equals a scan of its VMs.
+type bootedAudit struct {
+	t *testing.T
+	g **Engine
+}
+
+func (a bootedAudit) RunStart(*Env) RunHook { return a }
+
+func (a bootedAudit) check(now float64, at string) {
+	g := *a.g
+	n := 0
+	for _, v := range g.vms {
+		if v.booted {
+			n++
+		}
+	}
+	if g.nBooted != n {
+		a.t.Fatalf("t=%v, %s: nBooted = %d, scan counts %d booted VMs", now, at, g.nBooted, n)
+	}
+}
+
+func (a bootedAudit) Decision(now float64, _ *Context)           { a.check(now, "decision") }
+func (a bootedAudit) TaskReady(now float64, _ *Task)             { a.check(now, "task ready") }
+func (a bootedAudit) TaskStart(now float64, _ *Task, _ *VMState) { a.check(now, "task start") }
+func (a bootedAudit) TaskFinish(now float64, _ *Task, _ *VMState, _, _ bool) {
+	a.check(now, "task finish")
+}
+func (a bootedAudit) TaskAbort(now float64, _ *Task, _ *VMState) { a.check(now, "task abort") }
+func (a bootedAudit) TaskCancel(now float64, _ *Task)            { a.check(now, "task cancel") }
+func (a bootedAudit) VMAdded(now float64, _ *VMState)            { a.check(now, "vm added") }
+func (a bootedAudit) VMRetired(now float64, _ *VMState)          { a.check(now, "vm retired") }
+func (a bootedAudit) VMRevoked(now float64, _ *VMState)          { a.check(now, "vm revoked") }
+func (a bootedAudit) RunEnd(res *Result)                         { a.check(res.Makespan, "run end") }
+
+// TestBootedCounterMatchesScan: the booted-VM counter the peak-VMs
+// report reads stays equal to a scan of the VMs through provisioning
+// boots, autoscaler acquisitions, boots and retirements, and spot
+// revocations — on fresh runs and on Reset ones.
+func TestBootedCounterMatchesScan(t *testing.T) {
+	fleet := cloud.MustFleet("pair", []cloud.VMType{cloud.T2Micro}, []int{2})
+	var revoked, acquired, released int
+	for seed := int64(1); seed <= 10; seed++ {
+		var g *Engine
+		cfg := Config{
+			Seed:            seed,
+			ProvisionDelay:  2,
+			ProvisionJitter: 3,
+			Spot:            &SpotPolicy{MeanLifetime: 200, KeepOne: true},
+			Autoscale: &Autoscale{Type: cloud.T2Micro, MaxVMs: 6, BootDelay: 5,
+				IdleTimeout: 3, QueuePerFreeSlot: 1},
+			Hook: bootedAudit{t, &g},
+		}
+		w := trace.Montage50(rand.New(rand.NewSource(seed)))
+		var err error
+		if g, err = NewEngine(w, fleet, &greedyFirst{}, cfg); err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 2; run++ {
+			if run > 0 {
+				if err := g.Reset(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := g.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			revoked += res.Revocations
+			acquired += res.Elasticity.Acquired
+			released += res.Elasticity.Released
+		}
+	}
+	if revoked == 0 || acquired == 0 || released == 0 {
+		t.Fatalf("revocations %d, acquisitions %d, retirements %d: the scenario should exercise all three",
+			revoked, acquired, released)
+	}
+}

@@ -409,6 +409,7 @@ type Engine struct {
 	anyFailed   bool // a task exhausted retries
 	cyclePosted bool // a scheduling pass is already queued
 	scaler      *scaler
+	nBooted     int // VMs with booted set; flipped only through setBooted
 	peakBooted  int
 	// hook is this run's observer (cfg.Hook.RunStart), nil when
 	// observation is disabled.
@@ -477,6 +478,7 @@ func (g *Engine) setup() {
 		*st = VMState{VM: vm, Slots: vm.Type.VCPUs, booted: true, fileAt: fileAt}
 		g.vms = append(g.vms, st)
 	}
+	g.nBooted = len(g.vms)
 	if g.env == nil {
 		g.env = &Env{fleet: g.fleet, workflow: g.w, acts: g.w.Activations()}
 	}
@@ -588,14 +590,14 @@ func (g *Engine) Run() (*Result, error) {
 	// is not idle and receives no work.
 	if g.cfg.ProvisionDelay > 0 || g.cfg.ProvisionJitter > 0 {
 		for _, v := range g.vms {
-			v.booted = false
+			g.setBooted(v, false)
 			bootAt := g.cfg.ProvisionDelay
 			if g.cfg.ProvisionJitter > 0 {
 				bootAt += g.rng.Float64() * g.cfg.ProvisionJitter
 			}
 			v := v
 			g.sim.At(bootAt, func() {
-				v.booted = true
+				g.setBooted(v, true)
 				g.postCycle()
 			})
 		}
@@ -729,8 +731,8 @@ func (g *Engine) cycle() {
 		}
 	}
 	g.autoscaleStep()
-	if booted := g.bootedCount(); booted > g.peakBooted {
-		g.peakBooted = booted
+	if g.nBooted > g.peakBooted {
+		g.peakBooted = g.nBooted
 	}
 	for g.workflowState() == Available {
 		ctx := g.buildContext()
@@ -754,15 +756,19 @@ func (g *Engine) cycle() {
 	}
 }
 
-// bootedCount counts usable (booted, not retired) VMs.
-func (g *Engine) bootedCount() int {
-	n := 0
-	for _, v := range g.vms {
-		if v.booted {
-			n++
-		}
+// setBooted marks v usable or not (provisioning, retired, revoked),
+// keeping nBooted — the count of usable VMs — in step. Every flip of
+// a VM's booted flag after setup goes through here.
+func (g *Engine) setBooted(v *VMState, booted bool) {
+	if v.booted == booted {
+		return
 	}
-	return n
+	v.booted = booted
+	if booted {
+		g.nBooted++
+	} else {
+		g.nBooted--
+	}
 }
 
 // readySorter orders tasks by (ReadyAt, Index); it is stored on the

@@ -645,7 +645,7 @@ func TestNegativeProvisionRejected(t *testing.T) {
 }
 
 func TestBootedAccessor(t *testing.T) {
-	v := newVMState(&cloud.VM{ID: 0, Type: cloud.T2Micro})
+	v := &VMState{VM: &cloud.VM{ID: 0, Type: cloud.T2Micro}, Slots: cloud.T2Micro.VCPUs, booted: true}
 	if !v.Booted() || !v.Idle() {
 		t.Fatal("fresh VM not booted/idle")
 	}

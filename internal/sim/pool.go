@@ -62,6 +62,7 @@ func (g *Engine) Rebind(w *dag.Workflow, fleet *cloud.Fleet, sched Scheduler, cf
 	g.anyFailed = false
 	g.cyclePosted = false
 	g.scaler = nil
+	g.nBooted = 0
 	g.peakBooted = 0
 	g.hook = nil
 	g.abortBuf = nil

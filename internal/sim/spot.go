@@ -92,7 +92,7 @@ func (g *Engine) revoke(v *VMState) {
 	if g.remaining == 0 || !v.booted {
 		return
 	}
-	v.booted = false
+	g.setBooted(v, false)
 	g.result.Revocations++
 	if g.hook != nil {
 		g.hook.VMRevoked(g.sim.Now(), v)

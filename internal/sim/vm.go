@@ -24,14 +24,6 @@ type VMState struct {
 	fileAt map[string]bool
 }
 
-func newVMState(vm *cloud.VM) *VMState {
-	return &VMState{
-		VM:     vm,
-		Slots:  vm.Type.VCPUs,
-		booted: true,
-	}
-}
-
 // FreeSlots returns the number of unoccupied execution slots.
 func (v *VMState) FreeSlots() int { return v.Slots - v.busy }
 
