@@ -131,12 +131,14 @@ audit:
 	$(GO) test -count=1 ./internal/invariant/...
 	$(GO) test -count=1 -run 'TraceStable|Deterministic|Gapped|Pins|FreesAutoscale|Reset' ./internal/sim/...
 
-## fuzz-smoke: a short native-fuzzing pass over the DES kernel, both
-## workflow parsers, the Q table's band indexing (against a map
-## reference) and the Prometheus writer's label escaping, on top of
-## replaying the checked-in corpus
+## fuzz-smoke: a short native-fuzzing pass over the DES kernel (its
+## structural properties, and its pop order against a container/heap
+## reference), both workflow parsers, the Q table's band indexing
+## (against a map reference) and the Prometheus writer's label
+## escaping, on top of replaying the checked-in corpus
 fuzz-smoke:
-	$(GO) test ./internal/des -fuzz FuzzKernel -fuzztime 10s
+	$(GO) test ./internal/des -fuzz '^FuzzKernel$$' -fuzztime 10s
+	$(GO) test ./internal/des -fuzz '^FuzzKernelOrder$$' -fuzztime 10s
 	$(GO) test ./internal/rl -fuzz FuzzBandIndex -fuzztime 10s
 	$(GO) test ./internal/dax -fuzz FuzzRead -fuzztime 10s
 	$(GO) test ./internal/wfjson -fuzz FuzzRead -fuzztime 10s

@@ -85,6 +85,18 @@ const (
 	MaxFleetVCPUs = 16_384
 )
 
+// Learning-budget bounds on a submission, sized by the same rule: each
+// replica is a concurrent learner with its own Q table (the largest
+// replica count in the repository is 8), and every replica runs the
+// full episode budget (the longest is a 100,000-episode job).
+const (
+	// MaxLearnReplicas bounds LearnSpec.Replicas.
+	MaxLearnReplicas = 128
+	// MaxLearnEpisodes bounds a submission's total episodes:
+	// LearnSpec.Episodes times the replica count.
+	MaxLearnEpisodes = 1_000_000
+)
+
 // Build parses or generates the workflow. Errors are typed *Error
 // with Field "workflow" so handlers map them to 400, or 413
 // (CodeTooLarge) for a synthetic spec over MaxSyntheticNodes.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"reassign/internal/cloud"
@@ -148,15 +149,17 @@ type Scheduler struct {
 	outBuf   []sim.Assignment
 	budget   []int          // free slots by VM ID, valid within one Pick
 	vmByID   []*sim.VMState // idle VM lookup by ID, valid within one Pick
-	perfBuf  []float64      // PerfStdDev scratch
 
-	// perfIdx[i] is the performance index of env.VMStates()[i] and
-	// perfHas[i] whether it has finished an activation this episode. A
+	// perfBuf is the reward's performance-index vector: in VM-position
+	// order, the index of every VM that has finished an activation this
+	// episode — what AppendPerfIndices(nil, vms, mu) would return. A
 	// VM's index changes only when an activation completes on it, which
-	// is exactly when OnTaskComplete hears of it, so each completion
-	// recomputes one entry instead of all of them.
-	perfIdx []float64
-	perfHas []bool
+	// is exactly when OnTaskComplete hears of it, so a completion
+	// overwrites one entry, found through perfSlot[pos] (-1 until the
+	// VM at that position first finishes), and the vector grows by
+	// insertion at most once per VM per episode.
+	perfBuf  []float64
+	perfSlot []int
 
 	// Batched TD writes. Each completion computes its update eagerly
 	// (reads — and, if needed, materialises — Q(k), keeping the
@@ -323,10 +326,9 @@ func (s *Scheduler) Prepare(w *dag.Workflow, fleet *cloud.Fleet, _ *sim.Env) err
 		s.budget = make([]int, v)
 		s.vmByID = make([]*sim.VMState, v)
 		s.perfBuf = make([]float64, 0, v)
-		s.perfIdx = make([]float64, 0, v)
-		s.perfHas = make([]bool, 0, v)
+		s.perfSlot = make([]int, 0, v)
 	}
-	s.perfIdx, s.perfHas = s.perfIdx[:0], s.perfHas[:0]
+	s.perfBuf, s.perfSlot = s.perfBuf[:0], s.perfSlot[:0]
 	s.rewardT = 0
 	s.step = 1
 	s.episodeR = 0
@@ -435,20 +437,8 @@ func (s *Scheduler) OnTaskComplete(t *sim.Task, env *sim.Env) {
 	mu := s.params.Mu
 	pi := VMPerfIndex(vmStats, mu)
 	pw := GlobalPerfIndex(env.GlobalStats(), mu)
-	// perfBuf is what AppendPerfIndices(nil, vms, mu) would return —
-	// same values, same order, so StdDev sums to the same float.
-	for len(s.perfHas) < len(vms) { // first completion, or the fleet grew
-		s.perfIdx = append(s.perfIdx, 0)
-		s.perfHas = append(s.perfHas, false)
-	}
 	if pos >= 0 {
-		s.perfIdx[pos], s.perfHas[pos] = pi, true
-	}
-	s.perfBuf = s.perfBuf[:0]
-	for i, has := range s.perfHas {
-		if has {
-			s.perfBuf = append(s.perfBuf, s.perfIdx[i])
-		}
+		s.setPerf(pos, pi, len(vms))
 	}
 	stdv := metrics.StdDev(s.perfBuf)
 	crisp := CrispReward(pi, pw, stdv)
@@ -485,6 +475,34 @@ func (s *Scheduler) OnTaskComplete(t *sim.Task, env *sim.Env) {
 	if s.npending == 0 {
 		s.FlushTD()
 	}
+}
+
+// setPerf records pi as the performance index of the VM at position
+// pos of an n-VM env. A repeat completion overwrites its own entry; a
+// first one inserts it after every finished VM before pos, so perfBuf
+// keeps AppendPerfIndices' values in its order and StdDev sums to the
+// same float.
+func (s *Scheduler) setPerf(pos int, pi float64, n int) {
+	for len(s.perfSlot) < n { // first completion, or the fleet grew
+		s.perfSlot = append(s.perfSlot, -1)
+	}
+	if k := s.perfSlot[pos]; k >= 0 {
+		s.perfBuf[k] = pi
+		return
+	}
+	k := 0
+	for _, j := range s.perfSlot[:pos] {
+		if j >= 0 {
+			k++
+		}
+	}
+	for i, j := range s.perfSlot[pos+1:] {
+		if j >= 0 {
+			s.perfSlot[pos+1+i] = j + 1
+		}
+	}
+	s.perfSlot[pos] = k
+	s.perfBuf = slices.Insert(s.perfBuf, k, pi)
 }
 
 // queueTD computes k's TD update eagerly — reading Q(k) consumes the

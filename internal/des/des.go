@@ -9,7 +9,6 @@
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -28,45 +27,90 @@ var ErrHorizon = errors.New("des: time horizon reached with pending events")
 // was called without a cause.
 var ErrInterrupted = errors.New("des: run interrupted")
 
-// event is one entry in the future-event list. Executed events are
-// recycled through the simulator's free list; gen increments on each
-// recycle so stale EventRefs become no-ops instead of touching the
-// event's next incarnation.
+// event is the cancelable, recyclable half of a future-event-list
+// entry; its ordering key lives inline in the queue's slot. Executed
+// events are recycled through the simulator's free list; gen
+// increments on each recycle so stale EventRefs become no-ops instead
+// of touching the event's next incarnation.
 type event struct {
-	time     float64
-	priority int   // lower runs first among equal times
-	seq      int64 // insertion order; breaks remaining ties
 	gen      uint64
 	fn       Handler
 	canceled bool
 }
 
-// eventQueue is a min-heap over (time, priority, seq).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	if q[i].priority != q[j].priority {
-		return q[i].priority < q[j].priority
-	}
-	return q[i].seq < q[j].seq
+// slot is one future-event-list entry: the ordering key inline, so a
+// sift compares without following a pointer.
+type slot struct {
+	time     float64
+	priority int   // lower runs first among equal times
+	seq      int64 // insertion order; breaks remaining ties
+	ev       *event
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+// before is the queue order: (time, priority, seq). seq is unique, so
+// the order is total and any correct heap pops the same sequence.
+func (a *slot) before(b *slot) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	if a.priority != b.priority {
+		return a.priority < b.priority
+	}
+	return a.seq < b.seq
+}
 
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
+// eventQueue is a 4-ary min-heap of slots: half the depth of a binary
+// heap, and a node's four children sit next to each other in memory.
+type eventQueue []slot
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+func (q *eventQueue) push(x slot) {
+	*q = append(*q, x)
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+}
+
+// pop removes and returns the minimum slot's event; the queue must be
+// non-empty.
+func (q *eventQueue) pop() *event {
+	h := *q
+	top := h[0].ev
+	n := len(h) - 1
+	x := h[n]
+	h[n] = slot{}
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
+	return top
 }
 
 // EventRef identifies a scheduled event so it can be canceled.
@@ -208,13 +252,13 @@ func (s *Simulator) AtPriority(t float64, priority int, fn Handler) EventRef {
 		ev = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		ev.time, ev.priority, ev.seq, ev.fn, ev.canceled = t, priority, s.seq, fn, false
+		ev.fn, ev.canceled = fn, false
 		s.freeHits++
 	} else {
-		ev = &event{time: t, priority: priority, seq: s.seq, fn: fn}
+		ev = &event{fn: fn}
 		s.freeMisses++
 	}
-	heap.Push(&s.queue, ev)
+	s.queue.push(slot{time: t, priority: priority, seq: s.seq, ev: ev})
 	if len(s.queue) > s.maxDepth {
 		s.maxDepth = len(s.queue)
 	}
@@ -242,12 +286,13 @@ func (s *Simulator) After(delay float64, fn Handler) EventRef {
 // empty or only canceled events remain).
 func (s *Simulator) Step() bool {
 	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*event)
+		t := s.queue[0].time
+		ev := s.queue.pop()
 		if ev.canceled {
 			s.recycle(ev)
 			continue
 		}
-		s.now = ev.time
+		s.now = t
 		s.steps++
 		fn := ev.fn
 		// Recycle before running: outstanding refs to this event are
@@ -270,9 +315,9 @@ func (s *Simulator) Run() error {
 	for s.stopErr == nil && len(s.queue) > 0 {
 		// Peek without popping so a horizon stop leaves the event
 		// pending.
-		next := s.queue[0]
-		if next.canceled {
-			s.recycle(heap.Pop(&s.queue).(*event))
+		next := &s.queue[0]
+		if next.ev.canceled {
+			s.recycle(s.queue.pop())
 			continue
 		}
 		if next.time > s.horizon {
@@ -297,9 +342,9 @@ func (s *Simulator) RunUntil(t float64) {
 		panic(fmt.Sprintf("des: RunUntil(%v) before now %v", t, s.now))
 	}
 	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if next.canceled {
-			s.recycle(heap.Pop(&s.queue).(*event))
+		next := &s.queue[0]
+		if next.ev.canceled {
+			s.recycle(s.queue.pop())
 			continue
 		}
 		if next.time > t {
@@ -316,8 +361,8 @@ func (s *Simulator) RunUntil(t float64) {
 // queue's backing array is kept, so a reset simulator re-runs without
 // re-allocating its event pool (the sim.Engine.Reset episode loop).
 func (s *Simulator) Reset() {
-	for _, ev := range s.queue {
-		s.recycle(ev)
+	for _, x := range s.queue {
+		s.recycle(x.ev)
 	}
 	s.queue = s.queue[:0]
 	s.now = 0

@@ -1,0 +1,209 @@
+package des
+
+import (
+	"container/heap"
+	"math"
+	"slices"
+	"testing"
+)
+
+// refEvent and refQueue are the kernel's original future-event list:
+// pointer entries ordered by (time, priority, seq) through
+// container/heap. They are the reference the typed queue must match.
+type refEvent struct {
+	time     float64
+	priority int
+	seq      int64
+	fn       func()
+	canceled bool
+	dead     bool // fired or dropped by a reset: Cancel refuses
+}
+
+type refQueue []*refEvent
+
+func (q refQueue) Len() int { return len(q) }
+
+func (q refQueue) Less(i, j int) bool {
+	if q[i].time != q[j].time {
+		return q[i].time < q[j].time
+	}
+	if q[i].priority != q[j].priority {
+		return q[i].priority < q[j].priority
+	}
+	return q[i].seq < q[j].seq
+}
+
+func (q refQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+
+func (q *refQueue) Push(x any) { *q = append(*q, x.(*refEvent)) }
+
+func (q *refQueue) Pop() any {
+	old := *q
+	n := len(old)
+	ev := old[n-1]
+	old[n-1] = nil
+	*q = old[:n-1]
+	return ev
+}
+
+// refSim is the minimal simulator around refQueue: the clock, lazy
+// cancellation, step, run-until, reset and periodic series, with none
+// of the freelist or counters.
+type refSim struct {
+	now   float64
+	queue refQueue
+	seq   int64
+}
+
+func (r *refSim) at(t float64, priority int, fn func()) *refEvent {
+	r.seq++
+	ev := &refEvent{time: t, priority: priority, seq: r.seq, fn: fn}
+	heap.Push(&r.queue, ev)
+	return ev
+}
+
+func (r *refSim) cancel(ev *refEvent) bool {
+	if ev.dead || ev.canceled {
+		return false
+	}
+	ev.canceled = true
+	return true
+}
+
+func (r *refSim) step() bool {
+	for len(r.queue) > 0 {
+		ev := heap.Pop(&r.queue).(*refEvent)
+		ev.dead = true
+		if ev.canceled {
+			continue
+		}
+		r.now = ev.time
+		ev.fn()
+		return true
+	}
+	return false
+}
+
+func (r *refSim) runUntil(t float64) {
+	for len(r.queue) > 0 {
+		next := r.queue[0]
+		if next.canceled {
+			heap.Pop(&r.queue)
+			next.dead = true
+			continue
+		}
+		if next.time > t {
+			break
+		}
+		r.step()
+	}
+	r.now = t
+}
+
+func (r *refSim) reset() {
+	for _, ev := range r.queue {
+		ev.dead = true
+	}
+	r.queue = r.queue[:0]
+	r.now, r.seq = 0, 0
+}
+
+func (r *refSim) every(interval float64, fn func() bool) {
+	var tick func()
+	tick = func() {
+		if fn() {
+			r.at(r.now+interval, 0, tick)
+		}
+	}
+	r.at(r.now+interval, 0, tick)
+}
+
+// FuzzKernelOrder feeds one byte-coded op stream — schedule,
+// prioritized schedule, cancel, step, run-until, reset, periodic
+// series — to the kernel and to refSim, and requires the same events
+// to fire in the same order, the same clock after every op and the
+// same Cancel answers. Times are coarse (halves up to 15.5 ahead) and
+// priorities span -3..4, so equal-time ties of mixed priority are the
+// common case rather than the exception.
+func FuzzKernelOrder(f *testing.F) {
+	// Equal-time ties: priorities 2, -1, 0, -3 at t=1, then drained.
+	f.Add([]byte{1, 0x15, 1, 0x12, 0, 0x10, 1, 0x10, 3, 0, 3, 0, 3, 0, 3, 0})
+	// Mixed ties with a cancel, a run-until and a ticker landing on
+	// the tie instant.
+	f.Add([]byte{1, 0x17, 1, 0x10, 0, 0x10, 2, 1, 6, 0x08, 4, 2, 1, 0x14, 3, 0})
+	// A reset amid ties, then ties again in the new epoch.
+	f.Add([]byte{1, 0x25, 1, 0x21, 5, 0, 1, 0x25, 1, 0x21, 0, 0x20, 2, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		s, r := New(), &refSim{}
+		var got, want []int
+		var refs []EventRef
+		var refEvs []*refEvent
+		ticks := 0
+		check := func(i int) {
+			t.Helper()
+			if !slices.Equal(got, want) {
+				t.Fatalf("op %d: kernel fired %v, reference %v", i, got, want)
+			}
+			if math.Float64bits(s.Now()) != math.Float64bits(r.now) {
+				t.Fatalf("op %d: kernel clock %v, reference %v", i, s.Now(), r.now)
+			}
+		}
+		for i := 0; i+1 < len(ops) && len(refs) < 256; i += 2 {
+			op, arg := ops[i]%7, ops[i+1]
+			at := s.Now() + float64(arg>>3)/2
+			switch op {
+			case 0, 1:
+				prio := 0
+				if op == 1 {
+					prio = int(arg&7) - 3
+				}
+				id := len(refs)
+				refs = append(refs, s.AtPriority(at, prio, func() { got = append(got, id) }))
+				refEvs = append(refEvs, r.at(at, prio, func() { want = append(want, id) }))
+			case 2:
+				if len(refs) == 0 {
+					continue
+				}
+				k := int(arg) % len(refs)
+				if g, w := refs[k].Cancel(), r.cancel(refEvs[k]); g != w {
+					t.Fatalf("op %d: Cancel(%d) = %v, reference %v", i, k, g, w)
+				}
+			case 3:
+				if g, w := s.Step(), r.step(); g != w {
+					t.Fatalf("op %d: Step = %v, reference %v", i, g, w)
+				}
+			case 4:
+				u := s.Now() + float64(arg)/4
+				s.RunUntil(u)
+				r.runUntil(u)
+			case 5:
+				s.Reset()
+				r.reset()
+			case 6:
+				if ticks < 3 { // bound periodic load so the drain terminates
+					id := -1 - ticks
+					interval := float64(arg>>3)/2 + 0.5
+					n, m := 0, 0
+					s.Every(interval, func() bool {
+						got = append(got, id)
+						n++
+						return n < 4
+					})
+					r.every(interval, func() bool {
+						want = append(want, id)
+						m++
+						return m < 4
+					})
+					ticks++
+				}
+			}
+			check(i)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		for r.step() {
+		}
+		check(len(ops))
+	})
+}

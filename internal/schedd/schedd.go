@@ -282,6 +282,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"negative replica count %d", req.Learn.Replicas))
 		return
 	}
+	if req.Learn.Replicas > api.MaxLearnReplicas {
+		writeErr(w, api.Errorf(api.CodeTooLarge, "learn.replicas",
+			"%d replicas exceed the bound of %d", req.Learn.Replicas, api.MaxLearnReplicas))
+		return
+	}
+	if k := max(req.Learn.Replicas, 1); req.Learn.Episodes > api.MaxLearnEpisodes/k {
+		writeErr(w, api.Errorf(api.CodeTooLarge, "learn.episodes",
+			"%d episodes × %d replicas exceed the bound of %d episodes", req.Learn.Episodes, k, api.MaxLearnEpisodes))
+		return
+	}
 	if req.DeadlineSeconds < 0 {
 		writeErr(w, api.Errorf(api.CodeBadRequest, "deadline_seconds",
 			"negative deadline %v", req.DeadlineSeconds))

@@ -414,13 +414,9 @@ type Engine struct {
 	// hook is this run's observer (cfg.Hook.RunStart), nil when
 	// observation is disabled.
 	hook RunHook
-	// abortBuf is reused scratch for collecting the tasks a spot
-	// revocation kills, so they can be aborted in task-index order
-	// rather than map order.
-	abortBuf []*Task
-	// running maps in-flight tasks to their completion event and VM,
-	// so spot revocations can abort them.
-	running map[*Task]runningTask
+	// running[i] is task i's completion event and VM while it runs
+	// (vm == nil otherwise), so spot revocations can abort it.
+	running []runningTask
 
 	// fileHome records which VM produced each output file, for
 	// site-aware transfer costs in multi-site fleets.
@@ -501,7 +497,7 @@ func (g *Engine) setup() {
 		g.scaler = nil
 	}
 	if g.running == nil {
-		g.running = make(map[*Task]runningTask, g.fleet.Len())
+		g.running = make([]runningTask, g.w.Len())
 	} else {
 		clear(g.running)
 	}
@@ -542,8 +538,8 @@ func (g *Engine) setup() {
 				g.postCycle()
 			}
 			g.completeFns[i] = func() {
-				if run, ok := g.running[t]; ok {
-					g.complete(t, run.vm)
+				if v := g.running[i].vm; v != nil {
+					g.complete(t, v)
 				}
 			}
 		}
@@ -825,10 +821,10 @@ func (g *Engine) start(as Assignment) bool {
 	t.StartAt = start
 	fin := start + dur + g.cfg.PostScriptDelay
 	// The pre-bound closure resolves the VM through g.running, so the
-	// map entry must exist before the event can fire; inserting first
-	// is safe because the event is strictly in the future.
+	// entry must be set before the event can fire; setting it after
+	// scheduling is safe because the event is strictly in the future.
 	ref := g.sim.At(fin, g.completeFns[t.Act.Index])
-	g.running[t] = runningTask{ref: ref, vm: v}
+	g.running[t.Act.Index] = runningTask{ref: ref, vm: v}
 	if g.hook != nil {
 		g.hook.TaskStart(g.sim.Now(), t, v)
 	}
@@ -865,7 +861,7 @@ func (g *Engine) duration(t *Task, v *VMState) float64 {
 }
 
 func (g *Engine) complete(t *Task, v *VMState) {
-	delete(g.running, t)
+	g.running[t.Act.Index] = runningTask{}
 	v.release()
 	t.FinishAt = g.sim.Now()
 

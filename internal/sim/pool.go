@@ -65,7 +65,6 @@ func (g *Engine) Rebind(w *dag.Workflow, fleet *cloud.Fleet, sched Scheduler, cf
 	g.nBooted = 0
 	g.peakBooted = 0
 	g.hook = nil
-	g.abortBuf = nil
 	g.running = nil
 	g.fileHome = nil
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"reassign/internal/cloud"
@@ -77,13 +76,6 @@ func (g *Engine) scheduleSpotRevocation(v *VMState, bootAt float64) {
 	g.sim.At(at, func() { g.revoke(v) })
 }
 
-// taskIndexSorter orders tasks by activation index.
-type taskIndexSorter []*Task
-
-func (s taskIndexSorter) Len() int           { return len(s) }
-func (s taskIndexSorter) Less(i, j int) bool { return s[i].Act.Index < s[j].Act.Index }
-func (s taskIndexSorter) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
 // revoke kills a VM: running activations are aborted back to the
 // ready queue in task-index order, the VM never accepts work again.
 // The autoscaler, when active, is told so the corpse stops counting
@@ -100,21 +92,15 @@ func (g *Engine) revoke(v *VMState) {
 	if g.scaler != nil {
 		g.scaler.vmRevoked(v, g.sim.Now())
 	}
-	// Collect the affected tasks first: aborting while iterating
-	// g.running would emit their failure records in map order, which
-	// varies between runs and breaks the byte-stable-trace contract
-	// whenever a multi-vCPU VM dies with more than one task aboard.
-	g.abortBuf = g.abortBuf[:0]
-	for t, run := range g.running {
-		if run.vm == v {
-			g.abortBuf = append(g.abortBuf, t)
+	for i := range g.running {
+		run := &g.running[i]
+		if run.vm != v {
+			continue
 		}
-	}
-	sort.Sort(taskIndexSorter(g.abortBuf))
-	for _, t := range g.abortBuf {
-		g.running[t].ref.Cancel()
+		run.ref.Cancel()
+		*run = runningTask{}
 		v.release()
-		delete(g.running, t)
+		t := g.tasks[i]
 		// The aborted attempt shows up as an unsuccessful record
 		// ending at the revocation instant.
 		t.FinishAt = g.sim.Now()

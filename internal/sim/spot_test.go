@@ -2,10 +2,12 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"reassign/internal/cloud"
+	"reassign/internal/dag"
 	"reassign/internal/trace"
 )
 
@@ -202,5 +204,88 @@ func TestSpotRevokeMultiVCPUTraceStable(t *testing.T) {
 	}
 	for i := 0; i < 24; i++ {
 		requireEqualRuns(t, first, run(seed))
+	}
+}
+
+// orderHook records the activation indices of task starts and spot
+// aborts, in the order the engine reports them.
+type orderHook struct {
+	starts, aborts []int
+}
+
+func (h *orderHook) RunStart(*Env) RunHook      { return h }
+func (h *orderHook) Decision(float64, *Context) {}
+func (h *orderHook) TaskReady(float64, *Task)   {}
+func (h *orderHook) TaskStart(_ float64, t *Task, _ *VMState) {
+	h.starts = append(h.starts, t.Act.Index)
+}
+func (h *orderHook) TaskFinish(float64, *Task, *VMState, bool, bool) {}
+func (h *orderHook) TaskAbort(_ float64, t *Task, _ *VMState) {
+	h.aborts = append(h.aborts, t.Act.Index)
+}
+func (h *orderHook) TaskCancel(float64, *Task)   {}
+func (h *orderHook) VMAdded(float64, *VMState)   {}
+func (h *orderHook) VMRetired(float64, *VMState) {}
+func (h *orderHook) VMRevoked(float64, *VMState) {}
+func (h *orderHook) RunEnd(*Result)              {}
+
+// reverseFirst assigns the ready tasks to the first idle VM with free
+// slots in descending activation index, so a multi-slot VM holds
+// tasks started out of index order.
+type reverseFirst struct{}
+
+func (reverseFirst) Name() string                                    { return "reverse-first" }
+func (reverseFirst) Prepare(*dag.Workflow, *cloud.Fleet, *Env) error { return nil }
+
+func (reverseFirst) Pick(ctx *Context) []Assignment {
+	var out []Assignment
+	for _, v := range ctx.IdleVMs {
+		free := v.FreeSlots()
+		for i := len(ctx.Ready) - 1; i >= 0 && free > 0; i-- {
+			out = append(out, Assignment{Task: ctx.Ready[i], VM: v})
+			free--
+		}
+		break
+	}
+	return out
+}
+
+// TestSpotRevokeAbortsInIndexOrder revokes an 8-slot VM while five
+// independent activations, started in descending index order, run on
+// it: the aborts, and so the failure records, must come out in
+// ascending index order regardless of start order.
+func TestSpotRevokeAbortsInIndexOrder(t *testing.T) {
+	w := dag.New("fan")
+	for i := 0; i < 5; i++ {
+		w.MustAdd(string(rune('a'+i)), "work", 1000)
+	}
+	fleet := cloud.MustFleet("spot-big", []cloud.VMType{cloud.T22XLarge, cloud.T2Micro}, []int{1, 1})
+	h := &orderHook{}
+	res, err := Run(w, fleet, reverseFirst{}, Config{
+		Seed: 1,
+		Spot: &SpotPolicy{MeanLifetime: 1, EligibleType: cloud.T22XLarge.Name},
+		Hook: h,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.State != FinishedOK || res.Revocations != 1 {
+		t.Fatalf("state %v with %d revocations, want finished with 1", res.State, res.Revocations)
+	}
+	wantStarts := []int{4, 3, 2, 1, 0}
+	if len(h.starts) < 5 || !slices.Equal(h.starts[:5], wantStarts) {
+		t.Fatalf("first starts %v, want %v on the spot VM", h.starts, wantStarts)
+	}
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(h.aborts, want) {
+		t.Fatalf("aborts %v, want %v", h.aborts, want)
+	}
+	var failed []string
+	for _, r := range res.Records {
+		if !r.Success {
+			failed = append(failed, r.TaskID)
+		}
+	}
+	if want := []string{"a", "b", "c", "d", "e"}; !slices.Equal(failed, want) {
+		t.Fatalf("failure records %v, want %v", failed, want)
 	}
 }
