@@ -134,8 +134,9 @@ audit:
 ## fuzz-smoke: a short native-fuzzing pass over the DES kernel (its
 ## structural properties, and its pop order against a container/heap
 ## reference), both workflow parsers, the Q table's band indexing
-## (against a map reference) and the Prometheus writer's label
-## escaping, on top of replaying the checked-in corpus
+## (against a map reference), the Prometheus writer's label escaping
+## and schedd's submit handler (no panic, no 5xx, every 4xx a typed
+## error), on top of replaying the checked-in corpus
 fuzz-smoke:
 	$(GO) test ./internal/des -fuzz '^FuzzKernel$$' -fuzztime 10s
 	$(GO) test ./internal/des -fuzz '^FuzzKernelOrder$$' -fuzztime 10s
@@ -143,3 +144,4 @@ fuzz-smoke:
 	$(GO) test ./internal/dax -fuzz FuzzRead -fuzztime 10s
 	$(GO) test ./internal/wfjson -fuzz FuzzRead -fuzztime 10s
 	$(GO) test ./internal/metrics -fuzz FuzzPromLabel -fuzztime 10s
+	$(GO) test ./internal/schedd -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 10s

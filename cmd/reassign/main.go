@@ -475,8 +475,7 @@ func writePlan(path, workflow, fleet string, makespan float64, plan core.Plan) e
 }
 
 // readPlan loads a plan written by writePlan: for .json paths the
-// versioned api.PlanDocument (which still decodes the two legacy
-// encodings — a bare entry array and a {"activation": vm} object),
+// versioned api.PlanDocument, whose schema version must be current,
 // the two-column TSV otherwise.
 func readPlan(path string) (core.Plan, error) {
 	var plan core.Plan
@@ -487,6 +486,9 @@ func readPlan(path string) (core.Plan, error) {
 		}
 		var doc api.PlanDocument
 		if err := json.Unmarshal(data, &doc); err != nil {
+			return plan, fmt.Errorf("plan %s: %w", path, err)
+		}
+		if err := api.CheckSchemaVersion(doc.SchemaVersion); err != nil {
 			return plan, fmt.Errorf("plan %s: %w", path, err)
 		}
 		return doc.Plan, nil

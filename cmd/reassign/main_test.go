@@ -128,27 +128,28 @@ func TestPlanRoundTripTSVAndJSON(t *testing.T) {
 		t.Fatalf("plan.json document header: %+v", doc)
 	}
 
-	// Legacy files still load: the bare entry array and the
-	// {"activation": vm} map the CLI wrote before the schema existed.
-	legacyArr := filepath.Join(dir, "legacy_arr.json")
-	arr, _ := json.Marshal(plan)
-	if err := os.WriteFile(legacyArr, arr, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	legacyMap := filepath.Join(dir, "legacy_map.json")
-	if err := os.WriteFile(legacyMap, []byte(`{"ID00000":8,"ID00001":3,"ID00002":0}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{legacyArr, legacyMap} {
-		back, err := readPlan(p)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		if back.Len() != 3 {
-			t.Fatalf("%s: %d entries", p, back.Len())
-		}
-	}
 	if _, err := readPlan(filepath.Join(dir, "missing.tsv")); err == nil {
 		t.Fatal("missing plan accepted")
+	}
+}
+
+// TestReadPlanRejectsSchemaVersion: a plan document of another schema
+// version is an error naming the version, and so is a bare entry
+// array, which no writer produces.
+func TestReadPlanRejectsSchemaVersion(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"v9.json":    `{"schema_version":"v9","plan":[{"activation":"a","vm":0}]}`,
+		"array.json": `[{"activation":"a","vm":0}]`,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readPlan(path); err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if name == "v9.json" && !strings.Contains(err.Error(), `"v9"`) {
+			t.Errorf("%s: error %q does not name the version", name, err)
+		}
 	}
 }

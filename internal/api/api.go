@@ -11,8 +11,6 @@
 package api
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -96,6 +94,12 @@ const (
 	// LearnSpec.Episodes times the replica count.
 	MaxLearnEpisodes = 1_000_000
 )
+
+// MaxMarketHorizon bounds MarketSpec.Horizon in virtual seconds: a
+// trace's preemption draws grow with its horizon, and the longest in
+// the repository is the 3600 s default, so one day is over ten times
+// that.
+const MaxMarketHorizon = 86_400
 
 // Build parses or generates the workflow. Errors are typed *Error
 // with Field "workflow" so handlers map them to 400, or 413
@@ -377,8 +381,9 @@ type JobStatus struct {
 // PlanDocument is the versioned on-the-wire (and on-disk) form of a
 // scheduling plan: the document written by `reassign -plan x.json`,
 // accepted by `reassign -planin` and POST /v1/jobs, and returned in
-// JobStatus. Legacy files — a bare entry array or a {"activation":
-// vm} object — still decode.
+// JobStatus. It decodes in its reader's own pass (no custom
+// UnmarshalJSON); the reader checks SchemaVersion with
+// CheckSchemaVersion.
 type PlanDocument struct {
 	SchemaVersion string `json:"schema_version"`
 	// Workflow and Fleet name the inputs the plan was computed for
@@ -400,39 +405,4 @@ func NewPlanDocument(workflow, fleet string, makespan float64, plan core.Plan) *
 		MakespanSeconds: makespan,
 		Plan:            plan,
 	}
-}
-
-// UnmarshalJSON decodes the versioned document form as well as the
-// two legacy plan encodings: a bare entry array ([{"activation":...,
-// "vm":...}]) and a plain {"activation": vm} object.
-func (d *PlanDocument) UnmarshalJSON(data []byte) error {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var p core.Plan
-		if err := json.Unmarshal(data, &p); err != nil {
-			return err
-		}
-		*d = PlanDocument{Plan: p}
-		return nil
-	}
-	type alias PlanDocument
-	var a alias
-	if err := json.Unmarshal(data, &a); err != nil {
-		return err
-	}
-	if a.SchemaVersion == "" && a.Plan.Len() == 0 {
-		// Possibly a legacy {"activation": vm} object; a real map
-		// decodes with at least one entry, an empty document stays
-		// a document.
-		var p core.Plan
-		if err := json.Unmarshal(data, &p); err == nil && p.Len() > 0 {
-			*d = PlanDocument{Plan: p}
-			return nil
-		}
-	}
-	if err := CheckSchemaVersion(a.SchemaVersion); err != nil {
-		return err
-	}
-	*d = PlanDocument(a)
-	return nil
 }

@@ -174,18 +174,14 @@ func (p Plan) MarshalJSON() ([]byte, error) {
 	return json.Marshal(p.entries)
 }
 
-// UnmarshalJSON decodes either the entry-array form written by
-// MarshalJSON or a plain {"activation": vm} object (the legacy map
-// representation). Duplicate activations are an error.
+// UnmarshalJSON decodes the entry-array form written by MarshalJSON.
+// Duplicate activations are an error. It is the one nested
+// json.Unmarshal of a plan-carrying document: entries is unexported,
+// so the array cannot decode in the enclosing document's pass.
 func (p *Plan) UnmarshalJSON(data []byte) error {
 	var entries []PlanEntry
 	if err := json.Unmarshal(data, &entries); err != nil {
-		var m map[string]int
-		if err2 := json.Unmarshal(data, &m); err2 != nil {
-			return fmt.Errorf("core: plan: %w", err)
-		}
-		*p = NewPlan(m)
-		return nil
+		return fmt.Errorf("core: plan: %w", err)
 	}
 	plan, err := NewPlanFromEntries(entries)
 	if err != nil {

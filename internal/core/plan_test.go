@@ -75,19 +75,6 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPlanJSONLegacyMap(t *testing.T) {
-	var p Plan
-	if err := json.Unmarshal([]byte(`{"a": 1, "b": 2}`), &p); err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 2 {
-		t.Fatalf("legacy decode lost entries: %d", p.Len())
-	}
-	if vm, _ := p.VM("b"); vm != 2 {
-		t.Error("legacy decode corrupted assignment")
-	}
-}
-
 func TestPlanJSONDuplicate(t *testing.T) {
 	var p Plan
 	err := json.Unmarshal([]byte(`[{"activation":"a","vm":1},{"activation":"a","vm":2}]`), &p)
@@ -97,9 +84,12 @@ func TestPlanJSONDuplicate(t *testing.T) {
 }
 
 func TestPlanJSONGarbage(t *testing.T) {
-	var p Plan
-	if err := json.Unmarshal([]byte(`"nope"`), &p); err == nil {
-		t.Fatal("garbage accepted")
+	// The legacy {"activation": vm} object is no longer a plan either.
+	for _, in := range []string{`"nope"`, `{"a": 1, "b": 2}`} {
+		var p Plan
+		if err := json.Unmarshal([]byte(in), &p); err == nil {
+			t.Fatalf("%s accepted", in)
+		}
 	}
 }
 

@@ -227,23 +227,29 @@ func TestPanicContained(t *testing.T) {
 	}
 }
 
+// tooLargeBodies are small submissions over an admission bound, each
+// with the field its 413 names.
+var tooLargeBodies = []struct{ body, field string }{
+	{`{"workflow":{"synthetic":{"nodes":1000000000}}}`, "workflow.synthetic.nodes"},
+	{`{"workflow":{"synthetic":{}},"fleet":{"preset":"scaled","vcpus":1600000000}}`, "fleet.vcpus"},
+	{`{"workflow":{"synthetic":{}},"fleet":{"types":[{"type":"t2.micro","count":1000000000}]}}`, "fleet.types"},
+	// Just over the learning and horizon bounds first: where they are
+	// missing, the cheap job is the one that gets queued.
+	{fmt.Sprintf(`{"workflow":{"synthetic":{}},"learn":{"episodes":1,"replicas":%d}}`, api.MaxLearnReplicas+1), "learn.replicas"},
+	{fmt.Sprintf(`{"workflow":{"synthetic":{}},"learn":{"episodes":%d,"replicas":4}}`, api.MaxLearnEpisodes/4+1), "learn.episodes"},
+	{fmt.Sprintf(`{"workflow":{"synthetic":{}},"execute":true,"market":{"regime":"stable","horizon":%d}}`, api.MaxMarketHorizon+1), "market.horizon"},
+	{`{"workflow":{"synthetic":{}},"learn":{"replicas":1000000000}}`, "learn.replicas"},
+	{`{"workflow":{"synthetic":{}},"learn":{"episodes":1000000000}}`, "learn.episodes"},
+	{`{"workflow":{"synthetic":{}},"execute":true,"market":{"regime":"stable","horizon":1e12}}`, "market.horizon"},
+}
+
 // TestSubmitBoundsTooLarge: a tiny body asking for a huge synthetic
-// workflow or fleet, or a huge learning budget, is refused with a typed
-// 413 before anything is built or queued — in well under the time
-// building it would take.
+// workflow or fleet, a huge learning budget or a huge market horizon is
+// refused with a typed 413 before anything is built or queued — in well
+// under the time building it would take.
 func TestSubmitBoundsTooLarge(t *testing.T) {
 	_, url := newTestServer(t, Config{Workers: 1})
-	for _, tc := range []struct{ body, field string }{
-		{`{"workflow":{"synthetic":{"nodes":1000000000}}}`, "workflow.synthetic.nodes"},
-		{`{"workflow":{"synthetic":{}},"fleet":{"preset":"scaled","vcpus":1600000000}}`, "fleet.vcpus"},
-		{`{"workflow":{"synthetic":{}},"fleet":{"types":[{"type":"t2.micro","count":1000000000}]}}`, "fleet.types"},
-		// Just over the learning bounds first: where they are missing,
-		// the cheap job is the one that gets queued.
-		{fmt.Sprintf(`{"workflow":{"synthetic":{}},"learn":{"episodes":1,"replicas":%d}}`, api.MaxLearnReplicas+1), "learn.replicas"},
-		{fmt.Sprintf(`{"workflow":{"synthetic":{}},"learn":{"episodes":%d,"replicas":4}}`, api.MaxLearnEpisodes/4+1), "learn.episodes"},
-		{`{"workflow":{"synthetic":{}},"learn":{"replicas":1000000000}}`, "learn.replicas"},
-		{`{"workflow":{"synthetic":{}},"learn":{"episodes":1000000000}}`, "learn.episodes"},
-	} {
+	for _, tc := range tooLargeBodies {
 		if len(tc.body) > 100 {
 			t.Fatalf("body of %d bytes: the point is a small one", len(tc.body))
 		}

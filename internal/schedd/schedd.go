@@ -211,12 +211,11 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBody = 1 << 20
 
+// writeJSON serves v as compact JSON: one line and a newline.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // writeErr maps a typed api.Error (converting anything else via
@@ -272,6 +271,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
+	if req.Plan != nil {
+		if err := api.CheckSchemaVersion(req.Plan.SchemaVersion); err != nil {
+			apiErr := api.FromError(err)
+			apiErr.Field = "plan." + apiErr.Field
+			writeErr(w, apiErr)
+			return
+		}
+	}
 	if req.Learn.Episodes < 0 {
 		writeErr(w, api.Errorf(api.CodeBadRequest, "learn.episodes",
 			"negative episode budget %d", req.Learn.Episodes))
@@ -311,6 +318,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if req.Market.Horizon < 0 {
 			writeErr(w, api.Errorf(api.CodeBadRequest, "market.horizon",
 				"negative horizon %v", req.Market.Horizon))
+			return
+		}
+		if req.Market.Horizon > api.MaxMarketHorizon {
+			writeErr(w, api.Errorf(api.CodeTooLarge, "market.horizon",
+				"horizon %v s exceeds the bound of %d s", req.Market.Horizon, api.MaxMarketHorizon))
 			return
 		}
 	}

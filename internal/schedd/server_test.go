@@ -551,13 +551,22 @@ func TestMetricsAndHealth(t *testing.T) {
 	}
 }
 
+// TestSchemaVersionRejected: a request or a submitted plan document of
+// another schema version is a typed 400 naming the version's field.
 func TestSchemaVersionRejected(t *testing.T) {
 	_, url := newTestServer(t, Config{Workers: 1})
 	req := smallJob(1)
 	req.SchemaVersion = "v9"
 	st, resp := submit(t, url, req)
-	if st != nil || resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("v9 submit: HTTP %d, want 400", resp.StatusCode)
+	if st != nil || resp.StatusCode != http.StatusBadRequest || resp.Err.Code != api.CodeBadRequest || resp.Err.Field != "schema_version" {
+		t.Fatalf("v9 submit: HTTP %d %+v, want 400 %s on schema_version", resp.StatusCode, resp.Err, api.CodeBadRequest)
+	}
+
+	req = smallJob(1)
+	req.Plan = &api.PlanDocument{SchemaVersion: "v9"}
+	st, resp = submit(t, url, req)
+	if st != nil || resp.StatusCode != http.StatusBadRequest || resp.Err.Code != api.CodeBadRequest || resp.Err.Field != "plan.schema_version" {
+		t.Fatalf("v9 plan: HTTP %d %+v, want 400 %s on plan.schema_version", resp.StatusCode, resp.Err, api.CodeBadRequest)
 	}
 }
 
