@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt race race-replicas race-exec exec-smoke schedd-smoke loadgen-smoke market-smoke bench benchsmoke benchsmoke-large exec-bench-smoke guard e2e e2e-trace e2e-smoke ab test build vet audit fuzz-smoke
+.PHONY: check fmt race race-replicas race-exec exec-smoke schedd-smoke loadgen-smoke market-smoke bench benchsmoke benchsmoke-large exec-bench-smoke guard e2e e2e-trace e2e-smoke ab test build vet audit fuzz-smoke examples
 
 ## check: gofmt, vet, build, and test everything (the tier-1 gate)
 check: fmt vet build test
@@ -17,6 +17,17 @@ build:
 
 test:
 	$(GO) test ./...
+
+## examples: build and run every examples/* program, failing on the
+## first non-zero exit
+examples:
+	mkdir -p bin/examples
+	@set -e; for d in examples/*/; do \
+		name=$$(basename $$d); \
+		$(GO) build -o bin/examples/$$name ./$$d; \
+		echo "== examples/$$name =="; \
+		./bin/examples/$$name >/dev/null; \
+	done
 
 ## race: race-detector pass over the simulation and learning packages
 race:

@@ -81,7 +81,6 @@ type jobOutcome struct {
 	latency  float64 // client-side submit→done seconds
 	cacheHit bool
 	failed   bool
-	state    string
 }
 
 func run(addr string, jobs, concurrency, nodes, episodes, distinct int, execute bool, timeout time.Duration) error {
@@ -142,12 +141,13 @@ func run(addr string, jobs, concurrency, nodes, episodes, distinct int, execute 
 	var lats []float64
 	var hits, failed int
 	for _, o := range outcomes {
+		if o.failed {
+			failed++
+			continue
+		}
 		lats = append(lats, o.latency)
 		if o.cacheHit {
 			hits++
-		}
-		if o.failed {
-			failed++
 		}
 	}
 	sum := metrics.Summarize(lats)
@@ -170,9 +170,9 @@ func run(addr string, jobs, concurrency, nodes, episodes, distinct int, execute 
 	return nil
 }
 
-// oneJob submits one job and polls it to a terminal state.
+// oneJob submits one closed-loop job and polls it to a terminal state.
 func oneJob(client *http.Client, addr string, i, nodes, episodes, distinct int, execute bool, timeout time.Duration) (jobOutcome, error) {
-	req := api.SubmitRequest{
+	st, latency, err := submitAndPoll(client, addr, api.SubmitRequest{
 		SchemaVersion: api.SchemaVersion,
 		Workflow: api.WorkflowSpec{Synthetic: &api.SyntheticSpec{
 			Family: "montage",
@@ -182,50 +182,55 @@ func oneJob(client *http.Client, addr string, i, nodes, episodes, distinct int, 
 		Learn:   api.LearnSpec{Episodes: episodes},
 		Seed:    int64(i),
 		Execute: execute,
-	}
-	body, err := json.Marshal(req)
+	}, timeout)
 	if err != nil {
 		return jobOutcome{}, err
+	}
+	return jobOutcome{latency: latency, cacheHit: st.CacheHit, failed: st.State != api.StateDone}, nil
+}
+
+// submitAndPoll submits one job and polls it until it is done, failed
+// or canceled, returning that final status and the client-side
+// submit-to-finish latency in seconds. A refused submission, a
+// transport error or the timeout is an error.
+func submitAndPoll(client *http.Client, addr string, req api.SubmitRequest, timeout time.Duration) (api.JobStatus, float64, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return api.JobStatus{}, 0, err
 	}
 	submitted := time.Now()
 	resp, err := client.Post(addr+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return jobOutcome{}, err
+		return api.JobStatus{}, 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		var apiErr api.Error
 		json.NewDecoder(resp.Body).Decode(&apiErr)
-		return jobOutcome{}, fmt.Errorf("HTTP %d: %s", resp.StatusCode, apiErr.Reason)
+		return api.JobStatus{}, 0, fmt.Errorf("HTTP %d: %s", resp.StatusCode, apiErr.Reason)
 	}
 	var st api.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return jobOutcome{}, err
+		return api.JobStatus{}, 0, err
 	}
 
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		sresp, err := client.Get(addr + "/v1/jobs/" + st.ID)
 		if err != nil {
-			return jobOutcome{}, err
+			return api.JobStatus{}, 0, err
 		}
 		var cur api.JobStatus
 		err = json.NewDecoder(sresp.Body).Decode(&cur)
 		sresp.Body.Close()
 		if err != nil {
-			return jobOutcome{}, err
+			return api.JobStatus{}, 0, err
 		}
 		switch cur.State {
-		case api.StateDone:
-			return jobOutcome{
-				latency:  time.Since(submitted).Seconds(),
-				cacheHit: cur.CacheHit,
-				state:    cur.State,
-			}, nil
-		case api.StateFailed, api.StateCanceled:
-			return jobOutcome{failed: true, state: cur.State}, nil
+		case api.StateDone, api.StateFailed, api.StateCanceled:
+			return cur, time.Since(submitted).Seconds(), nil
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	return jobOutcome{}, fmt.Errorf("job %s timed out after %v", st.ID, timeout)
+	return api.JobStatus{}, 0, fmt.Errorf("job %s timed out after %v", st.ID, timeout)
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -167,51 +166,18 @@ func oneArrival(client *http.Client, addr string, tr *loadgen.Trace, a loadgen.A
 	if a.DeadlineFactor > 0 && sla > 0 {
 		req.DeadlineSeconds = sla.Seconds()
 	}
-	body, err := json.Marshal(req)
+	st, latency, err := submitAndPoll(client, addr, req, timeout)
 	if err != nil {
 		return traceOutcome{}, err
 	}
-	submitted := time.Now()
-	resp, err := client.Post(addr+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return traceOutcome{}, err
+	if st.State != api.StateDone {
+		return traceOutcome{tenant: a.Tenant, failed: true}, nil
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		var apiErr api.Error
-		json.NewDecoder(resp.Body).Decode(&apiErr)
-		return traceOutcome{}, fmt.Errorf("HTTP %d: %s", resp.StatusCode, apiErr.Reason)
-	}
-	var st api.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return traceOutcome{}, err
-	}
-
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		sresp, err := client.Get(addr + "/v1/jobs/" + st.ID)
-		if err != nil {
-			return traceOutcome{}, err
-		}
-		var cur api.JobStatus
-		err = json.NewDecoder(sresp.Body).Decode(&cur)
-		sresp.Body.Close()
-		if err != nil {
-			return traceOutcome{}, err
-		}
-		switch cur.State {
-		case api.StateDone:
-			return traceOutcome{
-				tenant:   a.Tenant,
-				latency:  time.Since(submitted).Seconds(),
-				cacheHit: cur.CacheHit,
-				slaJob:   cur.DeadlineSeconds > 0,
-				slaMiss:  cur.DeadlineMissed,
-			}, nil
-		case api.StateFailed, api.StateCanceled:
-			return traceOutcome{tenant: a.Tenant, failed: true}, nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return traceOutcome{}, fmt.Errorf("job %s timed out after %v", st.ID, timeout)
+	return traceOutcome{
+		tenant:   a.Tenant,
+		latency:  latency,
+		cacheHit: st.CacheHit,
+		slaJob:   st.DeadlineSeconds > 0,
+		slaMiss:  st.DeadlineMissed,
+	}, nil
 }

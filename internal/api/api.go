@@ -76,7 +76,8 @@ type SyntheticSpec struct {
 // before anything is built, so a few bytes of JSON cannot make a
 // server generate a billion-node workflow or fleet.
 const (
-	// MaxSyntheticNodes bounds SyntheticSpec.Nodes.
+	// MaxSyntheticNodes bounds SyntheticSpec.Nodes, and the
+	// activations of an inline dax or wfjson document.
 	MaxSyntheticNodes = 100_000
 	// MaxFleetVCPUs bounds a fleet's total vCPUs: FleetSpec.VCPUs for a
 	// preset, the sum of count × type vCPUs for a custom fleet.
@@ -103,7 +104,8 @@ const MaxMarketHorizon = 86_400
 
 // Build parses or generates the workflow. Errors are typed *Error
 // with Field "workflow" so handlers map them to 400, or 413
-// (CodeTooLarge) for a synthetic spec over MaxSyntheticNodes.
+// (CodeTooLarge) for a synthetic spec or an inline document over
+// MaxSyntheticNodes.
 func (s WorkflowSpec) Build() (*dag.Workflow, error) {
 	format := s.Format
 	if format == "" && s.Synthetic != nil {
@@ -113,22 +115,21 @@ func (s WorkflowSpec) Build() (*dag.Workflow, error) {
 		return nil, &Error{Code: CodeBadRequest, Field: "workflow", Reason: reason}
 	}
 	switch format {
-	case "dax":
+	case "dax", "wfjson":
 		if strings.TrimSpace(s.Source) == "" {
-			return fail("dax workflow needs a non-empty source document")
+			return fail(format + " workflow needs a non-empty source document")
 		}
-		w, err := dax.Read(strings.NewReader(s.Source))
+		read := dax.Read
+		if format == "wfjson" {
+			read = wfjson.Read
+		}
+		w, err := read(strings.NewReader(s.Source))
 		if err != nil {
 			return fail(err.Error())
 		}
-		return w, nil
-	case "wfjson":
-		if strings.TrimSpace(s.Source) == "" {
-			return fail("wfjson workflow needs a non-empty source document")
-		}
-		w, err := wfjson.Read(strings.NewReader(s.Source))
-		if err != nil {
-			return fail(err.Error())
+		if w.Len() > MaxSyntheticNodes {
+			return nil, &Error{Code: CodeTooLarge, Field: "workflow.source",
+				Reason: fmt.Sprintf("%d activations exceeds the bound of %d", w.Len(), MaxSyntheticNodes)}
 		}
 		return w, nil
 	case "synthetic":

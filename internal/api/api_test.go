@@ -3,8 +3,10 @@ package api
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
+	"strings"
 	"testing"
 
 	"reassign/internal/cloud"
@@ -39,6 +41,53 @@ func TestWorkflowSpecBuild(t *testing.T) {
 	}
 	if _, err := (WorkflowSpec{Format: "synthetic", Synthetic: &SyntheticSpec{Family: "nope"}}).Build(); err == nil {
 		t.Fatal("unknown family should fail")
+	}
+}
+
+// inlineDoc returns a format document of n independent activations.
+func inlineDoc(format string, n int) string {
+	var b strings.Builder
+	if format == "dax" {
+		b.WriteString(`<adag name="wide">`)
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, `<job id="j%d" name="x" runtime="1"/>`, i)
+		}
+		b.WriteString(`</adag>`)
+		return b.String()
+	}
+	b.WriteString(`{"name":"wide","workflow":{"specification":{"tasks":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"id":"j%d","name":"x"}`, i)
+	}
+	b.WriteString(`]},"execution":{"tasks":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"id":"j%d","runtimeInSeconds":1}`, i)
+	}
+	b.WriteString(`]}}}`)
+	return b.String()
+}
+
+// TestInlineWorkflowTooLarge: an inline document over MaxSyntheticNodes
+// activations is refused with the same typed 413 a synthetic spec of
+// that size gets, while a small one of the same shape builds.
+func TestInlineWorkflowTooLarge(t *testing.T) {
+	for _, format := range []string{"dax", "wfjson"} {
+		w, err := WorkflowSpec{Format: format, Source: inlineDoc(format, 3)}.Build()
+		if err != nil || w.Len() != 3 {
+			t.Fatalf("%s: small document: %v", format, err)
+		}
+		_, err = WorkflowSpec{Format: format, Source: inlineDoc(format, MaxSyntheticNodes+1)}.Build()
+		var apiErr *Error
+		if !errors.As(err, &apiErr) || apiErr.Code != CodeTooLarge || apiErr.Field != "workflow.source" ||
+			apiErr.HTTPStatus() != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: %d activations: got %v, want 413 %s on workflow.source", format, MaxSyntheticNodes+1, err, CodeTooLarge)
+		}
 	}
 }
 

@@ -247,15 +247,3 @@ func (m FluctuationModel) Apply(rng *rand.Rand, vm *VM, nominal float64) float64
 	}
 	return d
 }
-
-// FailureModel injects task failures, mirroring WorkflowSim's failure
-// layer: each task execution fails independently with Rate
-// probability; failed tasks may be retried by the engine.
-type FailureModel struct {
-	Rate float64 // per-execution failure probability in [0, 1)
-}
-
-// Fails draws whether one execution fails.
-func (f FailureModel) Fails(rng *rand.Rand) bool {
-	return f.Rate > 0 && rng.Float64() < f.Rate
-}

@@ -187,29 +187,6 @@ func TestDefaultFluctuationMeanBias(t *testing.T) {
 	}
 }
 
-func TestFailureModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	if (FailureModel{Rate: 0}).Fails(rng) {
-		t.Fatal("zero rate failed")
-	}
-	always := FailureModel{Rate: 1.0}
-	for i := 0; i < 10; i++ {
-		if !always.Fails(rng) {
-			t.Fatal("rate 1.0 did not fail")
-		}
-	}
-	half := FailureModel{Rate: 0.5}
-	n := 0
-	for i := 0; i < 10000; i++ {
-		if half.Fails(rng) {
-			n++
-		}
-	}
-	if n < 4500 || n > 5500 {
-		t.Fatalf("rate 0.5 failed %d/10000 times", n)
-	}
-}
-
 // Property: fluctuation never returns a negative duration and is
 // monotone in the nominal duration on average.
 func TestPropertyFluctuationNonNegative(t *testing.T) {

@@ -215,11 +215,6 @@ func (l *Learner) Learn() (*Result, error) {
 			res.BestEpisodeMakespan = simRes.Makespan
 		}
 	}
-	if agent != nil {
-		// A final failure-aborted episode can leave TD writes buffered;
-		// apply them before the plan is extracted from the table.
-		agent.FlushTD()
-	}
 	if l.enginePool != nil && eng != nil {
 		// Hand the episode engine back before extraction so the
 		// extraction run can rebind it instead of building another.

@@ -527,8 +527,8 @@ func (s *Scheduler) queueTD(tab *rl.Table, k rl.Key, gamma, next float64) {
 // FlushTD applies the buffered TD writes of queueTD in one
 // index-sorted pass per table. It runs automatically when the
 // episode's last activation completes and again at the next Prepare;
-// callers that read the table right after an aborted episode (e.g. a
-// failure-injected run that never finished) can invoke it directly.
+// callers that read the table right after an aborted episode (one
+// cancelled or stopped at its horizon) can invoke it directly.
 func (s *Scheduler) FlushTD() {
 	s.flushBuf(s.table, &s.tdBufA)
 	s.flushBuf(s.tableB, &s.tdBufB)

@@ -7,7 +7,6 @@ package dag
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 )
 
@@ -254,30 +253,29 @@ func contains(list []*Activation, a *Activation) bool {
 }
 
 // TopoOrder returns the activations in a deterministic topological
-// order (Kahn's algorithm, ready set kept sorted by index). It
-// returns an error naming a cycle member if the graph is cyclic.
+// order (Kahn's algorithm, always taking the lowest-index ready
+// activation). It returns an error naming a cycle member if the graph
+// is cyclic. The ready set is a min-heap, so a wide workflow costs
+// O(n log n).
 func (w *Workflow) TopoOrder() ([]*Activation, error) {
 	indeg := make([]int, len(w.acts))
+	// Roots are appended in index order, and a sorted slice is
+	// already a valid min-heap.
+	ready := make(indexHeap, 0, len(w.acts))
 	for _, a := range w.acts {
 		indeg[a.Index] = len(a.parents)
-	}
-	var ready []*Activation
-	for _, a := range w.acts {
 		if indeg[a.Index] == 0 {
-			ready = append(ready, a)
+			ready = append(ready, a.Index)
 		}
 	}
-	var order []*Activation
+	order := make([]*Activation, 0, len(w.acts))
 	for len(ready) > 0 {
-		// Pop the lowest-index ready activation for determinism.
-		sort.Slice(ready, func(i, j int) bool { return ready[i].Index < ready[j].Index })
-		a := ready[0]
-		ready = ready[1:]
+		a := w.acts[ready.pop()]
 		order = append(order, a)
 		for _, c := range a.children {
 			indeg[c.Index]--
 			if indeg[c.Index] == 0 {
-				ready = append(ready, c)
+				ready.push(c.Index)
 			}
 		}
 	}
@@ -289,6 +287,45 @@ func (w *Workflow) TopoOrder() ([]*Activation, error) {
 		}
 	}
 	return order, nil
+}
+
+// indexHeap is a binary min-heap of activation indices.
+type indexHeap []int
+
+func (h *indexHeap) push(i int) {
+	s := append(*h, i)
+	for c := len(s) - 1; c > 0; {
+		p := (c - 1) / 2
+		if s[p] <= s[c] {
+			break
+		}
+		s[p], s[c] = s[c], s[p]
+		c = p
+	}
+	*h = s
+}
+
+func (h *indexHeap) pop() int {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1] < s[c] {
+			c++
+		}
+		if s[p] <= s[c] {
+			break
+		}
+		s[p], s[c] = s[c], s[p]
+		p = c
+	}
+	*h = s
+	return top
 }
 
 // InferDataDeps adds a dependency edge a->b wherever an output file of

@@ -348,6 +348,58 @@ func randomDAG(rng *rand.Rand, n int, p float64) *Workflow {
 	return w
 }
 
+// Property: TopoOrder always takes the lowest-index ready activation
+// — checked against a quadratic scan on DAGs whose edges run against
+// index order as often as with it.
+func TestPropertyTopoOrderLowestIndexFirst(t *testing.T) {
+	f := func(seed int64, rawN uint8, rawP uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(rawN)%40 + 1
+		p := float64(rawP%100) / 150.0
+		rank := rng.Perm(n)
+		w := New("shuffled")
+		for i := 0; i < n; i++ {
+			w.MustAdd(fmt.Sprintf("t%d", i), "x", 1)
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if rank[i] < rank[j] && rng.Float64() < p {
+					w.MustDep(fmt.Sprintf("t%d", i), fmt.Sprintf("t%d", j))
+				}
+			}
+		}
+		order, err := w.TopoOrder()
+		if err != nil || len(order) != n {
+			return false
+		}
+		done := make([]bool, n)
+		for _, got := range order {
+			want := -1
+			for i, a := range w.Activations() {
+				if done[i] {
+					continue
+				}
+				ready := true
+				for _, p := range a.Parents() {
+					ready = ready && done[p.Index]
+				}
+				if ready {
+					want = i
+					break
+				}
+			}
+			if got.Index != want {
+				return false
+			}
+			done[want] = true
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: topological order contains every node exactly once and
 // respects every edge.
 func TestPropertyTopoOrderValid(t *testing.T) {

@@ -117,13 +117,6 @@ func WithReactiveOnly() Option {
 	return func(m *Master) { m.reactiveOnly = true }
 }
 
-// WithHealthCordon also cordons (and drains) a VM whose health factor
-// reaches the threshold, uncordoning on recovery below it. Zero
-// disables (default); values must exceed 1 to ever trigger.
-func WithHealthCordon(factor float64) Option {
-	return func(m *Master) { m.healthCordon = factor }
-}
-
 // replacementBill records one remediation acquire for end-of-run
 // billing: an on-demand instance of the preempted VM's offer, paid
 // from its acquire time.
@@ -183,11 +176,7 @@ func (m *Master) onPreemptNotice(ev Event) {
 		if !ts.running || ts.vm != vs.vm.ID {
 			continue
 		}
-		est := nominalExec(ts.a, vs.vm)
-		if vs.slow > 1 {
-			est *= vs.slow
-		}
-		if remaining := ts.start + est - m.now; remaining <= window {
+		if remaining := ts.start + execOn(ts.a, vs) - m.now; remaining <= window {
 			continue
 		}
 		ts.running = false
@@ -214,26 +203,11 @@ func (m *Master) onPreemptNotice(ev Event) {
 // through the notice window; everything else reassigns now, before
 // its start would be wasted.
 func (m *Master) drainUnfit(vs *vmState) {
-	free := make([]float64, 0, vs.slots)
-	for _, ts := range m.tasks {
-		if ts.running && ts.vm == vs.vm.ID {
-			est := nominalExec(ts.a, vs.vm)
-			if vs.slow > 1 {
-				est *= vs.slow
-			}
-			free = append(free, ts.start+est)
-		}
-	}
-	for len(free) < vs.slots {
-		free = append(free, m.now)
-	}
+	free := m.runningFree(vs)
 	var keep, drop []int
 	for _, i := range vs.queue {
 		ts := m.tasks[i]
-		est := nominalExec(ts.a, vs.vm)
-		if vs.slow > 1 {
-			est *= vs.slow
-		}
+		est := execOn(ts.a, vs)
 		at := minSlot(free)
 		start := free[at]
 		if start < m.now {
@@ -317,9 +291,7 @@ func (m *Master) onVMKill(ev Event) {
 }
 
 // onVMHealth applies a traced health change: the factor scales every
-// later dispatch's duration estimate and lease on that VM. With
-// WithHealthCordon, crossing the threshold cordons and drains the VM
-// until it recovers.
+// later dispatch's duration estimate and lease on that VM.
 func (m *Master) onVMHealth(ev Event) {
 	vs := m.vmByID[ev.Market.VM]
 	if vs == nil || vs.dead {
@@ -333,15 +305,16 @@ func (m *Master) onVMHealth(ev Event) {
 		m.degradedCount++
 	}
 	vs.slow = f
-	if m.healthCordon <= 1 || m.reactiveOnly || vs.killAt > 0 {
-		return
+}
+
+// execOn is nominalExec on vs, stretched by the VM's traced health
+// factor while it is degraded.
+func execOn(a *dag.Activation, vs *vmState) float64 {
+	est := nominalExec(a, vs.vm)
+	if vs.slow > 1 {
+		est *= vs.slow
 	}
-	if f >= m.healthCordon && !vs.cordoned {
-		m.cordon(vs)
-	} else if f < m.healthCordon && vs.cordoned {
-		vs.cordoned = false
-		m.markVM(vs)
-	}
+	return est
 }
 
 // needsCapacity decides whether losing vs justifies buying a
@@ -373,51 +346,43 @@ func minSlot(free []float64) int {
 	return at
 }
 
-// slotTimes simulates the FIFO drain of a VM's slots: the returned
-// times are when each slot frees after its running attempt and the
-// already-queued work complete.
-func (m *Master) slotTimes(vs *vmState) []float64 {
+// runningFree returns when each of the VM's slots frees after its
+// running attempt (now, for an idle slot).
+func (m *Master) runningFree(vs *vmState) []float64 {
 	free := make([]float64, 0, vs.slots)
 	for _, ts := range m.tasks {
 		if ts.running && ts.vm == vs.vm.ID {
-			est := nominalExec(ts.a, vs.vm)
-			if vs.slow > 1 {
-				est *= vs.slow
-			}
-			free = append(free, ts.start+est)
+			free = append(free, ts.start+execOn(ts.a, vs))
 		}
 	}
 	for len(free) < vs.slots {
 		free = append(free, m.now)
 	}
+	return free
+}
+
+// slotTimes simulates the FIFO drain of a VM's slots: the returned
+// times are when each slot frees after its running attempt and the
+// already-queued work complete.
+func (m *Master) slotTimes(vs *vmState) []float64 {
+	free := m.runningFree(vs)
 	for _, i := range vs.queue {
-		est := nominalExec(m.tasks[i].a, vs.vm)
-		if vs.slow > 1 {
-			est *= vs.slow
-		}
 		at := minSlot(free)
 		start := free[at]
 		if start < m.now {
 			start = m.now
 		}
-		free[at] = start + est
+		free[at] = start + execOn(m.tasks[i].a, vs)
 	}
 	return free
 }
 
 // fitsBeforeKill reports whether a task queued on a noticed VM now
 // would still finish before the pending kill, behind the VM's running
-// attempts and already-queued work. Health cordons (no kill
-// scheduled) fit nothing.
+// attempts and already-queued work.
 func (m *Master) fitsBeforeKill(vs *vmState, ts *taskState) bool {
-	if vs.killAt <= 0 {
-		return false
-	}
 	free := m.slotTimes(vs)
-	est := nominalExec(ts.a, vs.vm)
-	if vs.slow > 1 {
-		est *= vs.slow
-	}
+	est := execOn(ts.a, vs)
 	start := free[minSlot(free)]
 	if start < m.now {
 		start = m.now
@@ -426,23 +391,6 @@ func (m *Master) fitsBeforeKill(vs *vmState, ts *taskState) bool {
 		start = ts.nextAt
 	}
 	return start+est <= vs.killAt
-}
-
-// cordon hard-cordons a VM — no dispatch at all — and drains its
-// whole queue back through the Reassigner. The health-cordon path
-// uses it: with no kill scheduled there is no window to exploit, so
-// nothing is worth keeping on the degraded VM. Running attempts ride
-// and finish at the degraded speed.
-func (m *Master) cordon(vs *vmState) {
-	vs.cordoned = true
-	m.cordonedCount++
-	orphaned := append([]int(nil), vs.queue...)
-	vs.queue = nil
-	for _, i := range orphaned {
-		ts := m.tasks[i]
-		ts.queued = false
-		m.enqueue(ts) // repins via the cordoned-VM path
-	}
 }
 
 // remediate acquires an on-demand replacement for a doomed VM: same

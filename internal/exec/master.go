@@ -43,7 +43,6 @@ type Master struct {
 	// Market execution (WithMarket).
 	market       *market.Playback
 	reactiveOnly bool
-	healthCordon float64
 
 	// Run state.
 	tasks      []*taskState
@@ -119,10 +118,10 @@ type vmState struct {
 	idx    int   // position in Master.vms, the deterministic dispatch order
 	marked bool  // already on the dispatch worklist
 
-	// Market state: cordoned VMs accept no new work; a cordon with a
-	// pending kill (killAt > 0, a preemption notice) still dispatches
-	// queued tasks that provably finish before the kill, while a health
-	// cordon (killAt == 0) blocks dispatch entirely. slow (>= 1) scales
+	// Market state: a preemption notice cordons a VM against new work
+	// and sets its pending kill (killAt > 0); a cordoned VM still
+	// dispatches queued tasks that provably finish before the kill.
+	// slow (>= 1) scales
 	// duration estimates and leases, bootAt gates dispatch to a
 	// still-provisioning replacement, remediated records that a
 	// replacement was already bought for this VM.
@@ -715,7 +714,7 @@ func (m *Master) dispatch() error {
 		for _, i := range work {
 			vs := m.vms[i]
 			vs.marked = false
-			if vs.dead || (vs.cordoned && vs.killAt == 0) {
+			if vs.dead {
 				continue
 			}
 			if vs.bootAt > m.now {
@@ -769,11 +768,7 @@ func (m *Master) pickQueued(vs *vmState) int {
 		}
 		if vs.killAt > 0 {
 			// Pending kill: only start work that finishes before it.
-			est := nominalExec(ts.a, vs.vm)
-			if vs.slow > 1 {
-				est *= vs.slow
-			}
-			if m.now+est > vs.killAt {
+			if m.now+execOn(ts.a, vs) > vs.killAt {
 				continue
 			}
 		}
@@ -791,13 +786,10 @@ func (m *Master) pickQueued(vs *vmState) int {
 func (m *Master) send(ts *taskState, vs *vmState) error {
 	ts.attempts++
 	m.attempts++
-	est := nominalExec(ts.a, vs.vm)
-	if vs.slow > 1 {
-		// Degraded node health: the attempt runs slower, so both the
-		// duration handed to the runner and the lease must stretch, or
-		// healthy-speed leases would expire degraded attempts.
-		est *= vs.slow
-	}
+	// Degraded node health stretches both the duration handed to the
+	// runner and the lease, or healthy-speed leases would expire
+	// degraded attempts.
+	est := execOn(ts.a, vs)
 	lease := m.leaseTTL
 	if f := est * m.leaseFactor; f > lease {
 		lease = f

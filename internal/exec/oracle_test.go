@@ -171,9 +171,6 @@ func TestTurnOracle(t *testing.T) {
 			}
 			tr = NewMarketFeed(tr, pb)
 			opts = append(opts, WithMarket(pb))
-			if mode&2 == 2 {
-				opts = append(opts, WithHealthCordon(1.2))
-			}
 		}
 		m, err := New(w, fleet, randomPlan(w, fleet, rng), tr, opts...)
 		if err != nil {

@@ -61,8 +61,8 @@ func freshVsReset(t *testing.T, aud *Auditor, w *dag.Workflow, fl *cloud.Fleet, 
 
 // TestFreshVsResetScenarioGrid is the byte-stable-trace contract:
 // across seeds and the full scenario grid (fluctuation, data
-// transfer, failures, delays, spot on multi-vCPU fleets, autoscaling
-// and spot×autoscale), a fresh engine and a reset one must produce
+// transfer, frequent spot requeues, spot on multi-vCPU fleets,
+// autoscaling and spot×autoscale), a fresh engine and a reset one must produce
 // bit-identical results. Every run is audited too.
 func TestFreshVsResetScenarioGrid(t *testing.T) {
 	w := montage(t, 3)
@@ -80,11 +80,8 @@ func TestFreshVsResetScenarioGrid(t *testing.T) {
 		{"plain", fl16, sim.Config{}},
 		{"fluct", fl16, sim.Config{Fluct: &fluct}},
 		{"dt", fl16, sim.Config{DataTransfer: true}},
-		{"failures", fl16, sim.Config{Fluct: &fluct,
-			Failure: cloud.FailureModel{Rate: 0.1}, MaxRetries: 3}},
-		{"delays", fl16, sim.Config{Fluct: &fluct,
-			EngineDelay: 0.5, QueueDelay: 0.25, PostScriptDelay: 0.1,
-			ProvisionDelay: 2, ProvisionJitter: 1}},
+		{"spot-requeue", fl16, sim.Config{Fluct: &fluct,
+			Spot: &sim.SpotPolicy{MeanLifetime: 60, KeepOne: true}}},
 		{"spot-multi-vcpu", multi, sim.Config{Fluct: &fluct,
 			Spot: &sim.SpotPolicy{MeanLifetime: 300, KeepOne: true}}},
 		{"autoscale", fl16, sim.Config{

@@ -161,7 +161,7 @@ func (a *Auditor) report(v Violation) {
 type taskAudit struct {
 	starts   int // TaskStart events (attempts)
 	records  int // TaskFinish + TaskAbort events (execution records)
-	terminal int // terminal finishes + cancellations
+	terminal int // TaskFinish events (the only terminal transition)
 	running  bool
 }
 
@@ -316,14 +316,12 @@ func (r *runAudit) finish(now float64, t *sim.Task, v *sim.VMState, rule string)
 }
 
 // TaskFinish implements sim.RunHook.
-func (r *runAudit) TaskFinish(now float64, t *sim.Task, v *sim.VMState, terminal, success bool) {
+func (r *runAudit) TaskFinish(now float64, t *sim.Task, v *sim.VMState) {
 	r.clock(now)
 	ta := r.finish(now, t, v, "finish-not-running")
-	if terminal {
-		ta.terminal++
-		if success && t.State != sim.Succeeded {
-			r.fail(now, "finish-state", "task %s succeeded with state %v", t.Act.ID, t.State)
-		}
+	ta.terminal++
+	if t.State != sim.Succeeded {
+		r.fail(now, "finish-state", "task %s succeeded with state %v", t.Act.ID, t.State)
 	}
 	if t.FinishAt != now {
 		r.fail(now, "finish-time", "task %s FinishAt %v != now %v", t.Act.ID, t.FinishAt, now)
@@ -339,19 +337,6 @@ func (r *runAudit) TaskAbort(now float64, t *sim.Task, v *sim.VMState) {
 	r.finish(now, t, v, "abort-not-running")
 	if !r.dead[v] {
 		r.fail(now, "abort-live-vm", "task %s aborted on live %v", t.Act.ID, v)
-	}
-}
-
-// TaskCancel implements sim.RunHook.
-func (r *runAudit) TaskCancel(now float64, t *sim.Task) {
-	r.clock(now)
-	ta := r.task(t)
-	ta.terminal++
-	if ta.starts != ta.records {
-		r.fail(now, "cancel-in-flight", "task %s cancelled with an attempt in flight", t.Act.ID)
-	}
-	if t.State != sim.Failed {
-		r.fail(now, "cancel-state", "task %s cancelled with state %v", t.Act.ID, t.State)
 	}
 }
 

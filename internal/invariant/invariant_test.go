@@ -75,8 +75,8 @@ func dumpViolations(t *testing.T, aud *Auditor) {
 // TestAuditSweep runs every scheduler across the scenario grid with
 // the auditor attached and demands zero invariant violations. This is
 // the harness's core claim: the engine's structural invariants hold
-// under failures, fluctuation, data transfer, overhead delays, spot
-// revocation, autoscaling and their combinations.
+// under fluctuation, data transfer, spot revocations (and the requeues
+// they cause), autoscaling and their combinations.
 func TestAuditSweep(t *testing.T) {
 	w := montage(t, 3)
 	fl := fleet16(t)
@@ -89,11 +89,6 @@ func TestAuditSweep(t *testing.T) {
 		{"plain", sim.Config{Seed: 7}},
 		{"fluct", sim.Config{Seed: 7, Fluct: &fluct}},
 		{"dt", sim.Config{Seed: 7, DataTransfer: true}},
-		{"failures", sim.Config{Seed: 7, Fluct: &fluct,
-			Failure: cloud.FailureModel{Rate: 0.1}, MaxRetries: 3}},
-		{"delays", sim.Config{Seed: 7, Fluct: &fluct,
-			EngineDelay: 0.5, QueueDelay: 0.25, PostScriptDelay: 0.1,
-			ProvisionDelay: 2, ProvisionJitter: 1}},
 	}
 	elastic := []struct {
 		name string
@@ -101,6 +96,8 @@ func TestAuditSweep(t *testing.T) {
 	}{
 		{"spot", sim.Config{Seed: 7, Fluct: &fluct,
 			Spot: &sim.SpotPolicy{MeanLifetime: 400, KeepOne: true}}},
+		{"spot-requeue", sim.Config{Seed: 7, Fluct: &fluct,
+			Spot: &sim.SpotPolicy{MeanLifetime: 60, KeepOne: true}}},
 		{"autoscale", sim.Config{Seed: 7,
 			Autoscale: &sim.Autoscale{Type: cloud.T2Micro, MaxVMs: 12,
 				BootDelay: 5, IdleTimeout: 150, QueuePerFreeSlot: 0.5}}},
@@ -331,17 +328,59 @@ func TestAuditorDetectsViolations(t *testing.T) {
 		tk := task(0, sim.Running, 0)
 		tk.Attempts = 1
 		h.TaskStart(1, tk, vm(9))
-		h.RunEnd(&sim.Result{State: sim.FinishedFailed})
+		h.RunEnd(&sim.Result{})
 		got := rules(aud)
 		if !got["task-still-running"] || !got["attempt-record-mismatch"] {
 			t.Fatalf("dangling attempt not flagged: %v", aud.Violations())
 		}
 	})
 
+	t.Run("finish-state", func(t *testing.T) {
+		aud := New()
+		h := aud.RunStart(env)
+		v := vm(9)
+		tk := task(0, sim.Running, 0)
+		tk.Attempts = 1
+		h.TaskStart(1, tk, v)
+		tk.FinishAt = 2
+		h.TaskFinish(2, tk, v) // still Running: the engine never set Succeeded
+		if !rules(aud)["finish-state"] {
+			t.Fatalf("finish without success state not flagged: %v", aud.Violations())
+		}
+	})
+
+	t.Run("terminal-count", func(t *testing.T) {
+		aud := New()
+		h := aud.RunStart(env)
+		v := vm(9)
+		twice := task(0, sim.Running, 0)
+		for i := 1; i <= 2; i++ {
+			twice.State, twice.Attempts = sim.Running, i
+			h.TaskStart(float64(i), twice, v)
+			twice.State, twice.FinishAt = sim.Succeeded, float64(i)+0.5
+			h.TaskFinish(float64(i)+0.5, twice, v)
+		}
+		aborted := task(1, sim.Running, 0)
+		aborted.Attempts = 1
+		h.TaskStart(3, aborted, v)
+		h.VMRevoked(4, v)
+		h.TaskAbort(4, aborted, v) // requeued, never finished
+		h.RunEnd(&sim.Result{})
+		var n int
+		for _, x := range aud.Violations() {
+			if x.Rule == "terminal-count" {
+				n++
+			}
+		}
+		if n != 2 {
+			t.Fatalf("want terminal-count for the twice-finished and the never-finished task: %v", aud.Violations())
+		}
+	})
+
 	t.Run("makespan-mismatch", func(t *testing.T) {
 		aud := New()
 		h := aud.RunStart(env)
-		h.RunEnd(&sim.Result{State: sim.FinishedFailed,
+		h.RunEnd(&sim.Result{
 			Records:  []sim.Record{{TaskID: "a", FinishAt: 10}},
 			Makespan: 5})
 		if !rules(aud)["makespan"] {
@@ -352,7 +391,7 @@ func TestAuditorDetectsViolations(t *testing.T) {
 	t.Run("revocation-count", func(t *testing.T) {
 		aud := New()
 		h := aud.RunStart(env)
-		h.RunEnd(&sim.Result{State: sim.FinishedFailed, Revocations: 3})
+		h.RunEnd(&sim.Result{Revocations: 3})
 		if !rules(aud)["revocation-count"] {
 			t.Fatalf("phantom revocations not flagged: %v", aud.Violations())
 		}

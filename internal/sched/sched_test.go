@@ -565,63 +565,6 @@ func TestSiteAwareBeatsSiteBlindOnChains(t *testing.T) {
 	}
 }
 
-func TestDeadlineValidation(t *testing.T) {
-	w := montage(t, 1)
-	if _, err := sim.Run(w, fleet16(t), &Deadline{}, sim.Config{}); err == nil {
-		t.Fatal("zero deadline accepted")
-	}
-}
-
-func TestDeadlinePrioritisesCriticalChain(t *testing.T) {
-	// Two ready tasks: one heads a long chain (low slack), one is a
-	// stray leaf (high slack). With a single slot, the chain head must
-	// dispatch first.
-	w := dag.New("slack")
-	w.MustAdd("chain0", "x", 10)
-	w.MustAdd("chain1", "x", 50)
-	w.MustDep("chain0", "chain1")
-	w.MustAdd("stray", "x", 5)
-	fleet := cloud.MustFleet("one", []cloud.VMType{cloud.T2Micro}, []int{1})
-	d := &Deadline{Deadline: 100}
-	res, err := sim.Run(w, fleet, d, sim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var chainStart, strayStart float64
-	for _, r := range res.Records {
-		switch r.TaskID {
-		case "chain0":
-			chainStart = r.StartAt
-		case "stray":
-			strayStart = r.StartAt
-		}
-	}
-	if chainStart > strayStart {
-		t.Fatalf("low-slack chain head started at %v after stray at %v", chainStart, strayStart)
-	}
-	// Slack accounting: at t=0 chain0's slack is 100-60=40, stray's 95.
-	if got := d.Slack(w.Get("chain0"), 0); got != 40 {
-		t.Fatalf("chain0 slack = %v, want 40", got)
-	}
-	if got := d.Slack(w.Get("stray"), 0); got != 95 {
-		t.Fatalf("stray slack = %v, want 95", got)
-	}
-}
-
-func TestDeadlineMeetsFeasibleDeadline(t *testing.T) {
-	w := montage(t, 5)
-	fleet := fleet16(t)
-	_, cp, _ := w.CriticalPath()
-	d := &Deadline{Deadline: cp * 1.5}
-	res, err := sim.Run(w, fleet, d, sim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan > d.Deadline {
-		t.Fatalf("feasible deadline missed: makespan %v > %v", res.Makespan, d.Deadline)
-	}
-}
-
 func TestGAProducesValidCompetitivePlan(t *testing.T) {
 	// Heterogeneous speeds so placement actually matters (on the t2
 	// fleet all nominal speeds are equal and any plan is near the

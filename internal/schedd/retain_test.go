@@ -279,6 +279,40 @@ func TestSubmitBoundsTooLarge(t *testing.T) {
 	}
 }
 
+// TestInlineDocumentTooLarge: an inline DAX document over
+// api.MaxSyntheticNodes activations fits the default body bound at a
+// few dozen bytes a job, and gets the same typed 413 a synthetic spec
+// of that size does. The refused document is never interned.
+func TestInlineDocumentTooLarge(t *testing.T) {
+	s, url := newTestServer(t, Config{Workers: 1})
+	var doc strings.Builder
+	doc.WriteString(`<adag name="wide">`)
+	for i := 0; i <= api.MaxSyntheticNodes; i++ {
+		fmt.Fprintf(&doc, `<job id="j%d" name="x" runtime="1"/>`, i)
+	}
+	doc.WriteString(`</adag>`)
+	body, err := json.Marshal(api.SubmitRequest{Workflow: api.WorkflowSpec{Format: "dax", Source: doc.String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > 8<<20 {
+		t.Fatalf("body of %d bytes is over the default bound; the point is one under it", len(body))
+	}
+	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr api.Error
+	json.NewDecoder(resp.Body).Decode(&apiErr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || apiErr.Code != api.CodeTooLarge || apiErr.Field != "workflow.source" {
+		t.Fatalf("HTTP %d %+v, want 413 %s on workflow.source", resp.StatusCode, apiErr, api.CodeTooLarge)
+	}
+	if n := s.workflows.len(); n != 0 {
+		t.Fatalf("%d workflows interned after the refusal, want 0", n)
+	}
+}
+
 // synthJob registers nothing: it builds a learn-only, no-warm-start
 // synthetic Montage job the way handleSubmit would, the workflow and
 // fleet through the server's intern tables.

@@ -159,6 +159,34 @@ func TestAutoscaleValidation(t *testing.T) {
 	}
 }
 
+// TestAutoscaleBootDelayShiftsStart: a VM the autoscaler acquires takes
+// no work until its boot delay has passed, so the activation waiting
+// for it queues for exactly that long.
+func TestAutoscaleBootDelayShiftsStart(t *testing.T) {
+	w := dag.New("pair")
+	w.MustAdd("a", "x", 100)
+	w.MustAdd("b", "x", 100)
+	fleet := cloud.MustFleet("one", []cloud.VMType{cloud.T2Micro}, []int{1})
+	res, err := Run(w, fleet, &greedyFirst{}, Config{
+		Autoscale: &Autoscale{Type: cloud.T2Micro, MaxVMs: 2, BootDelay: 30, QueuePerFreeSlot: 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Elasticity.Acquired != 1 {
+		t.Fatalf("acquired %d VMs, want 1", res.Elasticity.Acquired)
+	}
+	// Boot 30 s, then 100 s on the acquired VM.
+	if math.Abs(res.Makespan-130) > 1e-9 {
+		t.Fatalf("makespan = %v, want 130", res.Makespan)
+	}
+	for _, r := range res.Records {
+		if r.VMID == 1 && (r.StartAt != 30 || r.QueueTime() != 30) {
+			t.Fatalf("%s started at %v after queueing %v on the acquired VM, want 30 and 30", r.TaskID, r.StartAt, r.QueueTime())
+		}
+	}
+}
+
 func TestAutoscaleDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	w := trace.Montage50(rng)
@@ -316,34 +344,29 @@ func (a bootedAudit) check(now float64, at string) {
 	}
 }
 
-func (a bootedAudit) Decision(now float64, _ *Context)           { a.check(now, "decision") }
-func (a bootedAudit) TaskReady(now float64, _ *Task)             { a.check(now, "task ready") }
-func (a bootedAudit) TaskStart(now float64, _ *Task, _ *VMState) { a.check(now, "task start") }
-func (a bootedAudit) TaskFinish(now float64, _ *Task, _ *VMState, _, _ bool) {
-	a.check(now, "task finish")
-}
-func (a bootedAudit) TaskAbort(now float64, _ *Task, _ *VMState) { a.check(now, "task abort") }
-func (a bootedAudit) TaskCancel(now float64, _ *Task)            { a.check(now, "task cancel") }
-func (a bootedAudit) VMAdded(now float64, _ *VMState)            { a.check(now, "vm added") }
-func (a bootedAudit) VMRetired(now float64, _ *VMState)          { a.check(now, "vm retired") }
-func (a bootedAudit) VMRevoked(now float64, _ *VMState)          { a.check(now, "vm revoked") }
-func (a bootedAudit) RunEnd(res *Result)                         { a.check(res.Makespan, "run end") }
+func (a bootedAudit) Decision(now float64, _ *Context)            { a.check(now, "decision") }
+func (a bootedAudit) TaskReady(now float64, _ *Task)              { a.check(now, "task ready") }
+func (a bootedAudit) TaskStart(now float64, _ *Task, _ *VMState)  { a.check(now, "task start") }
+func (a bootedAudit) TaskFinish(now float64, _ *Task, _ *VMState) { a.check(now, "task finish") }
+func (a bootedAudit) TaskAbort(now float64, _ *Task, _ *VMState)  { a.check(now, "task abort") }
+func (a bootedAudit) VMAdded(now float64, _ *VMState)             { a.check(now, "vm added") }
+func (a bootedAudit) VMRetired(now float64, _ *VMState)           { a.check(now, "vm retired") }
+func (a bootedAudit) VMRevoked(now float64, _ *VMState)           { a.check(now, "vm revoked") }
+func (a bootedAudit) RunEnd(res *Result)                          { a.check(res.Makespan, "run end") }
 
 // TestBootedCounterMatchesScan: the booted-VM counter the peak-VMs
-// report reads stays equal to a scan of the VMs through provisioning
-// boots, autoscaler acquisitions, boots and retirements, and spot
-// revocations — on fresh runs and on Reset ones.
+// report reads stays equal to a scan of the VMs through autoscaler
+// acquisitions, boots (with a boot delay that varies by seed) and
+// retirements, and spot revocations — on fresh runs and on Reset ones.
 func TestBootedCounterMatchesScan(t *testing.T) {
 	fleet := cloud.MustFleet("pair", []cloud.VMType{cloud.T2Micro}, []int{2})
 	var revoked, acquired, released int
 	for seed := int64(1); seed <= 10; seed++ {
 		var g *Engine
 		cfg := Config{
-			Seed:            seed,
-			ProvisionDelay:  2,
-			ProvisionJitter: 3,
-			Spot:            &SpotPolicy{MeanLifetime: 200, KeepOne: true},
-			Autoscale: &Autoscale{Type: cloud.T2Micro, MaxVMs: 6, BootDelay: 5,
+			Seed: seed,
+			Spot: &SpotPolicy{MeanLifetime: 200, KeepOne: true},
+			Autoscale: &Autoscale{Type: cloud.T2Micro, MaxVMs: 6, BootDelay: 2 + float64(seed%4),
 				IdleTimeout: 3, QueuePerFreeSlot: 1},
 			Hook: bootedAudit{t, &g},
 		}

@@ -25,15 +25,14 @@ func (h *cancelHook) Decision(float64, *Context) {
 		h.cancel()
 	}
 }
-func (h *cancelHook) TaskReady(float64, *Task)                        {}
-func (h *cancelHook) TaskStart(float64, *Task, *VMState)              {}
-func (h *cancelHook) TaskFinish(float64, *Task, *VMState, bool, bool) {}
-func (h *cancelHook) TaskAbort(float64, *Task, *VMState)              {}
-func (h *cancelHook) TaskCancel(float64, *Task)                       {}
-func (h *cancelHook) VMAdded(float64, *VMState)                       {}
-func (h *cancelHook) VMRetired(float64, *VMState)                     {}
-func (h *cancelHook) VMRevoked(float64, *VMState)                     {}
-func (h *cancelHook) RunEnd(*Result)                                  {}
+func (h *cancelHook) TaskReady(float64, *Task)            {}
+func (h *cancelHook) TaskStart(float64, *Task, *VMState)  {}
+func (h *cancelHook) TaskFinish(float64, *Task, *VMState) {}
+func (h *cancelHook) TaskAbort(float64, *Task, *VMState)  {}
+func (h *cancelHook) VMAdded(float64, *VMState)           {}
+func (h *cancelHook) VMRetired(float64, *VMState)         {}
+func (h *cancelHook) VMRevoked(float64, *VMState)         {}
+func (h *cancelHook) RunEnd(*Result)                      {}
 
 func cancelTestProblem(t *testing.T) (*Engine, *cancelHook, context.Context) {
 	t.Helper()

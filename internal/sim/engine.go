@@ -57,30 +57,8 @@ type Config struct {
 	// DataTransfer adds input-staging time for files produced on a
 	// different VM, at the receiving VM's bandwidth.
 	DataTransfer bool
-	// EngineDelay is the workflow-engine overhead added before a task
-	// becomes ready after its dependencies clear (WorkflowSim's WED).
-	EngineDelay float64
-	// QueueDelay is the dispatch overhead between assignment and
-	// execution start (WorkflowSim's queue delay).
-	QueueDelay float64
-	// PostScriptDelay is added after execution before the task counts
-	// as finished (WorkflowSim's post-script delay).
-	PostScriptDelay float64
-	// Failure injects per-execution task failures.
-	Failure cloud.FailureModel
-	// FailureByActivity overrides Failure.Rate for specific activity
-	// names (WorkflowSim's per-job-type failure rates).
-	FailureByActivity map[string]float64
-	// MaxRetries bounds re-executions after failure; a task failing
-	// MaxRetries+1 times fails the workflow.
-	MaxRetries int
 	// Fluct, when non-nil, perturbs actual (not estimated) runtimes.
 	Fluct *cloud.FluctuationModel
-	// ProvisionDelay makes VMs accept work only after this many
-	// virtual seconds (SCStarter's deployment phase); ProvisionJitter
-	// adds a per-VM uniform extra in [0, ProvisionJitter).
-	ProvisionDelay  float64
-	ProvisionJitter float64
 	// Autoscale, when non-nil, lets the fleet grow under backlog and
 	// shrink when acquired VMs idle (cloud elasticity).
 	Autoscale *Autoscale
@@ -334,12 +312,6 @@ func NewEngine(w *dag.Workflow, fleet *cloud.Fleet, sched Scheduler, cfg Config)
 // validateConfig checks the per-run configuration (the part Reset can
 // replace).
 func validateConfig(cfg Config) error {
-	if cfg.MaxRetries < 0 {
-		return fmt.Errorf("sim: negative MaxRetries")
-	}
-	if cfg.ProvisionDelay < 0 || cfg.ProvisionJitter < 0 {
-		return fmt.Errorf("sim: negative provisioning delay")
-	}
 	if cfg.Autoscale != nil {
 		if err := cfg.Autoscale.validate(); err != nil {
 			return err
@@ -406,7 +378,6 @@ type Engine struct {
 	cycleFn  func()
 
 	remaining   int  // tasks not yet finished
-	anyFailed   bool // a task exhausted retries
 	cyclePosted bool // a scheduling pass is already queued
 	scaler      *scaler
 	nBooted     int // VMs with booted set; flipped only through setBooted
@@ -439,7 +410,7 @@ func (g *Engine) Reset(cfg Config) error {
 		return err
 	}
 	if g.result != nil {
-		// Keep any capacity the previous run's retries grew.
+		// Keep any capacity the previous run's spot aborts grew.
 		g.recBuf = g.result.Records[:0]
 		g.result = nil
 	}
@@ -449,10 +420,9 @@ func (g *Engine) Reset(cfg Config) error {
 }
 
 // setup (re)initialises all per-run state. The first call allocates
-// the backing arrays; later calls (after Reset) reuse them. The order
-// of rng draws — spot revocations, then provisioning jitter — matches
-// the original single-use construction, keeping reset runs
-// bit-identical to fresh ones.
+// the backing arrays; later calls (after Reset) reuse them. Re-seeding
+// the rng and drawing spot revocations in the same order as a fresh
+// engine keeps reset runs bit-identical to fresh ones.
 func (g *Engine) setup() {
 	g.sim.SetHorizon(g.cfg.Horizon)
 	if g.rng == nil {
@@ -546,7 +516,6 @@ func (g *Engine) setup() {
 	}
 	g.ready = g.ready[:0]
 	g.remaining = n
-	g.anyFailed = false
 	g.cyclePosted = false
 	g.peakBooted = 0
 	if g.fileHome != nil {
@@ -582,23 +551,6 @@ func (g *Engine) Run() (*Result, error) {
 		return nil, fmt.Errorf("sim: scheduler %s: %w", g.sched.Name(), err)
 	}
 
-	// Provision the VMs (SCStarter): until a VM's boot completes it
-	// is not idle and receives no work.
-	if g.cfg.ProvisionDelay > 0 || g.cfg.ProvisionJitter > 0 {
-		for _, v := range g.vms {
-			g.setBooted(v, false)
-			bootAt := g.cfg.ProvisionDelay
-			if g.cfg.ProvisionJitter > 0 {
-				bootAt += g.rng.Float64() * g.cfg.ProvisionJitter
-			}
-			v := v
-			g.sim.At(bootAt, func() {
-				g.setBooted(v, true)
-				g.postCycle()
-			})
-		}
-	}
-
 	// Release the roots.
 	for _, t := range g.tasks {
 		if t.waitingOn == 0 {
@@ -619,9 +571,7 @@ func (g *Engine) Run() (*Result, error) {
 	}
 	g.result.Cost = g.fleet.Cost(g.result.Makespan)
 	g.result.Events = g.sim.Steps()
-	if g.anyFailed {
-		g.result.State = FinishedFailed
-	} else if g.remaining == 0 {
+	if g.remaining == 0 {
 		g.result.State = FinishedOK
 	} else {
 		// Scheduler refused to place remaining ready tasks: deadlock.
@@ -680,10 +630,12 @@ func (g *Engine) Run() (*Result, error) {
 	return g.result, nil
 }
 
-// release moves a task into the ready queue after the engine delay,
-// via the task's pre-bound event closure.
+// release moves a task into the ready queue via the task's pre-bound
+// event closure. It is a zero-delay event rather than an inline call:
+// the release runs after the other events already queued for this
+// instant, an order the scheduling decisions depend on.
 func (g *Engine) release(t *Task) {
-	g.sim.At(g.sim.Now()+g.cfg.EngineDelay, g.releaseFns[t.Act.Index])
+	g.sim.At(g.sim.Now(), g.releaseFns[t.Act.Index])
 }
 
 // postCycle queues a scheduling pass if none is pending. Priority 1
@@ -696,12 +648,9 @@ func (g *Engine) postCycle() {
 	g.sim.AtPriority(g.sim.Now(), 1, g.cycleFn)
 }
 
-// workflowState computes the paper's four-valued workflow state.
+// workflowState computes the paper's workflow state.
 func (g *Engine) workflowState() WorkflowState {
 	if g.remaining == 0 {
-		if g.anyFailed {
-			return FinishedFailed
-		}
 		return FinishedOK
 	}
 	if len(g.ready) == 0 {
@@ -752,7 +701,7 @@ func (g *Engine) cycle() {
 	}
 }
 
-// setBooted marks v usable or not (provisioning, retired, revoked),
+// setBooted marks v usable or not (booting, retired, revoked),
 // keeping nBooted — the count of usable VMs — in step. Every flip of
 // a VM's booted flag after setup goes through here.
 func (g *Engine) setBooted(v *VMState, booted bool) {
@@ -816,10 +765,9 @@ func (g *Engine) start(as Assignment) bool {
 	t.State = Running
 	t.VM = v.VM
 	t.Attempts++
-	start := g.sim.Now() + g.cfg.QueueDelay
-	dur := g.duration(t, v)
+	start := g.sim.Now()
 	t.StartAt = start
-	fin := start + dur + g.cfg.PostScriptDelay
+	fin := start + g.duration(t, v)
 	// The pre-bound closure resolves the VM through g.running, so the
 	// entry must be set before the event can fire; setting it after
 	// scheduling is safe because the event is strictly in the future.
@@ -864,67 +812,38 @@ func (g *Engine) complete(t *Task, v *VMState) {
 	g.running[t.Act.Index] = runningTask{}
 	v.release()
 	t.FinishAt = g.sim.Now()
-
-	fm := g.cfg.Failure
-	if rate, ok := g.cfg.FailureByActivity[t.Act.Activity]; ok {
-		fm = cloud.FailureModel{Rate: rate}
-	}
-	failed := fm.Fails(g.env.rng)
-	if failed && t.Attempts <= g.cfg.MaxRetries {
-		// Retry: back to ready.
-		t.State = Ready
-		t.ReadyAt = g.sim.Now()
-		g.ready = append(g.ready, t)
-		g.record(t, v, false)
-		if g.hook != nil {
-			g.hook.TaskFinish(g.sim.Now(), t, v, false, false)
-			g.hook.TaskReady(t.ReadyAt, t)
-		}
-		g.postCycle()
-		return
-	}
-
-	g.record(t, v, !failed)
+	t.State = Succeeded
+	g.record(t, v, true)
 	g.remaining--
-	if failed {
-		t.State = Failed
-		g.anyFailed = true
-		if g.hook != nil {
-			g.hook.TaskFinish(g.sim.Now(), t, v, true, false)
+	if g.hook != nil {
+		g.hook.TaskFinish(g.sim.Now(), t, v)
+	}
+	if g.result.Plan != nil {
+		g.result.Plan[t.Act.ID] = v.VM.ID
+	}
+	if len(t.Act.Outputs) > 0 {
+		if v.fileAt == nil {
+			v.fileAt = make(map[string]bool, len(t.Act.Outputs))
 		}
-		g.cancelDescendants(t)
-	} else {
-		t.State = Succeeded
-		if g.hook != nil {
-			g.hook.TaskFinish(g.sim.Now(), t, v, true, true)
+		if g.fileHome == nil {
+			g.fileHome = make(map[string]*VMState)
 		}
-		if g.result.Plan != nil {
-			g.result.Plan[t.Act.ID] = v.VM.ID
+		for _, f := range t.Act.Outputs {
+			v.fileAt[f.Name] = true
+			g.fileHome[f.Name] = v
 		}
-		if len(t.Act.Outputs) > 0 {
-			if v.fileAt == nil {
-				v.fileAt = make(map[string]bool, len(t.Act.Outputs))
-			}
-			if g.fileHome == nil {
-				g.fileHome = make(map[string]*VMState)
-			}
-			for _, f := range t.Act.Outputs {
-				v.fileAt[f.Name] = true
-				g.fileHome[f.Name] = v
-			}
-		}
-		exec, wait := t.ExecTime(), t.QueueTime()
-		v.stats.add(exec, wait)
-		g.env.global.add(exec, wait)
-		if obs, ok := g.sched.(CompletionObserver); ok {
-			obs.OnTaskComplete(t, g.env)
-		}
-		for _, c := range t.Act.Children() {
-			ct := g.tasks[c.Index]
-			ct.waitingOn--
-			if ct.waitingOn == 0 && ct.State == Locked {
-				g.release(ct)
-			}
+	}
+	exec, wait := t.ExecTime(), t.QueueTime()
+	v.stats.add(exec, wait)
+	g.env.global.add(exec, wait)
+	if obs, ok := g.sched.(CompletionObserver); ok {
+		obs.OnTaskComplete(t, g.env)
+	}
+	for _, c := range t.Act.Children() {
+		ct := g.tasks[c.Index]
+		ct.waitingOn--
+		if ct.waitingOn == 0 {
+			g.release(ct)
 		}
 	}
 	g.postCycle()
@@ -934,27 +853,6 @@ func (g *Engine) complete(t *Task, v *VMState) {
 type runningTask struct {
 	ref des.EventRef
 	vm  *VMState
-}
-
-// cancelDescendants marks every still-locked descendant of a
-// terminally failed task as Failed: they can never run, so the
-// workflow reaches the paper's "finished with failure" terminal state
-// once in-flight work drains.
-func (g *Engine) cancelDescendants(t *Task) {
-	desc, err := g.w.Descendants(t.Act.ID)
-	if err != nil {
-		return
-	}
-	for _, a := range desc {
-		dt := g.tasks[a.Index]
-		if dt.State == Locked {
-			dt.State = Failed
-			g.remaining--
-			if g.hook != nil {
-				g.hook.TaskCancel(g.sim.Now(), dt)
-			}
-		}
-	}
 }
 
 func (g *Engine) record(t *Task, v *VMState, success bool) {

@@ -122,19 +122,6 @@ func TestSingleSlotSerialises(t *testing.T) {
 	}
 }
 
-func TestDelaysExtendMakespan(t *testing.T) {
-	w := chain(5)
-	cfg := Config{EngineDelay: 1, QueueDelay: 2, PostScriptDelay: 3}
-	res, err := Run(w, singleVMFleet(), &greedyFirst{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1 (release) + 2 (dispatch) + 5 (run) + 3 (post) = 11.
-	if math.Abs(res.Makespan-11) > 1e-9 {
-		t.Fatalf("makespan = %v, want 11", res.Makespan)
-	}
-}
-
 func TestDependencyOrderRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	w := trace.Montage50(rng)
@@ -182,57 +169,6 @@ func TestMakespanBeatsSequentialOnParallelFleet(t *testing.T) {
 	}
 	if res.Makespan > w.TotalRuntime() {
 		t.Fatalf("makespan %v above sequential runtime %v", res.Makespan, w.TotalRuntime())
-	}
-}
-
-func TestFailureWithRetrySucceeds(t *testing.T) {
-	// Failure rate 1 with retries will always exhaust retries and fail;
-	// but a modest rate with generous retries should succeed.
-	w := chain(1, 1, 1)
-	cfg := Config{Failure: cloud.FailureModel{Rate: 0.3}, MaxRetries: 50, Seed: 7}
-	res, err := Run(w, singleVMFleet(), &greedyFirst{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.State != FinishedOK {
-		t.Fatalf("state = %v", res.State)
-	}
-	// Some retries should have happened at rate 0.3 across enough
-	// attempts... not guaranteed for 3 tasks, so just check records
-	// are consistent: every task has exactly one successful record.
-	okByTask := make(map[string]int)
-	for _, r := range res.Records {
-		if r.Success {
-			okByTask[r.TaskID]++
-		}
-	}
-	for _, a := range w.Activations() {
-		if okByTask[a.ID] != 1 {
-			t.Fatalf("task %s has %d successful records", a.ID, okByTask[a.ID])
-		}
-	}
-}
-
-func TestFailureWithoutRetryFailsWorkflow(t *testing.T) {
-	w := chain(1, 1, 1)
-	cfg := Config{Failure: cloud.FailureModel{Rate: 1.0}, MaxRetries: 0, Seed: 7}
-	res, err := Run(w, singleVMFleet(), &greedyFirst{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.State != FinishedFailed {
-		t.Fatalf("state = %v, want finished-with-failure", res.State)
-	}
-	// Descendants of the failed root never ran.
-	ran := 0
-	for _, r := range res.Records {
-		ran++
-		if r.Success {
-			t.Fatalf("record %v succeeded under rate 1.0", r)
-		}
-	}
-	if ran != 1 {
-		t.Fatalf("%d tasks executed, want only the root", ran)
 	}
 }
 
@@ -325,8 +261,8 @@ func TestInvalidInputs(t *testing.T) {
 	if _, err := Run(w, nil, &greedyFirst{}, Config{}); err == nil {
 		t.Fatal("nil fleet accepted")
 	}
-	if _, err := Run(w, singleVMFleet(), &greedyFirst{}, Config{MaxRetries: -1}); err == nil {
-		t.Fatal("negative retries accepted")
+	if _, err := Run(w, singleVMFleet(), &greedyFirst{}, Config{Spot: &SpotPolicy{MeanLifetime: -1}}); err == nil {
+		t.Fatal("negative spot lifetime accepted")
 	}
 }
 
@@ -441,7 +377,7 @@ func TestResultAggregates(t *testing.T) {
 }
 
 // Property: for any generated workflow and fleet, the FCFS makespan is
-// bounded by [critical path / max speed, total runtime + overheads],
+// bounded by [critical path / max speed, total runtime],
 // every task runs exactly once, and dependencies hold.
 func TestPropertySimulationInvariants(t *testing.T) {
 	f := func(seed int64, rawSize uint8, famIdx uint8) bool {
@@ -495,7 +431,7 @@ func TestPropertySimulationInvariants(t *testing.T) {
 }
 
 // Property: same seed ⇒ identical result (determinism), even with
-// fluctuation and failures enabled.
+// fluctuation and spot requeues enabled.
 func TestPropertyDeterministicRuns(t *testing.T) {
 	f := func(seed int64) bool {
 		mk := func() *Result {
@@ -505,7 +441,7 @@ func TestPropertyDeterministicRuns(t *testing.T) {
 			fl := cloud.DefaultFluctuation()
 			res, err := Run(w, fleet, &greedyFirst{}, Config{
 				Seed: seed, Fluct: &fl,
-				Failure: cloud.FailureModel{Rate: 0.05}, MaxRetries: 10,
+				Spot: &SpotPolicy{MeanLifetime: 60, KeepOne: true},
 			})
 			if err != nil {
 				return nil
@@ -537,7 +473,6 @@ func TestTaskStateStrings(t *testing.T) {
 		Ready.String():     "ready",
 		Running.String():   "running",
 		Succeeded.String(): "succeeded",
-		Failed.String():    "failed",
 	}
 	for got, want := range cases {
 		if got != want {
@@ -548,10 +483,9 @@ func TestTaskStateStrings(t *testing.T) {
 		t.Fatal("unknown state printed empty")
 	}
 	wf := map[string]string{
-		Available.String():      "available",
-		Unavailable.String():    "unavailable",
-		FinishedOK.String():     "successfully finished",
-		FinishedFailed.String(): "finished with failure",
+		Available.String():   "available",
+		Unavailable.String(): "unavailable",
+		FinishedOK.String():  "successfully finished",
 	}
 	for got, want := range wf {
 		if got != want {
@@ -588,59 +522,6 @@ func BenchmarkRunMontage50FCFS(b *testing.B) {
 		if _, err := Run(w, fleet, &greedyFirst{}, Config{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestProvisionDelayShiftsStart(t *testing.T) {
-	w := chain(10)
-	res, err := Run(w, singleVMFleet(), &greedyFirst{}, Config{ProvisionDelay: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Boot 30s + run 10s.
-	if math.Abs(res.Makespan-40) > 1e-9 {
-		t.Fatalf("makespan = %v, want 40", res.Makespan)
-	}
-	// The task queued while the VM booted.
-	if math.Abs(res.Records[0].QueueTime()-30) > 1e-9 {
-		t.Fatalf("queue time = %v, want 30", res.Records[0].QueueTime())
-	}
-}
-
-func TestProvisionJitterStaggersBoots(t *testing.T) {
-	// Two independent tasks, two VMs, large jitter: with the chosen
-	// seed the two VMs boot at different times and tasks start apart.
-	w := dag.New("par")
-	w.MustAdd("a", "x", 1)
-	w.MustAdd("b", "x", 1)
-	fleet := cloud.MustFleet("two", []cloud.VMType{cloud.T2Micro}, []int{2})
-	res, err := Run(w, fleet, &greedyFirst{}, Config{ProvisionDelay: 5, ProvisionJitter: 100, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.State != FinishedOK {
-		t.Fatalf("state = %v", res.State)
-	}
-	if res.Makespan < 5 {
-		t.Fatalf("makespan %v below the minimum boot delay", res.Makespan)
-	}
-	// Deterministic for the seed.
-	res2, err := Run(w, fleet, &greedyFirst{}, Config{ProvisionDelay: 5, ProvisionJitter: 100, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan != res2.Makespan {
-		t.Fatal("provision jitter not reproducible")
-	}
-}
-
-func TestNegativeProvisionRejected(t *testing.T) {
-	w := chain(1)
-	if _, err := Run(w, singleVMFleet(), &greedyFirst{}, Config{ProvisionDelay: -1}); err == nil {
-		t.Fatal("negative provision delay accepted")
-	}
-	if _, err := Run(w, singleVMFleet(), &greedyFirst{}, Config{ProvisionJitter: -1}); err == nil {
-		t.Fatal("negative provision jitter accepted")
 	}
 }
 
@@ -714,8 +595,8 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	}
 }
 
-// Property: every scheduler's result passes Verify, with all
-// overhead layers, failures and fluctuation active.
+// Property: every scheduler's result passes Verify, with spot
+// requeues and fluctuation active.
 func TestPropertyVerifyAllResults(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -727,8 +608,7 @@ func TestPropertyVerifyAllResults(t *testing.T) {
 		fl := cloud.DefaultFluctuation()
 		res, err := Run(w, fleet, &greedyFirst{}, Config{
 			Seed: seed, Fluct: &fl,
-			EngineDelay: 0.5, QueueDelay: 0.25, PostScriptDelay: 0.1,
-			Failure: cloud.FailureModel{Rate: 0.05}, MaxRetries: 10,
+			Spot: &SpotPolicy{MeanLifetime: 60, KeepOne: true},
 		})
 		if err != nil {
 			return false
@@ -737,49 +617,5 @@ func TestPropertyVerifyAllResults(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFailureByActivity(t *testing.T) {
-	// Only "flaky" activations fail (always), and with retries they
-	// eventually pass; "solid" ones never record a failure.
-	w := dag.New("mixed")
-	w.MustAdd("f1", "flaky", 1)
-	w.MustAdd("s1", "solid", 1)
-	cfg := Config{
-		FailureByActivity: map[string]float64{"flaky": 0.5},
-		MaxRetries:        50,
-		Seed:              9,
-	}
-	res, err := Run(w, singleVMFleet(), &greedyFirst{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.State != FinishedOK {
-		t.Fatalf("state = %v", res.State)
-	}
-	for _, r := range res.Records {
-		if r.Activity == "solid" && !r.Success {
-			t.Fatalf("solid activation failed: %+v", r)
-		}
-	}
-	// Global rate still applies to activities not in the map.
-	cfg2 := Config{
-		Failure:           cloud.FailureModel{Rate: 1.0},
-		FailureByActivity: map[string]float64{"flaky": 0},
-		MaxRetries:        0,
-		Seed:              9,
-	}
-	res2, err := Run(w, singleVMFleet(), &greedyFirst{}, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res2.Records {
-		if r.Activity == "flaky" && !r.Success {
-			t.Fatal("per-activity zero rate did not override the global rate")
-		}
-		if r.Activity == "solid" && r.Success {
-			t.Fatal("global rate 1.0 let a solid task pass")
-		}
 	}
 }

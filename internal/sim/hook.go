@@ -32,22 +32,17 @@ type RunHook interface {
 	// the scheduler's Pick. ctx contents are only valid for the call.
 	Decision(now float64, ctx *Context)
 	// TaskReady fires when a task enters the ready queue (first
-	// release, retry, or spot-abort requeue).
+	// release or spot-abort requeue).
 	TaskReady(now float64, t *Task)
 	// TaskStart fires when an assignment is accepted and the task
 	// occupies a VM slot.
 	TaskStart(now float64, t *Task, v *VMState)
-	// TaskFinish fires when an execution attempt completes. terminal
-	// reports whether the task reached a terminal state (success, or
-	// failure with retries exhausted); a non-terminal finish is a
-	// failed attempt heading back to the ready queue.
-	TaskFinish(now float64, t *Task, v *VMState, terminal, success bool)
+	// TaskFinish fires when an execution attempt completes; the task
+	// has succeeded, its terminal state.
+	TaskFinish(now float64, t *Task, v *VMState)
 	// TaskAbort fires when a spot revocation kills a running attempt;
 	// the task returns to the ready queue.
 	TaskAbort(now float64, t *Task, v *VMState)
-	// TaskCancel fires when a still-locked descendant of a terminally
-	// failed task is cancelled (terminal, no execution record).
-	TaskCancel(now float64, t *Task)
 	// VMAdded fires when the autoscaler acquires a VM (not yet booted).
 	VMAdded(now float64, v *VMState)
 	// VMRetired fires when the autoscaler releases an idle acquired VM.

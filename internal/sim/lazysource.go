@@ -5,9 +5,9 @@ import "math/rand"
 // lazySource is math/rand's seeded generator with the seeding deferred
 // to the first draw. Seeding the ALFG walks its whole 607-word state
 // (~10 µs), the engine re-seeds on every run, and a run without
-// fluctuation, failures, spot revocations or provisioning jitter never
-// draws: that reseed was an eighth of a warm learning job. Once drawn
-// from, the stream is the one rand.NewSource(seed) yields.
+// fluctuation or spot revocations never draws: that reseed was an
+// eighth of a warm learning job. Once drawn from, the stream is the
+// one rand.NewSource(seed) yields.
 type lazySource struct {
 	src    rand.Source64 // nil until the first draw
 	seed   int64

@@ -59,7 +59,6 @@ func (g *Engine) Rebind(w *dag.Workflow, fleet *cloud.Fleet, sched Scheduler, cf
 	g.sorter = readySorter{}
 	g.cycleFn = nil
 	g.remaining = 0
-	g.anyFailed = false
 	g.cyclePosted = false
 	g.scaler = nil
 	g.nBooted = 0

@@ -73,7 +73,7 @@ func requireEqualRuns(t *testing.T, fresh, reset *Result) {
 
 // TestEngineResetMatchesFreshRun is the Reset equivalence contract: a
 // reset-then-run must be bit-identical to a fresh engine's run under
-// the same config, across fluctuation, failure/retry and spot
+// the same config, across fluctuation, spot-requeue and autoscale
 // configurations.
 func TestEngineResetMatchesFreshRun(t *testing.T) {
 	w := trace.Montage50(rand.New(rand.NewSource(3)))
@@ -88,11 +88,11 @@ func TestEngineResetMatchesFreshRun(t *testing.T) {
 	}{
 		{"plain", Config{Seed: 7}},
 		{"fluct", Config{Seed: 7, Fluct: &fluct}},
-		{"failures", Config{Seed: 7, Fluct: &fluct,
-			Failure: cloud.FailureModel{Rate: 0.1}, MaxRetries: 3}},
-		{"delays", Config{Seed: 7, Fluct: &fluct,
-			EngineDelay: 0.5, QueueDelay: 0.25, PostScriptDelay: 0.1,
-			ProvisionDelay: 2, ProvisionJitter: 1}},
+		{"spot-requeue", Config{Seed: 7, Fluct: &fluct,
+			Spot: &SpotPolicy{MeanLifetime: 60, KeepOne: true}}},
+		{"autoscale-boot", Config{Seed: 7, Fluct: &fluct,
+			Autoscale: &Autoscale{Type: cloud.T2Large, MaxVMs: 20, BootDelay: 3,
+				IdleTimeout: 5, QueuePerFreeSlot: 0.1}}},
 		{"spot", Config{Seed: 7, Fluct: &fluct,
 			Spot: &SpotPolicy{MeanLifetime: 400, KeepOne: true}}},
 	}
@@ -162,8 +162,8 @@ func TestEngineResetRejectsBadConfig(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Reset(Config{MaxRetries: -1}); err == nil {
-		t.Fatal("Reset with negative MaxRetries should error")
+	if err := eng.Reset(Config{Spot: &SpotPolicy{MeanLifetime: -1}}); err == nil {
+		t.Fatal("Reset with negative spot lifetime should error")
 	}
 }
 

@@ -219,11 +219,10 @@ func (h *orderHook) TaskReady(float64, *Task)   {}
 func (h *orderHook) TaskStart(_ float64, t *Task, _ *VMState) {
 	h.starts = append(h.starts, t.Act.Index)
 }
-func (h *orderHook) TaskFinish(float64, *Task, *VMState, bool, bool) {}
+func (h *orderHook) TaskFinish(float64, *Task, *VMState) {}
 func (h *orderHook) TaskAbort(_ float64, t *Task, _ *VMState) {
 	h.aborts = append(h.aborts, t.Act.Index)
 }
-func (h *orderHook) TaskCancel(float64, *Task)   {}
 func (h *orderHook) VMAdded(float64, *VMState)   {}
 func (h *orderHook) VMRetired(float64, *VMState) {}
 func (h *orderHook) VMRevoked(float64, *VMState) {}

@@ -2,9 +2,9 @@
 // a workflow engine that releases activations as their dependencies
 // finish, a pluggable scheduler invoked whenever the workflow is in
 // the paper's "available" state (≥1 ready activation and ≥1 idle VM
-// slot), configurable overhead layers (engine, queue and post-script
-// delays), task-failure injection with retries, and optional runtime
-// fluctuation.
+// slot), spot revocations that requeue running activations, an
+// autoscaler, and optional runtime fluctuation. Task failures are not
+// modelled here: they are injected once, at execution (package exec).
 //
 // It runs on the deterministic discrete-event kernel in package des,
 // so a given (workflow, fleet, scheduler, seed) reproduces the same
@@ -20,7 +20,8 @@ import (
 )
 
 // TaskState is the per-activation state machine from the paper
-// (§III.A): locked → ready → running → {succeeded, failed}.
+// (§III.A): locked → ready → running → succeeded. A spot revocation
+// sends a running task back to ready.
 type TaskState int
 
 const (
@@ -30,10 +31,8 @@ const (
 	Ready
 	// Running: executing on a VM.
 	Running
-	// Succeeded: finished without failure.
+	// Succeeded: finished.
 	Succeeded
-	// Failed: finished with a failure (after exhausting retries).
-	Failed
 )
 
 // String implements fmt.Stringer.
@@ -47,15 +46,14 @@ func (s TaskState) String() string {
 		return "running"
 	case Succeeded:
 		return "succeeded"
-	case Failed:
-		return "failed"
 	default:
 		return fmt.Sprintf("TaskState(%d)", int(s))
 	}
 }
 
-// WorkflowState is the paper's four-valued workflow state submitted
-// to the Q function.
+// WorkflowState is the paper's workflow state submitted to the Q
+// function. Its fourth value, "finished with failure", cannot arise:
+// the simulator injects no task failures.
 type WorkflowState int
 
 const (
@@ -65,9 +63,6 @@ const (
 	Unavailable
 	// FinishedOK: all activations succeeded (terminal).
 	FinishedOK
-	// FinishedFailed: at least one activation failed and nothing is
-	// left to run (terminal).
-	FinishedFailed
 )
 
 // String implements fmt.Stringer.
@@ -79,8 +74,6 @@ func (s WorkflowState) String() string {
 		return "unavailable"
 	case FinishedOK:
 		return "successfully finished"
-	case FinishedFailed:
-		return "finished with failure"
 	default:
 		return fmt.Sprintf("WorkflowState(%d)", int(s))
 	}
@@ -96,12 +89,12 @@ type Task struct {
 	VM *cloud.VM
 
 	// Timestamps in virtual seconds. ReadyAt is when the task entered
-	// the ready queue (most recently, if retried).
+	// the ready queue (most recently, if requeued).
 	ReadyAt  float64
 	StartAt  float64
 	FinishAt float64
 
-	// Attempts counts executions, including failed ones.
+	// Attempts counts executions, including spot-aborted ones.
 	Attempts int
 
 	waitingOn int // unfinished parents
@@ -128,7 +121,8 @@ type Record struct {
 	StartAt  float64
 	FinishAt float64
 	Attempts int
-	Success  bool
+	// Success is false for an attempt a spot revocation aborted.
+	Success bool
 }
 
 // QueueTime returns tf_i for the record.
