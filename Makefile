@@ -135,12 +135,16 @@ B ?= HEAD
 ab:
 	GO=$(GO) bash scripts/ab.sh $(A) $(B) $(AB_ARGS)
 
-## audit: the simulation correctness harness — invariant auditor
-## sweeps, fresh-vs-reset differential grid, and the spot/autoscale
-## determinism regression tests (-count=1 defeats the test cache)
+## audit: the correctness harness — invariant auditor sweeps,
+## fresh-vs-reset differential grid, the spot/autoscale determinism
+## regression tests, and the exec master's differential checks (the
+## per-turn oracle against the scans its bookkeeping replaced, and
+## bit-identical repeats of plain, market and codec runs); -count=1
+## defeats the test cache
 audit:
 	$(GO) test -count=1 ./internal/invariant/...
 	$(GO) test -count=1 -run 'TraceStable|Deterministic|Gapped|Pins|FreesAutoscale|Reset' ./internal/sim/...
+	$(GO) test -count=1 -run 'TurnOracle|DeterminismBitIdentical|MarketExecDeterministic|CodecDeterminismOracle' ./internal/exec/
 
 ## fuzz-smoke: a short native-fuzzing pass over the DES kernel (its
 ## structural properties, and its pop order against a container/heap

@@ -562,7 +562,7 @@ func runMaster(w *dag.Workflow, fleet *cloud.Fleet, plan core.Plan,
 		}
 	}
 	if table != nil {
-		opts = append(opts, exec.WithReassigner(exec.QTableReassigner{Table: table}))
+		opts = append(opts, exec.WithQTable(table))
 	}
 	m, err := exec.New(w, fleet, plan, tr, opts...)
 	if err != nil {

@@ -355,24 +355,6 @@ func (w *Workflow) InferDataDeps() int {
 	return added
 }
 
-// Clone returns a deep copy of the workflow (files are copied by
-// value; the graphs are independent).
-func (w *Workflow) Clone() *Workflow {
-	out := New(w.Name)
-	for _, a := range w.acts {
-		na := out.MustAdd(a.ID, a.Activity, a.Runtime)
-		na.Args = append([]string(nil), a.Args...)
-		na.Inputs = append([]File(nil), a.Inputs...)
-		na.Outputs = append([]File(nil), a.Outputs...)
-	}
-	for _, a := range w.acts {
-		for _, c := range a.children {
-			out.MustDep(a.ID, c.ID)
-		}
-	}
-	return out
-}
-
 // Merge combines several workflows into one ensemble DAG, prefixing
 // every activation ID with its workflow's name (and index, to stay
 // unique) — the shape used to schedule a batch of workflows onto one

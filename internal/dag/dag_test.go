@@ -274,28 +274,6 @@ func TestTransitiveReduction(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	w := diamond(t)
-	w.Get("a").Outputs = []File{{Name: "out.fits", Size: 42}}
-	c := w.Clone()
-	if c.Len() != w.Len() || c.Edges() != w.Edges() {
-		t.Fatalf("clone shape mismatch: %d/%d vs %d/%d", c.Len(), c.Edges(), w.Len(), w.Edges())
-	}
-	// Mutating the clone must not affect the original.
-	c.MustAdd("extra", "x", 1)
-	c.MustDep("d", "extra")
-	if w.Len() != 4 || w.HasDep("d", "extra") {
-		t.Fatal("clone shares state with original")
-	}
-	if len(c.Get("a").Outputs) != 1 || c.Get("a").Outputs[0].Name != "out.fits" {
-		t.Fatal("clone lost file metadata")
-	}
-	c.Get("a").Outputs[0].Size = 7
-	if w.Get("a").Outputs[0].Size != 42 {
-		t.Fatal("clone shares file slice with original")
-	}
-}
-
 func TestFileByteTotals(t *testing.T) {
 	a := &Activation{
 		Inputs:  []File{{Size: 10}, {Size: 20}},
@@ -506,34 +484,6 @@ func TestPropertyTransitiveReductionPreservesReachability(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Clone is structurally identical.
-func TestPropertyCloneEqual(t *testing.T) {
-	f := func(seed int64, rawN uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(rawN)%20 + 1
-		w := randomDAG(rng, n, 0.25)
-		c := w.Clone()
-		if c.Len() != w.Len() || c.Edges() != w.Edges() {
-			return false
-		}
-		for _, a := range w.Activations() {
-			ca := c.Get(a.ID)
-			if ca == nil || ca.Runtime != a.Runtime || ca.Activity != a.Activity {
-				return false
-			}
-			for _, ch := range a.Children() {
-				if !c.HasDep(a.ID, ch.ID) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

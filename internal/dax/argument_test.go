@@ -59,18 +59,3 @@ func TestArgumentRoundTrip(t *testing.T) {
 		t.Fatalf("B gained args %q", got)
 	}
 }
-
-func TestCloneCopiesArgs(t *testing.T) {
-	w := dag.New("c")
-	a := w.MustAdd("A", "tool", 1)
-	a.Args = []string{"tool", "x"}
-	c := w.Clone()
-	got := c.Get("A").Args
-	if !reflect.DeepEqual(got, a.Args) {
-		t.Fatalf("clone args = %q", got)
-	}
-	got[1] = "mutated"
-	if a.Args[1] != "x" {
-		t.Fatal("clone shares the args slice with the original")
-	}
-}

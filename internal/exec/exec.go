@@ -9,12 +9,12 @@
 // VM, tracks a lease per in-flight attempt (extended by worker
 // heartbeats), retries failed or expired attempts with exponential
 // backoff up to a capped budget, and — when a worker dies mid-run —
-// reassigns its orphaned activations to surviving VMs via a
-// Reassigner (Q-table next-best or an earliest-finish HEFT-style
-// fallback). Every attempt, including retries and abandons, is
-// recorded into the provenance store, closing the paper's
-// cross-execution learning loop: provenance out of execution, Q-table
-// seeded from provenance (core.SeedTable).
+// reassigns its orphaned activations to surviving VMs: the learned Q
+// table's next best (WithQTable), or else the earliest finish by
+// backlog plus estimate, HEFT-style. Every attempt, including retries
+// and abandons, is recorded into the provenance store, closing the
+// paper's cross-execution learning loop: provenance out of execution,
+// Q-table seeded from provenance (core.SeedTable).
 //
 // Workers are dumb executors behind a Transport. Two transports ship:
 // InProc, a deterministic virtual-time transport whose runs are

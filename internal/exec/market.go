@@ -172,16 +172,13 @@ func (m *Master) onPreemptNotice(ev Event) {
 	// lead later. Attempts that fit keep running — they beat the kill
 	// and their work is kept.
 	window := ev.Market.KillAt - m.now
-	for _, ts := range m.tasks {
-		if !ts.running || ts.vm != vs.vm.ID {
-			continue
-		}
+	for at := 0; at < len(vs.running); {
+		ts := m.tasks[vs.running[at]]
 		if remaining := ts.start + execOn(ts.a, vs) - m.now; remaining <= window {
+			at++
 			continue
 		}
-		ts.running = false
-		m.clearTimer(ts)
-		vs.busy--
+		m.stop(ts) // removes vs.running[at]
 		m.recordAttempt(ts, "lost", "preemption notice: cannot finish before kill")
 		m.retry(ts, "preempted")
 	}
@@ -271,14 +268,11 @@ func (m *Master) onVMKill(ev Event) {
 	vs.dead = true
 	orphaned := append([]int(nil), vs.queue...)
 	vs.queue = nil
-	vs.busy = 0
-	for _, ts := range m.tasks {
-		if ts.running && ts.vm == vs.vm.ID {
-			ts.running = false
-			m.clearTimer(ts)
-			m.recordAttempt(ts, "lost", "vm preempted")
-			m.retry(ts, "preempted")
-		}
+	for len(vs.running) > 0 {
+		ts := m.tasks[vs.running[0]]
+		m.stop(ts)
+		m.recordAttempt(ts, "lost", "vm preempted")
+		m.retry(ts, "preempted")
 	}
 	if !vs.remediated && m.needsCapacity(vs) {
 		m.remediate(vs)
@@ -330,7 +324,7 @@ func (m *Master) needsCapacity(vs *vmState) bool {
 		if o == vs || o.dead || o.cordoned {
 			continue
 		}
-		free += o.slots - o.busy
+		free += o.slots - len(o.running)
 	}
 	return unfinished > free
 }
@@ -350,10 +344,9 @@ func minSlot(free []float64) int {
 // running attempt (now, for an idle slot).
 func (m *Master) runningFree(vs *vmState) []float64 {
 	free := make([]float64, 0, vs.slots)
-	for _, ts := range m.tasks {
-		if ts.running && ts.vm == vs.vm.ID {
-			free = append(free, ts.start+execOn(ts.a, vs))
-		}
+	for _, i := range vs.running {
+		ts := m.tasks[i]
+		free = append(free, ts.start+execOn(ts.a, vs))
 	}
 	for len(free) < vs.slots {
 		free = append(free, m.now)
@@ -420,12 +413,13 @@ func (m *Master) remediate(vs *vmState) {
 	}
 	m.maxVMID++
 	nv := &vmState{
-		vm:     &cloud.VM{ID: m.maxVMID, Type: vs.vm.Type, Site: vs.vm.Site},
-		owner:  owner,
-		slots:  vs.slots,
-		idx:    len(m.vms),
-		slow:   1,
-		bootAt: m.now + off.BootDelay,
+		vm:      &cloud.VM{ID: m.maxVMID, Type: vs.vm.Type, Site: vs.vm.Site},
+		owner:   owner,
+		slots:   vs.slots,
+		running: make([]int32, 0, vs.slots),
+		idx:     len(m.vms),
+		slow:    1,
+		bootAt:  m.now + off.BootDelay,
 	}
 	m.vms = append(m.vms, nv)
 	m.vmByID[nv.vm.ID] = nv

@@ -14,6 +14,7 @@ import (
 	"reassign/internal/dag"
 	"reassign/internal/market"
 	"reassign/internal/provenance"
+	"reassign/internal/rl"
 	"reassign/internal/telemetry"
 )
 
@@ -32,12 +33,15 @@ type Master struct {
 	runID string
 	sink  telemetry.Sink
 
+	// The n-th failed attempt with n == maxAttempts abandons the
+	// activation and its descendants; the k-th retry waits
+	// min(backoffBase·2^(k−1), backoffMax) virtual seconds.
 	maxAttempts int
 	backoffBase float64
 	backoffMax  float64
 	leaseTTL    float64
 	leaseFactor float64
-	reassigner  Reassigner
+	table       *rl.Table
 	keepOpen    bool
 
 	// Market execution (WithMarket).
@@ -109,14 +113,16 @@ type taskState struct {
 }
 
 type vmState struct {
-	vm     *cloud.VM
-	owner  int
-	dead   bool
-	slots  int
-	busy   int
-	queue  []int // task indices awaiting dispatch on this VM, ascending
-	idx    int   // position in Master.vms, the deterministic dispatch order
-	marked bool  // already on the dispatch worklist
+	vm    *cloud.VM
+	owner int
+	dead  bool
+	slots int
+	// running holds the task indices of the attempts in flight on this
+	// VM, ascending; its length is the busy-slot count.
+	running []int32
+	queue   []int // task indices awaiting dispatch on this VM, ascending
+	idx     int   // position in Master.vms, the deterministic dispatch order
+	marked  bool  // already on the dispatch worklist
 
 	// Market state: a preemption notice cordons a VM against new work
 	// and sets its pending kill (killAt > 0); a cordoned VM still
@@ -151,30 +157,6 @@ func WithSink(s telemetry.Sink) Option {
 	return func(m *Master) { m.sink = s }
 }
 
-// WithMaxAttempts caps the dispatch budget per activation (default 5;
-// the n-th failure with n == max abandons the activation and its
-// descendants).
-func WithMaxAttempts(n int) Option {
-	return func(m *Master) {
-		if n > 0 {
-			m.maxAttempts = n
-		}
-	}
-}
-
-// WithBackoff sets the exponential retry backoff: the k-th retry
-// waits min(base·2^(k−1), max) virtual seconds (defaults 1 and 60).
-func WithBackoff(base, max float64) Option {
-	return func(m *Master) {
-		if base > 0 {
-			m.backoffBase = base
-		}
-		if max > 0 {
-			m.backoffMax = max
-		}
-	}
-}
-
 // WithLease sets lease policy: an attempt's initial lease is
 // max(ttl, factor·estimate) virtual seconds and every worker
 // heartbeat extends it to now+ttl (defaults 30 and 4).
@@ -189,15 +171,12 @@ func WithLease(ttl, factor float64) Option {
 	}
 }
 
-// WithReassigner sets the policy that repins activations orphaned by
-// a worker death (default EarliestFinish; pass a QTableReassigner to
-// fall back on the learned policy).
-func WithReassigner(r Reassigner) Option {
-	return func(m *Master) {
-		if r != nil {
-			m.reassigner = r
-		}
-	}
+// WithQTable makes repin consult the learned Q table one more time:
+// an activation orphaned by a dead or cordoned VM moves to the
+// surviving VM with the highest Q value. Without it repin takes the
+// earliest finish, the least backlog plus the activation's estimate.
+func WithQTable(t *rl.Table) Option {
+	return func(m *Master) { m.table = t }
 }
 
 // WithCallerOwnedTransport leaves the transport open when Run
@@ -235,7 +214,6 @@ func New(w *dag.Workflow, fleet *cloud.Fleet, plan core.Plan, tr Transport, opts
 		maxAttempts: 5,
 		backoffBase: 1, backoffMax: 60,
 		leaseTTL: 30, leaseFactor: 4,
-		reassigner: EarliestFinish{},
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -367,25 +345,26 @@ func (m *Master) Run(ctx context.Context) (*Report, error) {
 		*ts = taskState{a: a, waiting: len(a.Parents()), worker: -1, tpos: -1}
 		m.tasks[a.Index] = ts
 	}
+	counts := make([]int, len(vsb))
 	for i := 0; i < m.plan.Len(); i++ {
 		e := m.plan.At(i)
 		tsb[m.w.Get(e.Activation).Index].vm = e.VM // New validated the plan complete
+		counts[m.vmByID[e.VM].idx]++
 	}
 	// Carve each VM's dispatch queue out of one backing array sized to
 	// the plan, so steady-state enqueues never grow a slice (repins
 	// after a worker death may still exceed a queue's slice and fall
-	// back to append's growth).
-	counts := make([]int, len(vsb))
-	for _, ts := range m.tasks {
-		if vs := m.vmByID[ts.vm]; vs != nil {
-			counts[vs.idx]++
-		}
-	}
+	// back to append's growth), and each running set out of one sized
+	// to the fleet's slots, which it never exceeds.
 	qbuf := make([]int, m.w.Len())
-	off := 0
+	rbuf := make([]int32, fleetSlots)
+	qoff, roff := 0, 0
 	for i := range vsb {
-		vsb[i].queue = qbuf[off : off : off+counts[i]]
-		off += counts[i]
+		vs := &vsb[i]
+		vs.queue = qbuf[qoff : qoff : qoff+counts[i]]
+		vs.running = rbuf[roff : roff : roff+vs.slots]
+		qoff += counts[i]
+		roff += vs.slots
 	}
 	m.work = make([]int, 0, len(vsb))
 	m.carry = make([]int, 0, len(vsb))
@@ -420,27 +399,11 @@ func (m *Master) Run(ctx context.Context) (*Report, error) {
 			}
 			return m.report(wallStart), err
 		}
-		if ev.Time > m.now {
-			m.now = ev.Time
+		if err := m.handle(ev); err != nil {
+			return m.report(wallStart), err
 		}
-		m.processAcquires()
-		switch ev.Kind {
-		case EvTick:
+		if ev.Kind == EvTick {
 			m.expireLeases()
-		case EvResult:
-			m.onResult(ev)
-		case EvHeartbeat:
-			m.onHeartbeat(ev)
-		case EvWorkerLost:
-			if err := m.onWorkerLost(ev.Worker); err != nil {
-				return m.report(wallStart), err
-			}
-		case EvPreemptNotice:
-			m.onPreemptNotice(ev)
-		case EvVMKill:
-			m.onVMKill(ev)
-		case EvVMHealth:
-			m.onVMHealth(ev)
 		}
 		// Drain whatever else is already pending before redispatching,
 		// so a burst of completions frees its slots in one pass and
@@ -495,33 +458,41 @@ func (m *Master) drain(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if ev.Time > m.now {
-			m.now = ev.Time
+		if err := m.handle(ev); err != nil {
+			return err
 		}
-		m.processAcquires()
-		switch ev.Kind {
-		case EvTick:
+		if ev.Kind == EvTick {
 			if yields == 0 {
 				return nil
 			}
 			yields--
 			runtime.Gosched()
-			continue
-		case EvResult:
-			m.onResult(ev)
-		case EvHeartbeat:
-			m.onHeartbeat(ev)
-		case EvWorkerLost:
-			if err := m.onWorkerLost(ev.Worker); err != nil {
-				return err
-			}
-		case EvPreemptNotice:
-			m.onPreemptNotice(ev)
-		case EvVMKill:
-			m.onVMKill(ev)
-		case EvVMHealth:
-			m.onVMHealth(ev)
 		}
+	}
+	return nil
+}
+
+// handle advances the clock to the event, settles the deferred
+// acquires that have come due, and runs the event's handler. A tick has
+// none here: Run expires leases on it, drain yields.
+func (m *Master) handle(ev Event) error {
+	if ev.Time > m.now {
+		m.now = ev.Time
+	}
+	m.processAcquires()
+	switch ev.Kind {
+	case EvResult:
+		m.onResult(ev)
+	case EvHeartbeat:
+		m.onHeartbeat(ev)
+	case EvWorkerLost:
+		return m.onWorkerLost(ev.Worker)
+	case EvPreemptNotice:
+		m.onPreemptNotice(ev)
+	case EvVMKill:
+		m.onVMKill(ev)
+	case EvVMHealth:
+		m.onVMHealth(ev)
 	}
 	return nil
 }
@@ -618,13 +589,18 @@ func (m *Master) markVM(vs *vmState) {
 	}
 }
 
-// repin moves a task off a dead or cordoned VM via the Reassigner and
-// returns the new VM's state (nil when no VM survives).
+// repin moves a task off a dead or cordoned VM and returns the new
+// VM's state (nil when no VM survives). The survivors are the live,
+// uncordoned VMs in ID order. With a Q table (WithQTable) repin takes
+// the table's best survivor for the activation — the paper's Q table
+// consulted one more time at execution time; otherwise the earliest
+// finish, the survivor minimising backlog plus the activation's
+// estimate, the lowest ID winning ties.
 func (m *Master) repin(ts *taskState) *vmState {
-	var cands []*cloud.VM
+	var cands []*vmState
 	for _, vs := range m.vms {
 		if !vs.dead && !vs.cordoned {
-			cands = append(cands, vs.vm)
+			cands = append(cands, vs)
 		}
 	}
 	if len(cands) == 0 {
@@ -632,52 +608,53 @@ func (m *Master) repin(ts *taskState) *vmState {
 		// the task — the kill's recovery repins it again.
 		for _, vs := range m.vms {
 			if !vs.dead {
-				cands = append(cands, vs.vm)
+				cands = append(cands, vs)
 			}
 		}
 	}
 	if len(cands) == 0 {
 		return nil
 	}
-	rc := ReassignContext{
-		Activation: ts.a,
-		Candidates: cands,
-		Backlog:    m.backlog,
-		Estimate:   nominalExec,
-	}
-	to := m.reassigner.Pick(rc)
-	vs := m.vmByID[to]
-	if vs == nil || vs.dead {
-		// A misbehaving reassigner falls back to the first survivor.
-		vs = m.vmByID[cands[0].ID]
+	to, policy := cands[0], "earliest-finish"
+	if m.table != nil {
+		policy = "qtable"
+		ids := make([]int, len(cands))
+		for i, vs := range cands {
+			ids[i] = vs.vm.ID
+		}
+		// Best answers -1 only when every value is NaN: keep the first.
+		if id, _ := m.table.Best(ts.a.Index, ids); id >= 0 {
+			to = m.vmByID[id]
+		}
+	} else {
+		var best float64
+		for i, vs := range cands {
+			if t := m.backlog(vs) + nominalExec(ts.a, vs.vm); i == 0 || t < best {
+				to, best = vs, t
+			}
+		}
 	}
 	from := ts.vm
-	ts.vm = vs.vm.ID
+	ts.vm = to.vm.ID
 	m.reassigned++
 	if m.sink != nil {
 		m.sink.Emit(telemetry.ExecReassignEvent{
 			Task: ts.a.ID, FromVM: from, ToVM: ts.vm,
-			Time: m.now, Policy: m.reassigner.Name(),
+			Time: m.now, Policy: policy,
 		})
 	}
-	return vs
+	return to
 }
 
 // backlog estimates a VM's outstanding work per slot in virtual
 // seconds: queued plus in-flight attempt estimates.
-func (m *Master) backlog(vmID int) float64 {
-	vs := m.vmByID[vmID]
-	if vs == nil {
-		return math.Inf(1)
-	}
+func (m *Master) backlog(vs *vmState) float64 {
 	var sum float64
 	for _, i := range vs.queue {
 		sum += nominalExec(m.tasks[i].a, vs.vm)
 	}
-	for _, ts := range m.tasks {
-		if ts.running && ts.vm == vmID {
-			sum += nominalExec(ts.a, vs.vm)
-		}
+	for _, i := range vs.running {
+		sum += nominalExec(m.tasks[i].a, vs.vm)
 	}
 	if vs.slow > 1 {
 		sum *= vs.slow
@@ -685,7 +662,7 @@ func (m *Master) backlog(vmID int) float64 {
 	per := sum / float64(vs.slots)
 	if vs.bootAt > m.now {
 		// A still-provisioning replacement can't start anything before
-		// its boot completes; make EarliestFinish see that wait.
+		// its boot completes; make the earliest finish see that wait.
 		per += vs.bootAt - m.now
 	}
 	return per
@@ -724,7 +701,7 @@ func (m *Master) dispatch() error {
 				carry = append(carry, i)
 				continue
 			}
-			for vs.busy < vs.slots {
+			for len(vs.running) < vs.slots {
 				ti := m.pickQueued(vs)
 				if ti < 0 {
 					break
@@ -800,7 +777,8 @@ func (m *Master) send(ts *taskState, vs *vmState) error {
 	ts.start = m.now
 	ts.lease = m.now + lease
 	m.setTimer(ts)
-	vs.busy++
+	at, _ := slices.BinarySearch(vs.running, int32(ts.a.Index))
+	vs.running = slices.Insert(vs.running, at, int32(ts.a.Index))
 	spec := TaskSpec{
 		TaskID: ts.a.ID, Index: ts.a.Index, Activity: ts.a.Activity,
 		VM: vs.vm.ID, VMType: vs.vm.Type.Name,
@@ -832,12 +810,7 @@ func (m *Master) onResult(ev Event) {
 	if ts.done || ts.abandoned || !ts.running || ts.attempts != ev.Attempt || ts.worker != ev.Worker {
 		return
 	}
-	ts.running = false
-	m.clearTimer(ts)
-	if vs := m.vmByID[ts.vm]; vs != nil {
-		vs.busy--
-		m.markVM(vs) // a freed slot may unblock this VM's backlog
-	}
+	m.stop(ts)
 	if ev.Err == "" {
 		ts.done = true
 		ts.finish = m.now
@@ -872,15 +845,34 @@ func (m *Master) onResult(ev Event) {
 	m.retry(ts, "failed")
 }
 
-// onHeartbeat extends the leases of the worker's in-flight attempts.
+// stop ends ts's attempt in flight — on its result, lease expiry,
+// worker loss, preemption notice or VM kill: the attempt leaves its
+// VM's running set, freeing the slot, and its lease timer.
+func (m *Master) stop(ts *taskState) {
+	ts.running = false
+	m.clearTimer(ts)
+	vs := m.vmByID[ts.vm]
+	at, _ := slices.BinarySearch(vs.running, int32(ts.a.Index))
+	vs.running = slices.Delete(vs.running, at, at+1)
+	m.markVM(vs) // a freed slot may unblock this VM's backlog
+}
+
+// onHeartbeat extends the leases of the worker's in-flight attempts,
+// which run on the worker's VMs. The order they are extended in is
+// unobservable: the timer heap's root and its due entries do not
+// depend on it.
 func (m *Master) onHeartbeat(ev Event) {
 	if !m.alive[ev.Worker] {
 		return
 	}
 	running := 0
-	for _, ts := range m.tasks {
-		if ts.running && ts.worker == ev.Worker {
-			running++
+	for _, vs := range m.vms {
+		if vs.owner != ev.Worker {
+			continue
+		}
+		running += len(vs.running)
+		for _, i := range vs.running {
+			ts := m.tasks[i]
 			if ext := m.now + m.leaseTTL; ext > ts.lease {
 				ts.lease = ext
 				m.setTimer(ts)
@@ -910,11 +902,7 @@ func (m *Master) expireLeases() {
 	slices.Sort(exp)
 	for _, i := range exp {
 		ts := m.tasks[i]
-		ts.running = false
-		if vs := m.vmByID[ts.vm]; vs != nil {
-			vs.busy--
-			m.markVM(vs)
-		}
+		m.stop(ts)
 		m.recordAttempt(ts, "expired", "lease expired")
 		m.retry(ts, "expired")
 	}
@@ -922,9 +910,9 @@ func (m *Master) expireLeases() {
 }
 
 // onWorkerLost recovers from a worker death: its VMs die with it,
-// in-flight attempts are recorded lost and retried (repinned by the
-// Reassigner), and its queued tasks are re-enqueued, which repins
-// them too. Idempotent per worker.
+// in-flight attempts — their running sets merged in index order — are
+// recorded lost and retried (repin moves them), and its queued tasks
+// are re-enqueued, which repins them too. Idempotent per worker.
 func (m *Master) onWorkerLost(worker int) error {
 	if !m.alive[worker] {
 		return nil
@@ -933,6 +921,7 @@ func (m *Master) onWorkerLost(worker int) error {
 	m.aliveCount--
 	m.workerLost++
 	var orphaned []int
+	var lost []int32
 	for _, vs := range m.vms {
 		if vs.owner != worker {
 			continue
@@ -940,19 +929,18 @@ func (m *Master) onWorkerLost(worker int) error {
 		vs.dead = true
 		orphaned = append(orphaned, vs.queue...)
 		vs.queue = nil
-		vs.busy = 0
+		lost = append(lost, vs.running...)
 	}
 	if m.aliveCount == 0 {
 		return fmt.Errorf("exec: all %d workers lost with %d/%d activations finished",
 			m.workerLost, m.done, m.w.Len())
 	}
-	for _, ts := range m.tasks {
-		if ts.running && ts.worker == worker {
-			ts.running = false
-			m.clearTimer(ts)
-			m.recordAttempt(ts, "lost", "worker lost")
-			m.retry(ts, "worker-lost")
-		}
+	slices.Sort(lost)
+	for _, i := range lost {
+		ts := m.tasks[i]
+		m.stop(ts)
+		m.recordAttempt(ts, "lost", "worker lost")
+		m.retry(ts, "worker-lost")
 	}
 	sort.Ints(orphaned)
 	for _, i := range orphaned {

@@ -15,6 +15,7 @@ import (
 	"reassign/internal/core"
 	"reassign/internal/dag"
 	"reassign/internal/provenance"
+	"reassign/internal/rl"
 	"reassign/internal/sched"
 	"reassign/internal/sim"
 	"reassign/internal/telemetry"
@@ -129,10 +130,11 @@ func TestRetriesWithBackoffThenSucceeds(t *testing.T) {
 	runner := failOnce{inner: SimRunner{}}
 	m, err := New(w, fleet, spreadPlan(w, fleet),
 		&InProc{Workers: 2, Runner: runner},
-		WithStore(store, "t"), WithBackoff(2, 60))
+		WithStore(store, "t"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.backoffBase, m.backoffMax = 2, 60
 	rep, err := m.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -192,10 +194,11 @@ func TestAbandonCascadesToDescendants(t *testing.T) {
 	store := provenance.NewStore()
 	m, err := New(w, fleet, spreadPlan(w, fleet),
 		&InProc{Workers: 2, Runner: alwaysFail{inner: SimRunner{}, task: "b"}},
-		WithStore(store, "t"), WithMaxAttempts(3), WithBackoff(1, 4))
+		WithStore(store, "t"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.maxAttempts, m.backoffBase, m.backoffMax = 3, 1, 4
 	rep, err := m.Run(context.Background())
 	if err == nil {
 		t.Fatal("want an error for abandoned activations")
@@ -572,40 +575,86 @@ type captureSink struct{ events []telemetry.Event }
 
 func (s *captureSink) Emit(e telemetry.Event) { s.events = append(s.events, e) }
 
-func TestReassignerPolicies(t *testing.T) {
+// TestRepinPolicies drives repin's two policies on a 1-slot and an
+// 8-slot VM of equal speed: the earliest finish (backlog per slot,
+// queued and running, plus the estimate; the lowest ID on ties) and,
+// WithQTable, the table's best survivor. Dead and cordoned VMs are no
+// candidates unless every live VM is cordoned.
+func TestRepinPolicies(t *testing.T) {
 	w := dag.New("one")
 	a := w.MustAdd("a", "act", 100)
+	var fill []int // backlog fodder, 100 s each
+	for i := 0; i < 10; i++ {
+		fill = append(fill, w.MustAdd(fmt.Sprintf("f%d", i), "act", 100).Index)
+	}
 	fleet, err := cloud.NewFleet("mix", []cloud.VMType{cloud.T2Micro, cloud.T22XLarge}, []int{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := ReassignContext{
-		Activation: a,
-		Candidates: fleet.VMs,
-		Backlog:    func(int) float64 { return 0 },
-		Estimate: func(a *dag.Activation, vm *cloud.VM) float64 {
-			return a.Runtime / vm.Type.Speed / float64(vm.Type.VCPUs)
-		},
+	table := rl.NewTable(w.Len(), fleet.Len(), rand.New(rand.NewSource(1)), 0)
+	table.Set(rl.Key{Task: a.Index, VM: 0}, 1)
+	table.Set(rl.Key{Task: a.Index, VM: 1}, 5)
+	type load struct{ queued, running int }
+	cases := []struct {
+		name     string
+		table    *rl.Table
+		load     [2]load
+		dead     [2]bool
+		cordoned [2]bool
+		want     int
+	}{
+		{name: "idle tie", want: 0},
+		{name: "backlog per slot", load: [2]load{{1, 0}, {1, 0}}, want: 1},
+		{name: "running counts", load: [2]load{{1, 0}, {1, 8}}, want: 0},
+		{name: "backlog flips", load: [2]load{{0, 1}, {10, 0}}, want: 0},
+		{name: "dead skipped", load: [2]load{{}, {10, 0}}, dead: [2]bool{true, false}, want: 1},
+		{name: "cordoned skipped", load: [2]load{{1, 0}, {}}, cordoned: [2]bool{false, true}, want: 0},
+		{name: "all cordoned parks", load: [2]load{{1, 0}, {}}, cordoned: [2]bool{true, true}, want: 1},
+		{name: "qtable best", table: table, load: [2]load{{}, {10, 0}}, want: 1},
+		{name: "qtable skips dead", table: table, dead: [2]bool{false, true}, want: 0},
 	}
-	if got := (EarliestFinish{}).Pick(ctx); got != 1 {
-		t.Fatalf("EarliestFinish picked vm%d, want the 8-slot vm1", got)
-	}
-	// Backlog can flip the choice.
-	ctx.Backlog = func(id int) float64 {
-		if id == 1 {
-			return 1000
-		}
-		return 0
-	}
-	if got := (EarliestFinish{}).Pick(ctx); got != 0 {
-		t.Fatalf("EarliestFinish ignored backlog, picked vm%d", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &captureSink{}
+			m, err := New(w, fleet, spreadPlan(w, fleet), &InProc{Workers: 1, Runner: SimRunner{}},
+				WithSink(sink), WithQTable(tc.table))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			for i, vs := range m.vms {
+				vs.queue = append([]int(nil), fill[:tc.load[i].queued]...)
+				vs.running = nil
+				for _, ti := range fill[:tc.load[i].running] {
+					vs.running = append(vs.running, int32(ti))
+				}
+				vs.dead, vs.cordoned = tc.dead[i], tc.cordoned[i]
+			}
+			ts := m.tasks[a.Index]
+			from := ts.vm
+			if got := m.repin(ts).vm.ID; got != tc.want || ts.vm != tc.want {
+				t.Fatalf("repin picked vm%d (task pinned to vm%d), want vm%d", got, ts.vm, tc.want)
+			}
+			ev, ok := sink.events[len(sink.events)-1].(telemetry.ExecReassignEvent)
+			want := telemetry.ExecReassignEvent{Task: "a", FromVM: from, ToVM: tc.want, Time: m.now, Policy: "earliest-finish"}
+			if tc.table != nil {
+				want.Policy = "qtable"
+			}
+			if !ok || ev != want {
+				t.Fatalf("last event %+v, want %+v", sink.events[len(sink.events)-1], want)
+			}
+		})
 	}
 }
 
 // TestDispatchWorklistAllocFree: a dispatch pass recycles its drained
 // worklist as the next pass's carry scratch, so marking VMs and
 // dispatching allocates nothing once warm — handing the next pass an
-// exhausted tail would regrow the worklist on every turn.
+// exhausted tail would regrow the worklist on every turn. Starting and
+// stopping an attempt allocates nothing either: the running sets are
+// carved to their VMs' slots.
 func TestDispatchWorklistAllocFree(t *testing.T) {
 	w, fleet := diamond(t), twoLarge(t)
 	m, err := New(w, fleet, spreadPlan(w, fleet), &InProc{Workers: 2, Runner: SimRunner{}})
@@ -626,4 +675,27 @@ func TestDispatchWorklistAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("a dispatch pass allocates %.1f times, want 0", allocs)
 	}
+
+	m.tr = discardSends{m.tr}
+	ts := m.tasks[0]
+	vs := m.vmByID[ts.vm]
+	// A higher index already running makes send insert before it.
+	vs.running = append(vs.running[:0], int32(len(m.tasks)-1))
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := m.send(ts, vs); err != nil {
+			t.Fatal(err)
+		}
+		m.stop(ts)
+	})
+	if allocs != 0 {
+		t.Fatalf("a send→stop cycle allocates %.1f times, want 0", allocs)
+	}
+	if len(vs.running) != 1 || int(vs.running[0]) != len(m.tasks)-1 {
+		t.Fatalf("running set after send→stop = %v", vs.running)
+	}
 }
+
+// discardSends accepts every dispatch and delivers none.
+type discardSends struct{ Transport }
+
+func (discardSends) Send(int, TaskSpec) error { return nil }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -61,10 +62,23 @@ func sortedResults(m *Master) []TaskResult {
 	return res
 }
 
+// scanRunning is the scan each VM's running set replaced: the indices
+// of the running tasks pinned to the VM, ascending.
+func scanRunning(m *Master, vs *vmState) []int32 {
+	var run []int32
+	for _, ts := range m.tasks {
+		if ts.running && ts.vm == vs.vm.ID {
+			run = append(run, int32(ts.a.Index))
+		}
+	}
+	return run
+}
+
 // turnOracle checks the master's incremental bookkeeping against the
 // scans it replaced, once per event-loop turn: the timer heap's shape
 // and entries, its deadline against scanDeadline, each VM queue's
-// index order, and report against sortedResults.
+// index order, each VM's running set against scanRunning (every one of
+// those attempts on the VM's owner), and report against sortedResults.
 func turnOracle(m *Master) error {
 	for i, ts := range m.timers {
 		if int(ts.tpos) != i {
@@ -89,6 +103,14 @@ func turnOracle(m *Master) error {
 		if !sort.IntsAreSorted(vs.queue) {
 			return fmt.Errorf("vm %d queue out of index order: %v", vs.vm.ID, vs.queue)
 		}
+		if want := scanRunning(m, vs); !slices.Equal(vs.running, want) {
+			return fmt.Errorf("vm %d running set %v, scan %v", vs.vm.ID, vs.running, want)
+		}
+		for _, i := range vs.running {
+			if w := m.tasks[i].worker; w != vs.owner {
+				return fmt.Errorf("task %s runs on vm %d for worker %d, owner %d", m.tasks[i].a.ID, vs.vm.ID, w, vs.owner)
+			}
+		}
 	}
 	rep := m.report(time.Now())
 	if want := sortedResults(m); !reflect.DeepEqual(rep.Results, want) {
@@ -97,23 +119,49 @@ func turnOracle(m *Master) error {
 	return nil
 }
 
-// expiryOrdered checks that lapsed leases were retried in task-index
-// order: the "expired" attempt rows of one expiry pass share its
-// instant and must ascend by index, as a scan over the tasks emits
-// them.
-func expiryOrdered(w *dag.Workflow, store *provenance.Store) error {
-	last, lastAt := -1, -1.0
+// retryOrdered checks that lapsed leases and a lost worker's
+// attempts were retried in task-index order: the "expired" attempt
+// rows of one expiry pass share its instant, the "worker lost" rows of
+// one loss share its worker (merged across its VMs), and each group
+// must ascend by index, as a scan over the tasks emits them.
+func retryOrdered(w *dag.Workflow, store *provenance.Store) error {
+	last := make(map[string]int)
 	for _, a := range store.Attempts() {
-		if a.Outcome != "expired" {
+		var group string
+		switch {
+		case a.Outcome == "expired":
+			group = fmt.Sprintf("expiry at t=%v", a.EndAt)
+		case a.Error == "worker lost":
+			group = fmt.Sprintf("loss of worker %d", a.Worker)
+		default:
 			continue
 		}
 		i := w.Get(a.TaskID).Index
-		if a.EndAt == lastAt && i < last {
-			return fmt.Errorf("at t=%v task %d expired after task %d", a.EndAt, i, last)
+		if l, ok := last[group]; ok && i < l {
+			return fmt.Errorf("%s: task %d retried after task %d", group, i, l)
 		}
-		last, lastAt = i, a.EndAt
+		last[group] = i
 	}
 	return nil
+}
+
+// multiVMLoss reports whether a worker was lost while it held attempts
+// on two or more VMs — the case onWorkerLost merges running sets for.
+func multiVMLoss(store *provenance.Store) bool {
+	vms := make(map[int]map[int]bool)
+	for _, a := range store.Attempts() {
+		if a.Outcome != "lost" || a.Error != "worker lost" {
+			continue
+		}
+		if vms[a.Worker] == nil {
+			vms[a.Worker] = make(map[int]bool)
+		}
+		vms[a.Worker][a.VMID] = true
+		if len(vms[a.Worker]) > 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // TestTurnOracle is the differential check on the master's per-event
@@ -121,8 +169,8 @@ func expiryOrdered(w *dag.Workflow, store *provenance.Store) error {
 // failing attempts and their backoffs, heartbeats, swallowed results
 // (lease expiry), runtimes that tie or not, and in half the runs a
 // hostile market — notices, cordons, kills and booting replacements —
-// with every turn checked by turnOracle and the expiry order checked
-// after the run.
+// with every turn checked by turnOracle and the expiry and loss retry
+// orders checked after the run.
 func TestTurnOracle(t *testing.T) {
 	fleet, err := cloud.FleetTable1(16)
 	if err != nil {
@@ -130,7 +178,7 @@ func TestTurnOracle(t *testing.T) {
 	}
 	hostile, _ := market.RegimeByName("hostile")
 	fl := cloud.DefaultFluctuation()
-	expiries := 0
+	expiries, multiLosses := 0, 0
 	f := func(seed int64, nodes, workers, mode uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		maxRt := 40.0
@@ -157,7 +205,7 @@ func TestTurnOracle(t *testing.T) {
 		store := provenance.NewStore()
 		// A TTL longer than most estimates gives whole dispatch waves
 		// the same lease, so expiries land together.
-		opts := []Option{WithStore(store, "oracle"), WithLease(45, 1), WithBackoff(0.5, 8), WithMaxAttempts(4)}
+		opts := []Option{WithStore(store, "oracle"), WithLease(45, 1)}
 		if mode&1 == 1 {
 			mt, err := market.Generate(market.DefaultCatalogue(), fleet, hostile, seed, 600)
 			if err != nil {
@@ -177,6 +225,7 @@ func TestTurnOracle(t *testing.T) {
 			t.Log(err)
 			return false
 		}
+		m.backoffBase, m.backoffMax, m.maxAttempts = 0.5, 8, 4
 		var bad error
 		m.checkTurn = func() {
 			if bad == nil {
@@ -188,7 +237,7 @@ func TestTurnOracle(t *testing.T) {
 			bad = turnOracle(m)
 		}
 		if bad == nil {
-			bad = expiryOrdered(w, store)
+			bad = retryOrdered(w, store)
 		}
 		if bad != nil {
 			t.Logf("seed %d nodes %d workers %d mode %d: %v", seed, nodes, workers, mode, bad)
@@ -199,6 +248,9 @@ func TestTurnOracle(t *testing.T) {
 				expiries++
 			}
 		}
+		if multiVMLoss(store) {
+			multiLosses++
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(1))}); err != nil {
@@ -206,5 +258,8 @@ func TestTurnOracle(t *testing.T) {
 	}
 	if expiries == 0 {
 		t.Fatal("no run expired a lease; the expiry path went unchecked")
+	}
+	if multiLosses == 0 {
+		t.Fatal("no run lost a worker holding attempts on two VMs; the merged loss path went unchecked")
 	}
 }

@@ -134,10 +134,11 @@ func TestSoakWorkerDeaths(t *testing.T) {
 			}
 			store := provenance.NewStore()
 			m, err := New(w, fleet, spreadPlan(w, fleet), tcp,
-				WithStore(store, "soak"), WithLease(3000, 8), WithMaxAttempts(8))
+				WithStore(store, "soak"), WithLease(3000, 8))
 			if err != nil {
 				t.Fatal(err)
 			}
+			m.maxAttempts = 8
 			var conns []net.Conn
 			var mu sync.Mutex
 			for i := 0; i < 3; i++ {

@@ -61,7 +61,7 @@ type ExecReassignEvent struct {
 	FromVM int     `json:"from_vm"`
 	ToVM   int     `json:"to_vm"`
 	Time   float64 `json:"time"`
-	// Policy names the reassigner that picked the new VM ("qtable" or
+	// Policy names the repin policy that picked the new VM ("qtable" or
 	// "earliest-finish").
 	Policy string `json:"policy"`
 }
