@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt race race-replicas race-exec exec-smoke schedd-smoke loadgen-smoke market-smoke bench benchsmoke benchsmoke-large exec-bench-smoke guard e2e e2e-trace e2e-smoke ab test build vet audit fuzz-smoke examples
+.PHONY: check fmt race race-replicas race-exec exec-smoke schedd-smoke loadgen-smoke market-smoke bench benchsmoke benchsmoke-large exec-bench-smoke guard e2e e2e-trace e2e-smoke ab test build vet audit fuzz-smoke
 
 ## check: gofmt, vet, build, and test everything (the tier-1 gate)
 check: fmt vet build test
@@ -18,20 +18,11 @@ build:
 test:
 	$(GO) test ./...
 
-## examples: build and run every examples/* program, failing on the
-## first non-zero exit
-examples:
-	mkdir -p bin/examples
-	@set -e; for d in examples/*/; do \
-		name=$$(basename $$d); \
-		$(GO) build -o bin/examples/$$name ./$$d; \
-		echo "== examples/$$name =="; \
-		./bin/examples/$$name >/dev/null; \
-	done
-
-## race: race-detector pass over the simulation and learning packages
+## race: race-detector pass over the simulation and learning packages,
+## the service, and the provenance store and estimator (whose
+## TestConcurrentAdds and TestConcurrentObserve exist to be raced)
 race:
-	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/expt/... ./internal/telemetry/... ./internal/invariant/... ./internal/api/... ./internal/schedd/...
+	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/expt/... ./internal/telemetry/... ./internal/invariant/... ./internal/api/... ./internal/schedd/... ./internal/provenance/... ./internal/estimate/...
 
 ## race-replicas: race-detector pass over replica-parallel learning
 ## (concurrent learners sharing a fan-out telemetry sink)
@@ -150,8 +141,9 @@ audit:
 ## structural properties, and its pop order against a container/heap
 ## reference), both workflow parsers, the Q table's band indexing
 ## (against a map reference), the Prometheus writer's label escaping
-## and schedd's submit handler (no panic, no 5xx, every 4xx a typed
-## error), on top of replaying the checked-in corpus
+## schedd's submit handler (no panic, no 5xx, every 4xx a typed
+## error), the exec wire codec and the market trace reader, on top of
+## replaying the checked-in corpus
 fuzz-smoke:
 	$(GO) test ./internal/des -fuzz '^FuzzKernel$$' -fuzztime 10s
 	$(GO) test ./internal/des -fuzz '^FuzzKernelOrder$$' -fuzztime 10s
@@ -160,3 +152,5 @@ fuzz-smoke:
 	$(GO) test ./internal/wfjson -fuzz FuzzRead -fuzztime 10s
 	$(GO) test ./internal/metrics -fuzz FuzzPromLabel -fuzztime 10s
 	$(GO) test ./internal/schedd -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 10s
+	$(GO) test ./internal/exec -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime 10s
+	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzMarketTrace$$' -fuzztime 10s

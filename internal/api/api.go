@@ -145,21 +145,15 @@ func (s WorkflowSpec) Build() (*dag.Workflow, error) {
 			return nil, &Error{Code: CodeTooLarge, Field: "workflow.synthetic.nodes",
 				Reason: fmt.Sprintf("%d nodes exceeds the bound of %d", nodes, MaxSyntheticNodes)}
 		}
-		rng := rand.New(rand.NewSource(spec.Seed))
-		switch strings.ToLower(spec.Family) {
-		case "", "montage":
-			return trace.MontageN(rng, nodes), nil
-		case "cybershake":
-			return trace.CyberShake(rng, nodes), nil
-		case "epigenomics":
-			return trace.Epigenomics(rng, nodes), nil
-		case "inspiral":
-			return trace.Inspiral(rng, nodes), nil
-		case "sipht":
-			return trace.Sipht(rng, nodes), nil
-		default:
+		family := strings.ToLower(spec.Family)
+		if family == "" {
+			family = "montage"
+		}
+		gen := trace.Named(family)
+		if gen == nil {
 			return fail(fmt.Sprintf("unknown synthetic family %q", spec.Family))
 		}
+		return gen(rand.New(rand.NewSource(spec.Seed)), nodes), nil
 	case "":
 		return fail("workflow spec needs a format (dax, wfjson or synthetic)")
 	default:

@@ -39,8 +39,20 @@ func TestWorkflowSpecBuild(t *testing.T) {
 	if _, err := (WorkflowSpec{}).Build(); err == nil {
 		t.Fatal("empty spec should fail")
 	}
-	if _, err := (WorkflowSpec{Format: "synthetic", Synthetic: &SyntheticSpec{Family: "nope"}}).Build(); err == nil {
-		t.Fatal("unknown family should fail")
+	_, err = WorkflowSpec{Format: "synthetic", Synthetic: &SyntheticSpec{Family: "nope"}}.Build()
+	if !errors.As(err, &apiErr) || apiErr.Code != CodeBadRequest || apiErr.Field != "workflow" {
+		t.Fatalf("unknown family: got %v, want a bad_request on workflow", err)
+	}
+
+	// Family names are case-insensitive.
+	mixed, err := WorkflowSpec{Synthetic: &SyntheticSpec{Family: "CyberShake", Nodes: 30, Seed: 2}}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lower, _ := WorkflowSpec{Synthetic: &SyntheticSpec{Family: "cybershake", Nodes: 30, Seed: 2}}.Build()
+	if mixed.Name != lower.Name || mixed.Len() != lower.Len() || mixed.Edges() != lower.Edges() {
+		t.Fatalf("CyberShake built %s (%d, %d edges), cybershake %s (%d, %d edges)",
+			mixed.Name, mixed.Len(), mixed.Edges(), lower.Name, lower.Len(), lower.Edges())
 	}
 }
 

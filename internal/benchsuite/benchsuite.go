@@ -6,7 +6,6 @@
 package benchsuite
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -244,17 +243,6 @@ func LearningReplicas(k int) func(*testing.B) {
 		// rising ep/s is what parallel speedup looks like.
 		reportThroughput(b, w.Len(), k*100)
 	}
-}
-
-// ByName returns the suite benchmark with the given BENCH_core.json
-// key.
-func ByName(name string) (Bench, error) {
-	for _, bench := range Suite() {
-		if bench.Name == name {
-			return bench, nil
-		}
-	}
-	return Bench{}, fmt.Errorf("benchsuite: unknown benchmark %q", name)
 }
 
 // OpenSystem returns the open-system throughput tier: one op

@@ -1,29 +1,23 @@
 package cloud
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Topology models a multi-site cloud (the multi-site scheduling
-// setting of Liu et al., cited by the paper): named sites with
-// symmetric inter-site bandwidths. Transfers within a site run at the
-// receiving VM's own bandwidth; transfers between sites are limited
-// by the (usually much lower) inter-site link.
+// setting of Liu et al., cited by the paper): named sites joined by
+// links of one bandwidth. Transfers within a site run at the receiving
+// VM's own bandwidth; transfers between sites are limited by the
+// (usually much lower) inter-site link.
 type Topology struct {
 	sites map[string]bool
-	bw    map[[2]string]float64 // canonical (sorted) site pair → MB/s
-	// DefaultBandwidth applies to site pairs without an explicit
-	// link (MB/s).
+	// DefaultBandwidth is every inter-site link's bandwidth (MB/s).
 	DefaultBandwidth float64
 }
 
 // NewTopology returns a topology over the given sites with the
-// default inter-site bandwidth (MB/s).
+// inter-site bandwidth (MB/s).
 func NewTopology(defaultMBps float64, sites ...string) *Topology {
 	t := &Topology{
 		sites:            make(map[string]bool, len(sites)),
-		bw:               make(map[[2]string]float64),
 		DefaultBandwidth: defaultMBps,
 	}
 	for _, s := range sites {
@@ -32,40 +26,8 @@ func NewTopology(defaultMBps float64, sites ...string) *Topology {
 	return t
 }
 
-// Sites returns the site names, sorted.
-func (t *Topology) Sites() []string {
-	out := make([]string, 0, len(t.sites))
-	for s := range t.sites {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // HasSite reports whether the topology knows the site.
 func (t *Topology) HasSite(s string) bool { return t.sites[s] }
-
-func pairKey(a, b string) [2]string {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]string{a, b}
-}
-
-// SetBandwidth sets the symmetric inter-site bandwidth in MB/s.
-func (t *Topology) SetBandwidth(a, b string, mbps float64) error {
-	if !t.sites[a] || !t.sites[b] {
-		return fmt.Errorf("cloud: unknown site in link %s-%s", a, b)
-	}
-	if a == b {
-		return fmt.Errorf("cloud: intra-site link %s-%s", a, b)
-	}
-	if mbps <= 0 {
-		return fmt.Errorf("cloud: non-positive bandwidth %v for %s-%s", mbps, a, b)
-	}
-	t.bw[pairKey(a, b)] = mbps
-	return nil
-}
 
 // Bandwidth returns the inter-site bandwidth between a and b in MB/s.
 // Same-site queries return 0 meaning "not limited by the topology"
@@ -73,9 +35,6 @@ func (t *Topology) SetBandwidth(a, b string, mbps float64) error {
 func (t *Topology) Bandwidth(a, b string) float64 {
 	if a == b {
 		return 0
-	}
-	if v, ok := t.bw[pairKey(a, b)]; ok {
-		return v
 	}
 	return t.DefaultBandwidth
 }
@@ -120,13 +79,4 @@ func NewMultiSiteFleet(name string, topo *Topology, specs []SiteSpec) (*Fleet, e
 		return nil, fmt.Errorf("cloud: empty multi-site fleet %q", name)
 	}
 	return f, nil
-}
-
-// CountBySite returns VM counts keyed by site name.
-func (f *Fleet) CountBySite() map[string]int {
-	out := make(map[string]int)
-	for _, v := range f.VMs {
-		out[v.Site]++
-	}
-	return out
 }

@@ -1,46 +1,19 @@
 package cloud
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestTopologyBasics(t *testing.T) {
 	topo := NewTopology(5, "us-east", "eu-west", "ap-south")
-	sites := topo.Sites()
-	if len(sites) != 3 || sites[0] != "ap-south" {
-		t.Fatalf("Sites = %v", sites)
-	}
 	if !topo.HasSite("us-east") || topo.HasSite("mars") {
 		t.Fatal("HasSite wrong")
 	}
-	// Default link bandwidth.
+	// Inter-site link bandwidth.
 	if got := topo.Bandwidth("us-east", "eu-west"); got != 5 {
 		t.Fatalf("default bandwidth = %v", got)
 	}
 	// Same site: unlimited (0 sentinel).
 	if got := topo.Bandwidth("us-east", "us-east"); got != 0 {
 		t.Fatalf("same-site bandwidth = %v", got)
-	}
-	// Explicit symmetric link.
-	if err := topo.SetBandwidth("us-east", "eu-west", 12); err != nil {
-		t.Fatal(err)
-	}
-	if topo.Bandwidth("eu-west", "us-east") != 12 {
-		t.Fatal("link not symmetric")
-	}
-}
-
-func TestTopologyErrors(t *testing.T) {
-	topo := NewTopology(5, "a", "b")
-	if err := topo.SetBandwidth("a", "ghost", 1); err == nil {
-		t.Fatal("unknown site accepted")
-	}
-	if err := topo.SetBandwidth("a", "a", 1); err == nil {
-		t.Fatal("intra-site link accepted")
-	}
-	if err := topo.SetBandwidth("a", "b", 0); err == nil {
-		t.Fatal("zero bandwidth accepted")
 	}
 }
 
@@ -56,9 +29,12 @@ func TestNewMultiSiteFleet(t *testing.T) {
 	if f.Len() != 6 {
 		t.Fatalf("Len = %d", f.Len())
 	}
-	bySite := f.CountBySite()
+	bySite := make(map[string]int)
+	for _, v := range f.VMs {
+		bySite[v.Site]++
+	}
 	if bySite["east"] != 3 || bySite["west"] != 3 {
-		t.Fatalf("CountBySite = %v", bySite)
+		t.Fatalf("VMs per site = %v", bySite)
 	}
 	if f.VMs[0].Site != "east" || f.VMs[5].Site != "west" {
 		t.Fatalf("site assignment wrong: %v %v", f.VMs[0].Site, f.VMs[5].Site)
@@ -99,40 +75,5 @@ func TestNewMultiSiteFleetErrors(t *testing.T) {
 		{Site: "east", Types: []VMType{T2Micro}, Counts: []int{0}},
 	}); err == nil {
 		t.Fatal("empty fleet accepted")
-	}
-}
-
-// Property: Bandwidth is symmetric and positive for distinct sites.
-func TestPropertyBandwidthSymmetric(t *testing.T) {
-	sites := []string{"a", "b", "c", "d"}
-	f := func(links []uint8) bool {
-		topo := NewTopology(7, sites...)
-		for i, l := range links {
-			a := sites[i%len(sites)]
-			b := sites[(i+1+int(l))%len(sites)]
-			if a == b {
-				continue
-			}
-			if err := topo.SetBandwidth(a, b, float64(l%50)+1); err != nil {
-				return false
-			}
-		}
-		for _, a := range sites {
-			for _, b := range sites {
-				if a == b {
-					if topo.Bandwidth(a, b) != 0 {
-						return false
-					}
-					continue
-				}
-				if topo.Bandwidth(a, b) != topo.Bandwidth(b, a) || topo.Bandwidth(a, b) <= 0 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -333,8 +333,9 @@ func TestBoltzmannPolicyVariantRuns(t *testing.T) {
 }
 
 func TestPerfStdDevBehaviour(t *testing.T) {
-	// Build VM states through a tiny simulation and verify the stddev
-	// over per-VM indices is non-negative and zero for a single VM.
+	// A one-activation workflow on a one-VM fleet, where the reward's
+	// spread of per-VM indices is over a single VM, runs to
+	// completion under the learning scheduler.
 	w := dag.New("w")
 	w.MustAdd("a", "x", 5)
 	fl := cloud.MustFleet("one", []cloud.VMType{cloud.T2Micro}, []int{1})

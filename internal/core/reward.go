@@ -5,10 +5,7 @@
 // Algorithm 2.
 package core
 
-import (
-	"reassign/internal/metrics"
-	"reassign/internal/sim"
-)
+import "reassign/internal/sim"
 
 // PerfIndex computes the paper's performance index te*μ + (1-μ)*tf
 // (Eq. 4/5 applied to a single observation or to means). μ balances
@@ -40,14 +37,6 @@ func AppendPerfIndices(dst []float64, vms []*sim.VMState, mu float64) []float64 
 		}
 	}
 	return dst
-}
-
-// PerfStdDev computes the population standard deviation of the per-VM
-// mean performance indices \overline{Pi_j}, across VMs that have
-// executed at least one activation. With fewer than two active VMs
-// it returns 0.
-func PerfStdDev(vms []*sim.VMState, mu float64) float64 {
-	return metrics.StdDev(AppendPerfIndices(nil, vms, mu))
 }
 
 // CrispReward computes r_i (Eq. 6): -1 when the VM's mean performance

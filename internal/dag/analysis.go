@@ -85,29 +85,6 @@ func (w *Workflow) CriticalPath() ([]*Activation, float64, error) {
 	return path, bestLen, nil
 }
 
-// BottomLevel returns, per activation index, the length of the longest
-// runtime-weighted path from that activation to any leaf (inclusive of
-// the activation's own runtime). This is the "upward rank" with zero
-// communication cost used by list schedulers such as HEFT.
-func (w *Workflow) BottomLevel() ([]float64, error) {
-	order, err := w.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	bl := make([]float64, len(w.acts))
-	for i := len(order) - 1; i >= 0; i-- {
-		a := order[i]
-		best := 0.0
-		for _, c := range a.children {
-			if bl[c.Index] > best {
-				best = bl[c.Index]
-			}
-		}
-		bl[a.Index] = a.Runtime + best
-	}
-	return bl, nil
-}
-
 // Ancestors returns the set of all (transitive) ancestors of the
 // activation with the given ID, as a map keyed by activation ID.
 func (w *Workflow) Ancestors(id string) (map[string]*Activation, error) {
@@ -148,63 +125,6 @@ func (w *Workflow) Descendants(id string) (map[string]*Activation, error) {
 	}
 	visit(a)
 	return out, nil
-}
-
-// TransitiveReduction removes every edge a->c for which another path
-// a->...->c exists. It returns the number of edges removed. The
-// workflow must be acyclic.
-func (w *Workflow) TransitiveReduction() (int, error) {
-	if _, err := w.TopoOrder(); err != nil {
-		return 0, err
-	}
-	removed := 0
-	for _, a := range w.acts {
-		// For each direct child c, check reachability from a without
-		// using the edge a->c.
-		keep := a.children[:0:0]
-		for _, c := range a.children {
-			if w.reachableWithout(a, c) {
-				removed++
-				// drop back-pointer
-				np := c.parents[:0:0]
-				for _, p := range c.parents {
-					if p != a {
-						np = append(np, p)
-					}
-				}
-				c.parents = np
-			} else {
-				keep = append(keep, c)
-			}
-		}
-		a.children = keep
-	}
-	return removed, nil
-}
-
-// reachableWithout reports whether target is reachable from src via a
-// path of length >= 2 (i.e. not using the direct edge src->target).
-func (w *Workflow) reachableWithout(src, target *Activation) bool {
-	seen := make(map[*Activation]bool)
-	var stack []*Activation
-	for _, c := range src.children {
-		if c != target {
-			stack = append(stack, c)
-		}
-	}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if x == target {
-			return true
-		}
-		if seen[x] {
-			continue
-		}
-		seen[x] = true
-		stack = append(stack, x.children...)
-	}
-	return false
 }
 
 // ActivityNames returns the distinct activity names, sorted.

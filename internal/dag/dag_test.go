@@ -185,21 +185,6 @@ func TestCriticalPath(t *testing.T) {
 	}
 }
 
-func TestBottomLevel(t *testing.T) {
-	w := diamond(t)
-	bl, err := w.BottomLevel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// d: 4; b: 2+4=6; c: 3+4=7; a: 1+7=8.
-	wantByID := map[string]float64{"a": 8, "b": 6, "c": 7, "d": 4}
-	for id, want := range wantByID {
-		if got := bl[w.Get(id).Index]; got != want {
-			t.Fatalf("bottom level of %s = %v, want %v", id, got, want)
-		}
-	}
-}
-
 func TestAncestorsDescendants(t *testing.T) {
 	w := diamond(t)
 	anc, err := w.Ancestors("d")
@@ -245,32 +230,6 @@ func TestInferDataDeps(t *testing.T) {
 	// Idempotent.
 	if again := w.InferDataDeps(); again != 0 {
 		t.Fatalf("second InferDataDeps added %d edges, want 0", again)
-	}
-}
-
-func TestTransitiveReduction(t *testing.T) {
-	w := New("tr")
-	w.MustAdd("a", "x", 1)
-	w.MustAdd("b", "x", 1)
-	w.MustAdd("c", "x", 1)
-	w.MustDep("a", "b")
-	w.MustDep("b", "c")
-	w.MustDep("a", "c") // redundant
-	removed, err := w.TransitiveReduction()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 1 {
-		t.Fatalf("removed %d edges, want 1", removed)
-	}
-	if w.HasDep("a", "c") {
-		t.Fatal("redundant edge a->c survived")
-	}
-	if !w.HasDep("a", "b") || !w.HasDep("b", "c") {
-		t.Fatal("reduction removed a necessary edge")
-	}
-	if err := w.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -441,49 +400,6 @@ func TestPropertyCriticalPathBounds(t *testing.T) {
 		return sum > length-1e-9 && sum < length+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: transitive reduction preserves reachability.
-func TestPropertyTransitiveReductionPreservesReachability(t *testing.T) {
-	f := func(seed int64, rawN uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(rawN)%15 + 2
-		w := randomDAG(rng, n, 0.3)
-		// Record reachability before.
-		before := make(map[string]map[string]bool)
-		for _, a := range w.Activations() {
-			d, err := w.Descendants(a.ID)
-			if err != nil {
-				return false
-			}
-			set := make(map[string]bool)
-			for id := range d {
-				set[id] = true
-			}
-			before[a.ID] = set
-		}
-		if _, err := w.TransitiveReduction(); err != nil {
-			return false
-		}
-		for _, a := range w.Activations() {
-			d, err := w.Descendants(a.ID)
-			if err != nil {
-				return false
-			}
-			if len(d) != len(before[a.ID]) {
-				return false
-			}
-			for id := range d {
-				if !before[a.ID][id] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -334,27 +334,6 @@ func (s *Simulator) Run() error {
 	return nil
 }
 
-// RunUntil executes events with time <= t, then advances the clock to
-// exactly t (even if no event was pending there). Events after t stay
-// queued.
-func (s *Simulator) RunUntil(t float64) {
-	if t < s.now {
-		panic(fmt.Sprintf("des: RunUntil(%v) before now %v", t, s.now))
-	}
-	for len(s.queue) > 0 {
-		next := &s.queue[0]
-		if next.ev.canceled {
-			s.recycle(s.queue.pop())
-			continue
-		}
-		if next.time > t {
-			break
-		}
-		s.Step()
-	}
-	s.now = t
-}
-
 // Reset empties the queue and rewinds the clock to zero, clearing the
 // kernel counters. Event references from before the reset become
 // stale no-ops. Pending events are recycled into the free list and the
@@ -372,38 +351,4 @@ func (s *Simulator) Reset() {
 	s.freeHits = 0
 	s.freeMisses = 0
 	s.maxDepth = 0
-}
-
-// Ticker is a periodic event series created by Every.
-type Ticker struct {
-	stopped bool
-	next    EventRef
-}
-
-// Stop ends the series; the pending occurrence is canceled. Stopping
-// twice is a no-op.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	t.next.Cancel()
-}
-
-// Every schedules fn at now+interval, now+2·interval, … until fn
-// returns false, the ticker is stopped, or the simulation drains.
-func (s *Simulator) Every(interval float64, fn func() bool) *Ticker {
-	if interval <= 0 {
-		panic(fmt.Sprintf("des: non-positive interval %v", interval))
-	}
-	if fn == nil {
-		panic("des: nil handler")
-	}
-	t := &Ticker{}
-	var tick Handler
-	tick = func() {
-		if t.stopped || !fn() {
-			return
-		}
-		t.next = s.After(interval, tick)
-	}
-	t.next = s.After(interval, tick)
-	return t
 }

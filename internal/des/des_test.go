@@ -130,23 +130,6 @@ func TestHorizonStopsRun(t *testing.T) {
 	}
 }
 
-func TestRunUntilAdvancesClock(t *testing.T) {
-	s := New()
-	ran := false
-	s.At(1, func() { ran = true })
-	s.At(10, func() { t.Fatal("event beyond RunUntil bound fired") })
-	s.RunUntil(5)
-	if !ran {
-		t.Fatal("event at t=1 did not run")
-	}
-	if s.Now() != 5 {
-		t.Fatalf("Now() = %v, want 5", s.Now())
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", s.Pending())
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	s := New()
 	s.At(5, func() {})
@@ -344,67 +327,19 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	}
 }
 
-func TestEveryRepeatsUntilFalse(t *testing.T) {
-	s := New()
-	var times []float64
-	s.Every(2, func() bool {
-		times = append(times, s.Now())
-		return len(times) < 3
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 4, 6}
-	if len(times) != len(want) {
-		t.Fatalf("times = %v", times)
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("times = %v, want %v", times, want)
-		}
-	}
-}
-
-func TestEveryStop(t *testing.T) {
-	s := New()
-	n := 0
-	tk := s.Every(1, func() bool { n++; return true })
-	// Stop mid-series, after a couple of ticks have fired.
-	s.At(2.5, func() { tk.Stop() })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("series ticked %d times, want 2 (stopped at t=2.5)", n)
-	}
-	tk.Stop() // idempotent
-}
-
-func TestEveryValidation(t *testing.T) {
-	s := New()
-	for _, f := range []func(){
-		func() { s.Every(0, func() bool { return false }) },
-		func() { s.Every(1, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid Every accepted")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-// Example drives a tiny simulation: two events and a periodic tick.
+// Example drives a tiny simulation: two events, one of which
+// schedules a third relative to the clock.
 func Example() {
 	s := New()
 	s.At(1, func() { fmt.Println("first at", s.Now()) })
-	s.Every(2, func() bool {
+	var tick Handler
+	tick = func() {
 		fmt.Println("tick at", s.Now())
-		return s.Now() < 4
-	})
+		if s.Now() < 4 {
+			s.After(2, tick)
+		}
+	}
+	s.At(2, tick)
 	if err := s.Run(); err != nil {
 		fmt.Println(err)
 	}

@@ -12,8 +12,6 @@
 package estimate
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 
 	"reassign/internal/cloud"
@@ -135,18 +133,13 @@ func (e *Estimator) Predict(a *dag.Activation, vm *cloud.VM) float64 {
 	return a.Runtime / sp
 }
 
-// SlowdownFactor returns the observed mean slowdown of a VM type
+// SlowdownFactorMin returns the observed mean slowdown of a VM type
 // relative to the fastest observed type for the same activities, or
 // 1 when there is not enough data. It quantifies what the paper's
-// estimates miss (e.g. micro-instance throttling).
-func (e *Estimator) SlowdownFactor(vmType string) float64 {
-	return e.SlowdownFactorMin(vmType, 1)
-}
-
-// SlowdownFactorMin is SlowdownFactor restricted to comparisons where
-// both cells carry at least minSamples observations — small samples
-// confound per-task runtime variance with VM-type effects, so
-// adaptive triggers should require a few observations per cell.
+// estimates miss (e.g. micro-instance throttling). Only cells with at
+// least minSamples observations are compared — small samples confound
+// per-task runtime variance with VM-type effects, so adaptive triggers
+// should require a few observations per cell.
 func (e *Estimator) SlowdownFactorMin(vmType string, minSamples int) float64 {
 	if minSamples < 1 {
 		minSamples = 1
@@ -178,29 +171,6 @@ func (e *Estimator) SlowdownFactorMin(vmType string, minSamples int) float64 {
 		return 1
 	}
 	return metrics.Mean(ratios)
-}
-
-// Report summarises the model as sorted lines, for diagnostics.
-func (e *Estimator) Report() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	keys := make([]key, 0, len(e.byCell))
-	for k := range e.byCell {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].activity != keys[j].activity {
-			return keys[i].activity < keys[j].activity
-		}
-		return keys[i].vmType < keys[j].vmType
-	})
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
-		c := e.byCell[k]
-		out = append(out, fmt.Sprintf("%s on %s: mean %.2fs over %d runs",
-			k.activity, k.vmType, c.sum/float64(c.n), c.n))
-	}
-	return out
 }
 
 // CostFunc adapts the estimator to sched.HEFT's Costs hook.

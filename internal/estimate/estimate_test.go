@@ -3,7 +3,6 @@ package estimate_test
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -119,33 +118,17 @@ func TestObserveResult(t *testing.T) {
 
 func TestSlowdownFactor(t *testing.T) {
 	e := estimate.New(cloud.Types())
-	if got := e.SlowdownFactor("t2.micro"); got != 1 {
+	if got := e.SlowdownFactorMin("t2.micro", 1); got != 1 {
 		t.Fatalf("cold slowdown = %v", got)
 	}
 	// micro twice as slow as 2xlarge for the same activity.
 	e.Observe("mProjectPP", "t2.micro", 20)
 	e.Observe("mProjectPP", "t2.2xlarge", 10)
-	if got := e.SlowdownFactor("t2.micro"); math.Abs(got-2) > 1e-9 {
+	if got := e.SlowdownFactorMin("t2.micro", 1); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("micro slowdown = %v, want 2", got)
 	}
-	if got := e.SlowdownFactor("t2.2xlarge"); math.Abs(got-1) > 1e-9 {
+	if got := e.SlowdownFactorMin("t2.2xlarge", 1); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("2xlarge slowdown = %v, want 1", got)
-	}
-}
-
-func TestReport(t *testing.T) {
-	e := estimate.New(cloud.Types())
-	e.Observe("b", "t2.micro", 4)
-	e.Observe("a", "t2.micro", 2)
-	lines := e.Report()
-	if len(lines) != 2 {
-		t.Fatalf("report = %v", lines)
-	}
-	if !strings.HasPrefix(lines[0], "a on t2.micro") {
-		t.Fatalf("report not sorted: %v", lines)
-	}
-	if !strings.Contains(lines[1], "mean 4.00s over 1 runs") {
-		t.Fatalf("report content: %v", lines)
 	}
 }
 
@@ -189,7 +172,7 @@ func TestCalibratedHEFTAvoidsThrottledVMs(t *testing.T) {
 		}
 		e.ObserveResult(res)
 	}
-	if f := e.SlowdownFactor("t2.micro"); f <= 1.05 {
+	if f := e.SlowdownFactorMin("t2.micro", 1); f <= 1.05 {
 		t.Fatalf("history shows no micro slowdown: %v", f)
 	}
 

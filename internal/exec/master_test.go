@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -210,6 +211,15 @@ func TestAbandonCascadesToDescendants(t *testing.T) {
 	if len(rep.Failed) != 2 || rep.Failed[0] != "b" || rep.Failed[1] != "d" {
 		t.Fatalf("failed = %v", rep.Failed)
 	}
+	doomed, err := w.Descendants("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range doomed {
+		if !slices.Contains(rep.Failed, id) {
+			t.Fatalf("descendant %s of b not abandoned: failed = %v", id, rep.Failed)
+		}
+	}
 	// Provenance accounts for all four activations.
 	if store.Len() != 4 {
 		t.Fatalf("provenance rows = %d", store.Len())
@@ -224,8 +234,14 @@ func TestAbandonCascadesToDescendants(t *testing.T) {
 	if byID["b"].Attempts != 3 {
 		t.Fatalf("b attempts = %d, want 3", byID["b"].Attempts)
 	}
-	if got := store.AttemptsFor("t", "b"); len(got) != 4 { // 3 failed + 1 abandoned marker
-		t.Fatalf("b attempt history = %d rows", len(got))
+	bRows := 0
+	for _, a := range store.Attempts() {
+		if a.RunID == "t" && a.TaskID == "b" {
+			bRows++
+		}
+	}
+	if bRows != 4 { // 3 failed + 1 abandoned marker
+		t.Fatalf("b attempt history = %d rows", bRows)
 	}
 }
 

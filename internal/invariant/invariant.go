@@ -66,26 +66,12 @@ type Auditor struct {
 	runs       int
 	total      int // violations observed (including dropped)
 	violations []Violation
-	limit      int
-}
-
-// Option configures an Auditor.
-type Option func(*Auditor)
-
-// WithLimit caps the number of stored violations (default 100).
-// Violations beyond the cap are still counted by Total.
-func WithLimit(n int) Option {
-	return func(a *Auditor) { a.limit = n }
+	limit      int // stored violations; those beyond it are only counted
 }
 
 // New returns an Auditor ready to be installed as a sim.Config.Hook.
-func New(opts ...Option) *Auditor {
-	a := &Auditor{limit: 100}
-	for _, o := range opts {
-		o(a)
-	}
-	return a
-}
+// It stores the first 100 violations.
+func New() *Auditor { return &Auditor{limit: 100} }
 
 // RunStart implements sim.Hook.
 func (a *Auditor) RunStart(env *sim.Env) sim.RunHook {

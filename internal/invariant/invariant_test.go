@@ -402,7 +402,8 @@ func TestAuditorDetectsViolations(t *testing.T) {
 // counted, only the first `limit` are kept.
 func TestAuditorLimit(t *testing.T) {
 	env, acts := grabEnv(t)
-	aud := New(WithLimit(1))
+	aud := New()
+	aud.limit = 1
 	h := aud.RunStart(env)
 	h.TaskReady(5, &sim.Task{Act: acts[0], State: sim.Ready, ReadyAt: 5})
 	h.TaskReady(3, &sim.Task{Act: acts[1], State: sim.Ready, ReadyAt: 3})

@@ -33,7 +33,7 @@ func TestAttemptsRoundTrip(t *testing.T) {
 	if loaded.Len() != 1 || len(loaded.Attempts()) != 2 {
 		t.Fatalf("loaded %d executions, %d attempts", loaded.Len(), len(loaded.Attempts()))
 	}
-	got := loaded.AttemptsFor("r", "a")
+	got := loaded.Attempts()
 	if len(got) != 2 || got[0].Outcome != "failed" || got[1].Outcome != "ok" {
 		t.Fatalf("attempt history = %+v", got)
 	}
@@ -96,7 +96,7 @@ func TestWriteCSVWithAttempts(t *testing.T) {
 
 	// Legacy CSV is unchanged: no kind column.
 	var legacy bytes.Buffer
-	if err := s.CSV(&legacy); err != nil {
+	if err := s.WriteCSV(&legacy, false); err != nil {
 		t.Fatal(err)
 	}
 	if strings.HasPrefix(legacy.String(), "kind") {

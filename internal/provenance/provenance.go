@@ -1,10 +1,9 @@
 // Package provenance is the execution-history store of the
 // SciCumulus-RL pipeline (Figure 1's provenance database, rebuilt on
 // JSON files instead of PostgreSQL). It records every activation
-// execution — VM, queue/start/finish times, status — and answers the
-// aggregate queries the reward function and the experiment tables
-// need. Stored histories seed future ReASSIgN runs, the paper's
-// cross-execution learning loop.
+// execution — VM, queue/start/finish times, status — and its attempt
+// history, and saves both as JSON or CSV. Stored histories seed future
+// ReASSIgN runs, the paper's cross-execution learning loop.
 package provenance
 
 import (
@@ -14,7 +13,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -69,9 +67,6 @@ type Execution struct {
 	// Wall records when the record was stored.
 	Wall Stamp `json:"wall,omitempty"`
 }
-
-// QueueTime returns tf_i for the record.
-func (e Execution) QueueTime() float64 { return e.StartAt - e.ReadyAt }
 
 // ExecTime returns te_i for the record.
 func (e Execution) ExecTime() float64 { return e.FinishAt - e.StartAt }
@@ -167,20 +162,6 @@ func (s *Store) Attempts() []Attempt {
 	return append([]Attempt(nil), s.attempts...)
 }
 
-// AttemptsFor returns the attempt history of one activation in one
-// run ("" = all runs), in insertion order.
-func (s *Store) AttemptsFor(runID, taskID string) []Attempt {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []Attempt
-	for _, a := range s.attempts {
-		if a.TaskID == taskID && (runID == "" || a.RunID == runID) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Len returns the number of records.
 func (s *Store) Len() int {
 	s.mu.RLock()
@@ -193,153 +174,6 @@ func (s *Store) All() []Execution {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return append([]Execution(nil), s.recs...)
-}
-
-// ByRun returns the records of one run, in insertion order.
-func (s *Store) ByRun(runID string) []Execution {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []Execution
-	for _, e := range s.recs {
-		if e.RunID == runID {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Runs returns the distinct run IDs, sorted.
-func (s *Store) Runs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	set := make(map[string]bool)
-	for _, e := range s.recs {
-		set[e.RunID] = true
-	}
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// VMAggregate summarises executions on one VM.
-type VMAggregate struct {
-	VMID     int
-	VMType   string
-	N        int
-	MeanExec float64
-	MeanWait float64
-}
-
-// AggregateByVM computes per-VM mean execution and queue times over
-// successful records of one run ("" = all runs) — the inputs to the
-// paper's Eq. 4.
-func (s *Store) AggregateByVM(runID string) []VMAggregate {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	type acc struct {
-		n      int
-		te, tf float64
-		vmType string
-	}
-	byVM := make(map[int]*acc)
-	for _, e := range s.recs {
-		if !e.Success || (runID != "" && e.RunID != runID) {
-			continue
-		}
-		a, ok := byVM[e.VMID]
-		if !ok {
-			a = &acc{vmType: e.VMType}
-			byVM[e.VMID] = a
-		}
-		a.n++
-		a.te += e.ExecTime()
-		a.tf += e.QueueTime()
-	}
-	ids := make([]int, 0, len(byVM))
-	for id := range byVM {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]VMAggregate, 0, len(ids))
-	for _, id := range ids {
-		a := byVM[id]
-		out = append(out, VMAggregate{
-			VMID: id, VMType: a.vmType, N: a.n,
-			MeanExec: a.te / float64(a.n),
-			MeanWait: a.tf / float64(a.n),
-		})
-	}
-	return out
-}
-
-// ActivityAggregate summarises executions of one activity.
-type ActivityAggregate struct {
-	Activity string
-	N        int
-	MeanExec float64
-}
-
-// AggregateByActivity computes per-activity mean execution times over
-// successful records — used for performance profiling and estimation.
-func (s *Store) AggregateByActivity(runID string) []ActivityAggregate {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	type acc struct {
-		n  int
-		te float64
-	}
-	byAct := make(map[string]*acc)
-	for _, e := range s.recs {
-		if !e.Success || (runID != "" && e.RunID != runID) {
-			continue
-		}
-		a, ok := byAct[e.Activity]
-		if !ok {
-			a = &acc{}
-			byAct[e.Activity] = a
-		}
-		a.n++
-		a.te += e.ExecTime()
-	}
-	names := make([]string, 0, len(byAct))
-	for n := range byAct {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]ActivityAggregate, 0, len(names))
-	for _, n := range names {
-		a := byAct[n]
-		out = append(out, ActivityAggregate{Activity: n, N: a.n, MeanExec: a.te / float64(a.n)})
-	}
-	return out
-}
-
-// Makespan returns the span from the earliest ready time to the
-// latest finish time of a run's successful records, or 0 when empty.
-func (s *Store) Makespan(runID string) float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	first, last := 0.0, 0.0
-	seen := false
-	for _, e := range s.recs {
-		if runID != "" && e.RunID != runID {
-			continue
-		}
-		if !seen || e.ReadyAt < first {
-			first = e.ReadyAt
-		}
-		if !seen || e.FinishAt > last {
-			last = e.FinishAt
-		}
-		seen = true
-	}
-	if !seen {
-		return 0
-	}
-	return last - first
 }
 
 // file is the on-disk object form, used whenever the store carries
@@ -410,11 +244,6 @@ func (s *Store) LoadFile(path string) error {
 	defer f.Close()
 	return s.Load(f)
 }
-
-// CSV writes the store as comma-separated values with a header row —
-// the exchange format for spreadsheets and notebooks. It is
-// WriteCSV(w, false): execution rows only.
-func (s *Store) CSV(w io.Writer) error { return s.WriteCSV(w, false) }
 
 // WriteCSV writes the store as CSV. With includeAttempts false the
 // output is the legacy execution-row format. With it true, every row

@@ -25,9 +25,6 @@ func New(title string) *Builder {
 	return &Builder{Title: title}
 }
 
-// Sections returns the number of sections added so far.
-func (b *Builder) Sections() int { return len(b.sections) }
-
 // AddHeading starts a new top-level section.
 func (b *Builder) AddHeading(text string) {
 	b.sections = append(b.sections, "<h2>"+html.EscapeString(text)+"</h2>")
@@ -66,11 +63,6 @@ func (b *Builder) AddSVG(svg string) {
 	b.sections = append(b.sections, `<div class="figure">`+svg+`</div>`)
 }
 
-// AddPre embeds preformatted text (e.g. an ASCII Gantt chart).
-func (b *Builder) AddPre(text string) {
-	b.sections = append(b.sections, "<pre>"+html.EscapeString(text)+"</pre>")
-}
-
 const style = `
 body { font-family: system-ui, sans-serif; margin: 2rem auto; max-width: 70rem; color: #222; }
 h1 { border-bottom: 2px solid #1f77b4; padding-bottom: .3rem; }
@@ -79,7 +71,6 @@ table { border-collapse: collapse; margin: 1rem 0; font-size: .9rem; }
 th, td { border: 1px solid #bbb; padding: .25rem .6rem; text-align: left; }
 th { background: #f0f4f8; }
 tr:nth-child(even) td { background: #fafafa; }
-pre { background: #f6f6f6; padding: .8rem; overflow-x: auto; font-size: .75rem; }
 .figure { margin: 1rem 0; overflow-x: auto; }
 footer { margin-top: 3rem; color: #888; font-size: .8rem; }
 `

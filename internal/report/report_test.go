@@ -16,10 +16,6 @@ func TestHTMLStructure(t *testing.T) {
 	tab.AddRowF(11, 32)
 	b.AddTable(tab)
 	b.AddSVG(`<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10"></svg>`)
-	b.AddPre("ascii <chart>")
-	if b.Sections() != 5 {
-		t.Fatalf("sections = %d", b.Sections())
-	}
 
 	out := b.HTML()
 	for _, want := range []string{
@@ -30,7 +26,6 @@ func TestHTMLStructure(t *testing.T) {
 		"<th>vms</th>",
 		"<td>11</td>",
 		`<svg xmlns=`,
-		"ascii &lt;chart&gt;",
 		"</html>",
 	} {
 		if !strings.Contains(out, want) {

@@ -204,6 +204,27 @@ func (j *job) fluctuation() *cloud.FluctuationModel {
 	return &fm
 }
 
+// learnParams returns a job's learning parameters: the paper's
+// defaults with the request's non-zero α, γ and ε in their place. A
+// value outside [0, 1] is a typed bad_request naming its field.
+func learnParams(l api.LearnSpec) (core.Params, error) {
+	p := core.DefaultParams()
+	for _, f := range []struct {
+		name string
+		v    float64
+		dst  *float64
+	}{{"alpha", l.Alpha, &p.Alpha}, {"gamma", l.Gamma, &p.Gamma}, {"epsilon", l.Epsilon, &p.Epsilon}} {
+		if f.v == 0 {
+			continue
+		}
+		if !(f.v >= 0 && f.v <= 1) {
+			return p, api.Errorf(api.CodeBadRequest, "learn."+f.name, "%s = %v outside [0, 1]", f.name, f.v)
+		}
+		*f.dst = f.v
+	}
+	return p, nil
+}
+
 // planJob replays the submitted plan, or learns one (optionally
 // warm-started from the cache), and records it on the job.
 func (s *Server) planJob(ctx context.Context, j *job) (core.Plan, error) {
@@ -233,15 +254,9 @@ func (s *Server) planJob(ctx context.Context, j *job) (core.Plan, error) {
 			return plan, err
 		}
 	} else {
-		params := core.DefaultParams()
-		if req.Learn.Alpha != 0 {
-			params.Alpha = req.Learn.Alpha
-		}
-		if req.Learn.Gamma != 0 {
-			params.Gamma = req.Learn.Gamma
-		}
-		if req.Learn.Epsilon != 0 {
-			params.Epsilon = req.Learn.Epsilon
+		params, err := learnParams(req.Learn)
+		if err != nil {
+			return plan, err
 		}
 		episodes := req.Learn.Episodes
 		if episodes == 0 {

@@ -446,3 +446,29 @@ func TestProvTableRefusesWhatRowsCannotHold(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitLearningParamsOutOfRange: α, γ or ε outside [0, 1] is the
+// client's error, a typed 400 naming the field at submission, not a
+// job accepted with 202 that then fails as internal.
+func TestSubmitLearningParamsOutOfRange(t *testing.T) {
+	_, url := newTestServer(t, Config{Workers: 1})
+	for _, tc := range []struct {
+		learn api.LearnSpec
+		field string
+	}{
+		{api.LearnSpec{Alpha: -0.1}, "learn.alpha"},
+		{api.LearnSpec{Alpha: 1.5}, "learn.alpha"},
+		{api.LearnSpec{Gamma: -0.1}, "learn.gamma"},
+		{api.LearnSpec{Gamma: 1.5}, "learn.gamma"},
+		{api.LearnSpec{Epsilon: -0.1}, "learn.epsilon"},
+		{api.LearnSpec{Epsilon: 1.5}, "learn.epsilon"},
+	} {
+		req := smallJob(1)
+		req.Learn = tc.learn
+		st, resp := submit(t, url, req)
+		if st != nil || resp.StatusCode != http.StatusBadRequest || resp.Err == nil ||
+			resp.Err.Code != api.CodeBadRequest || resp.Err.Field != tc.field {
+			t.Errorf("learn %+v: HTTP %d %+v, want 400 %s on %s", tc.learn, resp.StatusCode, resp.Err, api.CodeBadRequest, tc.field)
+		}
+	}
+}

@@ -299,6 +299,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"%d episodes × %d replicas exceed the bound of %d episodes", req.Learn.Episodes, k, api.MaxLearnEpisodes))
 		return
 	}
+	if _, err := learnParams(req.Learn); err != nil {
+		writeErr(w, err)
+		return
+	}
 	if req.DeadlineSeconds < 0 {
 		writeErr(w, api.Errorf(api.CodeBadRequest, "deadline_seconds",
 			"negative deadline %v", req.DeadlineSeconds))

@@ -388,10 +388,6 @@ type Engine struct {
 	// running[i] is task i's completion event and VM while it runs
 	// (vm == nil otherwise), so spot revocations can abort it.
 	running []runningTask
-
-	// fileHome records which VM produced each output file, for
-	// site-aware transfer costs in multi-site fleets.
-	fileHome map[string]*VMState
 }
 
 // Reset re-arms a finished (or errored) engine for another run under
@@ -518,9 +514,6 @@ func (g *Engine) setup() {
 	g.remaining = n
 	g.cyclePosted = false
 	g.peakBooted = 0
-	if g.fileHome != nil {
-		clear(g.fileHome)
-	}
 	if g.recBuf == nil {
 		g.recBuf = make([]Record, 0, n)
 	}
@@ -793,7 +786,7 @@ func (g *Engine) duration(t *Task, v *VMState) float64 {
 			}
 			rate := v.VM.Type.NetMBps
 			if topo != nil {
-				if home, ok := g.fileHome[f.Name]; ok && home.VM.Site != v.VM.Site {
+				if home := g.producer(f.Name); home != nil && home.VM.Site != v.VM.Site {
 					if link := topo.Bandwidth(home.VM.Site, v.VM.Site); link > 0 && link < rate {
 						rate = link
 					}
@@ -806,6 +799,18 @@ func (g *Engine) duration(t *Task, v *VMState) float64 {
 		d = g.cfg.Fluct.Apply(g.env.rng, v.VM, d)
 	}
 	return d
+}
+
+// producer returns the VM that holds the named file, nil when none
+// does. A file normally has one producing activation; should two
+// activations write one name, the first holder in fleet order wins.
+func (g *Engine) producer(file string) *VMState {
+	for _, v := range g.vms {
+		if v.HasFile(file) {
+			return v
+		}
+	}
+	return nil
 }
 
 func (g *Engine) complete(t *Task, v *VMState) {
@@ -825,12 +830,8 @@ func (g *Engine) complete(t *Task, v *VMState) {
 		if v.fileAt == nil {
 			v.fileAt = make(map[string]bool, len(t.Act.Outputs))
 		}
-		if g.fileHome == nil {
-			g.fileHome = make(map[string]*VMState)
-		}
 		for _, f := range t.Act.Outputs {
 			v.fileAt[f.Name] = true
-			g.fileHome[f.Name] = v
 		}
 	}
 	exec, wait := t.ExecTime(), t.QueueTime()

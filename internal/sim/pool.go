@@ -65,7 +65,6 @@ func (g *Engine) Rebind(w *dag.Workflow, fleet *cloud.Fleet, sched Scheduler, cf
 	g.peakBooted = 0
 	g.hook = nil
 	g.running = nil
-	g.fileHome = nil
 
 	// Keep the kernel object and its event freelist; rng is re-seeded
 	// by setup.

@@ -107,9 +107,6 @@ func (t *Task) QueueTime() float64 { return t.StartAt - t.ReadyAt }
 // ExecTime returns te_i: the wall time of the (last) execution.
 func (t *Task) ExecTime() float64 { return t.FinishAt - t.StartAt }
 
-// TotalTime returns tt_i = te_i + tf_i.
-func (t *Task) TotalTime() float64 { return t.ExecTime() + t.QueueTime() }
-
 // Record is an immutable provenance-style record of one finished
 // activation, the unit the reward function consumes.
 type Record struct {
