@@ -139,7 +139,8 @@ audit:
 
 ## fuzz-smoke: a short native-fuzzing pass over the DES kernel (its
 ## structural properties, and its pop order against a container/heap
-## reference), both workflow parsers, the Q table's band indexing
+## reference), the shared event heap (against an indexed container/heap
+## under set, move, cancel and reset), both workflow parsers, the Q table's band indexing
 ## (against a map reference), the Prometheus writer's label escaping
 ## schedd's submit handler (no panic, no 5xx, every 4xx a typed
 ## error), the exec wire codec and the market trace reader, on top of
@@ -147,6 +148,7 @@ audit:
 fuzz-smoke:
 	$(GO) test ./internal/des -fuzz '^FuzzKernel$$' -fuzztime 10s
 	$(GO) test ./internal/des -fuzz '^FuzzKernelOrder$$' -fuzztime 10s
+	$(GO) test ./internal/des -run '^$$' -fuzz '^FuzzHeap$$' -fuzztime 10s
 	$(GO) test ./internal/rl -fuzz FuzzBandIndex -fuzztime 10s
 	$(GO) test ./internal/dax -fuzz FuzzRead -fuzztime 10s
 	$(GO) test ./internal/wfjson -fuzz FuzzRead -fuzztime 10s

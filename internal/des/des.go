@@ -28,89 +28,14 @@ var ErrHorizon = errors.New("des: time horizon reached with pending events")
 var ErrInterrupted = errors.New("des: run interrupted")
 
 // event is the cancelable, recyclable half of a future-event-list
-// entry; its ordering key lives inline in the queue's slot. Executed
-// events are recycled through the simulator's free list; gen
-// increments on each recycle so stale EventRefs become no-ops instead
-// of touching the event's next incarnation.
+// entry; its ordering key (time, priority, seq) lives inline in the
+// queue's Item. Executed events are recycled through the simulator's
+// free list; gen increments on each recycle so stale EventRefs become
+// no-ops instead of touching the event's next incarnation.
 type event struct {
 	gen      uint64
 	fn       Handler
 	canceled bool
-}
-
-// slot is one future-event-list entry: the ordering key inline, so a
-// sift compares without following a pointer.
-type slot struct {
-	time     float64
-	priority int   // lower runs first among equal times
-	seq      int64 // insertion order; breaks remaining ties
-	ev       *event
-}
-
-// before is the queue order: (time, priority, seq). seq is unique, so
-// the order is total and any correct heap pops the same sequence.
-func (a *slot) before(b *slot) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	if a.priority != b.priority {
-		return a.priority < b.priority
-	}
-	return a.seq < b.seq
-}
-
-// eventQueue is a 4-ary min-heap of slots: half the depth of a binary
-// heap, and a node's four children sit next to each other in memory.
-type eventQueue []slot
-
-func (q *eventQueue) push(x slot) {
-	*q = append(*q, x)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !x.before(&h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = x
-}
-
-// pop removes and returns the minimum slot's event; the queue must be
-// non-empty.
-func (q *eventQueue) pop() *event {
-	h := *q
-	top := h[0].ev
-	n := len(h) - 1
-	x := h[n]
-	h[n] = slot{}
-	h = h[:n]
-	*q = h
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		m := c
-		for j, end := c+1, min(c+4, n); j < end; j++ {
-			if h[j].before(&h[m]) {
-				m = j
-			}
-		}
-		if !h[m].before(&x) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = x
-	return top
 }
 
 // EventRef identifies a scheduled event so it can be canceled.
@@ -134,7 +59,7 @@ func (r EventRef) Cancel() bool {
 // The zero value is not usable; call New.
 type Simulator struct {
 	now     float64
-	queue   eventQueue
+	queue   Heap[*event] // keyed (time, priority, seq): seq is unique
 	seq     int64
 	horizon float64 // 0 means unbounded
 	steps   int64   // events executed
@@ -258,7 +183,7 @@ func (s *Simulator) AtPriority(t float64, priority int, fn Handler) EventRef {
 		ev = &event{fn: fn}
 		s.freeMisses++
 	}
-	s.queue.push(slot{time: t, priority: priority, seq: s.seq, ev: ev})
+	s.queue.Push(Key{Time: t, Tie: priority, Seq: s.seq}, ev)
 	if len(s.queue) > s.maxDepth {
 		s.maxDepth = len(s.queue)
 	}
@@ -286,8 +211,8 @@ func (s *Simulator) After(delay float64, fn Handler) EventRef {
 // empty or only canceled events remain).
 func (s *Simulator) Step() bool {
 	for len(s.queue) > 0 {
-		t := s.queue[0].time
-		ev := s.queue.pop()
+		t := s.queue[0].Time
+		ev := s.queue.Pop()
 		if ev.canceled {
 			s.recycle(ev)
 			continue
@@ -316,11 +241,11 @@ func (s *Simulator) Run() error {
 		// Peek without popping so a horizon stop leaves the event
 		// pending.
 		next := &s.queue[0]
-		if next.ev.canceled {
-			s.recycle(s.queue.pop())
+		if next.Val.canceled {
+			s.recycle(s.queue.Pop())
 			continue
 		}
-		if next.time > s.horizon {
+		if next.Time > s.horizon {
 			return ErrHorizon
 		}
 		s.Step()
@@ -341,7 +266,7 @@ func (s *Simulator) Run() error {
 // re-allocating its event pool (the sim.Engine.Reset episode loop).
 func (s *Simulator) Reset() {
 	for _, x := range s.queue {
-		s.recycle(x.ev)
+		s.recycle(x.Val)
 	}
 	s.queue = s.queue[:0]
 	s.now = 0

@@ -3,10 +3,10 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"reassign/internal/cloud"
 	"reassign/internal/dag"
+	"reassign/internal/des"
 	"reassign/internal/market"
 	"reassign/internal/telemetry"
 )
@@ -126,12 +126,6 @@ type replacementBill struct {
 	from     float64
 }
 
-// pendingAcquire is a deferred just-in-time replacement purchase.
-type pendingAcquire struct {
-	at  float64
-	idx int // doomed VM's index in Master.vms
-}
-
 // validateMarketFleet checks the trace assigns every fleet VM, so a
 // trace generated for another fleet fails at New instead of
 // under-billing the run.
@@ -228,16 +222,11 @@ func (m *Master) drainUnfit(vs *vmState) {
 	}
 }
 
-// queueAcquire schedules a deferred replacement purchase, kept sorted
-// by (time, VM index) so acquisitions process deterministically.
+// queueAcquire schedules a deferred just-in-time replacement purchase
+// for the doomed VM m.vms[idx], keyed (time, VM index) so acquisitions
+// process deterministically.
 func (m *Master) queueAcquire(at float64, idx int) {
-	m.acq = append(m.acq, pendingAcquire{at: at, idx: idx})
-	sort.Slice(m.acq, func(i, j int) bool {
-		if m.acq[i].at != m.acq[j].at {
-			return m.acq[i].at < m.acq[j].at
-		}
-		return m.acq[i].idx < m.acq[j].idx
-	})
+	m.acq.Push(des.Key{Time: at, Seq: int64(idx)}, struct{}{})
 }
 
 // processAcquires settles every deferred purchase that has come due,
@@ -245,10 +234,9 @@ func (m *Master) queueAcquire(at float64, idx int) {
 // bought if the fleet still cannot absorb the unfinished work without
 // the doomed VM.
 func (m *Master) processAcquires() {
-	for len(m.acq) > 0 && m.acq[0].at <= m.now {
-		p := m.acq[0]
-		m.acq = m.acq[1:]
-		vs := m.vms[p.idx]
+	for len(m.acq) > 0 && m.acq[0].Time <= m.now {
+		vs := m.vms[m.acq[0].Seq]
+		m.acq.Pop()
 		if !vs.remediated && !vs.dead && m.needsCapacity(vs) {
 			m.remediate(vs)
 		}

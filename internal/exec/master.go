@@ -12,6 +12,7 @@ import (
 	"reassign/internal/cloud"
 	"reassign/internal/core"
 	"reassign/internal/dag"
+	"reassign/internal/des"
 	"reassign/internal/market"
 	"reassign/internal/provenance"
 	"reassign/internal/rl"
@@ -64,7 +65,7 @@ type Master struct {
 	// timers holds every pending lease and backoff wake-up (timers.go),
 	// so the loop's deadline is a heap root instead of a task scan;
 	// expired is expireLeases' reusable scratch.
-	timers  timerHeap
+	timers  des.Heap[struct{}]
 	expired []int
 	// finished logs completed task indices in completion order. m.now
 	// never decreases, so that is also finish-time order, and report
@@ -76,13 +77,14 @@ type Master struct {
 
 	// Market run state: sorted worker join order (deterministic
 	// replacement ownership), the highest VM ID handed out, market
-	// counters and the replacement acquires to bill at report time.
+	// counters, the replacement acquires to bill at report time and the
+	// deferred ones, keyed (time, VM index).
 	workerIDs                                            []int
 	maxVMID                                              int
 	preemptNotices, preempted, cordonedCount, remediated int
 	degradedCount                                        int
 	bills                                                []replacementBill
-	acq                                                  []pendingAcquire
+	acq                                                  des.Heap[struct{}]
 
 	// checkTurn, when set (tests only), inspects the master at the end
 	// of every event-loop turn.
@@ -103,13 +105,11 @@ type taskState struct {
 	running   bool
 	done      bool
 	abandoned bool
-	// tpos is the task's position in Master.timers, -1 without an
-	// entry (an int32 beside the flags keeps the struct at 88 bytes).
-	tpos   int32
-	worker int
-	start  float64
-	lease  float64
-	finish float64
+	timed     bool // has a wake-up in Master.timers (timers.go)
+	worker    int
+	start     float64
+	lease     float64
+	finish    float64
 }
 
 type vmState struct {
@@ -342,7 +342,7 @@ func (m *Master) Run(ctx context.Context) (*Report, error) {
 	m.tasks = make([]*taskState, m.w.Len())
 	for _, a := range m.w.Activations() {
 		ts := &tsb[a.Index]
-		*ts = taskState{a: a, waiting: len(a.Parents()), worker: -1, tpos: -1}
+		*ts = taskState{a: a, waiting: len(a.Parents()), worker: -1}
 		m.tasks[a.Index] = ts
 	}
 	counts := make([]int, len(vsb))
@@ -369,8 +369,9 @@ func (m *Master) Run(ctx context.Context) (*Report, error) {
 	m.work = make([]int, 0, len(vsb))
 	m.carry = make([]int, 0, len(vsb))
 	m.finished = make([]int32, 0, len(tsb))
-	// Mostly leases, one per busy slot: sized so the heap rarely grows.
-	m.timers = make(timerHeap, 0, min(len(tsb), fleetSlots))
+	// Leases, one per busy slot, with room again for stale entries but
+	// at most one per task (timers.go): sized so the heap rarely grows.
+	m.timers = make(des.Heap[struct{}], 0, min(len(tsb), 2*fleetSlots))
 	for _, ts := range m.tasks {
 		if ts.waiting == 0 {
 			m.release(ts)
@@ -528,21 +529,20 @@ func (m *Master) flushSends() error {
 // or deferred acquire.
 func (m *Master) deadline() float64 {
 	dl := Forever
-	for len(m.timers) > 0 {
-		top := m.timers[0]
-		if at := top.wakeAt(); top.running || at > m.now {
+	for ts := m.liveRoot(); ts != nil; ts = m.liveRoot() {
+		if at := ts.wakeAt(); ts.running || at > m.now {
 			dl = at
 			break
 		}
-		m.clearTimer(top) // a backoff gate already passed
+		m.popTimer(ts) // a backoff gate already passed
 	}
 	for _, vs := range m.vms {
 		if !vs.dead && len(vs.queue) > 0 && vs.bootAt > m.now && vs.bootAt < dl {
 			dl = vs.bootAt
 		}
 	}
-	if len(m.acq) > 0 && m.acq[0].at < dl {
-		dl = m.acq[0].at
+	if len(m.acq) > 0 && m.acq[0].Time < dl {
+		dl = m.acq[0].Time
 	}
 	return dl
 }
@@ -892,9 +892,8 @@ func (m *Master) onHeartbeat(ev Event) {
 // scan of every task would produce them.
 func (m *Master) expireLeases() {
 	exp := m.expired[:0]
-	for len(m.timers) > 0 && m.timers[0].wakeAt() <= m.now {
-		ts := m.timers[0]
-		m.clearTimer(ts)
+	for ts := m.liveRoot(); ts != nil && ts.wakeAt() <= m.now; ts = m.liveRoot() {
+		m.popTimer(ts)
 		if ts.running {
 			exp = append(exp, ts.a.Index)
 		}

@@ -36,8 +36,8 @@ func scanDeadline(m *Master) float64 {
 			dl = vs.bootAt
 		}
 	}
-	if len(m.acq) > 0 && m.acq[0].at < dl {
-		dl = m.acq[0].at
+	if len(m.acq) > 0 && m.acq[0].Time < dl {
+		dl = m.acq[0].Time
 	}
 	return dl
 }
@@ -80,19 +80,20 @@ func scanRunning(m *Master, vs *vmState) []int32 {
 // index order, each VM's running set against scanRunning (every one of
 // those attempts on the VM's owner), and report against sortedResults.
 func turnOracle(m *Master) error {
-	for i, ts := range m.timers {
-		if int(ts.tpos) != i {
-			return fmt.Errorf("timer %d (task %s) records position %d", i, ts.a.ID, ts.tpos)
-		}
-		if p := (i - 1) / 2; i > 0 && m.timers[p].wakeAt() > ts.wakeAt() {
+	live := make(map[int64]bool)
+	for i, it := range m.timers {
+		if p := (i - 1) / 4; i > 0 && it.Before(&m.timers[p].Key) {
 			return fmt.Errorf("timer heap out of order at %d", i)
 		}
-		if !ts.running && !ts.queued {
-			return fmt.Errorf("task %s has a stale timer while neither running nor queued", ts.a.ID)
+		if ts := m.tasks[it.Seq]; ts.timed && it.Time <= ts.wakeAt() {
+			live[it.Seq] = true
 		}
 	}
 	for _, ts := range m.tasks {
-		if (ts.running || (ts.queued && ts.nextAt > m.now)) && ts.tpos < 0 {
+		if ts.timed && !ts.running && !ts.queued {
+			return fmt.Errorf("task %s has a stale timer while neither running nor queued", ts.a.ID)
+		}
+		if (ts.running || (ts.queued && ts.nextAt > m.now)) && !live[int64(ts.a.Index)] {
 			return fmt.Errorf("task %s needs a timer and has none", ts.a.ID)
 		}
 	}

@@ -1,9 +1,10 @@
 package exec
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
+
+	"reassign/internal/des"
 )
 
 // InProc is the deterministic in-process transport: a virtual-clock
@@ -24,42 +25,19 @@ type InProc struct {
 	// a worker has attempts in flight (default 5s).
 	HeartbeatEvery float64
 
-	queue   inprocQueue
+	// queue holds the pending results and heartbeats keyed (time,
+	// seq): des's order at a single priority.
+	queue   des.Heap[Event]
 	now     float64
 	seq     int64
-	running map[int]int  // in-flight attempts per worker
-	beating map[int]bool // a heartbeat event is pending for the worker
+	running []int  // in-flight attempts per worker
+	beating []bool // a heartbeat event is pending for the worker
 	opened  bool
-}
-
-type inprocItem struct {
-	t   float64
-	seq int64
-	ev  Event
-}
-
-type inprocQueue []inprocItem
-
-func (q inprocQueue) Len() int { return len(q) }
-func (q inprocQueue) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
-	}
-	return q[i].seq < q[j].seq
-}
-func (q inprocQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *inprocQueue) Push(x any)   { *q = append(*q, x.(inprocItem)) }
-func (q *inprocQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
 }
 
 func (p *InProc) push(t float64, ev Event) {
 	ev.Time = t
-	heap.Push(&p.queue, inprocItem{t: t, seq: p.seq, ev: ev})
+	p.queue.Push(des.Key{Time: t, Seq: p.seq}, ev)
 	p.seq++
 }
 
@@ -74,8 +52,8 @@ func (p *InProc) Open(context.Context) ([]int, error) {
 	if p.HeartbeatEvery <= 0 {
 		p.HeartbeatEvery = 5
 	}
-	p.running = make(map[int]int, p.Workers)
-	p.beating = make(map[int]bool, p.Workers)
+	p.running = make([]int, p.Workers)
+	p.beating = make([]bool, p.Workers)
 	p.opened = true
 	ids := make([]int, p.Workers)
 	for i := range ids {
@@ -89,6 +67,9 @@ func (p *InProc) Open(context.Context) ([]int, error) {
 func (p *InProc) Send(worker int, t TaskSpec) error {
 	if !p.opened {
 		return fmt.Errorf("exec: InProc.Send before Open")
+	}
+	if worker < 0 || worker >= len(p.running) {
+		return fmt.Errorf("exec: InProc.Send to worker %d of %d", worker, len(p.running))
 	}
 	d, err := p.Runner.Run(context.Background(), t)
 	if d < 0 {
@@ -119,29 +100,30 @@ func (p *InProc) Next(_ context.Context, deadline float64) (Event, error) {
 			}
 			return Event{Kind: EvTick, Time: p.now}, nil
 		}
-		if head := p.queue[0]; head.t > deadline {
+		t := p.queue[0].Time
+		if t > deadline {
 			if deadline > p.now {
 				p.now = deadline
 			}
 			return Event{Kind: EvTick, Time: p.now}, nil
 		}
-		it := heap.Pop(&p.queue).(inprocItem)
-		if it.t > p.now {
-			p.now = it.t
+		ev := p.queue.Pop()
+		if t > p.now {
+			p.now = t
 		}
-		switch it.ev.Kind {
+		switch ev.Kind {
 		case EvHeartbeat:
 			// Heartbeats self-renew while the worker is busy and lapse
 			// when it drains.
-			if p.running[it.ev.Worker] == 0 {
-				p.beating[it.ev.Worker] = false
+			if p.running[ev.Worker] == 0 {
+				p.beating[ev.Worker] = false
 				continue
 			}
-			p.push(p.now+p.HeartbeatEvery, Event{Kind: EvHeartbeat, Worker: it.ev.Worker})
+			p.push(p.now+p.HeartbeatEvery, Event{Kind: EvHeartbeat, Worker: ev.Worker})
 		case EvResult:
-			p.running[it.ev.Worker]--
+			p.running[ev.Worker]--
 		}
-		return it.ev, nil
+		return ev, nil
 	}
 }
 

@@ -318,7 +318,9 @@ func (s *Server) runPlan(ctx context.Context, j *job, plan core.Plan, store *pro
 		Workers: min(j.fleet.Len(), 8),
 		Runner:  exec.SimRunner{Fluct: j.fluctuation(), Seed: req.Seed + 2000},
 	}
-	opts := []exec.Option{exec.WithStore(store, j.id), exec.WithSink(s.agg)}
+	// No sink: the aggregator counts no exec event
+	// (telemetry.TestAggregatorIgnoresExecEvents).
+	opts := []exec.Option{exec.WithStore(store, j.id)}
 
 	// Market replay: generate the trace against the job's fleet and
 	// wrap the transport so traced notices, kills and health changes

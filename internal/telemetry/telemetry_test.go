@@ -200,3 +200,37 @@ func TestAggregatorWindow(t *testing.T) {
 		t.Error("reassign_episodes_total is not the all-time count")
 	}
 }
+
+// TestAggregatorIgnoresExecEvents pins the premise that lets schedd run
+// its exec master without a sink: the Aggregator counts no execution
+// event, so its exposition is the same bytes with or without them. If
+// the Aggregator ever counts one, this fails, and the daemon's exec
+// master has to be given the sink again.
+func TestAggregatorIgnoresExecEvents(t *testing.T) {
+	a := NewAggregator()
+	a.Emit(EpisodeEvent{Episode: 0, Reward: -2, Makespan: 100, QDelta: 4})
+	a.Emit(&DecisionEvent{Greedy: true})
+	a.Emit(KernelEvent{Events: 10, Scheduled: 12, FreelistHits: 9, FreelistMisses: 1, MaxQueueDepth: 5})
+	prom := func() []byte {
+		var buf bytes.Buffer
+		if err := a.Snapshot().WriteProm(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	before := prom()
+	for _, ev := range []Event{
+		ExecDispatchEvent{Task: "a", Attempt: 1, VM: 2, Worker: 1, Time: 3, Lease: 33},
+		ExecHeartbeatEvent{Worker: 1, Running: 2, Time: 5},
+		ExecRetryEvent{Task: "a", Attempt: 1, VM: 2, Worker: 1, Reason: "failed", Time: 6, NextAt: 8},
+		ExecReassignEvent{Task: "a", FromVM: 2, ToVM: 3, Time: 6, Policy: "qtable"},
+		ExecCompleteEvent{Task: "a", Attempt: 2, VM: 3, Worker: 0, Start: 8, Finish: 12},
+		ExecRemediateEvent{FromVM: 2, NewVM: 9, Time: 7, BootAt: 67},
+		ExecRunEvent{Makespan: 12, WallSeconds: 0.01, Tasks: 1, Attempts: 2, Retries: 1, Reassigned: 1},
+	} {
+		a.Emit(ev)
+	}
+	if after := prom(); !bytes.Equal(after, before) {
+		t.Errorf("exec events changed the exposition:\n--- before\n%s\n--- after\n%s", before, after)
+	}
+}
