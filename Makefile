@@ -143,8 +143,9 @@ audit:
 ## under set, move, cancel and reset), both workflow parsers, the Q table's band indexing
 ## (against a map reference), the Prometheus writer's label escaping
 ## schedd's submit handler (no panic, no 5xx, every 4xx a typed
-## error), the exec wire codec and the market trace reader, on top of
-## replaying the checked-in corpus
+## error), the service's JSON reader (a submission and a status against
+## json.Unmarshal into method-less copies), the exec wire codec and the
+## market trace reader, on top of replaying the checked-in corpus
 fuzz-smoke:
 	$(GO) test ./internal/des -fuzz '^FuzzKernel$$' -fuzztime 10s
 	$(GO) test ./internal/des -fuzz '^FuzzKernelOrder$$' -fuzztime 10s
@@ -154,5 +155,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wfjson -fuzz FuzzRead -fuzztime 10s
 	$(GO) test ./internal/metrics -fuzz FuzzPromLabel -fuzztime 10s
 	$(GO) test ./internal/schedd -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 10s
+	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzDecodeSubmit$$' -fuzztime 10s
+	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzDecodeStatus$$' -fuzztime 10s
 	$(GO) test ./internal/exec -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime 10s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzMarketTrace$$' -fuzztime 10s

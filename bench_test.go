@@ -251,3 +251,13 @@ func BenchmarkMarketPlayback(b *testing.B) {
 // the way the exec master does: pre-sized, one attempt and one
 // execution row per activation, then the All copy.
 func BenchmarkProvenanceStore(b *testing.B) { benchsuite.ProvenanceStore(100)(b) }
+
+// BenchmarkServiceDecode is the service-decode tier: the submit
+// handler's one-pass decode of the CyberShake-100 replay submission
+// and of the Montage-50 DAX submission, and a client's decode of the
+// executed CyberShake-100 terminal status.
+func BenchmarkServiceDecode(b *testing.B) {
+	b.Run("submit-cybershake100", benchsuite.DecodeSubmit("svc-replay-market.submit.json"))
+	b.Run("submit-montage50-dax", benchsuite.DecodeSubmit("svc-warm.submit.json"))
+	b.Run("status-executed", benchsuite.DecodeStatus("svc-replay-market.status.json"))
+}

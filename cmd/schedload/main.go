@@ -205,9 +205,7 @@ func submitAndPoll(client *http.Client, addr string, req api.SubmitRequest, time
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		var apiErr api.Error
-		json.NewDecoder(resp.Body).Decode(&apiErr)
-		return api.JobStatus{}, 0, fmt.Errorf("HTTP %d: %s", resp.StatusCode, apiErr.Reason)
+		return api.JobStatus{}, 0, fmt.Errorf("submit: %w", httpError(resp))
 	}
 	var st api.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
@@ -221,7 +219,11 @@ func submitAndPoll(client *http.Client, addr string, req api.SubmitRequest, time
 			return api.JobStatus{}, 0, err
 		}
 		var cur api.JobStatus
-		err = json.NewDecoder(sresp.Body).Decode(&cur)
+		if sresp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("polling job %s: %w", st.ID, httpError(sresp))
+		} else {
+			err = json.NewDecoder(sresp.Body).Decode(&cur)
+		}
 		sresp.Body.Close()
 		if err != nil {
 			return api.JobStatus{}, 0, err
@@ -233,4 +235,15 @@ func submitAndPoll(client *http.Client, addr string, req api.SubmitRequest, time
 		time.Sleep(20 * time.Millisecond)
 	}
 	return api.JobStatus{}, 0, fmt.Errorf("job %s timed out after %v", st.ID, timeout)
+}
+
+// httpError describes a response the daemon answered with an error
+// status: its code and the typed api.Error body's reason, or why the
+// body did not decode as one.
+func httpError(resp *http.Response) error {
+	var apiErr api.Error
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+		return fmt.Errorf("HTTP %d, undecodable error body: %v", resp.StatusCode, err)
+	}
+	return fmt.Errorf("HTTP %d: %s", resp.StatusCode, apiErr.Reason)
 }

@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"reassign/internal/cloud"
 	"reassign/internal/core"
+	"reassign/internal/provenance"
 	"reassign/internal/trace"
 )
 
@@ -274,5 +277,35 @@ func TestErrorMapping(t *testing.T) {
 	}
 	if CheckSchemaVersion("v2") == nil {
 		t.Fatal("v2 must be rejected")
+	}
+}
+
+// TestDecodeFieldLists pins each reader's key list to its type's JSON
+// field names: the differential fuzz targets notice a field a reader
+// drops only when some input sets it.
+func TestDecodeFieldLists(t *testing.T) {
+	for _, c := range []struct {
+		v     any
+		names []string
+	}{
+		{SubmitRequest{}, submitFields}, {WorkflowSpec{}, workflowFields}, {SyntheticSpec{}, syntheticFields},
+		{FleetSpec{}, fleetFields}, {VMCount{}, vmCountFields}, {LearnSpec{}, learnFields},
+		{MarketSpec{}, marketFields}, {PlanDocument{}, planDocFields}, {JobStatus{}, statusFields},
+		{provenance.Execution{}, executionFields}, {Error{}, errorFields},
+	} {
+		ty := reflect.TypeOf(c.v)
+		var tags []string
+		for i := 0; i < ty.NumField(); i++ {
+			name, _, _ := strings.Cut(ty.Field(i).Tag.Get("json"), ",")
+			tags = append(tags, name)
+		}
+		if !slices.Equal(tags, c.names) {
+			t.Errorf("%v: JSON fields %v, reader's list %v", ty, tags, c.names)
+		}
+		for _, n := range c.names {
+			if strings.ToLower(n) != n || strings.IndexFunc(n, func(r rune) bool { return r >= 0x80 }) >= 0 {
+				t.Errorf("%v: field %q is not lower-case ASCII, as jsonread.Key needs", ty, n)
+			}
+		}
 	}
 }

@@ -81,6 +81,9 @@ func Suite() []Bench {
 		{"BenchmarkMarketPlayback/cost", MarketCost()},
 		{"BenchmarkMarketPlayback/exec-200x16", MarketExec(200)},
 		{"BenchmarkProvenanceStore", ProvenanceStore(100)},
+		{"BenchmarkServiceDecode/submit-cybershake100", DecodeSubmit("svc-replay-market.submit.json")},
+		{"BenchmarkServiceDecode/submit-montage50-dax", DecodeSubmit("svc-warm.submit.json")},
+		{"BenchmarkServiceDecode/status-executed", DecodeStatus("svc-replay-market.status.json")},
 	}
 }
 

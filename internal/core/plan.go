@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"reassign/internal/api/jsonread"
 	"reassign/internal/cloud"
 	"reassign/internal/dag"
 )
@@ -175,12 +176,21 @@ func (p Plan) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the entry-array form written by MarshalJSON.
-// Duplicate activations are an error. It is the one nested
-// json.Unmarshal of a plan-carrying document: entries is unexported,
-// so the array cannot decode in the enclosing document's pass.
+// Duplicate activations are an error.
 func (p *Plan) UnmarshalJSON(data []byte) error {
+	r := jsonread.NewReader(data)
+	if err := p.ReadJSON(r); err != nil {
+		return err
+	}
+	return r.End()
+}
+
+// ReadJSON decodes the plan at r's cursor as UnmarshalJSON decodes a
+// whole document (null is the empty plan), so that a document carrying
+// a plan decodes in one pass. The entries replace p's.
+func (p *Plan) ReadJSON(r *jsonread.Reader) error {
 	var entries []PlanEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
+	if err := jsonread.Slice(r, &entries, readPlanEntry); err != nil {
 		return fmt.Errorf("core: plan: %w", err)
 	}
 	plan, err := NewPlanFromEntries(entries)
@@ -189,4 +199,18 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 	}
 	*p = plan
 	return nil
+}
+
+var planEntryFields = []string{"activation", "vm"}
+
+func readPlanEntry(r *jsonread.Reader, e *PlanEntry) error {
+	return r.Object(func(key []byte) error {
+		switch string(jsonread.Key(key, planEntryFields)) {
+		case "activation":
+			return r.String(&e.Activation)
+		case "vm":
+			return r.Int(&e.VM)
+		}
+		return r.Skip()
+	})
 }

@@ -10,6 +10,7 @@
 package dax
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -103,12 +104,31 @@ type xmlParent struct {
 	Ref string `xml:"ref,attr"`
 }
 
-// Read parses a DAX document into a workflow.
+// Read parses a DAX document into a workflow. Only whitespace,
+// comments and processing instructions may follow the document element.
 func Read(r io.Reader) (*dag.Workflow, error) {
 	var doc xmlAdag
 	dec := xml.NewDecoder(r)
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("dax: decode: %w", err)
+	}
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("dax: after the document: %w", err)
+		}
+		switch t := tok.(type) {
+		case xml.Comment, xml.ProcInst:
+			continue
+		case xml.CharData:
+			if len(bytes.TrimSpace(t)) == 0 {
+				continue
+			}
+		}
+		return nil, fmt.Errorf("dax: data after the document at offset %d", dec.InputOffset())
 	}
 	name := doc.Name
 	if name == "" {

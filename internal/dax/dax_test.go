@@ -78,11 +78,22 @@ func TestReadErrors(t *testing.T) {
 		"empty":          `<adag name="w"></adag>`,
 		"cycle": `<adag name="w"><job id="a" name="x" runtime="1"/><job id="b" name="x" runtime="1"/>` +
 			`<child ref="a"><parent ref="b"/></child><child ref="b"><parent ref="a"/></child></adag>`,
+		"trailing junk":    sampleDAX + "} not json at all {",
+		"second element":   sampleDAX + `<adag name="w"></adag>`,
+		"unclosed comment": sampleDAX + "<!-- never closed",
 	}
 	for name, doc := range cases {
 		if _, err := Read(strings.NewReader(doc)); err == nil {
 			t.Errorf("case %q: no error", name)
 		}
+	}
+}
+
+// TestReadTrailingMisc: whitespace, comments and processing
+// instructions after the document element are not data after it.
+func TestReadTrailingMisc(t *testing.T) {
+	if _, err := Read(strings.NewReader(sampleDAX + "\n<!-- generated -->\n<?pi after?>\n")); err != nil {
+		t.Fatal(err)
 	}
 }
 

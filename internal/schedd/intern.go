@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"reassign/internal/api"
+	"reassign/internal/api/jsonread"
 	"reassign/internal/cloud"
 	"reassign/internal/dag"
 )
@@ -17,7 +18,11 @@ import (
 //
 // The key is SHA-256 over the spec's canonical form: (format, source)
 // for an inline document, (family, nodes, seed) for a synthetic spec,
-// which is a pure function of them. It is a cryptographic digest, as
+// which is a pure function of them. An inline source is keyed as it
+// stood in the request body, between its quotes and still escaped, so
+// a document seen before is never unescaped again; two escapings of
+// one document (\u003c against <) are then two entries, an extra miss
+// but never a wrong hit. The key is a cryptographic digest, as
 // api.StructureSignature is, because submissions come from different
 // tenants and a collision would silently schedule the wrong DAG. The
 // value is the validated *dag.Workflow, shared read-only by every job
@@ -37,26 +42,32 @@ func newWorkflowIntern(maxEntries int) workflowIntern {
 // build returns spec's workflow: the interned one when an equivalent
 // spec has been built before, else spec.Build()'s — with the same typed
 // errors — stored for the next submission. Specs without a format
-// (and unknown formats), which Build rejects, bypass the table.
-// scratch is overwritten with the hash input: for an inline document
-// that is one contiguous copy of format and source, which costs no
-// allocation when scratch already held the request body that source
-// was decoded from.
-func (t workflowIntern) build(spec api.WorkflowSpec, scratch *bytes.Buffer) (*dag.Workflow, error) {
-	scratch.Reset()
+// (and unknown formats), which Build rejects, bypass the table. source
+// is an inline document's workflow.source as api.DecodeSubmit returned
+// it, escaped; it is unescaped into spec.Source only to build on a
+// miss. A synthetic spec's hash input is written into scratch, which
+// costs no allocation when scratch already held the request body.
+func (t workflowIntern) build(spec api.WorkflowSpec, source []byte, scratch *bytes.Buffer) (*dag.Workflow, error) {
+	var key [sha256.Size]byte
 	switch {
 	case spec.Format == "dax" || spec.Format == "wfjson":
-		scratch.WriteString(spec.Format)
-		scratch.WriteByte(0)
-		scratch.WriteString(spec.Source)
+		h := sha256.New()
+		h.Write([]byte(spec.Format))
+		h.Write([]byte{0})
+		h.Write(source)
+		h.Sum(key[:0])
 	case spec.Format == "synthetic" || spec.Format == "" && spec.Synthetic != nil:
+		scratch.Reset()
 		syntheticKey(scratch, spec.Synthetic)
+		key = sha256.Sum256(scratch.Bytes())
 	default:
 		return spec.Build()
 	}
-	key := sha256.Sum256(scratch.Bytes())
 	if w, ok := t.get(key); ok {
 		return w, nil
+	}
+	if source != nil {
+		spec.Source = jsonread.Unquote(source)
 	}
 	w, err := spec.Build()
 	if err != nil {

@@ -180,6 +180,70 @@ func TestInternDistinctKeys(t *testing.T) {
 	waitDone(t, url, second.ID)
 }
 
+// TestInternKeysEscapedSource: an inline document is keyed on its
+// source as it stands in the body, still escaped. Two escapings of one
+// document build equal workflows as two entries — an extra miss, never
+// a wrong hit — and a body keys on its last source, wherever its format
+// stands.
+func TestInternKeysEscapedSource(t *testing.T) {
+	s, url := newTestServer(t, Config{Workers: 1})
+	doc := inlineDoc(t, "dax", 1)
+	quote := func(escapeHTML bool) string {
+		var b strings.Builder
+		enc := json.NewEncoder(&b)
+		enc.SetEscapeHTML(escapeHTML)
+		if err := enc.Encode(doc); err != nil {
+			t.Fatal(err)
+		}
+		return strings.TrimSuffix(b.String(), "\n")
+	}
+	html, plain := quote(true), quote(false)
+	if strings.Contains(html, `<`) || !strings.Contains(plain, `<`) {
+		t.Fatal("the two escapings of the document should differ in < alone")
+	}
+	submitted := func(workflow string) *job {
+		t.Helper()
+		body := `{"workflow":` + workflow + `,"learn":{"episodes":1}}`
+		resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		answer, err := io.ReadAll(resp.Body)
+		var st api.JobStatus
+		if err != nil || resp.StatusCode != http.StatusAccepted || json.Unmarshal(answer, &st) != nil {
+			t.Fatalf("%.60s: HTTP %d: %s (%v)", body, resp.StatusCode, answer, err)
+		}
+		return s.lookup(st.ID)
+	}
+	check := func(what string, wantHits, wantMisses int64, wantEntries int) {
+		t.Helper()
+		if hits, misses, entries := internStats(s); hits != wantHits || misses != wantMisses || entries != wantEntries {
+			t.Fatalf("%s: intern hits=%d misses=%d entries=%d, want %d/%d/%d",
+				what, hits, misses, entries, wantHits, wantMisses, wantEntries)
+		}
+	}
+
+	escaped := submitted(`{"format":"dax","source":` + html + `}`)
+	literal := submitted(`{"format":"dax","source":` + plain + `}`)
+	check("two escapings", 0, 2, 2)
+	if escaped.w == literal.w || escaped.sig != literal.sig || escaped.w.Name != literal.w.Name {
+		t.Fatal("two escapings of one document should build equal workflows, interned apart")
+	}
+	if j := submitted(`{"source":` + html + `,"format":"dax"}`); j.w != escaped.w {
+		t.Fatal("a source before its format should key as the same document")
+	}
+	check("source first", 1, 2, 2)
+	if j := submitted(`{"format":"dax","source":"<adag/>","source":` + plain + `}`); j.w != literal.w {
+		t.Fatal("a repeated source should key on its last value")
+	}
+	check("repeated source", 2, 2, 2)
+	if j := submitted(`{"format":"dax","source":` + plain + `},"workflow":{"source":` + html + `}`); j.w != escaped.w {
+		t.Fatal("a repeated workflow object should key on the last source")
+	}
+	check("repeated workflow", 3, 2, 2)
+}
+
 // TestInternMalformedNeverStored: a document that does not parse gets
 // the typed 400 on every submission and leaves no entry behind.
 func TestInternMalformedNeverStored(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 	"reassign/internal/api"
 	"reassign/internal/cloud"
 	"reassign/internal/core"
+	"reassign/internal/dag"
 	"reassign/internal/provenance"
 	"reassign/internal/sched"
 	"reassign/internal/sim"
@@ -40,7 +41,7 @@ func replayJob(t *testing.T, s *Server, id string, nodes int, seed int64) (*job,
 		Execute:  true,
 		Market:   &api.MarketSpec{Regime: "hostile"},
 	}
-	w, err := s.workflows.build(req.Workflow, new(bytes.Buffer))
+	w, err := internWorkflow(s, req.Workflow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func synthJob(t *testing.T, s *Server, id string, nodes int, seed int64) *job {
 		Learn:       api.LearnSpec{Episodes: 2},
 		NoWarmStart: true,
 	}
-	w, err := s.workflows.build(req.Workflow, new(bytes.Buffer))
+	w, err := internWorkflow(s, req.Workflow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,4 +472,19 @@ func TestSubmitLearningParamsOutOfRange(t *testing.T) {
 			t.Errorf("learn %+v: HTTP %d %+v, want 400 %s on %s", tc.learn, resp.StatusCode, resp.Err, api.CodeBadRequest, tc.field)
 		}
 	}
+}
+
+// internWorkflow builds spec through s's workflow intern as
+// handleSubmit does: from the escaped source of its JSON form.
+func internWorkflow(s *Server, spec api.WorkflowSpec) (*dag.Workflow, error) {
+	body, err := json.Marshal(api.SubmitRequest{Workflow: spec})
+	if err != nil {
+		return nil, err
+	}
+	var req api.SubmitRequest
+	source, err := api.DecodeSubmit(body, &req)
+	if err != nil {
+		return nil, err
+	}
+	return s.workflows.build(req.Workflow, source, new(bytes.Buffer))
 }

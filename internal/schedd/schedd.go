@@ -231,11 +231,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Read the whole body into a pooled buffer sized from
-	// Content-Length, then unmarshal: a streaming json.Decoder holds the
-	// whole value anyway, in a buffer it grows by doubling. Unmarshal
-	// copies every string it decodes, so nothing in req aliases buf once
-	// it goes back to the pool; it also rejects bytes after the
-	// top-level value, which the decoder silently left unread.
+	// Content-Length, then decode it in one pass (api.DecodeSubmit),
+	// which rejects bytes after the top-level value. Every string in req
+	// is a copy; the workflow source alone stays in buf, escaped, for
+	// the intern to key on, so nothing in req aliases buf once it goes
+	// back to the pool.
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer func() {
@@ -250,9 +250,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		buf.Grow(int(min(n, maxPooledBody-bytes.MinRead)) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
 	}
 	var req api.SubmitRequest
+	var source []byte
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err == nil {
-		err = json.Unmarshal(buf.Bytes(), &req)
+		source, err = api.DecodeSubmit(buf.Bytes(), &req)
 	}
 	if err != nil {
 		// An oversized body surfaces as *http.MaxBytesError mid-read;
@@ -331,15 +332,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Build the inputs synchronously so malformed documents fail the
-	// submission itself (400), not the job later. build overwrites buf
-	// with its hash input: buf no longer holds the request body after
-	// this call. The job keeps the built workflow, not the document.
-	wf, err := s.workflows.build(req.Workflow, buf)
+	// submission itself (400), not the job later. build may overwrite
+	// buf with its hash input, so nothing after this call reads buf or
+	// source. The job keeps the built workflow, not the document.
+	wf, err := s.workflows.build(req.Workflow, source, buf)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	req.Workflow.Source = ""
 	fleet, err := s.fleets.build(req.Fleet)
 	if err != nil {
 		writeErr(w, err)

@@ -174,11 +174,16 @@ func Encode(w *dag.Workflow) *Document {
 	return doc
 }
 
-// Read parses a WfFormat JSON stream into a workflow.
+// Read parses a WfFormat JSON stream into a workflow. Only whitespace
+// may follow the document.
 func Read(r io.Reader) (*dag.Workflow, error) {
 	var doc Document
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("wfjson: decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("wfjson: data after the document at offset %d", dec.InputOffset())
 	}
 	return Decode(&doc)
 }

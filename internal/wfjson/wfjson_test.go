@@ -71,11 +71,21 @@ func TestReadErrors(t *testing.T) {
 			{"name":"a","id":"t1","parents":[],"children":[]},
 			{"name":"b","id":"t2","parents":["t1"],"children":[]}]},
 			"execution":{"tasks":[{"id":"t1","runtimeInSeconds":1},{"id":"t2","runtimeInSeconds":1}]}}}`,
+		"trailing junk":   sampleDoc + "} not json at all {",
+		"second document": sampleDoc + "\n{}",
 	}
 	for name, doc := range cases {
 		if _, err := Read(strings.NewReader(doc)); err == nil {
 			t.Errorf("case %q accepted", name)
 		}
+	}
+}
+
+// TestReadTrailingWhitespace: whitespace after the document is not
+// data after it.
+func TestReadTrailingWhitespace(t *testing.T) {
+	if _, err := Read(strings.NewReader(sampleDoc + " \n\t\r\n")); err != nil {
+		t.Fatal(err)
 	}
 }
 
