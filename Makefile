@@ -144,8 +144,10 @@ audit:
 ## (against a map reference), the Prometheus writer's label escaping
 ## schedd's submit handler (no panic, no 5xx, every 4xx a typed
 ## error), the service's JSON reader (a submission and a status against
-## json.Unmarshal into method-less copies), the exec wire codec and the
-## market trace reader, on top of replaying the checked-in corpus
+## json.Unmarshal into method-less copies), the exec wire codec, the
+## market trace reader and the seeded rng source (against
+## rand.NewSource, re-seeded mid-stream), on top of replaying the
+## checked-in corpus
 fuzz-smoke:
 	$(GO) test ./internal/des -fuzz '^FuzzKernel$$' -fuzztime 10s
 	$(GO) test ./internal/des -fuzz '^FuzzKernelOrder$$' -fuzztime 10s
@@ -159,3 +161,4 @@ fuzz-smoke:
 	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzDecodeStatus$$' -fuzztime 10s
 	$(GO) test ./internal/exec -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime 10s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzMarketTrace$$' -fuzztime 10s
+	$(GO) test ./internal/randsrc -run '^$$' -fuzz '^FuzzSource$$' -fuzztime 10s

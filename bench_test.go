@@ -261,3 +261,10 @@ func BenchmarkServiceDecode(b *testing.B) {
 	b.Run("submit-montage50-dax", benchsuite.DecodeSubmit("svc-warm.submit.json"))
 	b.Run("status-executed", benchsuite.DecodeStatus("svc-replay-market.status.json"))
 }
+
+// BenchmarkSeededSource is the seeded-source tier: one reseed plus a
+// learning episode's 95 draws, and one reseed plus 2000 draws.
+func BenchmarkSeededSource(b *testing.B) {
+	b.Run("episode-95", benchsuite.SeededSource(95))
+	b.Run("full-2000", benchsuite.SeededSource(2000))
+}

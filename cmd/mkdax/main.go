@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"reassign/internal/dax"
+	"reassign/internal/randsrc"
 	"reassign/internal/trace"
 	"reassign/internal/wfjson"
 )
@@ -39,11 +40,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mkdax: unknown family %q (try -list)\n", *family)
 		os.Exit(2)
 	}
-	rng := rand.New(rand.NewSource(*seed))
+	rng := rand.New(randsrc.New(*seed))
 	var w = gen(rng, *size)
 	if *family == "montage" && *size == 50 {
 		// Exact 50-node composition used in the paper.
-		w = trace.Montage50(rand.New(rand.NewSource(*seed)))
+		w = trace.Montage50(rand.New(randsrc.New(*seed)))
 	}
 	if err := w.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "mkdax: %v\n", err)

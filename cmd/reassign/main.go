@@ -37,6 +37,7 @@ import (
 	"reassign/internal/metrics"
 	"reassign/internal/plot"
 	"reassign/internal/provenance"
+	"reassign/internal/randsrc"
 	"reassign/internal/rl"
 	"reassign/internal/sched"
 	"reassign/internal/sim"
@@ -213,7 +214,7 @@ func run() error {
 		p.Alpha, p.Gamma, p.Epsilon = *alpha, *gamma, *epsilon
 		opts := []core.Option{core.WithSeed(*seed), core.WithSink(sink)}
 		if *qIn != "" {
-			tab := rl.NewTable(w.Len(), len(fleet.VMs), rand.New(rand.NewSource(*seed)), 1.0)
+			tab := rl.NewTable(w.Len(), len(fleet.VMs), rand.New(randsrc.New(*seed)), 1.0)
 			if err := tab.LoadFile(*qIn); err != nil {
 				return err
 			}
@@ -398,7 +399,7 @@ func run() error {
 
 func loadWorkflow(path string, seed int64) (*dag.Workflow, error) {
 	if path == "" {
-		return trace.Montage50(rand.New(rand.NewSource(seed))), nil
+		return trace.Montage50(rand.New(randsrc.New(seed))), nil
 	}
 	if strings.HasSuffix(path, ".json") {
 		return wfjson.ReadFile(path)

@@ -19,6 +19,7 @@ import (
 	"reassign/internal/dag"
 	"reassign/internal/dax"
 	"reassign/internal/metrics"
+	"reassign/internal/randsrc"
 	"reassign/internal/trace"
 	"reassign/internal/wfjson"
 )
@@ -53,7 +54,7 @@ func run() error {
 		if gen == nil {
 			return fmt.Errorf("unknown family %q (known: %v)", *family, trace.Families())
 		}
-		w = gen(rand.New(rand.NewSource(*seed)), *size)
+		w = gen(rand.New(randsrc.New(*seed)), *size)
 	}
 	if err := w.Validate(); err != nil {
 		return err

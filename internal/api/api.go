@@ -20,6 +20,7 @@ import (
 	"reassign/internal/dag"
 	"reassign/internal/dax"
 	"reassign/internal/provenance"
+	"reassign/internal/randsrc"
 	"reassign/internal/trace"
 	"reassign/internal/wfjson"
 )
@@ -153,7 +154,7 @@ func (s WorkflowSpec) Build() (*dag.Workflow, error) {
 		if gen == nil {
 			return fail(fmt.Sprintf("unknown synthetic family %q", spec.Family))
 		}
-		return gen(rand.New(rand.NewSource(spec.Seed)), nodes), nil
+		return gen(rand.New(randsrc.New(spec.Seed)), nodes), nil
 	case "":
 		return fail("workflow spec needs a format (dax, wfjson or synthetic)")
 	default:

@@ -13,6 +13,7 @@ import (
 	"reassign/internal/cloud"
 	"reassign/internal/core"
 	"reassign/internal/loadgen"
+	"reassign/internal/randsrc"
 	"reassign/internal/rl"
 	"reassign/internal/sim"
 	"reassign/internal/trace"
@@ -62,7 +63,9 @@ type Bench struct {
 // open-system tier (a seeded multi-tenant trace replayed through
 // every policy lane at 3 and 6 tenants), the spot-market tier
 // (trace-bill integration and a full replay under a hostile trace),
-// and the provenance store (one 100-activation run recorded).
+// the provenance store (one 100-activation run recorded), the
+// service-decode tier and the seeded source (one episode's reseed and
+// draws, and a long stream).
 func Suite() []Bench {
 	return []Bench{
 		{"BenchmarkQTableDense", QTable(50, 16)},
@@ -84,6 +87,31 @@ func Suite() []Bench {
 		{"BenchmarkServiceDecode/submit-cybershake100", DecodeSubmit("svc-replay-market.submit.json")},
 		{"BenchmarkServiceDecode/submit-montage50-dax", DecodeSubmit("svc-warm.submit.json")},
 		{"BenchmarkServiceDecode/status-executed", DecodeStatus("svc-replay-market.status.json")},
+		{"BenchmarkSeededSource/episode-95", SeededSource(95)},
+		{"BenchmarkSeededSource/full-2000", SeededSource(2000)},
+	}
+}
+
+// seededSum keeps SeededSource's draws live.
+var seededSum uint64
+
+// SeededSource re-seeds one randsrc source and draws n values per op,
+// as the agent does once per episode: 95 is about a Montage-50
+// episode's draws, and 2000 runs well past the 334th draw, after
+// which every state word has been computed and no draw computes one.
+func SeededSource(n int) func(*testing.B) {
+	return func(b *testing.B) {
+		src := randsrc.New(0)
+		sum := src.Uint64() // allocates the state outside the timed loop
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			src.Seed(int64(i))
+			for j := 0; j < n; j++ {
+				sum += src.Uint64()
+			}
+		}
+		seededSum = sum
 	}
 }
 
@@ -116,8 +144,8 @@ func QTable(numTasks, numVMs int) func(*testing.B) {
 		for i := range tasks {
 			tasks[i] = i
 		}
-		tab := rl.NewTable(numTasks, numVMs, rand.New(rand.NewSource(1)), 1.0)
-		rng := rand.New(rand.NewSource(42))
+		tab := rl.NewTable(numTasks, numVMs, rand.New(randsrc.New(1)), 1.0)
+		rng := rand.New(randsrc.New(42))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -131,7 +159,7 @@ func QTable(numTasks, numVMs int) func(*testing.B) {
 
 // TDHotPath runs one full learning episode per op.
 func TDHotPath(b *testing.B) {
-	w := trace.Montage50(rand.New(rand.NewSource(6)))
+	w := trace.Montage50(rand.New(randsrc.New(6)))
 	fleet, err := cloud.FleetTable1(16)
 	if err != nil {
 		b.Fatal(err)
@@ -140,8 +168,8 @@ func TDHotPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab := rl.NewTable(w.Len(), len(fleet.VMs), rand.New(rand.NewSource(int64(i))), 1.0)
-		agent, err := core.NewScheduler(core.DefaultParams(), tab, rand.New(rand.NewSource(int64(i))))
+		tab := rl.NewTable(w.Len(), len(fleet.VMs), rand.New(randsrc.New(int64(i))), 1.0)
+		agent, err := core.NewScheduler(core.DefaultParams(), tab, rand.New(randsrc.New(int64(i))))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,7 +183,7 @@ func TDHotPath(b *testing.B) {
 // 100-episode ReASSIgN learning run (Montage 50, 16-vCPU fleet) per
 // op, telemetry disabled (the zero-cost default).
 func Learning100(b *testing.B) {
-	w := trace.Montage50(rand.New(rand.NewSource(1)))
+	w := trace.Montage50(rand.New(randsrc.New(1)))
 	fleet, err := cloud.FleetTable1(16)
 	if err != nil {
 		b.Fatal(err)
@@ -187,7 +215,7 @@ func Learning100(b *testing.B) {
 // the metrics to watch.
 func LearningLarge(acts, vcpus, episodes int) func(*testing.B) {
 	return func(b *testing.B) {
-		w := trace.MontageN(rand.New(rand.NewSource(1)), acts)
+		w := trace.MontageN(rand.New(randsrc.New(1)), acts)
 		fleet, err := cloud.FleetScaled(vcpus)
 		if err != nil {
 			b.Fatal(err)
@@ -220,7 +248,7 @@ func LearningLarge(acts, vcpus, episodes int) func(*testing.B) {
 // way.
 func LearningReplicas(k int) func(*testing.B) {
 	return func(b *testing.B) {
-		w := trace.Montage50(rand.New(rand.NewSource(1)))
+		w := trace.Montage50(rand.New(randsrc.New(1)))
 		fleet, err := cloud.FleetTable1(16)
 		if err != nil {
 			b.Fatal(err)

@@ -1,7 +1,9 @@
 package benchsuite
 
 import (
+	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
@@ -25,10 +27,10 @@ type Env struct {
 }
 
 // CurrentEnv describes this process, run from the repository root.
-// The commit is HEAD's — a file regenerated with local edits carries
-// the parent's hash until it is committed.
+// The commit is HEAD's, suffixed "+dirty" when the tree has changes
+// HEAD does not hold: numbers recorded there are not HEAD's.
 func CurrentEnv() Env {
-	return Env{Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), CPU: cpuModel(), Commit: headCommit()}
+	return Env{Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), CPU: cpuModel(), Commit: headCommit(".")}
 }
 
 func cpuModel() string {
@@ -42,16 +44,18 @@ func cpuModel() string {
 	return "unknown"
 }
 
-// headCommit reads the checked-out commit from .git without running
-// git; outside a repository it reports "none".
-func headCommit() string {
-	head, err := os.ReadFile(filepath.Join(".git", "HEAD"))
+// headCommit reads the commit checked out in the repository at root
+// from its .git directory, then asks git whether the tree is dirty.
+// Without a git binary the suffix is left off; outside a repository
+// it reports "none".
+func headCommit(root string) string {
+	head, err := os.ReadFile(filepath.Join(root, ".git", "HEAD"))
 	if err != nil {
 		return "none"
 	}
 	ref := strings.TrimSpace(string(head))
 	if name, ok := strings.CutPrefix(ref, "ref: "); ok {
-		b, err := os.ReadFile(filepath.Join(".git", filepath.FromSlash(name)))
+		b, err := os.ReadFile(filepath.Join(root, ".git", filepath.FromSlash(name)))
 		if err != nil {
 			return "unknown" // packed ref
 		}
@@ -59,6 +63,11 @@ func headCommit() string {
 	}
 	if len(ref) > 12 {
 		ref = ref[:12]
+	}
+	cmd := exec.Command("git", "status", "--porcelain")
+	cmd.Dir = root
+	if out, err := cmd.Output(); err == nil && len(bytes.TrimSpace(out)) > 0 {
+		ref += "+dirty"
 	}
 	return ref
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"reassign/internal/provenance"
+	"reassign/internal/randsrc"
 	"reassign/internal/trace"
 )
 
@@ -17,7 +18,7 @@ import (
 // allocation per row).
 func ProvenanceStore(acts int) func(*testing.B) {
 	return func(b *testing.B) {
-		w := trace.CyberShake(rand.New(rand.NewSource(1)), acts)
+		w := trace.CyberShake(rand.New(randsrc.New(1)), acts)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -10,6 +10,7 @@ import (
 	"reassign/internal/cloud"
 	"reassign/internal/dag"
 	"reassign/internal/provenance"
+	"reassign/internal/randsrc"
 	"reassign/internal/rl"
 	"reassign/internal/sim"
 	"reassign/internal/telemetry"
@@ -101,13 +102,13 @@ func (l *Learner) Learn() (*Result, error) {
 		}
 		return rr.BestResult(), nil
 	}
-	rng := rand.New(rand.NewSource(l.seed))
+	rng := rand.New(randsrc.New(l.seed))
 	table := l.table
 	if table == nil {
 		// Algorithm 2: "Start Q(s,a) at random". The learner knows the
 		// action space up front — Workflow.Len() activations × the
 		// fleet's VM IDs — so the table is sized to it.
-		table = rl.NewTable(l.workflow.Len(), len(l.fleet.VMs), rand.New(rand.NewSource(rng.Int63())), 1.0)
+		table = rl.NewTable(l.workflow.Len(), len(l.fleet.VMs), rand.New(randsrc.New(rng.Int63())), 1.0)
 	}
 
 	res := &Result{
@@ -147,7 +148,7 @@ func (l *Learner) Learn() (*Result, error) {
 		seed := rng.Int63()
 		var err error
 		if agent == nil {
-			agent, err = NewScheduler(params, table, rand.New(rand.NewSource(seed)))
+			agent, err = NewScheduler(params, table, rand.New(randsrc.New(seed)))
 		} else {
 			err = agent.reset(params, seed)
 		}
@@ -156,7 +157,7 @@ func (l *Learner) Learn() (*Result, error) {
 		}
 		if params.Rule == DoubleQ {
 			if l.tableB == nil {
-				l.tableB = rl.NewTable(l.workflow.Len(), len(l.fleet.VMs), rand.New(rand.NewSource(rng.Int63())), 1.0)
+				l.tableB = rl.NewTable(l.workflow.Len(), len(l.fleet.VMs), rand.New(randsrc.New(rng.Int63())), 1.0)
 			}
 			agent.WithSecondTable(l.tableB)
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"reassign/internal/randsrc"
 	"reassign/internal/rl"
 	"reassign/internal/telemetry"
 )
@@ -43,7 +44,7 @@ func (r *ReplicaResult) EnsembleTable(seed int64) *rl.Table {
 	for i, res := range r.Results {
 		tables[i] = res.Table
 	}
-	return rl.Average(rand.New(rand.NewSource(seed)), tables...)
+	return rl.Average(rand.New(randsrc.New(seed)), tables...)
 }
 
 // LearnReplicas runs the learner's replica ensemble: K independent
@@ -67,7 +68,7 @@ func (l *Learner) LearnReplicas() (*ReplicaResult, error) {
 	// seeds depend only on l.seed and i, never on scheduling order.
 	// The table seed is drawn even when unused (no continuation table)
 	// so the split is stable across both modes.
-	rng := rand.New(rand.NewSource(l.seed))
+	rng := rand.New(randsrc.New(l.seed))
 	learnSeeds := make([]int64, k)
 	tableSeeds := make([]int64, k)
 	for i := 0; i < k; i++ {
@@ -99,7 +100,7 @@ func (l *Learner) LearnReplicas() (*ReplicaResult, error) {
 		if l.table != nil {
 			// Own copy per replica: concurrent TD updates must not share
 			// a table, and the caller's table must survive unchanged.
-			sub.table = l.table.Copy(rand.New(rand.NewSource(tableSeeds[i])))
+			sub.table = l.table.Copy(rand.New(randsrc.New(tableSeeds[i])))
 		}
 		wg.Add(1)
 		go func(i int, sub *Learner) {

@@ -9,6 +9,7 @@ import (
 	"reassign/internal/dag"
 	"reassign/internal/estimate"
 	"reassign/internal/provenance"
+	"reassign/internal/randsrc"
 	"reassign/internal/rl"
 )
 
@@ -37,7 +38,7 @@ func SeedTable(store *provenance.Store, w *dag.Workflow, fleet *cloud.Fleet, see
 	if store != nil {
 		est.ObserveStore(store, "")
 	}
-	table := rl.NewTable(w.Len(), len(fleet.VMs), rand.New(rand.NewSource(seed)), 1.0)
+	table := rl.NewTable(w.Len(), len(fleet.VMs), rand.New(randsrc.New(seed)), 1.0)
 	preds := make([]float64, fleet.Len())
 	for _, a := range w.Activations() {
 		tmin := math.Inf(1)

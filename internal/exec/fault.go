@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"reassign/internal/dag"
+	"reassign/internal/randsrc"
 )
 
 // Fault wraps a Transport with seeded worker-death injection, the
@@ -39,7 +40,7 @@ func (f *Fault) Open(ctx context.Context) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.rng = rand.New(rand.NewSource(f.Seed))
+	f.rng = rand.New(randsrc.New(f.Seed))
 	f.dead = make(map[int]bool)
 	f.alive = len(ids)
 	if f.MinAlive <= 0 {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"reassign/internal/cloud"
+	"reassign/internal/randsrc"
 )
 
 // SimRunner is the deterministic simulated runner: it "executes" an
@@ -37,7 +38,7 @@ func (r SimRunner) Run(_ context.Context, t TaskSpec) (float64, error) {
 			vmType = cloud.VMType{Name: t.VMType, VCPUs: 2, Speed: 1}
 		}
 		vm := &cloud.VM{ID: t.VM, Type: vmType}
-		rng := rand.New(rand.NewSource(attemptSeed(r.Seed, t.TaskID, t.Attempt)))
+		rng := rand.New(randsrc.New(attemptSeed(r.Seed, t.TaskID, t.Attempt)))
 		d = r.Fluct.Apply(rng, vm, d)
 	}
 	return d, nil
@@ -68,7 +69,7 @@ func (r FailingRunner) Run(ctx context.Context, t TaskSpec) (float64, error) {
 		return d, err
 	}
 	if r.Rate > 0 {
-		rng := rand.New(rand.NewSource(attemptSeed(r.Seed^0x5eed, t.TaskID, t.Attempt)))
+		rng := rand.New(randsrc.New(attemptSeed(r.Seed^0x5eed, t.TaskID, t.Attempt)))
 		if rng.Float64() < r.Rate {
 			return d / 2, fmt.Errorf("injected failure (attempt %d)", t.Attempt)
 		}

@@ -17,6 +17,7 @@ import (
 	"reassign/internal/cloud"
 	"reassign/internal/core"
 	"reassign/internal/dag"
+	"reassign/internal/randsrc"
 	"reassign/internal/sim"
 	"reassign/internal/telemetry"
 	"reassign/internal/trace"
@@ -78,7 +79,7 @@ func (o Options) withDefaults() Options {
 		o.VCPUs = cloud.Table1VCPUs()
 	}
 	if o.Workflow == nil {
-		rng := rand.New(rand.NewSource(o.Seed))
+		rng := rand.New(randsrc.New(o.Seed))
 		o.Workflow = trace.Montage50(rng)
 	}
 	if o.TrainFluct == nil {

@@ -10,6 +10,7 @@ import (
 	"reassign/internal/exec"
 	"reassign/internal/market"
 	"reassign/internal/metrics"
+	"reassign/internal/randsrc"
 	"reassign/internal/sched"
 	"reassign/internal/sim"
 	"reassign/internal/trace"
@@ -51,7 +52,7 @@ func MarketFrontier(o Options) ([]MarketFrontierRow, error) {
 	// before withDefaults, which would otherwise fill in Montage 50.
 	w := o.Workflow
 	if w == nil {
-		w = trace.MontageN(rand.New(rand.NewSource(o.Seed)), 150)
+		w = trace.MontageN(rand.New(randsrc.New(o.Seed)), 150)
 	}
 	o = o.withDefaults()
 	fleet, err := cloud.FleetTable1(16)

@@ -10,6 +10,7 @@ import (
 	"reassign/internal/dag"
 	"reassign/internal/loadgen"
 	"reassign/internal/metrics"
+	"reassign/internal/randsrc"
 	"reassign/internal/sched"
 	"reassign/internal/sim"
 	"reassign/internal/trace"
@@ -140,7 +141,7 @@ func StudyScaling(o Options) (*metrics.Table, error) {
 	}
 
 	for _, size := range []int{25, 50, 100, 200} {
-		rng := rand.New(rand.NewSource(o.Seed))
+		rng := rand.New(randsrc.New(o.Seed))
 		var w *dag.Workflow
 		if size == 50 {
 			w = trace.Montage50(rng)

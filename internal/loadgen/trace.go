@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"reassign/internal/api"
+	"reassign/internal/randsrc"
 )
 
 // Arrival shapes. Poisson is a constant-rate process; Burst
@@ -197,12 +198,12 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 		return idx
 	}
 
-	master := rand.New(rand.NewSource(cfg.Seed))
+	master := rand.New(randsrc.New(cfg.Seed))
 	for _, t := range cfg.Tenants {
 		// One rng per tenant, derived from the master in spec order:
 		// editing one tenant's parameters never perturbs another's
 		// stream.
-		rng := rand.New(rand.NewSource(master.Int63()))
+		rng := rand.New(randsrc.New(master.Int63()))
 		peak := t.peakRate()
 		seq := 0
 		// Thinning (Lewis–Shedler): draw a homogeneous process at the

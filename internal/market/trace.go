@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"reassign/internal/cloud"
+	"reassign/internal/randsrc"
 )
 
 // TraceVersion is the trace file schema version this package writes.
@@ -157,7 +158,7 @@ func Generate(cat *Catalogue, fleet *cloud.Fleet, regime Regime, seed int64, hor
 	// the first draws of the trace seed's generator, which is then
 	// reseeded for each stream in turn: the same draws as a fresh
 	// generator per stream, without allocating a 607-word state each.
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(randsrc.New(seed))
 	streams := make([]int64, len(pairs)+len(tr.Assign))
 	for i := range streams {
 		streams[i] = rng.Int63()

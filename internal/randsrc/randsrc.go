@@ -1,0 +1,156 @@
+// Package randsrc is math/rand's seeded generator with an O(1) Seed.
+//
+// rand.NewSource(seed) is an additive lagged Fibonacci generator over
+// 607 words whose Seed fills every word from a Lehmer sequence, 10–15
+// µs per call. The learner reseeds once per episode and draws ~100
+// values from it, so nearly all of that fill is wasted. A Source here
+// yields, seed for seed, exactly the values rand.NewSource yields, but
+// computes each state word in closed form the first time a draw reads
+// it: Seed stores the seed and nothing else.
+package randsrc
+
+import "math/rand"
+
+const (
+	rngLen = 607             // state words
+	rngTap = 273             // lag of the second read
+	feed0  = rngLen - rngTap // feed index after Seed: 334
+	mod    = 1<<31 - 1       // the Lehmer generator's prime modulus
+	mult   = 48271           // its multiplier
+	mask63 = 1<<63 - 1
+)
+
+// powers[i] holds mult^(21+3i), mult^(22+3i) and mult^(23+3i) mod
+// mod: the stdlib's seeding steps the Lehmer generator 20 times, then
+// three times per word, and word i packs those three values.
+var powers [rngLen][3]uint64
+
+// cooked is math/rand's unexported rngCooked table, the constant the
+// seeding XORs into each word.
+var cooked [rngLen]int64
+
+func init() {
+	p := uint64(1)
+	for i := 0; i < 21; i++ {
+		p = p * mult % mod
+	}
+	for i := range powers {
+		for j := range powers[i] {
+			powers[i][j] = p
+			p = p * mult % mod
+		}
+	}
+	cooked = recoverCooked()
+}
+
+// recoverCooked rebuilds rngCooked from rand.NewSource(1)'s first 607
+// outputs. Draw k (from 1) adds word 607−k (the tap) into word 334−k
+// mod 607 (the feed) and returns the sum, so:
+//   - draws 274..334 read tap words the draws 273 earlier wrote, giving
+//     words 60..0;
+//   - draws 335..607 read feed words 606..334 unwritten, against tap
+//     words written 273 draws earlier;
+//   - draws 1..273 then give words 333..61 from the words just found.
+//
+// Each seeded word XOR its Lehmer part is the table entry.
+func recoverCooked() [rngLen]int64 {
+	src := rand.NewSource(1).(rand.Source64)
+	var out [rngLen + 1]int64 // out[k] is draw k
+	for k := 1; k <= rngLen; k++ {
+		out[k] = int64(src.Uint64())
+	}
+	var vec [rngLen]int64
+	for k := rngTap + 1; k <= feed0; k++ {
+		vec[feed0-k] = out[k] - out[k-rngTap]
+	}
+	for k := feed0 + 1; k <= rngLen; k++ {
+		vec[feed0+rngLen-k] = out[k] - out[k-rngTap]
+	}
+	for k := 1; k <= rngTap; k++ {
+		vec[feed0-k] = out[k] - vec[rngLen-k]
+	}
+	var c [rngLen]int64
+	for i := range c {
+		c[i] = vec[i] ^ lehmer(1, i)
+	}
+	return c
+}
+
+// mulmod returns x·y mod (2³¹−1) for x, y < 2³¹.
+func mulmod(x, y uint64) uint64 {
+	p := x * y
+	r := p&mod + p>>31
+	if r >= mod {
+		r -= mod
+	}
+	return r
+}
+
+// lehmer is word i's Lehmer part for the normalised seed x.
+func lehmer(x uint64, i int) int64 {
+	p := &powers[i]
+	return int64(mulmod(x, p[0]))<<40 ^ int64(mulmod(x, p[1]))<<20 ^ int64(mulmod(x, p[2]))
+}
+
+// Source is a rand.Source64 whose every output equals, seed for seed,
+// rand.NewSource's. Like that source it is not safe for concurrent use.
+// Its 607-word state is allocated on the first draw, so a source that
+// is seeded and never drawn from (a simulation without stochastic
+// models) costs a few words.
+type Source struct {
+	x         uint64 // the seed, normalised as math/rand does
+	n         int    // draws since Seed, counted up to feed0
+	tap, feed int
+	vec       *[rngLen]int64
+}
+
+// New returns a Source seeded with seed.
+func New(seed int64) *Source {
+	s := new(Source)
+	s.Seed(seed)
+	return s
+}
+
+// Seed resets s to the state rand.NewSource(seed) starts in.
+func (s *Source) Seed(seed int64) {
+	seed %= mod
+	if seed < 0 {
+		seed += mod
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	s.x, s.n, s.tap, s.feed = uint64(seed), 0, 0, feed0
+}
+
+// Int63 returns a non-negative pseudo-random 63-bit integer.
+func (s *Source) Int63() int64 { return int64(s.Uint64() & mask63) }
+
+// Uint64 returns a pseudo-random 64-bit value. The first 334 draws
+// after Seed each read a feed word no earlier draw has read, and the
+// first 273 a tap word likewise; every later read is of a word some
+// draw already read or wrote. So each word is computed just before its
+// first read, in the order the draws reach it.
+func (s *Source) Uint64() uint64 {
+	s.tap--
+	if s.tap < 0 {
+		s.tap += rngLen
+	}
+	s.feed--
+	if s.feed < 0 {
+		s.feed += rngLen
+	}
+	if s.n < feed0 {
+		if s.vec == nil {
+			s.vec = new([rngLen]int64)
+		}
+		s.vec[s.feed] = lehmer(s.x, s.feed) ^ cooked[s.feed]
+		if s.n < rngTap {
+			s.vec[s.tap] = lehmer(s.x, s.tap) ^ cooked[s.tap]
+		}
+		s.n++
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
+	return uint64(x)
+}

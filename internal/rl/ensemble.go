@@ -1,6 +1,10 @@
 package rl
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"reassign/internal/randsrc"
+)
 
 // Copy returns an independent deep copy of the table with rng as its
 // random source for entries that materialise after the copy. The copy
@@ -9,7 +13,7 @@ import "math/rand"
 // same default as the constructors.
 func (t *Table) Copy(rng *rand.Rand) *Table {
 	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
+		rng = rand.New(randsrc.New(1))
 	}
 	c := &Table{
 		bandShift: t.bandShift,

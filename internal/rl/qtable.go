@@ -31,6 +31,8 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+
+	"reassign/internal/randsrc"
 )
 
 // Key identifies one schedule action: "run activation Task on VM".
@@ -113,7 +115,7 @@ func NewTable(numTasks, numVMs int, rng *rand.Rand, initSpan float64) *Table {
 // allocated yet.
 func newRect(numTasks, numVMs int, bandShift uint, rng *rand.Rand, initSpan float64) *Table {
 	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
+		rng = rand.New(randsrc.New(1))
 	}
 	bandRows := 1 << bandShift
 	nBands := (numTasks + bandRows - 1) / bandRows

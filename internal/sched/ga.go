@@ -7,6 +7,7 @@ import (
 
 	"reassign/internal/cloud"
 	"reassign/internal/dag"
+	"reassign/internal/randsrc"
 	"reassign/internal/sim"
 )
 
@@ -54,7 +55,7 @@ func (g *GA) Prepare(w *dag.Workflow, fleet *cloud.Fleet, env *sim.Env) error {
 	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(g.Seed))
+	rng := rand.New(randsrc.New(g.Seed))
 	n := w.Len()
 	m := fleet.Len()
 	if m == 0 {

@@ -14,6 +14,7 @@ import (
 
 	"reassign/internal/cloud"
 	"reassign/internal/dag"
+	"reassign/internal/randsrc"
 	"reassign/internal/sim"
 )
 
@@ -97,7 +98,7 @@ func (*Random) Name() string { return "Random" }
 
 // Prepare implements sim.Scheduler.
 func (s *Random) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error {
-	s.rng = rand.New(rand.NewSource(s.Seed))
+	s.rng = rand.New(randsrc.New(s.Seed))
 	return nil
 }
 

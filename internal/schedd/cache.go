@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"reassign/internal/randsrc"
 	"reassign/internal/rl"
 )
 
@@ -110,7 +111,7 @@ func (c tableCache) get(sig string, seed int64) *rl.Table {
 	if !ok {
 		return nil
 	}
-	return t.Copy(rand.New(rand.NewSource(seed)))
+	return t.Copy(rand.New(randsrc.New(seed)))
 }
 
 // put stores a finished job's table for sig. The caller must be done

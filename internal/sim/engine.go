@@ -10,6 +10,7 @@ import (
 	"reassign/internal/cloud"
 	"reassign/internal/dag"
 	"reassign/internal/des"
+	"reassign/internal/randsrc"
 	"reassign/internal/telemetry"
 )
 
@@ -422,9 +423,9 @@ func (g *Engine) Reset(cfg Config) error {
 func (g *Engine) setup() {
 	g.sim.SetHorizon(g.cfg.Horizon)
 	if g.rng == nil {
-		g.rng = rand.New(&lazySource{})
+		g.rng = rand.New(randsrc.New(g.cfg.Seed))
 	}
-	// Re-seeding yields the same stream as a fresh source.
+	// Re-seeding yields the same stream as a fresh source, in O(1).
 	g.rng.Seed(g.cfg.Seed)
 	if g.vmBacking == nil {
 		g.vmBacking = make([]VMState, g.fleet.Len())
