@@ -139,15 +139,16 @@ audit:
 
 ## fuzz-smoke: a short native-fuzzing pass over the DES kernel (its
 ## structural properties, and its pop order against a container/heap
-## reference), the shared event heap (against an indexed container/heap
+## reference, same-instant follow-ups included), the shared event heap (against an indexed container/heap
 ## under set, move, cancel and reset), both workflow parsers, the Q table's band indexing
 ## (against a map reference), the Prometheus writer's label escaping
 ## schedd's submit handler (no panic, no 5xx, every 4xx a typed
 ## error), the service's JSON reader (a submission and a status against
 ## json.Unmarshal into method-less copies), the exec wire codec, the
-## market trace reader and the seeded rng source (against
-## rand.NewSource, re-seeded mid-stream), on top of replaying the
-## checked-in corpus
+## market trace reader, the seeded rng source (against
+## rand.NewSource, re-seeded mid-stream) and the learner's sign-first
+## reward (against CrispReward over the full standard deviation), on
+## top of replaying the checked-in corpus
 fuzz-smoke:
 	$(GO) test ./internal/des -fuzz '^FuzzKernel$$' -fuzztime 10s
 	$(GO) test ./internal/des -fuzz '^FuzzKernelOrder$$' -fuzztime 10s
@@ -162,3 +163,4 @@ fuzz-smoke:
 	$(GO) test ./internal/exec -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime 10s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzMarketTrace$$' -fuzztime 10s
 	$(GO) test ./internal/randsrc -run '^$$' -fuzz '^FuzzSource$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSignFirstReward$$' -fuzztime 10s

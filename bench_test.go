@@ -110,7 +110,8 @@ func BenchmarkLearning100Episodes(b *testing.B) {
 // BenchmarkLearningLarge is the extreme-scale tier: MontageN
 // workflows on block-scaled fleets (1000 activations × 256 vCPUs at
 // the paper's 100-episode budget, 10k × 1024 at a 5-episode smoke
-// budget). Episodes/sec and act-ep/s are the headline metrics.
+// budget). Episodes/sec and act-ep/s are the headline metrics;
+// sim-ev/s is the simulator's DES events per second under them.
 func BenchmarkLearningLarge(b *testing.B) {
 	b.Run("1000x256", benchsuite.LearningLarge(1000, 256, 100))
 	b.Run("10000x1024", benchsuite.LearningLarge(10000, 1024, 5))

@@ -16,6 +16,7 @@ import (
 	"reassign/internal/randsrc"
 	"reassign/internal/rl"
 	"reassign/internal/sim"
+	"reassign/internal/telemetry"
 	"reassign/internal/trace"
 )
 
@@ -212,7 +213,8 @@ func Learning100(b *testing.B) {
 // of `acts` activations over a FleetScaled fleet of `vcpus` vCPUs.
 // This is the regime the banded Q-table, the batched TD path and the
 // lazy EstimateExec memo exist for; episodes/sec and act-ep/s are
-// the metrics to watch.
+// the metrics to watch, and sim-ev/s, the simulator's steps/s, says
+// how fast the DES path under them runs.
 func LearningLarge(acts, vcpus, episodes int) func(*testing.B) {
 	return func(b *testing.B) {
 		w := trace.MontageN(rand.New(randsrc.New(1)), acts)
@@ -221,14 +223,12 @@ func LearningLarge(acts, vcpus, episodes int) func(*testing.B) {
 			b.Fatal(err)
 		}
 		fluct := cloud.DefaultFluctuation()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		learn := func(seed int64, opts ...core.Option) {
 			l, err := core.NewLearner(core.Config{
 				Workflow: w, Fleet: fleet,
 				Params: core.DefaultParams(), Episodes: episodes,
 				Sim: sim.Config{Fluct: &fluct},
-			}, core.WithSeed(int64(i)))
+			}, append(opts, core.WithSeed(seed))...)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -236,7 +236,32 @@ func LearningLarge(acts, vcpus, episodes int) func(*testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			learn(int64(i))
+		}
 		reportThroughput(b, acts, episodes)
+		// A sink would slow the timed runs, so the DES events are
+		// counted by repeating them untimed with one: an instrumented
+		// run schedules identically, so the count is the timed runs'.
+		b.StopTimer()
+		var c kernelEvents
+		for i := 0; i < b.N; i++ {
+			learn(int64(i), core.WithSink(&c))
+		}
+		if secs := b.Elapsed().Seconds(); secs > 0 {
+			b.ReportMetric(float64(c.n)/secs, "sim-ev/s")
+		}
+	}
+}
+
+// kernelEvents sums the DES events of the runs it hears of.
+type kernelEvents struct{ n int64 }
+
+func (k *kernelEvents) Emit(e telemetry.Event) {
+	if ke, ok := e.(telemetry.KernelEvent); ok {
+		k.n += ke.Events
 	}
 }
 

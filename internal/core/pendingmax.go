@@ -7,7 +7,7 @@ import "reassign/internal/rl"
 // completion.
 //
 // Within an episode nothing writes a pending activation's row: TD
-// stores are deferred to FlushTD (see Scheduler.tdBufA) and Pick only
+// stores are deferred to FlushTD (see Scheduler.td) and Pick only
 // reads. Once one full scan has materialised every pending row and
 // cached its maximum, the bootstrap is therefore the largest of a set
 // of constants that only ever loses members, which a max-heap with

@@ -58,8 +58,15 @@ func (r EventRef) Cancel() bool {
 // Simulator owns the virtual clock and the future-event list.
 // The zero value is not usable; call New.
 type Simulator struct {
-	now     float64
-	queue   Heap[*event] // keyed (time, priority, seq): seq is unique
+	now   float64
+	queue Heap[*event] // keyed (time, priority, seq): seq is unique
+	// lane[head:] holds the pending events scheduled at now, in Key
+	// order. A zero-delay event (the simulator's releases and
+	// scheduling passes) lands here instead of sifting through the
+	// heap; the next event is the lower-keyed of the lane head and the
+	// heap top. The clock advances only past an empty lane.
+	lane    []Item[*event]
+	head    int
 	seq     int64
 	horizon float64 // 0 means unbounded
 	steps   int64   // events executed
@@ -126,7 +133,7 @@ func (s *Simulator) Steps() int64 { return s.steps }
 
 // Pending returns the number of events still scheduled (including
 // canceled events not yet discarded).
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return len(s.queue) + len(s.lane) - s.head }
 
 // SetHorizon bounds Run: the simulation stops (with ErrHorizon) before
 // executing any event strictly later than t. A non-positive t removes
@@ -183,11 +190,51 @@ func (s *Simulator) AtPriority(t float64, priority int, fn Handler) EventRef {
 		ev = &event{fn: fn}
 		s.freeMisses++
 	}
-	s.queue.Push(Key{Time: t, Tie: priority, Seq: s.seq}, ev)
-	if len(s.queue) > s.maxDepth {
-		s.maxDepth = len(s.queue)
+	k := Key{Time: t, Tie: priority, Seq: s.seq}
+	if t == s.now {
+		// seq is the largest yet, so the event goes after every lane
+		// entry of its priority or lower.
+		s.lane = append(s.lane, Item[*event]{})
+		i := len(s.lane) - 1
+		for ; i > s.head && s.lane[i-1].Tie > priority; i-- {
+			s.lane[i] = s.lane[i-1]
+		}
+		s.lane[i] = Item[*event]{ev, k}
+	} else {
+		s.queue.Push(k, ev)
+	}
+	if d := s.Pending(); d > s.maxDepth {
+		s.maxDepth = d
 	}
 	return EventRef{ev: ev, gen: ev.gen}
+}
+
+// next returns the earliest pending item, and whether it is the lane
+// head rather than the heap top; nil when nothing is pending.
+func (s *Simulator) next() (*Item[*event], bool) {
+	if s.head < len(s.lane) {
+		x := &s.lane[s.head]
+		if len(s.queue) == 0 || x.Before(&s.queue[0].Key) {
+			return x, true
+		}
+	} else if len(s.queue) == 0 {
+		return nil, false
+	}
+	return &s.queue[0], false
+}
+
+// pop removes the item next returned and returns its event.
+func (s *Simulator) pop(x *Item[*event], inLane bool) *event {
+	if !inLane {
+		return s.queue.Pop()
+	}
+	ev := x.Val
+	*x = Item[*event]{}
+	s.head++
+	if s.head == len(s.lane) {
+		s.lane, s.head = s.lane[:0], 0
+	}
+	return ev
 }
 
 // recycle returns a popped event to the free list, invalidating any
@@ -210,23 +257,31 @@ func (s *Simulator) After(delay float64, fn Handler) EventRef {
 // It reports whether an event was executed (false when the queue is
 // empty or only canceled events remain).
 func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		t := s.queue[0].Time
-		ev := s.queue.Pop()
-		if ev.canceled {
-			s.recycle(ev)
+	for {
+		x, inLane := s.next()
+		if x == nil {
+			return false
+		}
+		if x.Val.canceled {
+			s.recycle(s.pop(x, inLane))
 			continue
 		}
-		s.now = t
-		s.steps++
-		fn := ev.fn
-		// Recycle before running: outstanding refs to this event are
-		// already dead, and the handler may schedule into the slot.
-		s.recycle(ev)
-		fn()
+		s.fire(x, inLane)
 		return true
 	}
-	return false
+}
+
+// fire pops the live item next returned and runs its handler with the
+// clock at the item's time.
+func (s *Simulator) fire(x *Item[*event], inLane bool) {
+	s.now = x.Time
+	ev := s.pop(x, inLane)
+	s.steps++
+	fn := ev.fn
+	// Recycle before running: outstanding refs to this event are
+	// already dead, and the handler may schedule into the slot.
+	s.recycle(ev)
+	fn()
 }
 
 // Run executes events until the queue drains or the horizon is hit.
@@ -237,18 +292,21 @@ func (s *Simulator) Run() error {
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	for s.stopErr == nil && len(s.queue) > 0 {
+	for s.stopErr == nil {
 		// Peek without popping so a horizon stop leaves the event
 		// pending.
-		next := &s.queue[0]
+		next, inLane := s.next()
+		if next == nil {
+			break
+		}
 		if next.Val.canceled {
-			s.recycle(s.queue.Pop())
+			s.recycle(s.pop(next, inLane))
 			continue
 		}
 		if next.Time > s.horizon {
 			return ErrHorizon
 		}
-		s.Step()
+		s.fire(next, inLane)
 	}
 	// An interrupt is honoured even when the interrupting event was
 	// the last one queued; the stop reason is consumed either way.
@@ -259,16 +317,21 @@ func (s *Simulator) Run() error {
 	return nil
 }
 
-// Reset empties the queue and rewinds the clock to zero, clearing the
-// kernel counters. Event references from before the reset become
-// stale no-ops. Pending events are recycled into the free list and the
-// queue's backing array is kept, so a reset simulator re-runs without
+// Reset empties the queue and the lane and rewinds the clock to zero,
+// clearing the kernel counters. Event references from before the reset
+// become stale no-ops. Pending events are recycled into the free list
+// and the backing arrays are kept, so a reset simulator re-runs without
 // re-allocating its event pool (the sim.Engine.Reset episode loop).
 func (s *Simulator) Reset() {
 	for _, x := range s.queue {
 		s.recycle(x.Val)
 	}
+	for i := s.head; i < len(s.lane); i++ {
+		s.recycle(s.lane[i].Val)
+	}
+	clear(s.lane)
 	s.queue = s.queue[:0]
+	s.lane, s.head = s.lane[:0], 0
 	s.now = 0
 	s.seq = 0
 	s.steps = 0

@@ -92,11 +92,17 @@ func (r *refSim) reset() {
 }
 
 // FuzzKernelOrder feeds one byte-coded op stream — schedule,
-// prioritized schedule, cancel, step, reset — to the kernel and to refSim, and requires the same events
-// to fire in the same order, the same clock after every op and the
-// same Cancel answers. Times are coarse (halves up to 15.5 ahead) and
+// prioritized schedule, cancel, step, reset, and a schedule whose
+// handler schedules two follow-ups at its own instant — to the kernel
+// and to refSim, and requires the same events to fire in the same
+// order, the same clock, the same Cancel answers and the same pending
+// count after every op. Times are coarse (halves up to 15.5 ahead) and
 // priorities span -3..4, so equal-time ties of mixed priority are the
-// common case rather than the exception.
+// common case rather than the exception. The follow-ups are the
+// simulator's pattern (a completion releases its children, each
+// release posts a scheduling pass): they land in the kernel's
+// same-instant lane and must interleave with the heap's events at that
+// instant by priority and insertion order.
 func FuzzKernelOrder(f *testing.F) {
 	// Equal-time ties: priorities 2, -1, 0, -3 at t=1, then drained.
 	f.Add([]byte{1, 0x15, 1, 0x12, 0, 0x10, 1, 0x10, 3, 0, 3, 0, 3, 0, 3, 0})
@@ -104,11 +110,46 @@ func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{1, 0x17, 1, 0x10, 0, 0x10, 2, 1, 1, 0x14, 3, 0})
 	// A reset amid ties, then ties again in the new epoch.
 	f.Add([]byte{1, 0x25, 1, 0x21, 4, 0, 1, 0x25, 1, 0x21, 0, 0x20, 2, 0})
+	// Lane against heap at one instant: a heap event at t=1 with
+	// priority 2, and one with priority -1 whose follow-ups have
+	// priorities 3 and -3. The order is -3 (lane), 2 (heap), 3 (lane),
+	// so neither side may win a same-time tie by default.
+	f.Add([]byte{1, 0x15, 41, 0x12, 3, 0, 3, 0, 3, 0, 3, 0})
+	// Release/cycle: two events at t=2 each post follow-ups of
+	// priority 1 then 0, so a later priority-0 entry slides in front
+	// of a queued priority-1 one; a follow-up is canceled midway.
+	f.Add([]byte{173, 0x23, 173, 0x23, 3, 0, 2, 2, 3, 0, 3, 0, 3, 0, 3, 0, 3, 0})
+	// Events scheduled at the current instant from outside a handler,
+	// then a reset with the lane non-empty.
+	f.Add([]byte{5, 0x03, 1, 0x01, 0, 0x00, 3, 0, 4, 0, 173, 0x08, 3, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		s, r := New(), &refSim{}
 		var got, want []int
 		var refs []EventRef
 		var refEvs []*refEvent
+		// kAt and rAt schedule event len(refs) on each side; when it
+		// fires, it records its ID and schedules one follow-up per
+		// entry of spawn, at the clock, with that priority.
+		var kAt func(at float64, prio int, spawn []int)
+		kAt = func(at float64, prio int, spawn []int) {
+			id := len(refs)
+			refs = append(refs, s.AtPriority(at, prio, func() {
+				got = append(got, id)
+				for _, p := range spawn {
+					kAt(s.Now(), p, nil)
+				}
+			}))
+		}
+		var rAt func(at float64, prio int, spawn []int)
+		rAt = func(at float64, prio int, spawn []int) {
+			id := len(refEvs)
+			refEvs = append(refEvs, r.at(at, prio, func() {
+				want = append(want, id)
+				for _, p := range spawn {
+					rAt(r.now, p, nil)
+				}
+			}))
+		}
 		check := func(i int) {
 			t.Helper()
 			if !slices.Equal(got, want) {
@@ -117,19 +158,29 @@ func FuzzKernelOrder(f *testing.F) {
 			if math.Float64bits(s.Now()) != math.Float64bits(r.now) {
 				t.Fatalf("op %d: kernel clock %v, reference %v", i, s.Now(), r.now)
 			}
+			if s.Pending() != len(r.queue) {
+				t.Fatalf("op %d: kernel has %d pending, reference %d", i, s.Pending(), len(r.queue))
+			}
+			if len(refs) != len(refEvs) {
+				t.Fatalf("op %d: kernel scheduled %d events, reference %d", i, len(refs), len(refEvs))
+			}
 		}
 		for i := 0; i+1 < len(ops) && len(refs) < 256; i += 2 {
-			op, arg := ops[i]%5, ops[i+1]
+			op, arg := ops[i]%6, ops[i+1]
 			at := s.Now() + float64(arg>>3)/2
 			switch op {
-			case 0, 1:
+			case 0, 1, 5:
 				prio := 0
-				if op == 1 {
+				if op != 0 {
 					prio = int(arg&7) - 3
 				}
-				id := len(refs)
-				refs = append(refs, s.AtPriority(at, prio, func() { got = append(got, id) }))
-				refEvs = append(refEvs, r.at(at, prio, func() { want = append(want, id) }))
+				var spawn []int
+				if op == 5 {
+					k := int(ops[i] / 6)
+					spawn = []int{k&7 - 3, (k>>3)&7 - 3}
+				}
+				kAt(at, prio, spawn)
+				rAt(at, prio, spawn)
 			case 2:
 				if len(refs) == 0 {
 					continue

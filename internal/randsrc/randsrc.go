@@ -124,33 +124,59 @@ func (s *Source) Seed(seed int64) {
 }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer.
-func (s *Source) Int63() int64 { return int64(s.Uint64() & mask63) }
-
-// Uint64 returns a pseudo-random 64-bit value. The first 334 draws
-// after Seed each read a feed word no earlier draw has read, and the
-// first 273 a tap word likewise; every later read is of a word some
-// draw already read or wrote. So each word is computed just before its
-// first read, in the order the draws reach it.
-func (s *Source) Uint64() uint64 {
-	s.tap--
-	if s.tap < 0 {
-		s.tap += rngLen
-	}
-	s.feed--
-	if s.feed < 0 {
-		s.feed += rngLen
-	}
+func (s *Source) Int63() int64 {
 	if s.n < feed0 {
-		if s.vec == nil {
-			s.vec = new([rngLen]int64)
-		}
-		s.vec[s.feed] = lehmer(s.x, s.feed) ^ cooked[s.feed]
-		if s.n < rngTap {
-			s.vec[s.tap] = lehmer(s.x, s.tap) ^ cooked[s.tap]
-		}
-		s.n++
+		return int64(s.warm() & mask63)
 	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
+	return int64(s.step() & mask63)
+}
+
+// Uint64 returns a pseudo-random 64-bit value.
+func (s *Source) Uint64() uint64 {
+	if s.n < feed0 {
+		return s.warm()
+	}
+	return s.step()
+}
+
+// step is one draw of the generator, every word it reads computed. It
+// is small enough to inline, so past warm-up Int63 and Uint64 make no
+// call.
+func (s *Source) step() uint64 {
+	tap, feed := s.tap-1, s.feed-1
+	if tap < 0 {
+		tap += rngLen
+	}
+	if feed < 0 {
+		feed += rngLen
+	}
+	s.tap, s.feed = tap, feed
+	x := s.vec[feed] + s.vec[tap]
+	s.vec[feed] = x
+	return uint64(x)
+}
+
+// warm is a draw among the first 334 after Seed. Each of those reads a
+// feed word no earlier draw has read, and the first 273 a tap word
+// likewise; every later read is of a word some draw already read or
+// wrote. So warm computes each word just before its first read, in the
+// order the draws reach them.
+func (s *Source) warm() uint64 {
+	if s.vec == nil {
+		s.vec = new([rngLen]int64)
+	}
+	v := s.vec
+	tap, feed := s.tap-1, s.feed-1 // feed runs from 333 down to 0 here
+	if tap < 0 {
+		tap += rngLen
+	}
+	s.tap, s.feed = tap, feed
+	v[feed] = lehmer(s.x, feed) ^ cooked[feed]
+	if s.n < rngTap {
+		v[tap] = lehmer(s.x, tap) ^ cooked[tap]
+	}
+	s.n++
+	x := v[feed] + v[tap]
+	v[feed] = x
 	return uint64(x)
 }

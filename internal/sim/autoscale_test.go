@@ -323,7 +323,8 @@ func TestSpotRevokedVMFreesAutoscaleCapacity(t *testing.T) {
 }
 
 // bootedAudit checks at every engine transition that the engine's
-// booted-VM counter equals a scan of its VMs.
+// booted-VM and idle-VM counters equal a scan of its VMs, and that its
+// ready list is in (ReadyAt, Index) order.
 type bootedAudit struct {
 	t *testing.T
 	g **Engine
@@ -333,14 +334,27 @@ func (a bootedAudit) RunStart(*Env) RunHook { return a }
 
 func (a bootedAudit) check(now float64, at string) {
 	g := *a.g
-	n := 0
+	n, idle := 0, 0
 	for _, v := range g.vms {
 		if v.booted {
 			n++
 		}
+		if v.Idle() {
+			idle++
+		}
 	}
 	if g.nBooted != n {
 		a.t.Fatalf("t=%v, %s: nBooted = %d, scan counts %d booted VMs", now, at, g.nBooted, n)
+	}
+	if g.nIdle != idle {
+		a.t.Fatalf("t=%v, %s: nIdle = %d, scan counts %d idle VMs", now, at, g.nIdle, idle)
+	}
+	for i := 1; i < len(g.ready); i++ {
+		p, q := g.ready[i-1], g.ready[i]
+		if p.ReadyAt > q.ReadyAt || p.ReadyAt == q.ReadyAt && p.Act.Index >= q.Act.Index {
+			a.t.Fatalf("t=%v, %s: ready[%d] = task %d ready at %v, before task %d ready at %v",
+				now, at, i-1, p.Act.Index, p.ReadyAt, q.Act.Index, q.ReadyAt)
+		}
 	}
 }
 
@@ -355,9 +369,12 @@ func (a bootedAudit) VMRevoked(now float64, _ *VMState)           { a.check(now,
 func (a bootedAudit) RunEnd(res *Result)                          { a.check(res.Makespan, "run end") }
 
 // TestBootedCounterMatchesScan: the booted-VM counter the peak-VMs
-// report reads stays equal to a scan of the VMs through autoscaler
-// acquisitions, boots (with a boot delay that varies by seed) and
-// retirements, and spot revocations — on fresh runs and on Reset ones.
+// report reads, and the idle-VM counter behind the workflow state,
+// stay equal to a scan of the VMs, and the ready list stays in
+// (ReadyAt, Index) order, through autoscaler acquisitions, boots (with
+// a boot delay that varies by seed) and retirements, and spot
+// revocations that requeue running tasks — on fresh runs and on Reset
+// ones.
 func TestBootedCounterMatchesScan(t *testing.T) {
 	fleet := cloud.MustFleet("pair", []cloud.VMType{cloud.T2Micro}, []int{2})
 	var revoked, acquired, released int

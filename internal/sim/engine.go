@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"reassign/internal/cloud"
 	"reassign/internal/dag"
@@ -344,7 +343,7 @@ type Engine struct {
 
 	env    *Env
 	tasks  []*Task // by activation index
-	ready  []*Task
+	ready  []*Task // ready and unassigned, in (ReadyAt, Index) order (pushReady)
 	vms    []*VMState
 	result *Result
 
@@ -370,18 +369,18 @@ type Engine struct {
 	perVMBuf  map[int]VMStats
 
 	// Reused per-decision scratch: the Context handed to Pick and its
-	// backing slices, plus the pre-bound sorter and cycle closure.
-	// Context contents are only valid for the duration of one Pick.
+	// backing slices, plus the pre-bound cycle closure. Context
+	// contents are only valid for the duration of one Pick.
 	ctx      Context
 	ctxReady []*Task
 	ctxIdle  []*VMState
-	sorter   readySorter
 	cycleFn  func()
 
 	remaining   int  // tasks not yet finished
 	cyclePosted bool // a scheduling pass is already queued
 	scaler      *scaler
 	nBooted     int // VMs with booted set; flipped only through setBooted
+	nIdle       int // idle VMs (Idle()); kept by setBooted, start and complete
 	peakBooted  int
 	// hook is this run's observer (cfg.Hook.RunStart), nil when
 	// observation is disabled.
@@ -432,6 +431,7 @@ func (g *Engine) setup() {
 		g.vms = make([]*VMState, 0, g.fleet.Len())
 	}
 	g.vms = g.vms[:0] // drops autoscaled VMs from a previous run
+	g.nIdle = 0
 	for i, vm := range g.fleet.VMs {
 		st := &g.vmBacking[i]
 		fileAt := st.fileAt // keep the allocation, drop the contents
@@ -440,6 +440,9 @@ func (g *Engine) setup() {
 		}
 		*st = VMState{VM: vm, Slots: vm.Type.VCPUs, booted: true, fileAt: fileAt}
 		g.vms = append(g.vms, st)
+		if st.Idle() {
+			g.nIdle++
+		}
 	}
 	g.nBooted = len(g.vms)
 	if g.env == nil {
@@ -496,9 +499,7 @@ func (g *Engine) setup() {
 		for i := range g.tasks {
 			t := g.tasks[i]
 			g.releaseFns[i] = func() {
-				t.State = Ready
-				t.ReadyAt = g.sim.Now()
-				g.ready = append(g.ready, t)
+				g.pushReady(t)
 				if g.hook != nil {
 					g.hook.TaskReady(t.ReadyAt, t)
 				}
@@ -647,15 +648,29 @@ func (g *Engine) workflowState() WorkflowState {
 	if g.remaining == 0 {
 		return FinishedOK
 	}
-	if len(g.ready) == 0 {
+	if len(g.ready) == 0 || g.nIdle == 0 {
 		return Unavailable
 	}
-	for _, v := range g.vms {
-		if v.Idle() {
-			return Available
+	return Available
+}
+
+// pushReady marks t ready at the clock and adds it to the ready list.
+// Every entry already there became ready no later, so the list stays
+// in (ReadyAt, Index) order by moving t in front of the same-instant
+// entries with a higher index.
+func (g *Engine) pushReady(t *Task) {
+	t.State = Ready
+	t.ReadyAt = g.sim.Now()
+	g.ready = append(g.ready, t)
+	i := len(g.ready) - 1
+	for ; i > 0; i-- {
+		p := g.ready[i-1]
+		if p.ReadyAt != t.ReadyAt || p.Act.Index < t.Act.Index {
+			break
 		}
+		g.ready[i] = p
 	}
-	return Unavailable
+	g.ready[i] = t
 }
 
 // cycle invokes the scheduler while the workflow stays Available and
@@ -696,42 +711,33 @@ func (g *Engine) cycle() {
 }
 
 // setBooted marks v usable or not (booting, retired, revoked),
-// keeping nBooted — the count of usable VMs — in step. Every flip of
-// a VM's booted flag after setup goes through here.
+// keeping nBooted — the count of usable VMs — and nIdle in step. Every
+// flip of a VM's booted flag after setup goes through here.
 func (g *Engine) setBooted(v *VMState, booted bool) {
 	if v.booted == booted {
 		return
 	}
 	v.booted = booted
-	if booted {
-		g.nBooted++
-	} else {
-		g.nBooted--
+	d := 1
+	if !booted {
+		d = -1
+	}
+	g.nBooted += d
+	if v.busy < v.Slots {
+		g.nIdle += d
 	}
 }
-
-// readySorter orders tasks by (ReadyAt, Index); it is stored on the
-// engine so sorting does not allocate a closure per decision.
-type readySorter struct{ ts []*Task }
-
-func (s *readySorter) Len() int { return len(s.ts) }
-func (s *readySorter) Less(i, j int) bool {
-	if s.ts[i].ReadyAt != s.ts[j].ReadyAt {
-		return s.ts[i].ReadyAt < s.ts[j].ReadyAt
-	}
-	return s.ts[i].Act.Index < s.ts[j].Act.Index
-}
-func (s *readySorter) Swap(i, j int) { s.ts[i], s.ts[j] = s.ts[j], s.ts[i] }
 
 // buildContext refreshes the reused Context for the next Pick call.
 // Its slices are scratch buffers: schedulers must not retain them
 // past the call.
 func (g *Engine) buildContext() *Context {
 	ready := append(g.ctxReady[:0], g.ready...)
-	g.sorter.ts = ready
-	sort.Sort(&g.sorter)
 	idle := g.ctxIdle[:0]
 	for _, v := range g.vms {
+		if len(idle) == g.nIdle {
+			break
+		}
 		if v.Idle() {
 			idle = append(idle, v)
 		}
@@ -756,6 +762,9 @@ func (g *Engine) start(as Assignment) bool {
 		}
 	}
 	v.acquire()
+	if v.busy == v.Slots {
+		g.nIdle--
+	}
 	t.State = Running
 	t.VM = v.VM
 	t.Attempts++
@@ -816,6 +825,9 @@ func (g *Engine) producer(file string) *VMState {
 
 func (g *Engine) complete(t *Task, v *VMState) {
 	g.running[t.Act.Index] = runningTask{}
+	if v.booted && v.busy == v.Slots {
+		g.nIdle++
+	}
 	v.release()
 	t.FinishAt = g.sim.Now()
 	t.State = Succeeded

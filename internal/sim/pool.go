@@ -56,12 +56,12 @@ func (g *Engine) Rebind(w *dag.Workflow, fleet *cloud.Fleet, sched Scheduler, cf
 	g.ctx = Context{}
 	g.ctxReady = nil
 	g.ctxIdle = nil
-	g.sorter = readySorter{}
 	g.cycleFn = nil
 	g.remaining = 0
 	g.cyclePosted = false
 	g.scaler = nil
 	g.nBooted = 0
+	g.nIdle = 0
 	g.peakBooted = 0
 	g.hook = nil
 	g.running = nil

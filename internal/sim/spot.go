@@ -105,9 +105,7 @@ func (g *Engine) revoke(v *VMState) {
 		// ending at the revocation instant.
 		t.FinishAt = g.sim.Now()
 		g.record(t, v, false)
-		t.State = Ready
-		t.ReadyAt = g.sim.Now()
-		g.ready = append(g.ready, t)
+		g.pushReady(t)
 		if g.hook != nil {
 			g.hook.TaskAbort(g.sim.Now(), t, v)
 			g.hook.TaskReady(t.ReadyAt, t)
