@@ -1,13 +1,20 @@
 GO ?= go
 
-.PHONY: check fmt race race-replicas race-exec exec-smoke schedd-smoke loadgen-smoke market-smoke bench benchsmoke benchsmoke-large exec-bench-smoke guard e2e e2e-trace e2e-smoke ab test build vet audit fuzz-smoke
+.PHONY: check fmt changelog race race-replicas race-exec exec-smoke schedd-smoke loadgen-smoke market-smoke bench benchsmoke benchsmoke-large exec-bench-smoke guard e2e e2e-trace e2e-smoke ab test build vet audit fuzz-smoke
 
-## check: gofmt, vet, build, and test everything (the tier-1 gate)
-check: fmt vet build test
+## check: gofmt, the append-only changelog, vet, build, and test
+## everything (the tier-1 gate)
+check: fmt changelog vet build test
 
 ## fmt: fail, listing the offenders, if any Go file is not gofmt-clean
 fmt:
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+
+## changelog: fail if a line of CHANGES.md at the merge base with
+## origin/main is deleted or edited (a FOUND: line may become
+## MENDED (…); scripts/changelog_check.sh)
+changelog:
+	bash scripts/changelog_check.sh
 
 vet:
 	$(GO) vet ./...
@@ -144,7 +151,8 @@ audit:
 ## (against a map reference), the Prometheus writer's label escaping
 ## schedd's submit handler (no panic, no 5xx, every 4xx a typed
 ## error), the service's JSON reader (a submission and a status against
-## json.Unmarshal into method-less copies), the exec wire codec, the
+## json.Unmarshal into method-less copies), its JSON writer (a status
+## against json.Encoder.Encode), the exec wire codec, the
 ## market trace reader, the seeded rng source (against
 ## rand.NewSource, re-seeded mid-stream) and the learner's sign-first
 ## reward (against CrispReward over the full standard deviation), on
@@ -160,6 +168,7 @@ fuzz-smoke:
 	$(GO) test ./internal/schedd -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 10s
 	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzDecodeSubmit$$' -fuzztime 10s
 	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzDecodeStatus$$' -fuzztime 10s
+	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzEncodeStatus$$' -fuzztime 10s
 	$(GO) test ./internal/exec -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime 10s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzMarketTrace$$' -fuzztime 10s
 	$(GO) test ./internal/randsrc -run '^$$' -fuzz '^FuzzSource$$' -fuzztime 10s

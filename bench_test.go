@@ -263,6 +263,12 @@ func BenchmarkServiceDecode(b *testing.B) {
 	b.Run("status-executed", benchsuite.DecodeStatus("svc-replay-market.status.json"))
 }
 
+// BenchmarkServiceEncode is the service-encode tier: the daemon's
+// reflection-free write of the executed CyberShake-100 terminal status.
+func BenchmarkServiceEncode(b *testing.B) {
+	b.Run("status-executed", benchsuite.EncodeStatus("svc-replay-market.status.json"))
+}
+
 // BenchmarkSeededSource is the seeded-source tier: one reseed plus a
 // learning episode's 95 draws, and one reseed plus 2000 draws.
 func BenchmarkSeededSource(b *testing.B) {

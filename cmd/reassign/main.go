@@ -306,7 +306,7 @@ func run() error {
 	}
 	fmt.Printf("plan:     %d activations scheduled, simulated makespan %.3fs (%s)\n",
 		plan.Len(), makespan, metrics.FormatDuration(makespan))
-	printPlanSummary(plan, fleet)
+	fmt.Println(planSummary(plan, fleet, cfg.Autoscale))
 
 	if *ascii || *ganttOut != "" {
 		if lastRes == nil {
@@ -438,10 +438,18 @@ func lookupScheduler(name string, seed int64) (sim.Scheduler, error) {
 	}
 }
 
-func printPlanSummary(plan core.Plan, fleet *cloud.Fleet) {
+// planSummary is the placement line: how many activations the plan
+// puts on each VM, by ID, with the VM's type. A VM the fleet lacks was
+// added by the autoscaler, which gives every VM it adds as.Type; with
+// no autoscaler its type is unknown ("?").
+func planSummary(plan core.Plan, fleet *cloud.Fleet, as *sim.Autoscale) string {
 	counts := make(map[int]int)
-	for _, e := range plan.Entries() {
-		counts[e.VM]++
+	for i := 0; i < plan.Len(); i++ {
+		counts[plan.At(i).VM]++
+	}
+	types := make(map[int]string, fleet.Len())
+	for _, vm := range fleet.VMs {
+		types[vm.ID] = vm.Type.Name
 	}
 	ids := make([]int, 0, len(counts))
 	for id := range counts {
@@ -450,9 +458,17 @@ func printPlanSummary(plan core.Plan, fleet *cloud.Fleet) {
 	sort.Ints(ids)
 	var parts []string
 	for _, id := range ids {
-		parts = append(parts, fmt.Sprintf("vm%d(%s)=%d", id, fleet.VMs[id].Type.Name, counts[id]))
+		typ, ok := types[id]
+		switch {
+		case ok:
+		case as != nil:
+			typ = as.Type.Name
+		default:
+			typ = "?"
+		}
+		parts = append(parts, fmt.Sprintf("vm%d(%s)=%d", id, typ, counts[id]))
 	}
-	fmt.Printf("placement: %s\n", strings.Join(parts, " "))
+	return "placement: " + strings.Join(parts, " ")
 }
 
 func writePlan(path, workflow, fleet string, makespan float64, plan core.Plan) error {

@@ -65,8 +65,8 @@ type Bench struct {
 // every policy lane at 3 and 6 tenants), the spot-market tier
 // (trace-bill integration and a full replay under a hostile trace),
 // the provenance store (one 100-activation run recorded), the
-// service-decode tier and the seeded source (one episode's reseed and
-// draws, and a long stream).
+// service-decode and service-encode tiers and the seeded source (one
+// episode's reseed and draws, and a long stream).
 func Suite() []Bench {
 	return []Bench{
 		{"BenchmarkQTableDense", QTable(50, 16)},
@@ -88,6 +88,7 @@ func Suite() []Bench {
 		{"BenchmarkServiceDecode/submit-cybershake100", DecodeSubmit("svc-replay-market.submit.json")},
 		{"BenchmarkServiceDecode/submit-montage50-dax", DecodeSubmit("svc-warm.submit.json")},
 		{"BenchmarkServiceDecode/status-executed", DecodeStatus("svc-replay-market.status.json")},
+		{"BenchmarkServiceEncode/status-executed", EncodeStatus("svc-replay-market.status.json")},
 		{"BenchmarkSeededSource/episode-95", SeededSource(95)},
 		{"BenchmarkSeededSource/full-2000", SeededSource(2000)},
 	}

@@ -64,3 +64,30 @@ func DecodeStatus(name string) func(*testing.B) {
 		}
 	}
 }
+
+// The service-encode tier measures the daemon's side of the terminal
+// status: api.JobStatus.AppendJSON, the reflection-free writer behind
+// every status, submit, cancel and list response, writing the recorded
+// svc-replay-market status (plan and 100 provenance records) into a
+// reused buffer, as the daemon writes into a pooled one.
+
+// EncodeStatus benchmarks writing a recorded status, decoded once.
+func EncodeStatus(name string) func(*testing.B) {
+	return func(b *testing.B) {
+		body := serviceBody(b, name)
+		var st api.JobStatus
+		if err := st.UnmarshalJSON(body); err != nil {
+			b.Fatal(err)
+		}
+		buf := make([]byte, 0, len(body))
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = st.AppendJSON(buf[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -7,6 +7,8 @@ package dag
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 )
 
@@ -79,6 +81,10 @@ type Workflow struct {
 	// itself is read-only and idempotent, so two racing validations
 	// are harmless).
 	validated atomic.Bool
+
+	// idOrder caches IDOrder; Add clears it. Readers that race to
+	// build it build equal slices, and the last store wins.
+	idOrder atomic.Pointer[[]int32]
 }
 
 // New returns an empty workflow with the given name.
@@ -99,6 +105,24 @@ func (w *Workflow) Get(id string) *Activation { return w.byID[id] }
 // ByIndex returns the activation with the given dense index.
 func (w *Workflow) ByIndex(i int) *Activation { return w.acts[i] }
 
+// IDOrder returns the activation indices in ascending (byte-wise) ID
+// order: the order a core.Plan keeps its entries in. It is built on
+// first use and shared by every later call until Add changes the
+// workflow, and it is safe for concurrent use; callers must not mutate
+// it.
+func (w *Workflow) IDOrder() []int32 {
+	if p := w.idOrder.Load(); p != nil {
+		return *p
+	}
+	order := make([]int32, len(w.acts))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(w.acts[a].ID, w.acts[b].ID) })
+	w.idOrder.Store(&order)
+	return order
+}
+
 // Add creates and inserts a new activation. It returns an error if
 // the ID is already taken or the runtime is negative.
 func (w *Workflow) Add(id, activity string, runtime float64) (*Activation, error) {
@@ -115,6 +139,7 @@ func (w *Workflow) Add(id, activity string, runtime float64) (*Activation, error
 	w.acts = append(w.acts, a)
 	w.byID[id] = a
 	w.validated.Store(false)
+	w.idOrder.Store(nil)
 	return a, nil
 }
 

@@ -485,3 +485,25 @@ func TestMergeEmpty(t *testing.T) {
 		t.Fatal("empty merge accepted")
 	}
 }
+
+// TestIDOrder: IDOrder lists the activation indices by ascending ID,
+// byte-wise, and an Add after a first use is in the next call's order.
+func TestIDOrder(t *testing.T) {
+	w := New("ids")
+	for _, id := range []string{"j9", "j10", "B", "a"} {
+		w.MustAdd(id, "x", 1)
+	}
+	check := func(want ...string) {
+		t.Helper()
+		var got []string
+		for _, k := range w.IDOrder() {
+			got = append(got, w.ByIndex(int(k)).ID)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("IDOrder walks %v, want %v", got, want)
+		}
+	}
+	check("B", "a", "j10", "j9")
+	w.MustAdd("A", "x", 1)
+	check("A", "B", "a", "j10", "j9")
+}

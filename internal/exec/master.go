@@ -30,7 +30,7 @@ type Master struct {
 	plan  core.Plan
 	tr    Transport
 
-	store *provenance.Store
+	store Recorder
 	runID string
 	sink  telemetry.Sink
 
@@ -141,11 +141,21 @@ type vmState struct {
 // Option configures a Master.
 type Option func(*Master)
 
-// WithStore records every attempt and final execution into a
-// provenance store under the given run ID.
-func WithStore(s *provenance.Store, runID string) Option {
+// Recorder receives a run's provenance as the master records it: one
+// Grow with the run's size, then every attempt and every activation's
+// final execution, from the master's goroutine. *provenance.Store is
+// one; the schedd daemon records straight into its compact rows.
+type Recorder interface {
+	Grow(execs, attempts int)
+	Add(provenance.Execution)
+	AddAttempt(provenance.Attempt)
+}
+
+// WithStore records every attempt and final execution into r under
+// the given run ID.
+func WithStore(r Recorder, runID string) Option {
 	return func(m *Master) {
-		m.store = s
+		m.store = r
 		if runID != "" {
 			m.runID = runID
 		}

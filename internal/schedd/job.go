@@ -12,15 +12,15 @@ import (
 	"reassign/internal/dag"
 	"reassign/internal/exec"
 	"reassign/internal/market"
-	"reassign/internal/provenance"
 	"reassign/internal/sched"
 	"reassign/internal/sim"
 )
 
 // job is one submission's full lifecycle: queued → running →
-// done/failed/canceled. The mutable state behind mu is what status()
-// snapshots for the API. A finished job keeps only pointer-free data
-// beside the interned workflow and fleet it shares (see prov.go).
+// done/failed/canceled. The mutable state behind mu is what
+// appendStatus writes for the API. A finished job keeps only
+// pointer-free data beside the interned workflow and fleet it shares
+// (see prov.go).
 type job struct {
 	id     string
 	req    api.SubmitRequest // as submitted, minus the workflow source and the plan
@@ -68,17 +68,29 @@ func (j *job) summary() *api.JobStatus {
 	return j.summaryLocked()
 }
 
-// status snapshots the job as an api.JobStatus, rendering the plan
-// document and provenance records from their compact forms.
-func (j *job) status() *api.JobStatus {
+// appendStatus appends the job's status document, plan and provenance
+// included, as api.JobStatus.AppendJSON writes it: the plan from its VM
+// per activation index in the workflow's shared ID order, the
+// provenance from its rows.
+func (j *job) appendStatus(dst []byte) ([]byte, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := j.summaryLocked()
+	var plan api.PlanEntries
 	if j.plan != nil {
-		st.Plan = api.NewPlanDocument(j.w.Name, j.fleet.Name, j.planMakespan, expandPlan(j.w, j.plan))
+		st.Plan = &api.PlanDocument{
+			SchemaVersion:   api.SchemaVersion,
+			Workflow:        j.w.Name,
+			Fleet:           j.fleet.Name,
+			MakespanSeconds: j.planMakespan,
+		}
+		plan = planEntries{w: j.w, order: j.w.IDOrder(), vms: j.plan}
 	}
-	st.Provenance = j.prov.render(j.w, j.id)
-	return st
+	var prov api.Records
+	if len(j.prov.rows) > 0 {
+		prov = provRecords{t: &j.prov, w: j.w, runID: j.id}
+	}
+	return st.AppendJSONFrom(dst, plan, prov)
 }
 
 func (j *job) summaryLocked() *api.JobStatus {
@@ -173,19 +185,19 @@ func (s *Server) contain(ctx context.Context, j *job) (err error) {
 }
 
 // execute runs the job's pipeline: plan it, then — when the
-// submission asks — execute the plan on the virtual-time master and
-// keep the run's provenance.
+// submission asks — execute the plan on the virtual-time master,
+// recording the run's provenance as rows.
 func (s *Server) execute(ctx context.Context, j *job) error {
 	plan, err := s.planJob(ctx, j)
 	if err != nil || !j.req.Execute {
 		return err
 	}
-	store := provenance.NewStore()
-	rep, pb, err := s.runPlan(ctx, j, plan, store)
+	rec := &provRecorder{w: j.w, runID: j.id}
+	rep, pb, err := s.runPlan(ctx, j, plan, rec)
 	if err != nil {
 		return err
 	}
-	if err := j.keepRun(store.All(), rep); err != nil {
+	if err := j.keepRun(rec, rep); err != nil {
 		return err
 	}
 	if pb != nil {
@@ -310,9 +322,9 @@ func (s *Server) planJob(ctx context.Context, j *job) (core.Plan, error) {
 }
 
 // runPlan executes plan on the virtual-time master, recording into
-// store, under the job's generated market trace when it asks for one
+// rec, under the job's generated market trace when it asks for one
 // (pb is then that trace's playback).
-func (s *Server) runPlan(ctx context.Context, j *job, plan core.Plan, store *provenance.Store) (rep *exec.Report, pb *market.Playback, err error) {
+func (s *Server) runPlan(ctx context.Context, j *job, plan core.Plan, rec exec.Recorder) (rep *exec.Report, pb *market.Playback, err error) {
 	req := j.req
 	var tr exec.Transport = &exec.InProc{
 		Workers: min(j.fleet.Len(), 8),
@@ -320,7 +332,7 @@ func (s *Server) runPlan(ctx context.Context, j *job, plan core.Plan, store *pro
 	}
 	// No sink: the aggregator counts no exec event
 	// (telemetry.TestAggregatorIgnoresExecEvents).
-	opts := []exec.Option{exec.WithStore(store, j.id)}
+	opts := []exec.Option{exec.WithStore(rec, j.id)}
 
 	// Market replay: generate the trace against the job's fleet and
 	// wrap the transport so traced notices, kills and health changes
@@ -360,16 +372,15 @@ func (s *Server) runPlan(ctx context.Context, j *job, plan core.Plan, store *pro
 	return rep, pb, nil
 }
 
-// keepRun records an executed run's results on the job: its
-// provenance compacted to rows, its makespan and (zero without a
-// market) its traced bill and preemptions.
-func (j *job) keepRun(recs []provenance.Execution, rep *exec.Report) error {
-	prov, err := newProvTable(j.w, j.id, recs)
-	if err != nil {
-		return err
+// keepRun records an executed run's results on the job: the rows rec
+// recorded, unless a record did not fit one, its makespan and (zero
+// without a market) its traced bill and preemptions.
+func (j *job) keepRun(rec *provRecorder, rep *exec.Report) error {
+	if rec.err != nil {
+		return rec.err
 	}
 	j.mu.Lock()
-	j.prov = prov
+	j.prov = rec.t
 	j.execMakespan = rep.Makespan
 	j.marketCost = rep.Cost
 	j.preemptions = rep.Preempted

@@ -3,6 +3,8 @@ package schedd
 import (
 	"fmt"
 	"math"
+	"slices"
+	"time"
 
 	"reassign/internal/core"
 	"reassign/internal/dag"
@@ -11,11 +13,11 @@ import (
 
 // A finished job is retained for status queries until MaxJobs newer
 // ones evict it, so what it keeps is sized per field: pointer-free
-// rows keyed to the interned workflow, rendered back into the wire
-// types only when a status is encoded. The strings a record repeats —
-// workflow, run, activation and activity names — are the workflow's
-// and the job's own; only VM type names need a table, because market
-// replacement VMs are not in the fleet.
+// rows keyed to the interned workflow, recorded as the exec master
+// runs and written straight to the wire when a status is served. The
+// strings a record repeats — workflow, run, activation and activity
+// names — are the workflow's and the job's own; only VM type names
+// need a table, because market replacement VMs are not in the fleet.
 
 // provRow is one provenance.Execution of a finished job: 40 bytes.
 type provRow struct {
@@ -35,63 +37,97 @@ type provTable struct {
 	wall0 provenance.Stamp // the rows' wall stamps are offsets from it
 }
 
-// newProvTable compacts the records of run runID over w. A record that
-// the rows could not reproduce exactly — another workflow or run, an
-// unknown activation, a value out of a row's range — is an error, so
-// rendering is lossless by construction.
-func newProvTable(w *dag.Workflow, runID string, recs []provenance.Execution) (provTable, error) {
-	t := provTable{rows: make([]provRow, len(recs))}
-	if len(recs) > 0 {
-		t.wall0 = recs[0].Wall
-	}
-	for i, e := range recs {
-		a := w.Get(e.TaskID)
-		wall := int64(e.Wall - t.wall0)
-		if a == nil || e.WorkflowName != w.Name || e.RunID != runID || e.Activity != a.Activity ||
-			int64(int32(e.VMID)) != int64(e.VMID) || int64(int32(wall)) != wall ||
-			e.Attempts < 0 || e.Attempts > math.MaxUint16 {
-			return provTable{}, fmt.Errorf("schedd: provenance record %+v does not fit a row of run %s of %s", e, runID, w.Name)
-		}
-		typ := -1
-		for k, name := range t.types {
-			if name == e.VMType {
-				typ = k
-				break
-			}
-		}
-		if typ < 0 {
-			if len(t.types) > math.MaxUint8 {
-				return provTable{}, fmt.Errorf("schedd: run %s used more than %d VM types", runID, math.MaxUint8+1)
-			}
-			typ = len(t.types)
-			t.types = append(t.types, e.VMType)
-		}
-		t.rows[i] = provRow{
-			ready: e.ReadyAt, start: e.StartAt, finish: e.FinishAt,
-			act: int32(a.Index), vm: int32(e.VMID), wall: int32(wall), attempts: uint16(e.Attempts),
-			vmType: uint8(typ), success: e.Success,
-		}
-	}
-	return t, nil
+// provRecorder is the exec.Recorder a job's run records into: it keeps
+// each execution as a row of run runID over w. A record the row could
+// not reproduce exactly — another workflow or run, an unknown
+// activation, a value out of a row's range — stops the recording with
+// an error, which fails the job, so what is written is the record by
+// construction. Attempts are not kept: the daemon serves none.
+type provRecorder struct {
+	w     *dag.Workflow
+	runID string
+	now   func() time.Time // stamps unstamped records; nil is time.Now
+	t     provTable
+	err   error
 }
 
-// render rebuilds the records newProvTable compacted; nil when the job
-// kept none.
-func (t provTable) render(w *dag.Workflow, runID string) []provenance.Execution {
-	if len(t.rows) == 0 {
-		return nil
+func (r *provRecorder) Grow(execs, _ int) { r.t.rows = slices.Grow(r.t.rows, execs) }
+
+func (r *provRecorder) AddAttempt(provenance.Attempt) {}
+
+// Add keeps e as a row, stamping it as provenance.Store.Add would.
+func (r *provRecorder) Add(e provenance.Execution) {
+	if r.err != nil {
+		return
 	}
-	out := make([]provenance.Execution, len(t.rows))
-	for i, r := range t.rows {
-		a := w.ByIndex(int(r.act))
-		out[i] = provenance.Execution{
-			WorkflowName: w.Name, RunID: runID, TaskID: a.ID, Activity: a.Activity,
-			VMID: int(r.vm), VMType: t.types[r.vmType],
-			ReadyAt: r.ready, StartAt: r.start, FinishAt: r.finish,
-			Attempts: int(r.attempts), Success: r.success, Wall: t.wall0 + provenance.Stamp(r.wall),
+	if e.Wall == 0 {
+		now := r.now
+		if now == nil {
+			now = time.Now
 		}
+		e.Wall = provenance.StampOf(now())
 	}
-	return out
+	if len(r.t.rows) == 0 {
+		r.t.wall0 = e.Wall
+	}
+	a := r.w.Get(e.TaskID)
+	wall := int64(e.Wall - r.t.wall0)
+	if a == nil || e.WorkflowName != r.w.Name || e.RunID != r.runID || e.Activity != a.Activity ||
+		int64(int32(e.VMID)) != int64(e.VMID) || int64(int32(wall)) != wall ||
+		e.Attempts < 0 || e.Attempts > math.MaxUint16 {
+		r.err = fmt.Errorf("schedd: provenance record %+v does not fit a row of run %s of %s", e, r.runID, r.w.Name)
+		return
+	}
+	typ := slices.Index(r.t.types, e.VMType)
+	if typ < 0 {
+		if len(r.t.types) > math.MaxUint8 {
+			r.err = fmt.Errorf("schedd: run %s used more than %d VM types", r.runID, math.MaxUint8+1)
+			return
+		}
+		typ = len(r.t.types)
+		r.t.types = append(r.t.types, e.VMType)
+	}
+	r.t.rows = append(r.t.rows, provRow{
+		ready: e.ReadyAt, start: e.StartAt, finish: e.FinishAt,
+		act: int32(a.Index), vm: int32(e.VMID), wall: int32(wall), attempts: uint16(e.Attempts),
+		vmType: uint8(typ), success: e.Success,
+	})
+}
+
+// provRecords is a job's rows as the api.Records its status writes.
+type provRecords struct {
+	t     *provTable
+	w     *dag.Workflow
+	runID string
+}
+
+func (p provRecords) Len() int { return len(p.t.rows) }
+
+func (p provRecords) At(i int) provenance.Execution {
+	r := &p.t.rows[i]
+	a := p.w.ByIndex(int(r.act))
+	return provenance.Execution{
+		WorkflowName: p.w.Name, RunID: p.runID, TaskID: a.ID, Activity: a.Activity,
+		VMID: int(r.vm), VMType: p.t.types[r.vmType],
+		ReadyAt: r.ready, StartAt: r.start, FinishAt: r.finish,
+		Attempts: int(r.attempts), Success: r.success, Wall: p.t.wall0 + provenance.Stamp(r.wall),
+	}
+}
+
+// planEntries is a compact plan as the api.PlanEntries its status
+// writes: vms[order[i]] is the i-th entry's VM, order being the
+// workflow's shared activation-ID order.
+type planEntries struct {
+	w     *dag.Workflow
+	order []int32
+	vms   []int32
+}
+
+func (p planEntries) Len() int { return len(p.order) }
+
+func (p planEntries) At(i int) core.PlanEntry {
+	k := p.order[i]
+	return core.PlanEntry{Activation: p.w.ByIndex(int(k)).ID, VM: int(p.vms[k])}
 }
 
 // compactPlan is a validated plan over w as one int32 VM per

@@ -17,6 +17,7 @@ import (
 	"reassign/internal/cloud"
 	"reassign/internal/core"
 	"reassign/internal/dag"
+	"reassign/internal/exec"
 	"reassign/internal/provenance"
 	"reassign/internal/sched"
 	"reassign/internal/sim"
@@ -61,13 +62,66 @@ func replayJob(t *testing.T, s *Server, id string, nodes int, seed int64) (*job,
 		state: api.StateQueued, submitted: time.Now()}, submitted
 }
 
+// teeRecorder records a run into the provenance store and a job's
+// rows alike, each stamping with a clock that steps one second per
+// execution record, so the two stamp every record the same and no
+// result depends on where a second boundary falls.
+type teeRecorder struct {
+	store *provenance.Store
+	rows  *provRecorder
+	now   time.Time
+}
+
+func newTeeRecorder(w *dag.Workflow, runID string) *teeRecorder {
+	r := &teeRecorder{store: provenance.NewStore(), rows: &provRecorder{w: w, runID: runID},
+		now: time.Unix(1_700_000_000, 0)}
+	clock := func() time.Time { return r.now }
+	r.store.SetNow(clock)
+	r.rows.now = clock
+	return r
+}
+
+func (r *teeRecorder) Grow(execs, attempts int) {
+	r.store.Grow(execs, attempts)
+	r.rows.Grow(execs, attempts)
+}
+
+func (r *teeRecorder) Add(e provenance.Execution) {
+	r.now = r.now.Add(time.Second)
+	r.store.Add(e)
+	r.rows.Add(e)
+}
+
+func (r *teeRecorder) AddAttempt(a provenance.Attempt) {
+	r.store.AddAttempt(a)
+	r.rows.AddAttempt(a)
+}
+
+// checkWritesStore fails unless j's served status is, byte for byte,
+// encoding/json's encoding of its summary with the plan document want
+// and the records of store.
+func checkWritesStore(t *testing.T, j *job, want *api.PlanDocument, store *provenance.Store) {
+	t.Helper()
+	got, err := j.appendStatus(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := j.summary()
+	st.Plan, st.Provenance = want, store.All()
+	if b, err := encodeRef(st); err != nil || !bytes.Equal(got, b) {
+		t.Fatalf("written status differs from the store's records under encoding/json (%v):\n%s\nwant:\n%s", err, got, b)
+	}
+}
+
 // TestFinishedJobRendersExactRecords: a finished, executed market job
 // keeps its provenance as rows and its plan as one VM per activation,
-// yet its status marshals byte for byte as the master's store.All()
-// and the plan document the job was planned with. The run remediates
-// preempted VMs, so the rows carry replacement VMs the fleet does not
-// have — and the interned fleet, shared with every other job on that
-// spec, comes out of it unchanged.
+// yet its status writes byte for byte as encoding/json writes the
+// master's store.All() and the plan document the job was planned with.
+// The run remediates preempted VMs, so the rows carry replacement VMs
+// the fleet does not have — and the interned fleet, shared with every
+// other job on that spec, comes out of it unchanged. A run whose
+// activations exhaust their attempts writes its failed rows exactly
+// too.
 func TestFinishedJobRendersExactRecords(t *testing.T) {
 	s := New(Config{})
 	ctx := context.Background()
@@ -84,34 +138,22 @@ func TestFinishedJobRendersExactRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := provenance.NewStore()
-		rep, _, err := s.runPlan(ctx, j, plan, store)
+		rec := newTeeRecorder(j.w, j.id)
+		rep, _, err := s.runPlan(ctx, j, plan, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs := store.All()
-		if err := j.keepRun(recs, rep); err != nil {
+		if err := j.keepRun(rec.rows, rep); err != nil {
 			t.Fatal(err)
 		}
 		if rep.Remediated == 0 {
 			continue
 		}
-
-		st := j.status()
-		got, _ := json.Marshal(st.Provenance)
-		want, _ := json.Marshal(recs)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("rendered provenance differs from the store:\n%s\nwant:\n%s", got, want)
-		}
 		submitted.MakespanSeconds = j.planMakespan // the replay's makespan, as execute reports it
-		got, _ = json.Marshal(st.Plan)
-		want, _ = json.Marshal(submitted)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("rendered plan differs from the submitted document:\n%s\nwant:\n%s", got, want)
-		}
+		checkWritesStore(t, j, submitted, rec.store)
 
 		replacement := false
-		for _, e := range recs {
+		for _, e := range rec.store.All() {
 			replacement = replacement || e.VMID >= len(before)
 		}
 		if !replacement {
@@ -129,8 +171,41 @@ func TestFinishedJobRendersExactRecords(t *testing.T) {
 				t.Fatalf("shared fleet VM %d changed: %+v, was %+v", i, *vm, before[i])
 			}
 		}
-		return
+		break
 	}
+
+	// Abandoned activations: every attempt fails with probability 0.6,
+	// so some activations exhaust their five and take their descendants
+	// with them, each as a failed row.
+	j, submitted := replayJob(t, s, "j000002", 100, 1)
+	plan, err := s.planJob(ctx, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := newTeeRecorder(j.w, j.id)
+	m, err := exec.New(j.w, j.fleet, plan, &exec.InProc{Workers: 4,
+		Runner: exec.FailingRunner{Inner: exec.SimRunner{Seed: 3}, Rate: 0.6, Seed: 5}}, exec.WithStore(rec, j.id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _ := m.Run(ctx) // abandoned activations fail the run
+	if rep == nil || rep.Abandoned == 0 {
+		t.Fatalf("no activation abandoned: %+v", rep)
+	}
+	if err := j.keepRun(rec.rows, rep); err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, e := range rec.store.All() {
+		if !e.Success {
+			failed++
+		}
+	}
+	if failed != rep.Abandoned {
+		t.Fatalf("%d failed records for %d abandoned activations", failed, rep.Abandoned)
+	}
+	submitted.MakespanSeconds = j.planMakespan
+	checkWritesStore(t, j, submitted, rec.store)
 }
 
 // TestFleetIntern: equivalent specs share one fleet, distinct specs do
@@ -177,7 +252,7 @@ func TestListIsStatusSummary(t *testing.T) {
 		t.Fatalf("executed job lacks plan or provenance: %+v", done)
 	}
 	j := s.lookup(done.ID)
-	full := j.status()
+	full := refStatus(j)
 	full.Plan, full.Provenance = nil, nil
 	want, _ := json.Marshal(full)
 	got, _ := json.Marshal(j.summary())
@@ -413,7 +488,8 @@ func checkRetainedHeapFlat(t *testing.T, maxKB float64, newJob func(t *testing.T
 }
 
 // TestProvTableRefusesWhatRowsCannotHold: a row is 40 bytes, and a
-// record it could not reproduce exactly is an error, never truncated.
+// record it could not reproduce exactly stops the recording with an
+// error, never truncated.
 func TestProvTableRefusesWhatRowsCannotHold(t *testing.T) {
 	if n := unsafe.Sizeof(provRow{}); n != 40 {
 		t.Fatalf("provRow is %d bytes, want 40", n)
@@ -424,12 +500,14 @@ func TestProvTableRefusesWhatRowsCannotHold(t *testing.T) {
 		VMID: 4, VMType: "t2.micro", ReadyAt: 1, StartAt: 2, FinishAt: 3.5, Attempts: 2, Success: true, Wall: 1_700_000_000}
 	later := good
 	later.Wall += 90
-	pt, err := newProvTable(w, "j1", []provenance.Execution{good, later})
-	if err != nil {
-		t.Fatal(err)
+	rec := &provRecorder{w: w, runID: "j1"}
+	rec.Add(good)
+	rec.Add(later)
+	if rec.err != nil {
+		t.Fatal(rec.err)
 	}
-	if back := pt.render(w, "j1"); len(back) != 2 || back[0] != good || back[1] != later {
-		t.Fatalf("render = %+v, want %+v, %+v", back, good, later)
+	if back := renderRows(&rec.t, w, "j1"); len(back) != 2 || back[0] != good || back[1] != later {
+		t.Fatalf("rows render as %+v, want %+v, %+v", back, good, later)
 	}
 	for name, mutate := range map[string]func(*provenance.Execution){
 		"other run":          func(e *provenance.Execution) { e.RunID = "j2" },
@@ -442,8 +520,15 @@ func TestProvTableRefusesWhatRowsCannotHold(t *testing.T) {
 	} {
 		bad := later
 		mutate(&bad)
-		if _, err := newProvTable(w, "j1", []provenance.Execution{good, bad}); err == nil {
+		rec := &provRecorder{w: w, runID: "j1"}
+		rec.Add(good)
+		rec.Add(bad)
+		rec.Add(later)
+		if rec.err == nil {
 			t.Errorf("%s: record accepted", name)
+		}
+		if len(rec.t.rows) != 1 {
+			t.Errorf("%s: %d rows kept, want the one before the refusal", name, len(rec.t.rows))
 		}
 	}
 }

@@ -211,7 +211,33 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBody = 1 << 20
 
-// writeJSON serves v as compact JSON: one line and a newline.
+// respPool recycles the buffers status, submit, cancel and list
+// responses are written into, with the same bound as bodyPool.
+var respPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeBody serves the document body appends: the job responses'
+// path, which writes through the api package's writers, not by
+// reflection. A document that cannot be written — a NaN or an
+// infinity, which JSON cannot carry — is a typed 500, not a 200 with
+// an empty body.
+func writeBody(w http.ResponseWriter, status int, body func([]byte) ([]byte, error)) {
+	bp := respPool.Get().(*[]byte)
+	b, err := body((*bp)[:0])
+	if err != nil {
+		writeErr(w, api.Errorf(api.CodeInternal, "", "encoding response: %v", err))
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		w.Write(b)
+	}
+	if cap(b) <= maxPooledBody {
+		*bp = b
+		respPool.Put(bp)
+	}
+}
+
+// writeJSON serves v as compact JSON: one line and a newline. Errors,
+// healthz and the rest take this path.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -379,7 +405,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.queue <- j:
 		s.tenants.add(j.req.Tenant, counts{jobsSubmitted: 1, jobsQueued: 1})
-		writeJSON(w, http.StatusAccepted, j.status())
+		writeBody(w, http.StatusAccepted, j.appendStatus)
 	default:
 		s.tenants.add(j.req.Tenant, counts{jobsRejected: 1})
 		// Roll back the registration by removing this job's own ID. The
@@ -443,7 +469,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	writeBody(w, http.StatusOK, func(dst []byte) ([]byte, error) { return api.AppendJSONList(dst, out) })
 }
 
 func (s *Server) lookup(id string) *job {
@@ -458,7 +484,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.Errorf(api.CodeNotFound, "", "no job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	writeBody(w, http.StatusOK, j.appendStatus)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -490,7 +516,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.Errorf(api.CodeConflict, "", "job is already %s", st))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	writeBody(w, http.StatusOK, j.appendStatus)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
