@@ -25,11 +25,14 @@ build:
 test:
 	$(GO) test ./...
 
-## race: race-detector pass over the simulation and learning packages,
-## the service, and the provenance store and estimator (whose
-## TestConcurrentAdds and TestConcurrentObserve exist to be raced)
+## race: race-detector pass over the simulation and learning packages
+## (sim's TestPoolConcurrentRebind rebinds pooled engines across
+## goroutines), the baseline schedulers (which keep per-run scratch),
+## the market model, the service, and the provenance store and
+## estimator (whose TestConcurrentAdds and TestConcurrentObserve exist
+## to be raced)
 race:
-	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/expt/... ./internal/telemetry/... ./internal/invariant/... ./internal/api/... ./internal/schedd/... ./internal/provenance/... ./internal/estimate/...
+	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/sched/... ./internal/market/... ./internal/expt/... ./internal/telemetry/... ./internal/invariant/... ./internal/api/... ./internal/schedd/... ./internal/provenance/... ./internal/estimate/...
 
 ## race-replicas: race-detector pass over replica-parallel learning
 ## (concurrent learners sharing a fan-out telemetry sink)
@@ -80,7 +83,8 @@ market-smoke:
 	$(GO) build -o bin/reassign ./cmd/reassign
 	bash scripts/market_smoke.sh ./bin
 
-## bench: run the benchmark trajectory and record BENCH_core.json
+## bench: run the governed benchmark suite (internal/benchsuite, the
+## plan-replay tier included) and record BENCH_core.json
 bench:
 	$(GO) run ./cmd/benchjson -o BENCH_core.json
 

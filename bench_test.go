@@ -275,3 +275,10 @@ func BenchmarkSeededSource(b *testing.B) {
 	b.Run("episode-95", benchsuite.SeededSource(95))
 	b.Run("full-2000", benchsuite.SeededSource(2000))
 }
+
+// BenchmarkPlanReplay is the plan-replay tier: the daemon's simulated
+// replay of a submitted CyberShake-100 plan on a pooled engine,
+// rebound between two structures of the same shape.
+func BenchmarkPlanReplay(b *testing.B) {
+	b.Run("cybershake100-pooled", benchsuite.PlanReplay())
+}

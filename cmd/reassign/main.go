@@ -412,23 +412,23 @@ func lookupScheduler(name string, seed int64) (sim.Scheduler, error) {
 	case "heft":
 		return &sched.HEFT{}, nil
 	case "minmin":
-		return sched.MinMin{}, nil
+		return &sched.MinMin{}, nil
 	case "maxmin":
-		return sched.MaxMin{}, nil
+		return &sched.MaxMin{}, nil
 	case "mct":
-		return sched.MCT{}, nil
+		return &sched.MCT{}, nil
 	case "fcfs":
-		return sched.FCFS{}, nil
+		return &sched.FCFS{}, nil
 	case "rr", "roundrobin":
 		return &sched.RoundRobin{}, nil
 	case "random":
 		return &sched.Random{Seed: seed}, nil
 	case "dataaware":
-		return sched.DataAware{}, nil
+		return &sched.DataAware{}, nil
 	case "cheapfirst":
-		return sched.CheapFirst{}, nil
+		return &sched.CheapFirst{}, nil
 	case "siteaware":
-		return sched.SiteAware{}, nil
+		return &sched.SiteAware{}, nil
 	case "ga":
 		return &sched.GA{Seed: seed}, nil
 	case "adaptive":

@@ -65,8 +65,9 @@ type Bench struct {
 // every policy lane at 3 and 6 tenants), the spot-market tier
 // (trace-bill integration and a full replay under a hostile trace),
 // the provenance store (one 100-activation run recorded), the
-// service-decode and service-encode tiers and the seeded source (one
-// episode's reseed and draws, and a long stream).
+// service-decode and service-encode tiers, the seeded source (one
+// episode's reseed and draws, and a long stream) and the plan replay
+// (a pooled engine rebound between two CyberShake-100 structures).
 func Suite() []Bench {
 	return []Bench{
 		{"BenchmarkQTableDense", QTable(50, 16)},
@@ -91,6 +92,7 @@ func Suite() []Bench {
 		{"BenchmarkServiceEncode/status-executed", EncodeStatus("svc-replay-market.status.json")},
 		{"BenchmarkSeededSource/episode-95", SeededSource(95)},
 		{"BenchmarkSeededSource/full-2000", SeededSource(2000)},
+		{"BenchmarkPlanReplay/cybershake100-pooled", PlanReplay()},
 	}
 }
 

@@ -44,7 +44,7 @@ func resultDigest(res *Result) string {
 func checkDigest(t *testing.T, w *dag.Workflow, fl *cloud.Fleet, episodes int, want string) {
 	t.Helper()
 	pool := sim.NewPool()
-	other, err := pool.Acquire(montage50(t, 2), fleet(t, 16), sched.MCT{}, sim.Config{Seed: 3})
+	other, err := pool.Acquire(montage50(t, 2), fleet(t, 16), &sched.MCT{}, sim.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

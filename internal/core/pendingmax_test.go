@@ -130,7 +130,7 @@ func (r *run) learn(t *testing.T, episodes int) {
 		switch {
 		case r.mode == reboundEngine:
 			// Dirty the pooled engine with another problem first.
-			other, err := pool.Acquire(trace.MontageN(rand.New(rand.NewSource(9)), 30), fleet(t, 32), sched.MCT{}, sim.Config{Seed: 5})
+			other, err := pool.Acquire(trace.MontageN(rand.New(rand.NewSource(9)), 30), fleet(t, 32), &sched.MCT{}, sim.Config{Seed: 5})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -99,7 +99,7 @@ func TestObserveResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	w := trace.Montage(rng, 4, 2)
 	fleet, _ := cloud.FleetTable1(16)
-	res, err := sim.Run(w, fleet, sched.FCFS{}, sim.Config{})
+	res, err := sim.Run(w, fleet, &sched.FCFS{}, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

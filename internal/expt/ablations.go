@@ -318,9 +318,9 @@ func BaselineComparison(o Options, vcpus int) (*metrics.Table, error) {
 		return mk / PlanEvalReps, cost / PlanEvalReps, nil
 	}
 	scheds := []sim.Scheduler{
-		sched.FCFS{}, &sched.RoundRobin{}, &sched.Random{Seed: o.Seed},
-		sched.MCT{}, sched.MinMin{}, sched.MaxMin{}, sched.DataAware{},
-		sched.CheapFirst{}, &sched.GA{Seed: o.Seed}, &sched.Adaptive{}, &sched.HEFT{},
+		&sched.FCFS{}, &sched.RoundRobin{}, &sched.Random{Seed: o.Seed},
+		&sched.MCT{}, &sched.MinMin{}, &sched.MaxMin{}, &sched.DataAware{},
+		&sched.CheapFirst{}, &sched.GA{Seed: o.Seed}, &sched.Adaptive{}, &sched.HEFT{},
 	}
 	for _, s := range scheds {
 		mk, cost, err := mean(s)

@@ -42,7 +42,7 @@ func StudyElasticity(o Options) (*metrics.Table, error) {
 					BootDelay: p.boot, IdleTimeout: 120, Cooldown: 20,
 				}
 			}
-			res, err := sim.Run(o.Workflow, fleet, sched.MCT{},
+			res, err := sim.Run(o.Workflow, fleet, &sched.MCT{},
 				sim.Config{Fluct: o.TrainFluct, Seed: o.Seed + 5000 + int64(rep), Autoscale: auto, Hook: o.Hook})
 			if err != nil {
 				return nil, err
@@ -83,7 +83,7 @@ func StudySpot(o Options) (*metrics.Table, error) {
 			if life > 0 {
 				spot = &sim.SpotPolicy{MeanLifetime: life, KeepOne: true}
 			}
-			res, err := sim.Run(o.Workflow, fleet, sched.MCT{},
+			res, err := sim.Run(o.Workflow, fleet, &sched.MCT{},
 				sim.Config{Fluct: o.TrainFluct, Seed: o.Seed + 5000 + int64(rep), Spot: spot, Hook: o.Hook})
 			if err != nil {
 				return nil, err

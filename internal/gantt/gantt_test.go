@@ -138,7 +138,7 @@ func TestPropertyRendersValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := sim.Run(w, fleet, sched.FCFS{}, sim.Config{Seed: seed})
+		res, err := sim.Run(w, fleet, &sched.FCFS{}, sim.Config{Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -22,11 +22,11 @@ import (
 func freshVsReset(t *testing.T, aud *Auditor, w *dag.Workflow, fl *cloud.Fleet, cfg sim.Config) {
 	t.Helper()
 	cfg.Hook = aud
-	fresh, err := sim.Run(w, fl, sched.MCT{}, cfg)
+	fresh, err := sim.Run(w, fl, &sched.MCT{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := sim.NewEngine(w, fl, sched.MCT{}, cfg)
+	eng, err := sim.NewEngine(w, fl, &sched.MCT{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestHEFTPlannedMakespanOracle(t *testing.T) {
 // a clone diffs clean against its original, stays independent of it,
 // and every mutated field is reported.
 func TestDiffResultsAndClone(t *testing.T) {
-	res, err := sim.Run(montage(t, 3), fleet16(t), sched.MCT{}, sim.Config{Seed: 7,
+	res, err := sim.Run(montage(t, 3), fleet16(t), &sched.MCT{}, sim.Config{Seed: 7,
 		Autoscale: &sim.Autoscale{Type: cloud.T2Micro, MaxVMs: 12,
 			BootDelay: 5, QueuePerFreeSlot: 0.5}})
 	if err != nil {

@@ -38,14 +38,14 @@ func dynamicScheds() []struct {
 		name string
 		mk   func() sim.Scheduler
 	}{
-		{"FCFS", func() sim.Scheduler { return sched.FCFS{} }},
+		{"FCFS", func() sim.Scheduler { return &sched.FCFS{} }},
 		{"RoundRobin", func() sim.Scheduler { return &sched.RoundRobin{} }},
 		{"Random", func() sim.Scheduler { return &sched.Random{Seed: 11} }},
-		{"MCT", func() sim.Scheduler { return sched.MCT{} }},
-		{"MinMin", func() sim.Scheduler { return sched.MinMin{} }},
-		{"MaxMin", func() sim.Scheduler { return sched.MaxMin{} }},
-		{"DataAware", func() sim.Scheduler { return sched.DataAware{} }},
-		{"CheapFirst", func() sim.Scheduler { return sched.CheapFirst{} }},
+		{"MCT", func() sim.Scheduler { return &sched.MCT{} }},
+		{"MinMin", func() sim.Scheduler { return &sched.MinMin{} }},
+		{"MaxMin", func() sim.Scheduler { return &sched.MaxMin{} }},
+		{"DataAware", func() sim.Scheduler { return &sched.DataAware{} }},
+		{"CheapFirst", func() sim.Scheduler { return &sched.CheapFirst{} }},
 	}
 }
 
@@ -147,7 +147,7 @@ func TestAuditClusteredWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	aud := New()
-	res, err := sim.Run(cw.Workflow, fleet16(t), sched.MCT{},
+	res, err := sim.Run(cw.Workflow, fleet16(t), &sched.MCT{},
 		sim.Config{Seed: 9, DataTransfer: true, Hook: aud})
 	if err != nil {
 		t.Fatal(err)

@@ -138,7 +138,7 @@ func RunLanes(tr *Trace, cfg LaneConfig) (*Report, error) {
 	// in every lane, so the SLA each policy faces is the same.
 	ref := make([]float64, len(workflows))
 	for i, w := range workflows {
-		m, err := planMakespan(w, fleet, sched.MCT{}, tr.Seed)
+		m, err := planMakespan(w, fleet, &sched.MCT{}, tr.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: reference service for workflow %d: %w", i, err)
 		}
@@ -284,7 +284,7 @@ func newServiceOracle(policy Policy, workflows []*dag.Workflow, fleet *cloud.Fle
 			if m, ok := cache[j.wf]; ok {
 				return m, nil
 			}
-			m, err := planMakespan(workflows[j.wf], fleet, sched.MCT{}, j.arr.Seed)
+			m, err := planMakespan(workflows[j.wf], fleet, &sched.MCT{}, j.arr.Seed)
 			if err != nil {
 				return 0, err
 			}

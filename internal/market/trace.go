@@ -119,6 +119,7 @@ func Generate(cat *Catalogue, fleet *cloud.Fleet, regime Regime, seed int64, hor
 		Seed:      seed,
 		Horizon:   horizon,
 		PriceStep: horizon / priceSteps,
+		Assign:    make([]VMAssign, 0, fleet.Len()),
 	}
 
 	// Assignments: round-robin providers over VMs in fleet order; the
@@ -153,6 +154,8 @@ func Generate(cat *Catalogue, fleet *cloud.Fleet, regime Regime, seed int64, hor
 		return pairs[i].typ < pairs[j].typ
 	})
 
+	tr.Prices = make([]PriceSeries, 0, len(pairs))
+
 	// Price walks: one rng stream per pair, split up front so adding a
 	// pair never reshuffles another pair's draws. The stream seeds are
 	// the first draws of the trace seed's generator, which is then
@@ -170,7 +173,7 @@ func Generate(cat *Catalogue, fleet *cloud.Fleet, regime Regime, seed int64, hor
 	for _, k := range pairs {
 		o, _ := cat.Find(k.provider, k.typ)
 		nextStream()
-		ps := PriceSeries{Provider: k.provider, Type: k.typ}
+		ps := PriceSeries{Provider: k.provider, Type: k.typ, Points: make([]PricePoint, 0, priceSteps)}
 		price := o.SpotBase
 		for s := 0; s < priceSteps; s++ {
 			at := float64(s) * tr.PriceStep

@@ -41,6 +41,7 @@ type Adaptive struct {
 	// Per-VM-type drift accounting: Σ observed/estimated per type.
 	ratioSum map[string]float64
 	ratioN   map[string]int
+	slots    slots
 }
 
 var _ sim.Scheduler = (*Adaptive)(nil)
@@ -70,21 +71,18 @@ func (a *Adaptive) Prepare(w *dag.Workflow, fleet *cloud.Fleet, env *sim.Env) er
 // Pick implements sim.Scheduler by replaying the current plan and
 // remembering what has started (those placements are immutable).
 func (a *Adaptive) Pick(ctx *sim.Context) []sim.Assignment {
-	free := freeSlots(ctx.IdleVMs)
-	byID := make(map[int]*sim.VMState, len(ctx.IdleVMs))
-	for _, v := range ctx.IdleVMs {
-		byID[v.VM.ID] = v
-	}
+	a.slots.fill(ctx.IdleVMs)
 	var out []sim.Assignment
 	for _, t := range ctx.Ready {
-		v, ok := byID[a.plan[t.Act.ID]]
-		if !ok || free[v] == 0 {
+		v := a.slots.open(a.plan[t.Act.ID])
+		if v == nil {
 			continue
 		}
-		free[v]--
+		a.slots.take(v)
 		a.started[t.Act.ID] = true
 		out = append(out, sim.Assignment{Task: t, VM: v})
 	}
+	a.slots.reset(ctx.IdleVMs)
 	return out
 }
 

@@ -23,7 +23,7 @@ func ExampleSiteAware() {
 	})
 	w := trace.Montage50(rand.New(rand.NewSource(13)))
 	cfg := sim.Config{DataTransfer: true, Seed: 13}
-	for _, s := range []sim.Scheduler{&sched.Random{Seed: 13}, sched.MCT{}, sched.DataAware{}, sched.SiteAware{}} {
+	for _, s := range []sim.Scheduler{&sched.Random{Seed: 13}, &sched.MCT{}, &sched.DataAware{}, &sched.SiteAware{}} {
 		res, _ := sim.Run(w, fleet, s, cfg)
 		edges, cross := 0, 0
 		for _, a := range w.Activations() {

@@ -144,7 +144,7 @@ func (g *GA) Prepare(w *dag.Workflow, fleet *cloud.Fleet, env *sim.Env) error {
 	for _, a := range w.Activations() {
 		assign[a.ID] = chrom[bestIdx][a.Index]
 	}
-	g.plan = Plan{PlanName: "GA", Assign: assign}
+	g.plan.PlanName, g.plan.Assign = "GA", assign
 	g.EstimatedMakespan = fit[bestIdx]
 	return g.plan.Prepare(w, fleet, env)
 }

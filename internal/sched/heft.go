@@ -160,7 +160,7 @@ func (h *HEFT) Prepare(w *dag.Workflow, fleet *cloud.Fleet, env *sim.Env) error 
 		}
 	}
 
-	h.plan = Plan{PlanName: "HEFT", Assign: assign}
+	h.plan.PlanName, h.plan.Assign = "HEFT", assign
 	h.PlannedMakespan = makespan
 	return h.plan.Prepare(w, fleet, env)
 }

@@ -11,37 +11,37 @@ import (
 // MCT (Minimum Completion Time) assigns each ready activation, in
 // ready order, to the idle VM with the smallest estimated completion
 // time for it.
-type MCT struct{}
+type MCT struct{ slots slots }
 
 // Name implements sim.Scheduler.
-func (MCT) Name() string { return "MCT" }
+func (*MCT) Name() string { return "MCT" }
 
 // Prepare implements sim.Scheduler.
-func (MCT) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return nil }
+func (*MCT) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return nil }
 
 // Pick implements sim.Scheduler.
-func (MCT) Pick(ctx *sim.Context) []sim.Assignment {
-	free := freeSlots(ctx.IdleVMs)
+func (s *MCT) Pick(ctx *sim.Context) []sim.Assignment {
+	s.slots.fill(ctx.IdleVMs)
 	var out []sim.Assignment
 	for _, t := range ctx.Ready {
-		best, bestCT := pickMinVM(ctx, t, free)
+		best, _ := pickMinVM(ctx, t, &s.slots)
 		if best == nil {
 			break
 		}
-		_ = bestCT
-		free[best]--
+		s.slots.take(best)
 		out = append(out, sim.Assignment{Task: t, VM: best})
 	}
+	s.slots.reset(ctx.IdleVMs)
 	return out
 }
 
 // pickMinVM returns the open VM minimizing the estimated execution
 // time of t, or nil when every VM is exhausted this round.
-func pickMinVM(ctx *sim.Context, t *sim.Task, free map[*sim.VMState]int) (*sim.VMState, float64) {
+func pickMinVM(ctx *sim.Context, t *sim.Task, free *slots) (*sim.VMState, float64) {
 	var best *sim.VMState
 	bestCT := math.Inf(1)
 	for _, v := range ctx.IdleVMs {
-		if free[v] == 0 {
+		if free.left(v) == 0 {
 			continue
 		}
 		ct := ctx.Env.EstimateExec(t.Act, v.VM)
@@ -56,36 +56,36 @@ func pickMinVM(ctx *sim.Context, t *sim.Task, free map[*sim.VMState]int) (*sim.V
 // MinMin repeatedly assigns the (activation, VM) pair with the
 // globally minimum estimated completion time: short tasks first, each
 // on its best machine.
-type MinMin struct{}
+type MinMin struct{ slots slots }
 
 // Name implements sim.Scheduler.
-func (MinMin) Name() string { return "MinMin" }
+func (*MinMin) Name() string { return "MinMin" }
 
 // Prepare implements sim.Scheduler.
-func (MinMin) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return nil }
+func (*MinMin) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return nil }
 
 // Pick implements sim.Scheduler.
-func (MinMin) Pick(ctx *sim.Context) []sim.Assignment {
-	return minMaxLoop(ctx, false)
+func (s *MinMin) Pick(ctx *sim.Context) []sim.Assignment {
+	return minMaxLoop(ctx, &s.slots, false)
 }
 
 // MaxMin repeatedly assigns the activation whose best completion time
 // is largest (long tasks first, each on its best machine).
-type MaxMin struct{}
+type MaxMin struct{ slots slots }
 
 // Name implements sim.Scheduler.
-func (MaxMin) Name() string { return "MaxMin" }
+func (*MaxMin) Name() string { return "MaxMin" }
 
 // Prepare implements sim.Scheduler.
-func (MaxMin) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return nil }
+func (*MaxMin) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return nil }
 
 // Pick implements sim.Scheduler.
-func (MaxMin) Pick(ctx *sim.Context) []sim.Assignment {
-	return minMaxLoop(ctx, true)
+func (s *MaxMin) Pick(ctx *sim.Context) []sim.Assignment {
+	return minMaxLoop(ctx, &s.slots, true)
 }
 
-func minMaxLoop(ctx *sim.Context, maxFirst bool) []sim.Assignment {
-	free := freeSlots(ctx.IdleVMs)
+func minMaxLoop(ctx *sim.Context, free *slots, maxFirst bool) []sim.Assignment {
+	free.fill(ctx.IdleVMs)
 	pending := append([]*sim.Task(nil), ctx.Ready...)
 	var out []sim.Assignment
 	for len(pending) > 0 {
@@ -111,34 +111,35 @@ func minMaxLoop(ctx *sim.Context, maxFirst bool) []sim.Assignment {
 		if bestIdx < 0 {
 			break
 		}
-		free[bestVM]--
+		free.take(bestVM)
 		out = append(out, sim.Assignment{Task: pending[bestIdx], VM: bestVM})
 		pending = append(pending[:bestIdx], pending[bestIdx+1:]...)
 	}
+	free.reset(ctx.IdleVMs)
 	return out
 }
 
 // DataAware places each ready activation on the idle VM already
 // holding the most input bytes (minimising staging), breaking ties by
 // estimated execution time.
-type DataAware struct{}
+type DataAware struct{ slots slots }
 
 // Name implements sim.Scheduler.
-func (DataAware) Name() string { return "DataAware" }
+func (*DataAware) Name() string { return "DataAware" }
 
 // Prepare implements sim.Scheduler.
-func (DataAware) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return nil }
+func (*DataAware) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return nil }
 
 // Pick implements sim.Scheduler.
-func (DataAware) Pick(ctx *sim.Context) []sim.Assignment {
-	free := freeSlots(ctx.IdleVMs)
+func (s *DataAware) Pick(ctx *sim.Context) []sim.Assignment {
+	s.slots.fill(ctx.IdleVMs)
 	var out []sim.Assignment
 	for _, t := range ctx.Ready {
 		var best *sim.VMState
 		bestLocal := int64(-1)
 		bestCT := math.Inf(1)
 		for _, v := range ctx.IdleVMs {
-			if free[v] == 0 {
+			if s.slots.left(v) == 0 {
 				continue
 			}
 			var local int64
@@ -155,9 +156,10 @@ func (DataAware) Pick(ctx *sim.Context) []sim.Assignment {
 		if best == nil {
 			break
 		}
-		free[best]--
+		s.slots.take(best)
 		out = append(out, sim.Assignment{Task: t, VM: best})
 	}
+	s.slots.reset(ctx.IdleVMs)
 	return out
 }
 
@@ -165,24 +167,24 @@ func (DataAware) Pick(ctx *sim.Context) []sim.Assignment {
 // lowest hourly price per slot (ties broken by estimated execution
 // time) — the cost-frontier extreme opposite to MCT, used with
 // Result.BusyCost to study cost/performance trade-offs.
-type CheapFirst struct{}
+type CheapFirst struct{ slots slots }
 
 // Name implements sim.Scheduler.
-func (CheapFirst) Name() string { return "CheapFirst" }
+func (*CheapFirst) Name() string { return "CheapFirst" }
 
 // Prepare implements sim.Scheduler.
-func (CheapFirst) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return nil }
+func (*CheapFirst) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return nil }
 
 // Pick implements sim.Scheduler.
-func (CheapFirst) Pick(ctx *sim.Context) []sim.Assignment {
-	free := freeSlots(ctx.IdleVMs)
+func (s *CheapFirst) Pick(ctx *sim.Context) []sim.Assignment {
+	s.slots.fill(ctx.IdleVMs)
 	var out []sim.Assignment
 	for _, t := range ctx.Ready {
 		var best *sim.VMState
 		bestPrice := math.Inf(1)
 		bestCT := math.Inf(1)
 		for _, v := range ctx.IdleVMs {
-			if free[v] == 0 {
+			if s.slots.left(v) == 0 {
 				continue
 			}
 			price := v.VM.Type.PricePerHour / float64(v.VM.Type.VCPUs)
@@ -194,8 +196,9 @@ func (CheapFirst) Pick(ctx *sim.Context) []sim.Assignment {
 		if best == nil {
 			break
 		}
-		free[best]--
+		s.slots.take(best)
 		out = append(out, sim.Assignment{Task: t, VM: best})
 	}
+	s.slots.reset(ctx.IdleVMs)
 	return out
 }

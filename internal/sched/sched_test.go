@@ -29,13 +29,13 @@ func montage(t testing.TB, seed int64) *dag.Workflow {
 // all returns one fresh instance of every scheduler under test.
 func all() []sim.Scheduler {
 	return []sim.Scheduler{
-		FCFS{},
+		&FCFS{},
 		&RoundRobin{},
 		&Random{Seed: 42},
-		MCT{},
-		MinMin{},
-		MaxMin{},
-		DataAware{},
+		&MCT{},
+		&MinMin{},
+		&MaxMin{},
+		&DataAware{},
 		&HEFT{},
 	}
 }
@@ -106,7 +106,7 @@ func TestMCTPrefersFasterVM(t *testing.T) {
 	fleet := cloud.MustFleet("two", []cloud.VMType{slow, fast}, []int{1, 1})
 	w := dag.New("one")
 	w.MustAdd("t", "x", 8)
-	res, err := sim.Run(w, fleet, MCT{}, sim.Config{})
+	res, err := sim.Run(w, fleet, &MCT{}, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestMinMinOrdering(t *testing.T) {
 	w.MustAdd("long", "x", 10)
 	fleet := cloud.MustFleet("one", []cloud.VMType{cloud.T2Micro}, []int{1})
 
-	res, err := sim.Run(w, fleet, MinMin{}, sim.Config{})
+	res, err := sim.Run(w, fleet, &MinMin{}, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestMinMinOrdering(t *testing.T) {
 		t.Fatalf("MinMin ran long first: %v", finish)
 	}
 
-	res2, err := sim.Run(w, fleet, MaxMin{}, sim.Config{})
+	res2, err := sim.Run(w, fleet, &MaxMin{}, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestDataAwarePrefersDataLocality(t *testing.T) {
 	b.Inputs = a.Outputs
 	w.MustDep("a", "b")
 	fleet := cloud.MustFleet("two", []cloud.VMType{cloud.T2Micro}, []int{2})
-	res, err := sim.Run(w, fleet, DataAware{}, sim.Config{DataTransfer: true, Seed: 3})
+	res, err := sim.Run(w, fleet, &DataAware{}, sim.Config{DataTransfer: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +194,79 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if p3.Name() != "Plan" {
 		t.Fatalf("default plan name = %q", p3.Name())
+	}
+}
+
+// mapPlanPick is Plan.Pick as it was before the slot budget: a
+// VM→free-slots map and a VM-ID index built per decision, and the
+// plan looked up by activation ID.
+func mapPlanPick(assign map[string]int, ctx *sim.Context) []sim.Assignment {
+	free := make(map[*sim.VMState]int, len(ctx.IdleVMs))
+	byID := make(map[int]*sim.VMState, len(ctx.IdleVMs))
+	for _, v := range ctx.IdleVMs {
+		free[v] = v.FreeSlots()
+		byID[v.VM.ID] = v
+	}
+	var out []sim.Assignment
+	for _, t := range ctx.Ready {
+		v, ok := byID[assign[t.Act.ID]]
+		if !ok || free[v] == 0 {
+			continue
+		}
+		free[v]--
+		out = append(out, sim.Assignment{Task: t, VM: v})
+	}
+	return out
+}
+
+// TestPlanPickMatchesMap holds Plan.Pick to the map version over a
+// run of random decisions on one Plan: random ready subsets in random
+// order, random idle subsets with random free slots, and idle VMs with
+// IDs from fleet.Len() on (autoscaled), which no plan names. A budget
+// left dirty by one decision shows in the next.
+func TestPlanPickMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	w := trace.MontageN(rand.New(rand.NewSource(5)), 60)
+	fleet := fleet16(t)
+	assign := make(map[string]int, w.Len())
+	for _, a := range w.Activations() {
+		assign[a.ID] = rng.Intn(fleet.Len())
+	}
+	p := &Plan{Assign: assign}
+	if err := p.Prepare(w, fleet, nil); err != nil {
+		t.Fatal(err)
+	}
+	tasks := make([]*sim.Task, w.Len())
+	for _, a := range w.Activations() {
+		tasks[a.Index] = &sim.Task{Act: a, State: sim.Ready}
+	}
+	vms := append([]*cloud.VM(nil), fleet.VMs...)
+	for id := fleet.Len(); id < fleet.Len()+6; id++ {
+		vms = append(vms, &cloud.VM{ID: id, Type: cloud.T2Large})
+	}
+	for round := 0; round < 2000; round++ {
+		var idle []*sim.VMState
+		for _, vm := range vms {
+			if rng.Intn(3) > 0 {
+				idle = append(idle, &sim.VMState{VM: vm, Slots: 1 + rng.Intn(3)})
+			}
+		}
+		ready := make([]*sim.Task, 0, len(tasks))
+		for _, i := range rng.Perm(len(tasks))[:rng.Intn(len(tasks)+1)] {
+			ready = append(ready, tasks[i])
+		}
+		ctx := &sim.Context{Ready: ready, IdleVMs: idle}
+		want := mapPlanPick(assign, ctx)
+		got := p.Pick(ctx)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d assignments, map version %d", round, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("round %d, assignment %d: %s on %v, map version %s on %v",
+					round, i, got[i].Task.Act.ID, got[i].VM, want[i].Task.Act.ID, want[i].VM)
+			}
+		}
 	}
 }
 
@@ -376,7 +449,7 @@ func BenchmarkMinMinMontage50(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(w, fleet, MinMin{}, sim.Config{}); err != nil {
+		if _, err := sim.Run(w, fleet, &MinMin{}, sim.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -386,14 +459,14 @@ func TestCheapFirstPrefersCheapSlots(t *testing.T) {
 	w := dag.New("cheap")
 	w.MustAdd("a", "x", 10)
 	fleet := fleet16(t) // micro slot-price < 2xlarge slot-price
-	res, err := sim.Run(w, fleet, CheapFirst{}, sim.Config{})
+	res, err := sim.Run(w, fleet, &CheapFirst{}, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fleet.VMs[res.Plan["a"]].Type.Name != "t2.micro" {
 		t.Fatalf("CheapFirst chose %v", fleet.VMs[res.Plan["a"]].Type.Name)
 	}
-	if (CheapFirst{}).Name() != "CheapFirst" {
+	if (&CheapFirst{}).Name() != "CheapFirst" {
 		t.Fatal("bad name")
 	}
 }
@@ -408,7 +481,7 @@ func TestCheapFirstLowersBusyCost(t *testing.T) {
 	w.MustAdd("b", "x", 100)
 	w.MustDep("a", "b")
 	fleet := fleet16(t)
-	cheap, err := sim.Run(w, fleet, CheapFirst{}, sim.Config{})
+	cheap, err := sim.Run(w, fleet, &CheapFirst{}, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +512,7 @@ func TestEnsembleScheduling(t *testing.T) {
 	}
 	fleet := fleet16(t)
 	mk := func(w *dag.Workflow) float64 {
-		res, err := sim.Run(w, fleet, MinMin{}, sim.Config{})
+		res, err := sim.Run(w, fleet, &MinMin{}, sim.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -511,7 +584,7 @@ func TestSiteAwareKeepsDataLocal(t *testing.T) {
 		w.MustDep("p1", c.ID)
 	}
 	fleet := multiSiteFleet(t)
-	res, err := sim.Run(w, fleet, SiteAware{}, sim.Config{DataTransfer: true})
+	res, err := sim.Run(w, fleet, &SiteAware{}, sim.Config{DataTransfer: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +594,7 @@ func TestSiteAwareKeepsDataLocal(t *testing.T) {
 			t.Fatalf("%s scheduled off-site: %v", id, res.Plan)
 		}
 	}
-	if (SiteAware{}).Name() != "SiteAware" {
+	if (&SiteAware{}).Name() != "SiteAware" {
 		t.Fatal("bad name")
 	}
 }
@@ -544,7 +617,7 @@ func TestSiteAwareBeatsSiteBlindOnChains(t *testing.T) {
 		}
 	}
 	fleet := multiSiteFleet(t)
-	aware, err := sim.Run(w, fleet, SiteAware{}, sim.Config{DataTransfer: true})
+	aware, err := sim.Run(w, fleet, &SiteAware{}, sim.Config{DataTransfer: true})
 	if err != nil {
 		t.Fatal(err)
 	}

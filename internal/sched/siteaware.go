@@ -13,17 +13,17 @@ import (
 // input bytes (avoiding slow inter-site links), with estimated
 // execution time breaking ties within and across sites. On
 // single-site fleets it degrades to MCT-like behaviour.
-type SiteAware struct{}
+type SiteAware struct{ slots slots }
 
 // Name implements sim.Scheduler.
-func (SiteAware) Name() string { return "SiteAware" }
+func (*SiteAware) Name() string { return "SiteAware" }
 
 // Prepare implements sim.Scheduler.
-func (SiteAware) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return nil }
+func (*SiteAware) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return nil }
 
 // Pick implements sim.Scheduler.
-func (SiteAware) Pick(ctx *sim.Context) []sim.Assignment {
-	free := freeSlots(ctx.IdleVMs)
+func (s *SiteAware) Pick(ctx *sim.Context) []sim.Assignment {
+	s.slots.fill(ctx.IdleVMs)
 	var out []sim.Assignment
 	for _, t := range ctx.Ready {
 		// Bytes of this activation's inputs resident per site (any VM
@@ -40,7 +40,7 @@ func (SiteAware) Pick(ctx *sim.Context) []sim.Assignment {
 		bestLocal := int64(-1)
 		bestCT := math.Inf(1)
 		for _, v := range ctx.IdleVMs {
-			if free[v] == 0 {
+			if s.slots.left(v) == 0 {
 				continue
 			}
 			local := siteBytes[v.VM.Site]
@@ -52,8 +52,9 @@ func (SiteAware) Pick(ctx *sim.Context) []sim.Assignment {
 		if best == nil {
 			break
 		}
-		free[best]--
+		s.slots.take(best)
 		out = append(out, sim.Assignment{Task: t, VM: best})
 	}
+	s.slots.reset(ctx.IdleVMs)
 	return out
 }

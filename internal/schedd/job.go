@@ -253,7 +253,7 @@ func (s *Server) planJob(ctx context.Context, j *job) (core.Plan, error) {
 		eng, err := s.pool.Acquire(j.w, j.fleet, &sched.Plan{
 			PlanName: "submitted",
 			Assign:   plan.Map(),
-		}, sim.Config{Seed: req.Seed, Fluct: fluct, Sink: s.agg, Ctx: ctx})
+		}, sim.Config{Seed: req.Seed, Fluct: fluct, Sink: s.agg, Ctx: ctx, SkipPlan: true})
 		if err != nil {
 			return plan, err
 		}
@@ -347,11 +347,12 @@ func (s *Server) runPlan(ctx context.Context, j *job, plan core.Plan, rec exec.R
 		if horizon == 0 {
 			horizon = 3600
 		}
-		trc, err := market.Generate(market.DefaultCatalogue(), j.fleet, rg, mseed, horizon)
+		cat := market.DefaultCatalogue()
+		trc, err := market.Generate(cat, j.fleet, rg, mseed, horizon)
 		if err != nil {
 			return nil, nil, err
 		}
-		if pb, err = market.NewPlayback(trc, nil); err != nil {
+		if pb, err = market.NewPlayback(trc, cat); err != nil {
 			return nil, nil, err
 		}
 		tr = exec.NewMarketFeed(tr, pb)

@@ -347,23 +347,24 @@ type Engine struct {
 	vms    []*VMState
 	result *Result
 
-	// Backing arrays behind vms/tasks: allocated on the first run,
-	// re-initialised in place by later runs. Their element addresses
-	// are stable across Reset, so the pre-bound event closures below
-	// stay valid.
+	// Backing arrays behind vms/tasks: allocated on the first run that
+	// needs them at least this large, re-initialised in place by later
+	// runs (after Reset or Rebind). Their element addresses are stable
+	// until a larger problem reallocates them, which re-binds the event
+	// closures below.
 	vmBacking   []VMState
 	taskBacking []Task
 	// releaseFns[i] moves task i into the ready queue; completeFns[i]
 	// completes task i on the VM recorded in running. Binding them once
-	// per engine removes the two per-task closure allocations that used
-	// to dominate an episode's event scheduling.
+	// per task backing (allocTasks) removes the two per-task closure
+	// allocations that used to dominate an episode's event scheduling.
 	releaseFns  []func()
 	completeFns []func()
 
 	// Reused result backing. A Result returned by Run IS resultBuf and
-	// borrows the slice/map backings; Reset reclaims them all,
-	// invalidating that Result entirely (single-use engines — no Reset
-	// — hand them over for good).
+	// borrows the slice/map backings; Reset and Rebind reclaim them
+	// all, invalidating that Result entirely (single-use engines — no
+	// Reset — hand them over for good).
 	resultBuf Result
 	recBuf    []Record
 	perVMBuf  map[int]VMStats
@@ -415,10 +416,14 @@ func (g *Engine) Reset(cfg Config) error {
 	return nil
 }
 
-// setup (re)initialises all per-run state. The first call allocates
-// the backing arrays; later calls (after Reset) reuse them. Re-seeding
-// the rng and drawing spot revocations in the same order as a fresh
-// engine keeps reset runs bit-identical to fresh ones.
+// setup (re)initialises all per-run state. A backing is allocated
+// only when its capacity is short of what the problem needs; otherwise
+// it is re-initialised in place, so runs after Reset or Rebind reuse
+// every buffer a previous run left large enough. Elements past the
+// problem's size are zeroed: a pooled engine pins no workflow, VM or
+// file name of a problem it no longer serves. Re-seeding the rng and
+// drawing spot revocations in the same order as a fresh engine keeps
+// reused runs bit-identical to fresh ones.
 func (g *Engine) setup() {
 	g.sim.SetHorizon(g.cfg.Horizon)
 	if g.rng == nil {
@@ -426,11 +431,21 @@ func (g *Engine) setup() {
 	}
 	// Re-seeding yields the same stream as a fresh source, in O(1).
 	g.rng.Seed(g.cfg.Seed)
-	if g.vmBacking == nil {
-		g.vmBacking = make([]VMState, g.fleet.Len())
-		g.vms = make([]*VMState, 0, g.fleet.Len())
+	nv := g.fleet.Len()
+	if cap(g.vmBacking) < nv {
+		g.vmBacking = make([]VMState, nv)
 	}
-	g.vms = g.vms[:0] // drops autoscaled VMs from a previous run
+	clear(g.vmBacking[nv:cap(g.vmBacking)])
+	g.vmBacking = g.vmBacking[:nv]
+	if cap(g.vms) < nv {
+		g.vms = make([]*VMState, 0, nv)
+	}
+	clear(g.vms[:cap(g.vms)]) // drops autoscaled VMs from a previous run
+	g.vms = g.vms[:0]
+	if g.ctxIdle == nil {
+		g.ctxIdle = make([]*VMState, 0, nv)
+	}
+	clear(g.ctxIdle[:cap(g.ctxIdle)])
 	g.nIdle = 0
 	for i, vm := range g.fleet.VMs {
 		st := &g.vmBacking[i]
@@ -466,57 +481,39 @@ func (g *Engine) setup() {
 	} else {
 		g.scaler = nil
 	}
-	if g.running == nil {
-		g.running = make([]runningTask, g.w.Len())
-	} else {
-		clear(g.running)
+	n := g.w.Len()
+	if cap(g.running) < n {
+		g.running = make([]runningTask, n)
 	}
+	clear(g.running[:cap(g.running)])
+	g.running = g.running[:n]
 	if g.cfg.Hook != nil {
 		g.hook = g.cfg.Hook.RunStart(g.env)
 	} else {
 		g.hook = nil
 	}
 	g.scheduleRevocations()
-	n := g.w.Len()
-	if g.taskBacking == nil {
-		g.taskBacking = make([]Task, n)
-		g.tasks = make([]*Task, n)
-		g.ready = make([]*Task, 0, n)
-		g.ctxReady = make([]*Task, 0, n)
-		g.ctxIdle = make([]*VMState, 0, len(g.vms))
-		g.cycleFn = func() {
-			g.cyclePosted = false
-			g.cycle()
-		}
+	if cap(g.taskBacking) < n {
+		g.allocTasks(n)
 	}
+	clear(g.taskBacking[n:cap(g.taskBacking)])
+	g.taskBacking = g.taskBacking[:n]
+	g.tasks = g.tasks[:n]
 	for _, a := range g.w.Activations() {
 		g.taskBacking[a.Index] = Task{Act: a, State: Locked, waitingOn: len(a.Parents())}
 		g.tasks[a.Index] = &g.taskBacking[a.Index]
 	}
-	if g.releaseFns == nil {
-		g.releaseFns = make([]func(), n)
-		g.completeFns = make([]func(), n)
-		for i := range g.tasks {
-			t := g.tasks[i]
-			g.releaseFns[i] = func() {
-				g.pushReady(t)
-				if g.hook != nil {
-					g.hook.TaskReady(t.ReadyAt, t)
-				}
-				g.postCycle()
-			}
-			g.completeFns[i] = func() {
-				if v := g.running[i].vm; v != nil {
-					g.complete(t, v)
-				}
-			}
+	if g.cycleFn == nil {
+		g.cycleFn = func() {
+			g.cyclePosted = false
+			g.cycle()
 		}
 	}
 	g.ready = g.ready[:0]
 	g.remaining = n
 	g.cyclePosted = false
 	g.peakBooted = 0
-	if g.recBuf == nil {
+	if cap(g.recBuf) < n {
 		g.recBuf = make([]Record, 0, n)
 	}
 	if g.perVMBuf == nil {
@@ -532,6 +529,34 @@ func (g *Engine) setup() {
 	g.result = &g.resultBuf
 	if !g.cfg.SkipPlan {
 		g.result.Plan = make(map[string]int, n)
+	}
+}
+
+// allocTasks allocates the task backing for n activations, with the
+// slices sized by it, and binds each task's event closures to its
+// element: releaseFns[i] and completeFns[i] stay valid for as long as
+// this backing does, however later problems reslice it.
+func (g *Engine) allocTasks(n int) {
+	g.taskBacking = make([]Task, n)
+	g.tasks = make([]*Task, n)
+	g.ready = make([]*Task, 0, n)
+	g.ctxReady = make([]*Task, 0, n)
+	g.releaseFns = make([]func(), n)
+	g.completeFns = make([]func(), n)
+	for i := range g.taskBacking {
+		t := &g.taskBacking[i]
+		g.releaseFns[i] = func() {
+			g.pushReady(t)
+			if g.hook != nil {
+				g.hook.TaskReady(t.ReadyAt, t)
+			}
+			g.postCycle()
+		}
+		g.completeFns[i] = func() {
+			if v := g.running[i].vm; v != nil {
+				g.complete(t, v)
+			}
+		}
 	}
 }
 

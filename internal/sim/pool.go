@@ -12,15 +12,23 @@ import (
 
 // Rebind re-targets a pooled engine at a new problem: workflow, fleet,
 // scheduler and configuration all change, unlike Reset, which re-arms
-// the same problem. Shape-dependent state (task and VM backing, event
-// closures, the estimator's memo) is dropped and reallocated by the
-// next Run's setup, while the DES kernel — whose event freelist is
-// shape-independent — and the rng are kept, so a long-lived engine
-// serving many jobs stops paying the kernel's warm-up allocations.
+// the same problem. Rebind drops only what points into the previous
+// problem: the Env (and with it the estimator's memo), the Result, the
+// run's hook and autoscaler, and the decision Context. Like Reset, it
+// takes the previous Result's record slice back as backing, emptied of
+// its records. Every other buffer is kept: the DES kernel and its
+// event freelist, the rng, the task and VM backings with their
+// pre-bound event closures and file-residency maps, the running table,
+// the per-VM stats map and the decision scratch. The next Run's setup
+// allocates a backing only when the new problem outgrows it, and zeroes
+// what lies past the new problem's size, so a pooled engine serving
+// many jobs of one structure allocates almost nothing per job and pins
+// no workflow or fleet it no longer serves.
 //
 // A rebound run is bit-identical to a fresh engine's run of the same
-// problem: setup re-seeds the kept rng (the identical stream) and
-// only the kernel's freelist hit counters can differ.
+// problem: setup re-initialises every kept element and re-seeds the
+// kept rng (the identical stream); only the kernel's freelist hit
+// counters can differ.
 func (g *Engine) Rebind(w *dag.Workflow, fleet *cloud.Fleet, sched Scheduler, cfg Config) error {
 	if w == nil {
 		return fmt.Errorf("sim: nil workflow")
@@ -39,35 +47,18 @@ func (g *Engine) Rebind(w *dag.Workflow, fleet *cloud.Fleet, sched Scheduler, cf
 	}
 	g.w, g.fleet, g.sched, g.cfg = w, fleet, sched, cfg
 
-	// Drop everything sized by (or pointing into) the previous
-	// problem. setup reallocates on the next Run.
 	g.env = nil
-	g.tasks = nil
-	g.ready = nil
-	g.vms = nil
-	g.result = nil
-	g.vmBacking = nil
-	g.taskBacking = nil
-	g.releaseFns = nil
-	g.completeFns = nil
-	g.resultBuf = Result{}
-	g.recBuf = nil
-	g.perVMBuf = nil
-	g.ctx = Context{}
-	g.ctxReady = nil
-	g.ctxIdle = nil
-	g.cycleFn = nil
-	g.remaining = 0
-	g.cyclePosted = false
-	g.scaler = nil
-	g.nBooted = 0
-	g.nIdle = 0
-	g.peakBooted = 0
 	g.hook = nil
-	g.running = nil
-
-	// Keep the kernel object and its event freelist; rng is re-seeded
-	// by setup.
+	g.scaler = nil
+	g.ctx = Context{}
+	if g.result != nil {
+		// The records name the previous workflow's activations: keep
+		// the capacity, not the strings.
+		g.recBuf = g.result.Records[:0]
+		clear(g.recBuf[:cap(g.recBuf)])
+		g.result = nil
+	}
+	g.resultBuf = Result{}
 	g.sim.Reset()
 	return nil
 }
