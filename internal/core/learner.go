@@ -52,6 +52,9 @@ type Learner struct {
 	// sink receives telemetry events when set (WithSink); nil keeps
 	// the hot path allocation-free.
 	sink telemetry.Sink
+	// episodeEv is the one EpisodeEvent every episode (and the
+	// extraction pass) emits a pointer to, so an episode boxes no event.
+	episodeEv telemetry.EpisodeEvent
 	// replicas > 1 makes Learn run that many concurrent learners and
 	// keep the best plan (WithReplicas / LearnReplicas).
 	replicas int
@@ -199,18 +202,21 @@ func (l *Learner) Learn() (*Result, error) {
 			State:    simRes.State,
 		})
 		if l.sink != nil {
-			l.sink.Emit(telemetry.EpisodeEvent{
-				Episode:   ep,
-				Makespan:  simRes.Makespan,
-				Reward:    agent.EpisodeReward(),
-				Alpha:     params.Alpha,
-				Epsilon:   params.Epsilon,
-				QDelta:    math.Sqrt(agent.qDeltaSq),
-				Updates:   agent.updates,
-				State:     simRes.State.String(),
-				Decisions: simRes.Decisions,
-				Events:    simRes.Events,
-			})
+			l.episodeEv = telemetry.EpisodeEvent{
+				Episode:          ep,
+				Makespan:         simRes.Makespan,
+				Reward:           agent.EpisodeReward(),
+				Alpha:            params.Alpha,
+				Epsilon:          params.Epsilon,
+				QDelta:           math.Sqrt(agent.qDeltaSq),
+				Updates:          agent.updates,
+				State:            simRes.State.String(),
+				Decisions:        simRes.Decisions,
+				Events:           simRes.Events,
+				Placements:       agent.placements(),
+				GreedyPlacements: agent.greedy,
+			}
+			l.sink.Emit(&l.episodeEv)
 		}
 		if simRes.State == sim.FinishedOK && simRes.Makespan < res.BestEpisodeMakespan {
 			res.BestEpisodeMakespan = simRes.Makespan
@@ -241,8 +247,9 @@ func (l *Learner) ExtractPlan(table *rl.Table) (Plan, float64, error) {
 	if err != nil {
 		return Plan{}, 0, err
 	}
-	// Episode -1 marks the extraction pass on decision events; the
-	// aggregator excludes it from the learning-curve series.
+	// Episode -1 marks the extraction pass on its events; the
+	// aggregator counts its placements but excludes it from the
+	// learning-curve series.
 	agent.instrument(l.sink, -1)
 	cfg := l.simConfig
 	cfg.Seed = l.seed
@@ -270,16 +277,19 @@ func (l *Learner) ExtractPlan(table *rl.Table) (Plan, float64, error) {
 		return Plan{}, 0, fmt.Errorf("core: plan extraction ended in state %v", simRes.State)
 	}
 	if l.sink != nil {
-		l.sink.Emit(telemetry.EpisodeEvent{
-			Episode:   -1,
-			Makespan:  simRes.Makespan,
-			Reward:    agent.EpisodeReward(),
-			Alpha:     l.params.Alpha,
-			Epsilon:   l.params.Epsilon,
-			State:     simRes.State.String(),
-			Decisions: simRes.Decisions,
-			Events:    simRes.Events,
-		})
+		l.episodeEv = telemetry.EpisodeEvent{
+			Episode:          -1,
+			Makespan:         simRes.Makespan,
+			Reward:           agent.EpisodeReward(),
+			Alpha:            l.params.Alpha,
+			Epsilon:          l.params.Epsilon,
+			State:            simRes.State.String(),
+			Decisions:        simRes.Decisions,
+			Events:           simRes.Events,
+			Placements:       agent.placements(),
+			GreedyPlacements: agent.greedy,
+		}
+		l.sink.Emit(&l.episodeEv)
 	}
 	return NewPlan(simRes.Plan), simRes.Makespan, nil
 }

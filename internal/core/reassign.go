@@ -132,11 +132,13 @@ type Scheduler struct {
 
 	// Telemetry (instrument): nil sink disables the whole block, so
 	// the uninstrumented hot path pays only a nil check.
-	sink     telemetry.Sink
-	episode  int                 // episode number stamped on events; -1 = extraction
-	explain  rl.ExplainingPolicy // policy, when it can report greedy-vs-explore
-	qDeltaSq float64             // Σ (ΔQ)² of this episode's TD updates
-	updates  int                 // TD updates applied this episode
+	sink      telemetry.Sink
+	episode   int                 // episode number stamped on events; -1 = extraction
+	explain   rl.ExplainingPolicy // policy, when it can report greedy-vs-explore
+	decisions bool                // sink asks for decision events
+	qDeltaSq  float64             // Σ (ΔQ)² of this episode's TD updates
+	updates   int                 // TD updates applied this episode
+	greedy    int                 // placements this episode that exploited the table
 	// decision is the one DecisionEvent every Pick emits a pointer to:
 	// boxing a fresh 64-byte value per decision would allocate.
 	decision telemetry.DecisionEvent
@@ -273,15 +275,24 @@ func (s *Scheduler) WithSecondTable(t *rl.Table) *Scheduler {
 
 // instrument attaches a telemetry sink and the episode number stamped
 // on decision events. Call it after the policy is set (NewScheduler or
-// reset); a nil sink disables instrumentation entirely.
+// reset); a nil sink disables instrumentation entirely. Whether the
+// sink asks for decision events is settled here, once per episode; a
+// sink that does not ask still hears the episode's placement counts
+// (placements, greedy) on its EpisodeEvent.
 func (s *Scheduler) instrument(sink telemetry.Sink, episode int) {
 	s.sink = sink
 	s.episode = episode
 	s.explain = nil
+	s.decisions = telemetry.WantsDecisions(sink)
 	if sink != nil {
 		s.explain, _ = s.policy.(rl.ExplainingPolicy)
 	}
 }
+
+// placements returns the activation→VM decisions of the current
+// episode: step, the reward's decision counter t, starts at 1 in
+// Prepare and advances once per placement.
+func (s *Scheduler) placements() int { return s.step - 1 }
 
 // Name implements sim.Scheduler.
 func (s *Scheduler) Name() string { return "ReASSIgN" }
@@ -339,6 +350,7 @@ func (s *Scheduler) Prepare(w *dag.Workflow, fleet *cloud.Fleet, _ *sim.Env) err
 	s.episodeR = 0
 	s.qDeltaSq = 0
 	s.updates = 0
+	s.greedy = 0
 	return nil
 }
 
@@ -383,15 +395,20 @@ func (s *Scheduler) Pick(ctx *sim.Context) []sim.Assignment {
 			} else {
 				vmID = s.policy.Select(s.table, t.Act.Index, open, s.rng)
 			}
-			s.decision = telemetry.DecisionEvent{
-				Episode:    s.episode,
-				Time:       ctx.Now,
-				Task:       t.Act.Index,
-				Activation: t.Act.ID,
-				VM:         vmID,
-				Greedy:     greedy,
+			if greedy {
+				s.greedy++
 			}
-			s.sink.Emit(&s.decision)
+			if s.decisions {
+				s.decision = telemetry.DecisionEvent{
+					Episode:    s.episode,
+					Time:       ctx.Now,
+					Task:       t.Act.Index,
+					Activation: t.Act.ID,
+					VM:         vmID,
+					Greedy:     greedy,
+				}
+				s.sink.Emit(&s.decision)
+			}
 		} else {
 			vmID = s.policy.Select(s.table, t.Act.Index, open, s.rng)
 		}

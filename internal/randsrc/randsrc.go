@@ -94,14 +94,15 @@ func lehmer(x uint64, i int) int64 {
 
 // Source is a rand.Source64 whose every output equals, seed for seed,
 // rand.NewSource's. Like that source it is not safe for concurrent use.
-// Its 607-word state is allocated on the first draw, so a source that
-// is seeded and never drawn from (a simulation without stochastic
-// models) costs a few words.
+// Its 607-word state is allocated on the first draw past the 273rd:
+// until then every draw reads only words no earlier draw wrote, so it
+// is computed in closed form, and a source that is seeded and drawn a
+// few hundred times (an episode's exploration) costs a few words.
 type Source struct {
 	x         uint64 // the seed, normalised as math/rand does
 	n         int    // draws since Seed, counted up to feed0
 	tap, feed int
-	vec       *[rngLen]int64
+	vec       *[rngLen]int64 // kept across Seed once allocated
 }
 
 // New returns a Source seeded with seed.
@@ -160,23 +161,45 @@ func (s *Source) step() uint64 {
 // feed word no earlier draw has read, and the first 273 a tap word
 // likewise; every later read is of a word some draw already read or
 // wrote. So warm computes each word just before its first read, in the
-// order the draws reach them.
+// order the draws reach them. Without the state array, the first 273
+// draws need none: each sums two computed words and writes a feed word
+// that no draw before the 274th reads.
 func (s *Source) warm() uint64 {
-	if s.vec == nil {
-		s.vec = new([rngLen]int64)
-	}
-	v := s.vec
 	tap, feed := s.tap-1, s.feed-1 // feed runs from 333 down to 0 here
 	if tap < 0 {
 		tap += rngLen
 	}
 	s.tap, s.feed = tap, feed
-	v[feed] = lehmer(s.x, feed) ^ cooked[feed]
+	if s.vec == nil {
+		if s.n < rngTap {
+			s.n++
+			return uint64(s.word(feed) + s.word(tap))
+		}
+		s.fill()
+	}
+	v := s.vec
+	v[feed] = s.word(feed)
 	if s.n < rngTap {
-		v[tap] = lehmer(s.x, tap) ^ cooked[tap]
+		v[tap] = s.word(tap)
 	}
 	s.n++
 	x := v[feed] + v[tap]
 	v[feed] = x
 	return uint64(x)
+}
+
+// word is state word i as Seed leaves it.
+func (s *Source) word(i int) int64 { return lehmer(s.x, i) ^ cooked[i] }
+
+// fill allocates the state at the 274th draw after Seed and stores
+// what draws 1..273 would have left in it: draw k reads tap word 607−k
+// and writes feed word 334−k, the sum of both.
+func (s *Source) fill() {
+	v := new([rngLen]int64)
+	for k := 1; k <= rngTap; k++ {
+		tap, feed := rngLen-k, feed0-k
+		v[tap] = s.word(tap)
+		v[feed] = s.word(feed) + v[tap]
+	}
+	s.vec = v
 }

@@ -73,17 +73,42 @@ func TestMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestSeedAllocs: New allocates the state only when first drawn from,
-// and re-seeding and drawing again allocate nothing.
+// TestSeedAllocs: a source allocates nothing through its 273rd draw
+// after Seed, allocates its state once at the 274th, and keeps it:
+// re-seeding and drawing again, past 273 or not, allocate nothing.
 func TestSeedAllocs(t *testing.T) {
-	s := New(1)
-	if s.vec != nil {
-		t.Fatal("New allocated the state before a draw")
-	}
-	s.Uint64()
 	seed := int64(0)
-	if a := testing.AllocsPerRun(100, func() { seed++; s.Seed(seed); s.Uint64() }); a != 0 {
-		t.Fatalf("Seed and a draw allocate %v times, want 0", a)
+	draws := func(n int) float64 {
+		return testing.AllocsPerRun(100, func() {
+			seed++
+			var s Source
+			s.Seed(seed)
+			for i := 0; i < n; i++ {
+				s.Uint64()
+			}
+			if (s.vec != nil) != (n > rngTap) {
+				t.Fatalf("after %d draws the state is allocated: %v", n, s.vec != nil)
+			}
+		})
+	}
+	if a := draws(rngTap); a != 0 {
+		t.Fatalf("Seed and %d draws allocate %v times, want 0", rngTap, a)
+	}
+	if a := draws(rngTap + 1); a != 1 {
+		t.Fatalf("Seed and %d draws allocate %v times, want 1", rngTap+1, a)
+	}
+	s := New(1)
+	for i := 0; i <= rngTap; i++ {
+		s.Uint64()
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		seed++
+		s.Seed(seed)
+		for i := 0; i < rngLen; i++ {
+			s.Uint64()
+		}
+	}); a != 0 {
+		t.Fatalf("re-seeding a source with state and drawing allocate %v times, want 0", a)
 	}
 }
 

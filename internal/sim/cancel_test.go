@@ -113,3 +113,53 @@ func TestResetAfterCancel(t *testing.T) {
 		t.Fatalf("reset-after-cancel makespan %v != fresh %v", res.Makespan, fresh.Makespan)
 	}
 }
+
+// goroutineCancelHook, at its after-th decision, signals reached and
+// holds the run until another goroutine has canceled the context, so
+// the cancel lands in the middle of an episode from outside the engine.
+type goroutineCancelHook struct {
+	cancelHook
+	ctx     context.Context
+	reached chan struct{}
+}
+
+func (h *goroutineCancelHook) RunStart(*Env) RunHook { return h }
+func (h *goroutineCancelHook) Decision(float64, *Context) {
+	h.seen++
+	if h.seen == h.after {
+		close(h.reached)
+		<-h.ctx.Done()
+	}
+}
+
+// TestRunCanceledFromAnotherGoroutine: a cancel from another goroutine
+// mid-episode is seen at the next scheduling cycle. Run it under -race:
+// the engine reads the cancellation through the context's Done
+// channel, which orders it after the cancel.
+func TestRunCanceledFromAnotherGoroutine(t *testing.T) {
+	w := trace.Montage50(rand.New(rand.NewSource(1)))
+	fleet, err := cloud.FleetTable1(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	h := &goroutineCancelHook{cancelHook: cancelHook{after: 3}, ctx: ctx, reached: make(chan struct{})}
+	eng, err := NewEngine(w, fleet, &greedyFirst{}, Config{Ctx: ctx, Hook: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		select {
+		case <-h.reached:
+			cancel()
+		case <-ctx.Done(): // the test is over
+		}
+	}()
+	if _, err := eng.Run(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v, want context.Canceled", err)
+	}
+	if h.seen > h.after+1 {
+		t.Fatalf("run kept scheduling after cancel: %d decisions", h.seen)
+	}
+}

@@ -40,6 +40,10 @@ func (s *JSONL) Emit(e Event) {
 	s.err = s.enc.Encode(envelope{Kind: e.Kind(), Event: e})
 }
 
+// WantsDecisions implements the optional Sink method: a trace records
+// every scheduling decision.
+func (s *JSONL) WantsDecisions() bool { return true }
+
 // Err returns the first encoding or write error, if any.
 func (s *JSONL) Err() error {
 	s.mu.Lock()
