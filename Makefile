@@ -138,14 +138,15 @@ ab:
 	GO=$(GO) bash scripts/ab.sh $(A) $(B) $(AB_ARGS)
 
 ## audit: the correctness harness — invariant auditor sweeps,
-## fresh-vs-reset differential grid, the spot/autoscale determinism
-## regression tests, and the exec master's differential checks (the
-## per-turn oracle against the scans its bookkeeping replaced, and
-## bit-identical repeats of plain, market and codec runs); -count=1
-## defeats the test cache
+## fresh-vs-reset differential grid, the simulator's determinism and
+## engine-reuse checks (same seed ⇒ same run, fresh = Reset = Rebind,
+## the idle-VM counter against a scan), and the exec master's
+## differential checks (the per-turn oracle against the scans its
+## bookkeeping replaced, and bit-identical repeats of plain, market and
+## codec runs); -count=1 defeats the test cache
 audit:
 	$(GO) test -count=1 ./internal/invariant/...
-	$(GO) test -count=1 -run 'TraceStable|Deterministic|Gapped|Pins|FreesAutoscale|Reset' ./internal/sim/...
+	$(GO) test -count=1 -run 'Deterministic|Reset|Rebind|IdleCounter' ./internal/sim/...
 	$(GO) test -count=1 -run 'TurnOracle|DeterminismBitIdentical|MarketExecDeterministic|CodecDeterminismOracle' ./internal/exec/
 
 ## fuzz-smoke: a short native-fuzzing pass over the DES kernel (its

@@ -39,7 +39,7 @@ func run() (err error) {
 	replicas := flag.Int("replicas", 1, "parallel learning replicas per configuration (best plan wins)")
 	ablations := flag.Bool("ablations", false, "run the ablation suite instead of Tables I-V")
 	baselines := flag.Bool("baselines", false, "run the wider baseline comparison")
-	studies := flag.Bool("studies", false, "run the beyond-paper studies (elasticity, spot revocations, open system, market frontier)")
+	studies := flag.Bool("studies", false, "run the beyond-paper studies (Montage scaling, replicas, open system, market frontier)")
 	curves := flag.String("curves", "", "write ReASSIgN learning curves (SVG) to this file and exit")
 	reportPath := flag.String("report", "", "write a self-contained HTML report (all tables + figures) and exit")
 	outDir := flag.String("out", "", "also write TSV files to this directory")
@@ -201,20 +201,6 @@ func run() (err error) {
 		return nil
 	}
 	if *studies {
-		el, err := expt.StudyElasticity(o)
-		if err != nil {
-			return err
-		}
-		if err := emit("study_elasticity", el); err != nil {
-			return err
-		}
-		sp, err := expt.StudySpot(o)
-		if err != nil {
-			return err
-		}
-		if err := emit("study_spot", sp); err != nil {
-			return err
-		}
 		sc, err := expt.StudyScaling(o)
 		if err != nil {
 			return err
@@ -350,18 +336,6 @@ func writeReport(o expt.Options, path string) error {
 		return err
 	}
 	b.AddSVG(chart.SVG())
-
-	b.AddHeading("Beyond the paper — elasticity and spot studies")
-	el, err := expt.StudyElasticity(o)
-	if err != nil {
-		return err
-	}
-	b.AddTable(el)
-	sp, err := expt.StudySpot(o)
-	if err != nil {
-		return err
-	}
-	b.AddTable(sp)
 
 	b.AddHeading("Open system — multi-tenant arrival lanes")
 	osys, err := expt.StudyOpenSystem(o)

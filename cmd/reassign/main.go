@@ -64,8 +64,6 @@ func run() error {
 	gamma := flag.Float64("gamma", 1.0, "ReASSIgN discount γ")
 	epsilon := flag.Float64("epsilon", 0.1, "ReASSIgN exploitation probability ε (paper convention)")
 	fluct := flag.Bool("fluct", true, "enable the cloud fluctuation model")
-	autoscale := flag.Int("autoscale", 0, "enable elasticity: grow the fleet up to N VMs (t2.large, 45s boot, 120s idle timeout)")
-	spot := flag.Float64("spot", 0, "treat VMs as spot instances with this mean lifetime in seconds (one VM protected)")
 	execute := flag.Bool("execute", false, "execute the plan on the exec master after scheduling (in-process workers in virtual time, or execworkers with -listen)")
 	workers := flag.Int("workers", 1, "with -execute, the number of exec workers the fleet's VMs are partitioned across")
 	listen := flag.String("listen", "", "with -execute, serve the master on this TCP address and wait for -workers execworker processes (default: in-process deterministic workers)")
@@ -170,15 +168,6 @@ func run() error {
 		fm = &f
 	}
 	cfg := sim.Config{Fluct: fm, Seed: *seed}
-	if *autoscale > 0 {
-		cfg.Autoscale = &sim.Autoscale{
-			Type: cloud.T2Large, MaxVMs: *autoscale,
-			BootDelay: 45, IdleTimeout: 120, Cooldown: 20,
-		}
-	}
-	if *spot > 0 {
-		cfg.Spot = &sim.SpotPolicy{MeanLifetime: *spot, KeepOne: true}
-	}
 	var aud *invariant.Auditor
 	if *audit {
 		aud = invariant.New()
@@ -306,7 +295,7 @@ func run() error {
 	}
 	fmt.Printf("plan:     %d activations scheduled, simulated makespan %.3fs (%s)\n",
 		plan.Len(), makespan, metrics.FormatDuration(makespan))
-	fmt.Println(planSummary(plan, fleet, cfg.Autoscale))
+	fmt.Println(planSummary(plan, fleet))
 
 	if *ascii || *ganttOut != "" {
 		if lastRes == nil {
@@ -439,17 +428,12 @@ func lookupScheduler(name string, seed int64) (sim.Scheduler, error) {
 }
 
 // planSummary is the placement line: how many activations the plan
-// puts on each VM, by ID, with the VM's type. A VM the fleet lacks was
-// added by the autoscaler, which gives every VM it adds as.Type; with
-// no autoscaler its type is unknown ("?").
-func planSummary(plan core.Plan, fleet *cloud.Fleet, as *sim.Autoscale) string {
+// puts on each VM, by ID, with the VM's type. The fleet's VM IDs are
+// its indices; a VM the fleet lacks prints its type as "?".
+func planSummary(plan core.Plan, fleet *cloud.Fleet) string {
 	counts := make(map[int]int)
 	for i := 0; i < plan.Len(); i++ {
 		counts[plan.At(i).VM]++
-	}
-	types := make(map[int]string, fleet.Len())
-	for _, vm := range fleet.VMs {
-		types[vm.ID] = vm.Type.Name
 	}
 	ids := make([]int, 0, len(counts))
 	for id := range counts {
@@ -458,13 +442,9 @@ func planSummary(plan core.Plan, fleet *cloud.Fleet, as *sim.Autoscale) string {
 	sort.Ints(ids)
 	var parts []string
 	for _, id := range ids {
-		typ, ok := types[id]
-		switch {
-		case ok:
-		case as != nil:
-			typ = as.Type.Name
-		default:
-			typ = "?"
+		typ := "?"
+		if id >= 0 && id < fleet.Len() {
+			typ = fleet.VMs[id].Type.Name
 		}
 		parts = append(parts, fmt.Sprintf("vm%d(%s)=%d", id, typ, counts[id]))
 	}

@@ -187,7 +187,7 @@ func (l *Learner) Learn() (*Result, error) {
 				eng, err = sim.NewEngine(l.workflow, l.fleet, agent, cfg)
 			}
 		} else {
-			err = eng.Reset(cfg)
+			eng.Reset(cfg)
 		}
 		if err == nil {
 			simRes, err = eng.Run()

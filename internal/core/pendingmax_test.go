@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -97,8 +96,6 @@ type run struct {
 	oracle  *oracle
 	states  []sim.WorkflowState
 	aborted int // episodes stopped at their Config.Horizon
-	grew    int // VMs acquired by the autoscaler, summed over episodes
-	killed  int // spot revocations, summed over episodes
 }
 
 func (r *run) learn(t *testing.T, episodes int) {
@@ -145,7 +142,7 @@ func (r *run) learn(t *testing.T, episodes int) {
 		case r.mode == freshEngine || eng == nil:
 			eng, err = sim.NewEngine(r.w, r.fleet, agent, cfg)
 		default:
-			err = eng.Reset(cfg)
+			eng.Reset(cfg)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -161,10 +158,6 @@ func (r *run) learn(t *testing.T, episodes int) {
 			t.Fatal(err)
 		}
 		r.states = append(r.states, res.State)
-		if res.Elasticity != nil {
-			r.grew += res.Elasticity.Acquired
-		}
-		r.killed += res.Revocations
 		if pool != nil {
 			pool.Put(eng)
 		}
@@ -211,24 +204,6 @@ func TestIncrementalBootstrapMatchesScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gapped := &cloud.Fleet{Name: "gapped", VMs: []*cloud.VM{
-		{ID: 0, Type: cloud.T2Large}, {ID: 1, Type: cloud.T2Large},
-		{ID: 3, Type: cloud.T2Large}, {ID: 4, Type: cloud.T2Large},
-	}}
-	// Two roots, then forty children of both: the first wave leaves the
-	// autoscaler alone (2 ready on 16 free slots), so the heap is built
-	// and used; the second (40 ready) grows the fleet past the table's
-	// columns mid-episode.
-	fan := dag.New("fan")
-	fan.MustAdd("r0", "root", 10)
-	fan.MustAdd("r1", "root", 12)
-	for i := 0; i < 40; i++ {
-		id := fmt.Sprintf("c%02d", i)
-		fan.MustAdd(id, "leaf", 20+float64(i))
-		fan.MustDep("r0", id)
-		fan.MustDep("r1", id)
-	}
-	autoscale := sim.Config{Autoscale: &sim.Autoscale{Type: cloud.T2Micro, MaxVMs: 12, BootDelay: 5}}
 	// The horizon falls mid-DAG: the heap is standing when the episode
 	// aborts with most rows pending.
 	abort := sim.Config{Horizon: 150}
@@ -239,7 +214,6 @@ func TestIncrementalBootstrapMatchesScan(t *testing.T) {
 	const (
 		always = iota // every bootstrap is answered with the heap standing
 		never         // the heap must never be built
-		partly        // built, then dropped when the fleet grows
 	)
 	cases := []struct {
 		name  string
@@ -247,8 +221,8 @@ func TestIncrementalBootstrapMatchesScan(t *testing.T) {
 		fleet *cloud.Fleet
 		table func() *rl.Table
 		// twin adds a run on the scan-only path: a table of the same seed
-		// one column wider than the fleet, so fleetIsColumns is false
-		// while the fleet keeps its size.
+		// one column wider than the fleet, so the heap is off while the
+		// fleet keeps its size.
 		twin     bool
 		cfgs     []sim.Config
 		episodes int
@@ -269,36 +243,10 @@ func TestIncrementalBootstrapMatchesScan(t *testing.T) {
 				return rl.Average(rand.New(rand.NewSource(4)), learned(t, w, fl, 3), learned(t, w, fl, 5))
 			},
 			cfgs: []sim.Config{{}}},
-		{name: "spot-requeue", w: w, fleet: fl, table: fresh(23, 1), twin: true, episodes: 5, heap: always,
-			cfgs: []sim.Config{{Fluct: &fluct, Spot: &sim.SpotPolicy{MeanLifetime: 60, KeepOne: true}}}},
 		{name: "aborted-then-prepare", w: w, fleet: fl, table: fresh(23, 1), twin: true, episodes: 5, heap: always,
 			cfgs: []sim.Config{{}, abort}},
-		{name: "autoscale-grows", w: fan, fleet: fl, twin: true, episodes: 4, heap: partly,
-			table: func() *rl.Table { return rl.NewTable(fan.Len(), nv, rand.New(rand.NewSource(23)), 1.0) },
-			cfgs:  []sim.Config{autoscale}},
-		// Revoked VMs stay listed, with the work they finished: the fleet
-		// is still the table's columns. The VMs the autoscaler replaces
-		// them with (from t=0 at this threshold) are not.
-		{name: "spot", w: w, fleet: multi, table: multiTable, twin: true, episodes: 4, heap: always,
-			cfgs: []sim.Config{{Fluct: &fluct, Spot: &sim.SpotPolicy{MeanLifetime: 300, KeepOne: true}}}},
-		{name: "spot+autoscale", w: w, fleet: multi, table: multiTable, twin: true, episodes: 4, heap: never,
-			cfgs: []sim.Config{{Spot: &sim.SpotPolicy{MeanLifetime: 250, KeepOne: true},
-				Autoscale: &sim.Autoscale{Type: cloud.T2Large, MaxVMs: 5, BootDelay: 5, IdleTimeout: 150, QueuePerFreeSlot: 0.5}}}},
-		{name: "gapped-ids", w: w, fleet: gapped, episodes: 3, heap: never,
-			table: func() *rl.Table { return rl.NewTable(w.Len(), 4, rand.New(rand.NewSource(23)), 1.0) },
-			twin:  true, cfgs: []sim.Config{{}}},
-		// Four VMs and four columns, every row maximum cached by an earlier
-		// run on VMs 0..3: only the last ID says the columns are not these.
-		{name: "gapped-ids-warm", w: w, fleet: gapped, episodes: 3, heap: never, cfgs: []sim.Config{{}},
-			table: func() *rl.Table {
-				tab := learned(t, w, cloud.MustFleet("four", []cloud.VMType{cloud.T2Large}, []int{4}), 3)
-				tasks := make([]int, w.Len())
-				for i := range tasks {
-					tasks[i] = i
-				}
-				tab.MaxRect(tasks, []int{0, 1, 2, 3})
-				return tab
-			}},
+		{name: "multi-vcpu", w: w, fleet: multi, table: multiTable, twin: true, episodes: 4, heap: always,
+			cfgs: []sim.Config{{Fluct: &fluct}}},
 		{name: "table-wider-than-fleet", w: w, fleet: fl, episodes: 3, heap: never,
 			table: func() *rl.Table { return rl.NewTable(w.Len(), nv+3, rand.New(rand.NewSource(23)), 1.0) },
 			twin:  true, cfgs: []sim.Config{{}}},
@@ -335,16 +283,6 @@ func TestIncrementalBootstrapMatchesScan(t *testing.T) {
 				if o.heapLive != 0 {
 					t.Errorf("heap stood for %d bootstraps on a fleet/table it cannot cover", o.heapLive)
 				}
-			case partly:
-				if r.grew == 0 {
-					t.Fatal("the autoscaler never grew the fleet: the fallback went unexercised")
-				}
-				if o.heapLive == 0 || o.heapLive == o.checks {
-					t.Errorf("heap stood for %d of %d bootstraps, want some before the fleet grew and none after", o.heapLive, o.checks)
-				}
-			}
-			if tc.cfgs[0].Spot != nil && r.killed == 0 {
-				t.Fatal("no VM was revoked")
 			}
 			if len(tc.cfgs) > 1 && (r.aborted == 0 || len(r.states) == 0) {
 				t.Fatalf("%d aborted and %d completed episodes: want both", r.aborted, len(r.states))
@@ -390,7 +328,7 @@ func TestEngineModesLearnIdenticalTables(t *testing.T) {
 	w := montage50(t, 6)
 	fl := fleet(t, 16)
 	fluct := cloud.DefaultFluctuation()
-	cfgs := []sim.Config{{Fluct: &fluct, Spot: &sim.SpotPolicy{MeanLifetime: 60, KeepOne: true}}}
+	cfgs := []sim.Config{{Fluct: &fluct}}
 	learn := func(mode engineMode) *rl.Table {
 		r := &run{w: w, fleet: fl, params: DefaultParams(), cfgs: cfgs, mode: mode, checked: true,
 			table: rl.NewTable(w.Len(), len(fl.VMs), rand.New(rand.NewSource(23)), 1.0)}
@@ -400,4 +338,35 @@ func TestEngineModesLearnIdenticalTables(t *testing.T) {
 	reset := learn(resetEngine)
 	sameTable(t, "reset vs fresh", reset, learn(freshEngine))
 	sameTable(t, "reset vs rebound", reset, learn(reboundEngine))
+}
+
+// TestLearnRejectsGappedFleet: a fleet whose VM IDs are not 0..n-1
+// (here {0, 1, 3, 4}) is refused before the first episode, by a fresh
+// engine and by a pooled one alike, so the learner never runs with a
+// VM ID that is not its index.
+func TestLearnRejectsGappedFleet(t *testing.T) {
+	w := montage50(t, 6)
+	gapped := &cloud.Fleet{Name: "gapped", VMs: []*cloud.VM{
+		{ID: 0, Type: cloud.T2Large}, {ID: 1, Type: cloud.T2Large},
+		{ID: 3, Type: cloud.T2Large}, {ID: 4, Type: cloud.T2Large},
+	}}
+	pool := sim.NewPool()
+	// Leave a healthy engine in the pool, so the pooled path rebinds.
+	eng, err := pool.Acquire(w, fleet(t, 16), &sched.MCT{}, sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Put(eng)
+	for name, opts := range map[string][]Option{
+		"fresh":  nil,
+		"pooled": {WithEnginePool(pool)},
+	} {
+		l, err := NewLearner(Config{Workflow: w, Fleet: gapped, Episodes: 2}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Learn(); err == nil {
+			t.Errorf("%s: learning on VM IDs {0, 1, 3, 4} succeeded", name)
+		}
+	}
 }

@@ -336,15 +336,19 @@ func (s *Scheduler) Prepare(w *dag.Workflow, fleet *cloud.Fleet, _ *sim.Env) err
 		s.pmax.heap = make([]rowMax, 0, n)
 	}
 	s.td = s.td[:n]
-	if v := len(fleet.VMs); cap(s.idleBuf) < v {
-		s.idleBuf = make([]int, 0, v)
-		s.openBuf = make([]int, 0, v)
-		s.budget = make([]int, v)
-		s.vmByID = make([]*sim.VMState, v)
-		s.perfBuf = make([]float64, 0, v)
-		s.perfSlot = make([]int, 0, v)
+	nv := len(fleet.VMs)
+	if cap(s.idleBuf) < nv {
+		s.idleBuf = make([]int, 0, nv)
+		s.openBuf = make([]int, 0, nv)
+		s.budget = make([]int, nv)
+		s.vmByID = make([]*sim.VMState, nv)
+		s.perfBuf = make([]float64, 0, nv)
+		s.perfSlot = make([]int, nv)
 	}
-	s.perfBuf, s.perfSlot = s.perfBuf[:0], s.perfSlot[:0]
+	s.perfBuf, s.perfSlot = s.perfBuf[:0], s.perfSlot[:nv]
+	for i := range s.perfSlot {
+		s.perfSlot[i] = -1
+	}
 	s.rewardT = 0
 	s.step = 1
 	s.episodeR = 0
@@ -361,18 +365,6 @@ func (s *Scheduler) Prepare(w *dag.Workflow, fleet *cloud.Fleet, _ *sim.Env) err
 // is reused by the next Pick call; the engine consumes it before
 // invoking the scheduler again.
 func (s *Scheduler) Pick(ctx *sim.Context) []sim.Assignment {
-	if n := len(ctx.IdleVMs); n > 0 {
-		// IdleVMs is sorted by ID; autoscaled fleets can outgrow the
-		// Prepare-time sizing.
-		if maxID := ctx.IdleVMs[n-1].VM.ID; maxID >= len(s.budget) {
-			budget := make([]int, maxID+1)
-			copy(budget, s.budget)
-			s.budget = budget
-			vmByID := make([]*sim.VMState, maxID+1)
-			copy(vmByID, s.vmByID)
-			s.vmByID = vmByID
-		}
-	}
 	open := s.openBuf[:0]
 	for _, v := range ctx.IdleVMs {
 		id := v.VM.ID
@@ -449,19 +441,11 @@ func (s *Scheduler) OnTaskComplete(t *sim.Task, env *sim.Env) {
 		return
 	}
 
-	// Locate the executing VM's aggregate stats.
-	var vmStats sim.VMStats
-	vms := env.VMStates()
-	pos := env.VMIndexByID(t.VM.ID)
-	if pos >= 0 {
-		vmStats = vms[pos].Stats()
-	}
+	// The executing VM's aggregate stats: its ID is its index.
 	mu := s.params.Mu
-	pi := VMPerfIndex(vmStats, mu)
+	pi := VMPerfIndex(env.VMStates()[t.VM.ID].Stats(), mu)
 	pw := GlobalPerfIndex(env.GlobalStats(), mu)
-	if pos >= 0 {
-		s.setPerf(pos, pi, len(vms))
-	}
+	s.setPerf(t.VM.ID, pi)
 	crisp := s.crispReward(pi, pw)
 	if cw := s.params.CostWeight; cw > 0 && s.maxSlotPrice > 0 {
 		costTerm := 1 - 2*slotPrice(t.VM)/s.maxSlotPrice
@@ -510,14 +494,11 @@ func (s *Scheduler) crispReward(pi, pw float64) float64 {
 }
 
 // setPerf records pi as the performance index of the VM at position
-// pos of an n-VM env. A repeat completion overwrites its own entry; a
-// first one inserts it after every finished VM before pos, so perfBuf
-// keeps AppendPerfIndices' values in its order and StdDev sums to the
-// same float.
-func (s *Scheduler) setPerf(pos int, pi float64, n int) {
-	for len(s.perfSlot) < n { // first completion, or the fleet grew
-		s.perfSlot = append(s.perfSlot, -1)
-	}
+// pos. A repeat completion overwrites its own entry; a first one
+// inserts it after every finished VM before pos, so perfBuf keeps
+// AppendPerfIndices' values in its order and StdDev sums to the same
+// float.
+func (s *Scheduler) setPerf(pos int, pi float64) {
 	if k := s.perfSlot[pos]; k >= 0 {
 		s.perfBuf[k] = pi
 		return
@@ -606,11 +587,12 @@ func (s *Scheduler) doubleBootstrap(env *sim.Env, selT, evalT *rl.Table) float64
 // bootstrap of an episode scans (materialising lazy entries and
 // rescanning stale rows in the same task-major order as ever) and
 // snapshots the row maxima it leaves cached; later ones read the top
-// of pmax. That holds only while the env's VMs are exactly the table's
-// columns — an autoscaled VM adds overflow columns the row caches do
-// not cover — so any other fleet scans every time.
+// of pmax. That holds only while the fleet's VMs are exactly the
+// table's columns, the ones the row caches cover, so a table and a
+// fleet of different widths scan every time.
 func (s *Scheduler) bootstrap(env *sim.Env) float64 {
-	incremental := s.params.Rule != SARSA && s.params.Scope != AvailableOnly && s.fleetIsColumns(env)
+	_, nv := s.table.Dims()
+	incremental := s.params.Rule != SARSA && s.params.Scope != AvailableOnly && len(env.VMStates()) == nv
 	if !incremental {
 		s.pmax.built = false
 	} else if s.pmax.built && s.npending > 0 {
@@ -633,15 +615,6 @@ func (s *Scheduler) bootstrap(env *sim.Env) float64 {
 		}
 		return next
 	}
-}
-
-// fleetIsColumns reports whether the env's VMs are exactly the table's
-// columns [0, numVMs). The engine keeps the list in ID order, so its
-// length and last ID decide.
-func (s *Scheduler) fleetIsColumns(env *sim.Env) bool {
-	_, nv := s.table.Dims()
-	vms := env.VMStates()
-	return len(vms) == nv && vms[nv-1].VM.ID == nv-1
 }
 
 // nextActions enumerates the candidate schedule actions of the

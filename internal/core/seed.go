@@ -25,8 +25,8 @@ import (
 // starts from history instead of noise while TD updates remain free
 // to overturn it.
 //
-// seed drives the table's residual randomness (only used for cells
-// outside the fleet rectangle, e.g. autoscaled VMs).
+// seed drives the table's residual randomness: it is drawn only for
+// cells outside the fleet rectangle, which SeedTable does not set.
 func SeedTable(store *provenance.Store, w *dag.Workflow, fleet *cloud.Fleet, seed int64) (*rl.Table, error) {
 	if w == nil || fleet == nil {
 		return nil, fmt.Errorf("core: SeedTable needs a workflow and a fleet")

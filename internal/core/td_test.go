@@ -47,11 +47,11 @@ func FuzzSignFirstReward(f *testing.F) {
 		1, 200, 100, 4, 90, 91, 0, 11, 250, 3, 129, 128})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const nVMs = 6
-		s := &Scheduler{}
+		s := &Scheduler{perfSlot: []int{-1, -1, -1, -1, -1, -1}} // as Prepare leaves it
 		for step := 0; step+2 < len(data); step += 3 {
 			pos := int(data[step]) % nVMs
 			pi, pw := rewardValue(data[step+1]), rewardValue(data[step+2])
-			s.setPerf(pos, pi, nVMs)
+			s.setPerf(pos, pi)
 			got := s.crispReward(pi, pw)
 			want := CrispReward(pi, pw, metrics.StdDev(s.perfBuf))
 			if got != want {
@@ -131,7 +131,7 @@ func TestTDSlotsMatchSortedFlush(t *testing.T) {
 		rule UpdateRule
 		cfgs []sim.Config
 	}{
-		{"doubleq", DoubleQ, []sim.Config{{Fluct: &fluct}, {Spot: &sim.SpotPolicy{MeanLifetime: 60, KeepOne: true}}}},
+		{"doubleq", DoubleQ, []sim.Config{{Fluct: &fluct}, {}}},
 		{"doubleq-aborted", DoubleQ, []sim.Config{abort, {Fluct: &fluct}}},
 		{"qlearning-aborted", QLearning, []sim.Config{abort, {}}},
 	}
@@ -177,12 +177,11 @@ func TestTDSlotsMatchSortedFlush(t *testing.T) {
 				cfg.Seed = int64(2000 + ep)
 				cfg.SkipPlan = true
 				if eng == nil {
-					eng, err = sim.NewEngine(w, fl, agent, cfg)
+					if eng, err = sim.NewEngine(w, fl, agent, cfg); err != nil {
+						t.Fatal(err)
+					}
 				} else {
-					err = eng.Reset(cfg)
-				}
-				if err != nil {
-					t.Fatal(err)
+					eng.Reset(cfg)
 				}
 				_, err = eng.Run()
 				if cfg.Horizon > 0 && errors.Is(err, des.ErrHorizon) {

@@ -27,32 +27,11 @@ var ErrHorizon = errors.New("des: time horizon reached with pending events")
 // was called without a cause.
 var ErrInterrupted = errors.New("des: run interrupted")
 
-// event is the cancelable, recyclable half of a future-event-list
-// entry; its ordering key (time, priority, seq) lives inline in the
-// queue's Item. Executed events are recycled through the simulator's
-// free list; gen increments on each recycle so stale EventRefs become
-// no-ops instead of touching the event's next incarnation.
+// event is the recyclable half of a future-event-list entry; its
+// ordering key (time, priority, seq) lives inline in the queue's Item.
+// Executed events are recycled through the simulator's free list.
 type event struct {
-	gen      uint64
-	fn       Handler
-	canceled bool
-}
-
-// EventRef identifies a scheduled event so it can be canceled.
-type EventRef struct {
-	ev  *event
-	gen uint64
-}
-
-// Cancel marks the referenced event so it will not run. Canceling an
-// already-run or already-canceled event is a no-op. Cancel reports
-// whether the event was still pending.
-func (r EventRef) Cancel() bool {
-	if r.ev == nil || r.ev.gen != r.gen || r.ev.canceled {
-		return false
-	}
-	r.ev.canceled = true
-	return true
+	fn Handler
 }
 
 // Simulator owns the virtual clock and the future-event list.
@@ -86,7 +65,7 @@ type Simulator struct {
 // path).
 type Stats struct {
 	// Steps counts events executed; Scheduled counts events queued
-	// (executed + canceled + still pending).
+	// (executed + still pending).
 	Steps     int64
 	Scheduled int64
 	// FreelistHits counts event schedules served by recycling an
@@ -131,8 +110,7 @@ func (s *Simulator) Now() float64 { return s.now }
 // Steps returns the number of events executed so far.
 func (s *Simulator) Steps() int64 { return s.steps }
 
-// Pending returns the number of events still scheduled (including
-// canceled events not yet discarded).
+// Pending returns the number of events still scheduled.
 func (s *Simulator) Pending() int { return len(s.queue) + len(s.lane) - s.head }
 
 // SetHorizon bounds Run: the simulation stops (with ErrHorizon) before
@@ -161,14 +139,14 @@ func (s *Simulator) Interrupt(err error) {
 // At schedules fn at absolute virtual time t with priority 0.
 // Scheduling in the past panics: it is always a logic error in a
 // discrete-event model.
-func (s *Simulator) At(t float64, fn Handler) EventRef {
-	return s.AtPriority(t, 0, fn)
+func (s *Simulator) At(t float64, fn Handler) {
+	s.AtPriority(t, 0, fn)
 }
 
 // AtPriority schedules fn at absolute time t. Among events with equal
 // time, lower priority runs first; equal priorities run in insertion
 // order.
-func (s *Simulator) AtPriority(t float64, priority int, fn Handler) EventRef {
+func (s *Simulator) AtPriority(t float64, priority int, fn Handler) {
 	if fn == nil {
 		panic("des: nil handler")
 	}
@@ -184,7 +162,7 @@ func (s *Simulator) AtPriority(t float64, priority int, fn Handler) EventRef {
 		ev = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		ev.fn, ev.canceled = fn, false
+		ev.fn = fn
 		s.freeHits++
 	} else {
 		ev = &event{fn: fn}
@@ -206,7 +184,6 @@ func (s *Simulator) AtPriority(t float64, priority int, fn Handler) EventRef {
 	if d := s.Pending(); d > s.maxDepth {
 		s.maxDepth = d
 	}
-	return EventRef{ev: ev, gen: ev.gen}
 }
 
 // next returns the earliest pending item, and whether it is the lane
@@ -237,49 +214,40 @@ func (s *Simulator) pop(x *Item[*event], inLane bool) *event {
 	return ev
 }
 
-// recycle returns a popped event to the free list, invalidating any
-// outstanding EventRefs to it.
+// recycle returns a popped event to the free list.
 func (s *Simulator) recycle(ev *event) {
-	ev.gen++
 	ev.fn = nil
 	s.free = append(s.free, ev)
 }
 
 // After schedules fn delay time units from now (priority 0).
-func (s *Simulator) After(delay float64, fn Handler) EventRef {
+func (s *Simulator) After(delay float64, fn Handler) {
 	if delay < 0 {
 		panic(fmt.Sprintf("des: negative delay %v", delay))
 	}
-	return s.At(s.now+delay, fn)
+	s.At(s.now+delay, fn)
 }
 
 // Step executes the earliest pending event, advancing the clock.
 // It reports whether an event was executed (false when the queue is
-// empty or only canceled events remain).
+// empty).
 func (s *Simulator) Step() bool {
-	for {
-		x, inLane := s.next()
-		if x == nil {
-			return false
-		}
-		if x.Val.canceled {
-			s.recycle(s.pop(x, inLane))
-			continue
-		}
-		s.fire(x, inLane)
-		return true
+	x, inLane := s.next()
+	if x == nil {
+		return false
 	}
+	s.fire(x, inLane)
+	return true
 }
 
-// fire pops the live item next returned and runs its handler with the
+// fire pops the item next returned and runs its handler with the
 // clock at the item's time.
 func (s *Simulator) fire(x *Item[*event], inLane bool) {
 	s.now = x.Time
 	ev := s.pop(x, inLane)
 	s.steps++
 	fn := ev.fn
-	// Recycle before running: outstanding refs to this event are
-	// already dead, and the handler may schedule into the slot.
+	// Recycle before running: the handler may schedule into the slot.
 	s.recycle(ev)
 	fn()
 }
@@ -299,10 +267,6 @@ func (s *Simulator) Run() error {
 		if next == nil {
 			break
 		}
-		if next.Val.canceled {
-			s.recycle(s.pop(next, inLane))
-			continue
-		}
 		if next.Time > s.horizon {
 			return ErrHorizon
 		}
@@ -318,10 +282,10 @@ func (s *Simulator) Run() error {
 }
 
 // Reset empties the queue and the lane and rewinds the clock to zero,
-// clearing the kernel counters. Event references from before the reset
-// become stale no-ops. Pending events are recycled into the free list
-// and the backing arrays are kept, so a reset simulator re-runs without
-// re-allocating its event pool (the sim.Engine.Reset episode loop).
+// clearing the kernel counters. Pending events are recycled into the
+// free list and the backing arrays are kept, so a reset simulator
+// re-runs without re-allocating its event pool (the sim.Engine.Reset
+// episode loop).
 func (s *Simulator) Reset() {
 	for _, x := range s.queue {
 		s.recycle(x.Val)

@@ -74,36 +74,6 @@ func TestAfterUsesCurrentTime(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := New()
-	fired := false
-	ref := s.At(1, func() { fired = true })
-	if !ref.Cancel() {
-		t.Fatal("first Cancel returned false")
-	}
-	if ref.Cancel() {
-		t.Fatal("second Cancel returned true")
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-}
-
-func TestCancelAfterRunIsNoop(t *testing.T) {
-	s := New()
-	ref := s.At(1, func() {})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// The event already ran; Cancel may return true or false but must
-	// not panic or corrupt state. Current contract: still "pending"
-	// flagged false only via canceled field, so we just ensure no panic.
-	ref.Cancel()
-}
-
 func TestHorizonStopsRun(t *testing.T) {
 	s := New()
 	var got []float64
@@ -192,14 +162,14 @@ func TestStepReturnsFalseOnEmpty(t *testing.T) {
 
 func TestStepsCountsExecutedOnly(t *testing.T) {
 	s := New()
-	ref := s.At(1, func() {})
+	s.At(1, func() {})
 	s.At(2, func() {})
-	ref.Cancel()
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
+	s.SetHorizon(1.5)
+	if err := s.Run(); err != ErrHorizon {
+		t.Fatalf("Run = %v, want ErrHorizon", err)
 	}
-	if s.Steps() != 1 {
-		t.Fatalf("Steps() = %d, want 1", s.Steps())
+	if s.Steps() != 1 || s.Stats().Scheduled != 2 {
+		t.Fatalf("Steps() = %d, Scheduled = %d, want 1 and 2", s.Steps(), s.Stats().Scheduled)
 	}
 }
 

@@ -15,8 +15,6 @@ type refEvent struct {
 	priority int
 	seq      int64
 	fn       func()
-	canceled bool
-	dead     bool // fired or dropped by a reset: Cancel refuses
 }
 
 type refQueue []*refEvent
@@ -46,57 +44,39 @@ func (q *refQueue) Pop() any {
 	return ev
 }
 
-// refSim is the minimal simulator around refQueue: the clock, lazy
-// cancellation, step and reset, with none of the freelist or counters.
+// refSim is the minimal simulator around refQueue: the clock, step
+// and reset, with none of the freelist or counters.
 type refSim struct {
 	now   float64
 	queue refQueue
 	seq   int64
 }
 
-func (r *refSim) at(t float64, priority int, fn func()) *refEvent {
+func (r *refSim) at(t float64, priority int, fn func()) {
 	r.seq++
-	ev := &refEvent{time: t, priority: priority, seq: r.seq, fn: fn}
-	heap.Push(&r.queue, ev)
-	return ev
-}
-
-func (r *refSim) cancel(ev *refEvent) bool {
-	if ev.dead || ev.canceled {
-		return false
-	}
-	ev.canceled = true
-	return true
+	heap.Push(&r.queue, &refEvent{time: t, priority: priority, seq: r.seq, fn: fn})
 }
 
 func (r *refSim) step() bool {
-	for len(r.queue) > 0 {
-		ev := heap.Pop(&r.queue).(*refEvent)
-		ev.dead = true
-		if ev.canceled {
-			continue
-		}
-		r.now = ev.time
-		ev.fn()
-		return true
+	if len(r.queue) == 0 {
+		return false
 	}
-	return false
+	ev := heap.Pop(&r.queue).(*refEvent)
+	r.now = ev.time
+	ev.fn()
+	return true
 }
 
 func (r *refSim) reset() {
-	for _, ev := range r.queue {
-		ev.dead = true
-	}
 	r.queue = r.queue[:0]
 	r.now, r.seq = 0, 0
 }
 
 // FuzzKernelOrder feeds one byte-coded op stream — schedule,
-// prioritized schedule, cancel, step, reset, and a schedule whose
-// handler schedules two follow-ups at its own instant — to the kernel
-// and to refSim, and requires the same events to fire in the same
-// order, the same clock, the same Cancel answers and the same pending
-// count after every op. Times are coarse (halves up to 15.5 ahead) and
+// prioritized schedule, step, reset, and a schedule whose handler
+// schedules two follow-ups at its own instant — to the kernel and to
+// refSim, and requires the same events to fire in the same order, the
+// same clock and the same pending count after every op. Times are coarse (halves up to 15.5 ahead) and
 // priorities span -3..4, so equal-time ties of mixed priority are the
 // common case rather than the exception. The follow-ups are the
 // simulator's pattern (a completion releases its children, each
@@ -106,7 +86,7 @@ func (r *refSim) reset() {
 func FuzzKernelOrder(f *testing.F) {
 	// Equal-time ties: priorities 2, -1, 0, -3 at t=1, then drained.
 	f.Add([]byte{1, 0x15, 1, 0x12, 0, 0x10, 1, 0x10, 3, 0, 3, 0, 3, 0, 3, 0})
-	// Mixed ties with a cancel, then a later tie drained by steps.
+	// Mixed ties stepped midway, then a later tie drained by steps.
 	f.Add([]byte{1, 0x17, 1, 0x10, 0, 0x10, 2, 1, 1, 0x14, 3, 0})
 	// A reset amid ties, then ties again in the new epoch.
 	f.Add([]byte{1, 0x25, 1, 0x21, 4, 0, 1, 0x25, 1, 0x21, 0, 0x20, 2, 0})
@@ -117,7 +97,7 @@ func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{1, 0x15, 41, 0x12, 3, 0, 3, 0, 3, 0, 3, 0})
 	// Release/cycle: two events at t=2 each post follow-ups of
 	// priority 1 then 0, so a later priority-0 entry slides in front
-	// of a queued priority-1 one; a follow-up is canceled midway.
+	// of a queued priority-1 one.
 	f.Add([]byte{173, 0x23, 173, 0x23, 3, 0, 2, 2, 3, 0, 3, 0, 3, 0, 3, 0, 3, 0})
 	// Events scheduled at the current instant from outside a handler,
 	// then a reset with the lane non-empty.
@@ -125,30 +105,31 @@ func FuzzKernelOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		s, r := New(), &refSim{}
 		var got, want []int
-		var refs []EventRef
-		var refEvs []*refEvent
-		// kAt and rAt schedule event len(refs) on each side; when it
+		var kN, rN int // events scheduled on each side
+		// kAt and rAt schedule event kN (rN) on each side; when it
 		// fires, it records its ID and schedules one follow-up per
 		// entry of spawn, at the clock, with that priority.
 		var kAt func(at float64, prio int, spawn []int)
 		kAt = func(at float64, prio int, spawn []int) {
-			id := len(refs)
-			refs = append(refs, s.AtPriority(at, prio, func() {
+			id := kN
+			kN++
+			s.AtPriority(at, prio, func() {
 				got = append(got, id)
 				for _, p := range spawn {
 					kAt(s.Now(), p, nil)
 				}
-			}))
+			})
 		}
 		var rAt func(at float64, prio int, spawn []int)
 		rAt = func(at float64, prio int, spawn []int) {
-			id := len(refEvs)
-			refEvs = append(refEvs, r.at(at, prio, func() {
+			id := rN
+			rN++
+			r.at(at, prio, func() {
 				want = append(want, id)
 				for _, p := range spawn {
 					rAt(r.now, p, nil)
 				}
-			}))
+			})
 		}
 		check := func(i int) {
 			t.Helper()
@@ -161,11 +142,11 @@ func FuzzKernelOrder(f *testing.F) {
 			if s.Pending() != len(r.queue) {
 				t.Fatalf("op %d: kernel has %d pending, reference %d", i, s.Pending(), len(r.queue))
 			}
-			if len(refs) != len(refEvs) {
-				t.Fatalf("op %d: kernel scheduled %d events, reference %d", i, len(refs), len(refEvs))
+			if kN != rN {
+				t.Fatalf("op %d: kernel scheduled %d events, reference %d", i, kN, rN)
 			}
 		}
-		for i := 0; i+1 < len(ops) && len(refs) < 256; i += 2 {
+		for i := 0; i+1 < len(ops) && kN < 256; i += 2 {
 			op, arg := ops[i]%6, ops[i+1]
 			at := s.Now() + float64(arg>>3)/2
 			switch op {
@@ -181,15 +162,7 @@ func FuzzKernelOrder(f *testing.F) {
 				}
 				kAt(at, prio, spawn)
 				rAt(at, prio, spawn)
-			case 2:
-				if len(refs) == 0 {
-					continue
-				}
-				k := int(arg) % len(refs)
-				if g, w := refs[k].Cancel(), r.cancel(refEvs[k]); g != w {
-					t.Fatalf("op %d: Cancel(%d) = %v, reference %v", i, k, g, w)
-				}
-			case 3:
+			case 2, 3:
 				if g, w := s.Step(), r.step(); g != w {
 					t.Fatalf("op %d: Step = %v, reference %v", i, g, w)
 				}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"reassign/internal/cloud"
+	"reassign/internal/loadgen"
 )
 
 // smallOpts keeps harness tests fast: few episodes, two fleets.
@@ -390,24 +391,18 @@ func TestLearningCurves(t *testing.T) {
 	}
 }
 
+// TestStudies: the open-system study renders one row per scheduling
+// lane (its lanes' figures are checked in package loadgen).
 func TestStudies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	o := Options{Seed: 2, Episodes: 3}
-	el, err := StudyElasticity(o)
+	tab, err := StudyOpenSystem(Options{Seed: 2, Episodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if el.Rows() != 4 {
-		t.Fatalf("elasticity rows = %d", el.Rows())
-	}
-	sp, err := StudySpot(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Rows() != 4 {
-		t.Fatalf("spot rows = %d", sp.Rows())
+	if want := len(loadgen.AllPolicies()); tab.Rows() != want {
+		t.Fatalf("open-system rows = %d, want one per lane (%d)", tab.Rows(), want)
 	}
 }
 

@@ -16,101 +16,6 @@ import (
 	"reassign/internal/trace"
 )
 
-// StudyElasticity sweeps autoscaling policies for Montage on a
-// deliberately under-provisioned fleet (2 × t2.micro) — quantifying
-// the elasticity property the paper's introduction motivates. Rows
-// are means over PlanEvalReps fluctuation seeds.
-func StudyElasticity(o Options) (*metrics.Table, error) {
-	o = o.withDefaults()
-	fleet := cloud.MustFleet("minimal", []cloud.VMType{cloud.T2Micro}, []int{2})
-	t := metrics.NewTable(
-		fmt.Sprintf("Study: elasticity (Montage 50 on 2×t2.micro, mean of %d runs)", PlanEvalReps),
-		"max VMs", "boot delay (s)", "makespan (s)", "cost (USD)", "acquired", "released")
-
-	type policy struct {
-		max  int
-		boot float64
-	}
-	for _, p := range []policy{{0, 0}, {4, 45}, {8, 45}, {8, 300}} {
-		var auto *sim.Autoscale
-		var mk, cost float64
-		var acq, rel int
-		for rep := 0; rep < PlanEvalReps; rep++ {
-			if p.max > 0 {
-				auto = &sim.Autoscale{
-					Type: cloud.T2Large, MaxVMs: p.max,
-					BootDelay: p.boot, IdleTimeout: 120, Cooldown: 20,
-				}
-			}
-			res, err := sim.Run(o.Workflow, fleet, &sched.MCT{},
-				sim.Config{Fluct: o.TrainFluct, Seed: o.Seed + 5000 + int64(rep), Autoscale: auto, Hook: o.Hook})
-			if err != nil {
-				return nil, err
-			}
-			mk += res.Makespan
-			cost += res.Cost
-			if res.Elasticity != nil {
-				acq += res.Elasticity.Acquired
-				rel += res.Elasticity.Released
-			}
-		}
-		n := float64(PlanEvalReps)
-		boot := "-"
-		if p.max > 0 {
-			boot = fmt.Sprintf("%.0f", p.boot)
-		}
-		t.AddRowF(p.max, boot, mk/n, fmt.Sprintf("%.4f", cost/n),
-			fmt.Sprintf("%.1f", float64(acq)/n), fmt.Sprintf("%.1f", float64(rel)/n))
-	}
-	return t, nil
-}
-
-// StudySpot sweeps spot-instance mean lifetimes on an all-spot fleet
-// (KeepOne protected): how much churn dynamic scheduling absorbs, and
-// at what makespan price.
-func StudySpot(o Options) (*metrics.Table, error) {
-	o = o.withDefaults()
-	fleet := cloud.MustFleet("spotpool", []cloud.VMType{cloud.T2Large}, []int{4})
-	t := metrics.NewTable(
-		fmt.Sprintf("Study: spot revocations (Montage 50 on 4×t2.large, mean of %d runs)", PlanEvalReps),
-		"mean lifetime (s)", "makespan (s)", "revocations", "aborted attempts")
-
-	for _, life := range []float64{0, 1000, 300, 100} {
-		var mk float64
-		var revs, aborted int
-		for rep := 0; rep < PlanEvalReps; rep++ {
-			var spot *sim.SpotPolicy
-			if life > 0 {
-				spot = &sim.SpotPolicy{MeanLifetime: life, KeepOne: true}
-			}
-			res, err := sim.Run(o.Workflow, fleet, &sched.MCT{},
-				sim.Config{Fluct: o.TrainFluct, Seed: o.Seed + 5000 + int64(rep), Spot: spot, Hook: o.Hook})
-			if err != nil {
-				return nil, err
-			}
-			if res.State != sim.FinishedOK {
-				return nil, fmt.Errorf("expt: spot run ended in %v", res.State)
-			}
-			mk += res.Makespan
-			revs += res.Revocations
-			for _, r := range res.Records {
-				if !r.Success {
-					aborted++
-				}
-			}
-		}
-		n := float64(PlanEvalReps)
-		label := "∞ (no spot)"
-		if life > 0 {
-			label = fmt.Sprintf("%.0f", life)
-		}
-		t.AddRowF(label, mk/n,
-			fmt.Sprintf("%.1f", float64(revs)/n),
-			fmt.Sprintf("%.1f", float64(aborted)/n))
-	}
-	return t, nil
-}
-
 // StudyScaling implements the paper's named future work — "more
 // experiments with larger instances of Montage": ReASSIgN (default
 // parameters, o.Episodes episodes) vs HEFT across Montage sizes on

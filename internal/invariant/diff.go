@@ -8,8 +8,8 @@ import (
 )
 
 // CloneResult deep-copies the parts of a Result that Engine.Reset
-// reclaims (Records, PerVM, Plan, Elasticity), so a run's outcome can
-// be compared after the engine runs again.
+// reclaims (Records, PerVM, Plan), so a run's outcome can be compared
+// after the engine runs again.
 func CloneResult(r *sim.Result) *sim.Result {
 	c := *r
 	c.Records = append([]sim.Record(nil), r.Records...)
@@ -22,10 +22,6 @@ func CloneResult(r *sim.Result) *sim.Result {
 		for k, v := range r.Plan {
 			c.Plan[k] = v
 		}
-	}
-	if r.Elasticity != nil {
-		e := *r.Elasticity
-		c.Elasticity = &e
 	}
 	return &c
 }
@@ -63,9 +59,6 @@ func DiffResults(a, b *sim.Result) []string {
 	}
 	if a.Events != b.Events {
 		add("events: %d vs %d", a.Events, b.Events)
-	}
-	if a.Revocations != b.Revocations {
-		add("revocations: %d vs %d", a.Revocations, b.Revocations)
 	}
 	if len(a.Records) != len(b.Records) {
 		add("records: %d vs %d", len(a.Records), len(b.Records))
@@ -105,12 +98,6 @@ func DiffResults(a, b *sim.Result) []string {
 				add("per-VM[%d]: %+v vs %+v (present=%v)", id, a.PerVM[id], bv, ok)
 			}
 		}
-	}
-	switch {
-	case (a.Elasticity == nil) != (b.Elasticity == nil):
-		add("elasticity: %+v vs %+v", a.Elasticity, b.Elasticity)
-	case a.Elasticity != nil && *a.Elasticity != *b.Elasticity:
-		add("elasticity: %+v vs %+v", *a.Elasticity, *b.Elasticity)
 	}
 	return diffs
 }

@@ -31,22 +31,18 @@ func freshVsReset(t *testing.T, aud *Auditor, w *dag.Workflow, fl *cloud.Fleet, 
 		t.Fatal(err)
 	}
 	// Dirty the engine with a different seed first, so the reset run
-	// has stale state (ready queues, autoscaled VMs, spot corpses) to
+	// has stale state (ready queues, busy slots, resident files) to
 	// overwrite — the harder equivalence.
 	other := cfg
 	other.Seed = cfg.Seed + 1000
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Reset(other); err != nil {
-		t.Fatal(err)
-	}
+	eng.Reset(other)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Reset(cfg); err != nil {
-		t.Fatal(err)
-	}
+	eng.Reset(cfg)
 	got, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -60,15 +56,13 @@ func freshVsReset(t *testing.T, aud *Auditor, w *dag.Workflow, fl *cloud.Fleet, 
 }
 
 // TestFreshVsResetScenarioGrid is the byte-stable-trace contract:
-// across seeds and the full scenario grid (fluctuation, data
-// transfer, frequent spot requeues, spot on multi-vCPU fleets,
-// autoscaling and spot×autoscale), a fresh engine and a reset one must produce
-// bit-identical results. Every run is audited too.
+// across seeds and the scenario grid (fluctuation, data transfer, a
+// fleet of multi-vCPU VMs only), a fresh engine and a reset one must
+// produce bit-identical results. Every run is audited too.
 func TestFreshVsResetScenarioGrid(t *testing.T) {
 	w := montage(t, 3)
 	fl16 := fleet16(t)
-	// Multi-vCPU spot fleet: revocations kill several concurrent
-	// tasks at once, the case that exposed map-ordered aborts.
+	// Multi-vCPU fleet: several concurrent tasks share each VM.
 	multi := cloud.MustFleet("multi", []cloud.VMType{cloud.T2Large, cloud.T22XLarge}, []int{2, 1})
 	fluct := cloud.DefaultFluctuation()
 
@@ -80,17 +74,7 @@ func TestFreshVsResetScenarioGrid(t *testing.T) {
 		{"plain", fl16, sim.Config{}},
 		{"fluct", fl16, sim.Config{Fluct: &fluct}},
 		{"dt", fl16, sim.Config{DataTransfer: true}},
-		{"spot-requeue", fl16, sim.Config{Fluct: &fluct,
-			Spot: &sim.SpotPolicy{MeanLifetime: 60, KeepOne: true}}},
-		{"spot-multi-vcpu", multi, sim.Config{Fluct: &fluct,
-			Spot: &sim.SpotPolicy{MeanLifetime: 300, KeepOne: true}}},
-		{"autoscale", fl16, sim.Config{
-			Autoscale: &sim.Autoscale{Type: cloud.T2Micro, MaxVMs: 12,
-				BootDelay: 5, IdleTimeout: 150, QueuePerFreeSlot: 0.5}}},
-		{"spot+autoscale", multi, sim.Config{
-			Spot: &sim.SpotPolicy{MeanLifetime: 250, KeepOne: true},
-			Autoscale: &sim.Autoscale{Type: cloud.T2Large, MaxVMs: 5,
-				BootDelay: 5, IdleTimeout: 150, QueuePerFreeSlot: 0.5}}},
+		{"multi-vcpu", multi, sim.Config{Fluct: &fluct}},
 	}
 
 	aud := New()
@@ -287,9 +271,7 @@ func TestHEFTPlannedMakespanOracle(t *testing.T) {
 // a clone diffs clean against its original, stays independent of it,
 // and every mutated field is reported.
 func TestDiffResultsAndClone(t *testing.T) {
-	res, err := sim.Run(montage(t, 3), fleet16(t), &sched.MCT{}, sim.Config{Seed: 7,
-		Autoscale: &sim.Autoscale{Type: cloud.T2Micro, MaxVMs: 12,
-			BootDelay: 5, QueuePerFreeSlot: 0.5}})
+	res, err := sim.Run(montage(t, 3), fleet16(t), &sched.MCT{}, sim.Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,12 +292,8 @@ func TestDiffResultsAndClone(t *testing.T) {
 	// ...and each mutation must be reported.
 	clone.Makespan += 1
 	clone.Cost += 0.5
-	if clone.Elasticity == nil {
-		t.Fatal("autoscaled run has no elasticity report")
-	}
-	clone.Elasticity.Acquired++
 	diffs := DiffResults(res, clone)
-	if len(diffs) < 5 {
-		t.Fatalf("only %d diffs reported for 5 mutations: %v", len(diffs), diffs)
+	if len(diffs) < 4 {
+		t.Fatalf("only %d diffs reported for 4 mutations: %v", len(diffs), diffs)
 	}
 }

@@ -12,10 +12,7 @@
 //     FreeSlots bookkeeping;
 //   - the scheduling context is well-formed at every decision: the
 //     ready queue is sorted by (ReadyAt, Index) without duplicates,
-//     idle VMs are actually idle, and the VM list is sorted by
-//     strictly increasing IDs (which also catches duplicate IDs from
-//     autoscaler allocation bugs);
-//   - dead VMs (spot-revoked or idle-retired) never accept work;
+//     and idle VMs are actually idle;
 //
 // and at the end of the run:
 //
@@ -23,8 +20,8 @@
 //     execution record per attempt;
 //   - Result.Records and Result.PerVM agree (count, exec, wait and
 //     busy conservation);
-//   - Makespan, Cost, BusyCost, Elasticity and Revocations are
-//     consistent with the observed events.
+//   - Makespan, Cost and BusyCost are consistent with the observed
+//     events.
 //
 // A single Auditor may observe any number of runs, including runs of
 // concurrent engines (replica learning): per-run state lives in the
@@ -79,23 +76,13 @@ func (a *Auditor) RunStart(env *sim.Env) sim.RunHook {
 	run := a.runs
 	a.runs++
 	a.mu.Unlock()
-	r := &runAudit{
+	return &runAudit{
 		a:     a,
 		run:   run,
 		env:   env,
 		busy:  make(map[*sim.VMState]int),
-		dead:  make(map[*sim.VMState]bool),
 		tasks: make(map[*sim.Task]*taskAudit),
-		ids:   make(map[int]bool),
 	}
-	vms := env.VMStates()
-	r.initialVMs = len(vms)
-	r.checkVMOrder(0, vms, "fleet")
-	for _, v := range vms {
-		r.maxID = max(r.maxID, v.VM.ID)
-		r.ids[v.VM.ID] = true
-	}
-	return r
 }
 
 // Runs returns how many runs the auditor has observed (started).
@@ -146,8 +133,7 @@ func (a *Auditor) report(v Violation) {
 // taskAudit is the auditor's view of one task's lifecycle.
 type taskAudit struct {
 	starts   int // TaskStart events (attempts)
-	records  int // TaskFinish + TaskAbort events (execution records)
-	terminal int // TaskFinish events (the only terminal transition)
+	terminal int // TaskFinish events (execution records, and the only terminal transition)
 	running  bool
 }
 
@@ -157,16 +143,11 @@ type runAudit struct {
 	run int
 	env *sim.Env
 
-	last       float64 // clock high-water mark
-	initialVMs int
-	maxID      int
-	ids        map[int]bool
-	busy       map[*sim.VMState]int
-	dead       map[*sim.VMState]bool
-	tasks      map[*sim.Task]*taskAudit
+	last  float64 // clock high-water mark
+	busy  map[*sim.VMState]int
+	tasks map[*sim.Task]*taskAudit
 
-	added, retired, revoked int
-	readyEvents             int
+	readyEvents int
 }
 
 func (r *runAudit) fail(now float64, rule, format string, args ...any) {
@@ -193,18 +174,6 @@ func (r *runAudit) task(t *sim.Task) *taskAudit {
 		r.tasks[t] = ta
 	}
 	return ta
-}
-
-// checkVMOrder verifies a VM list is sorted by strictly increasing ID
-// — the engine's documented ordering, and the property that makes
-// duplicate IDs (autoscaler collisions) visible.
-func (r *runAudit) checkVMOrder(now float64, vms []*sim.VMState, what string) {
-	for i := 1; i < len(vms); i++ {
-		if vms[i-1].VM.ID >= vms[i].VM.ID {
-			r.fail(now, "vm-id-order", "%s VM list not strictly increasing: id %d at %d, id %d at %d",
-				what, vms[i-1].VM.ID, i-1, vms[i].VM.ID, i)
-		}
-	}
 }
 
 // Decision implements sim.RunHook.
@@ -235,12 +204,7 @@ func (r *runAudit) Decision(now float64, ctx *sim.Context) {
 		if !v.Idle() {
 			r.fail(now, "idle-not-idle", "%v listed idle but is not", v)
 		}
-		if r.dead[v] {
-			r.fail(now, "idle-dead", "%v listed idle but was retired/revoked", v)
-		}
 	}
-	r.checkVMOrder(now, ctx.IdleVMs, "idle")
-	r.checkVMOrder(now, ctx.AllVMs, "all")
 }
 
 // TaskReady implements sim.RunHook.
@@ -270,12 +234,6 @@ func (r *runAudit) TaskStart(now float64, t *sim.Task, v *sim.VMState) {
 	if t.Attempts != ta.starts {
 		r.fail(now, "attempt-count", "task %s Attempts %d after %d observed starts", t.Act.ID, t.Attempts, ta.starts)
 	}
-	if r.dead[v] {
-		r.fail(now, "dead-vm-start", "task %s started on retired/revoked %v", t.Act.ID, v)
-	}
-	if !v.Booted() {
-		r.fail(now, "unbooted-start", "task %s started on unbooted %v", t.Act.ID, v)
-	}
 	r.busy[v]++
 	if r.busy[v] > v.Slots {
 		r.fail(now, "slot-overcommit", "%v holds %d tasks with %d slots", v, r.busy[v], v.Slots)
@@ -285,27 +243,19 @@ func (r *runAudit) TaskStart(now float64, t *sim.Task, v *sim.VMState) {
 	}
 }
 
-// finish records the end of one execution attempt (completion or
-// abort) on v.
-func (r *runAudit) finish(now float64, t *sim.Task, v *sim.VMState, rule string) *taskAudit {
+// TaskFinish implements sim.RunHook.
+func (r *runAudit) TaskFinish(now float64, t *sim.Task, v *sim.VMState) {
+	r.clock(now)
 	ta := r.task(t)
-	ta.records++
+	ta.terminal++
 	if !ta.running {
-		r.fail(now, rule, "task %s finished while not running", t.Act.ID)
+		r.fail(now, "finish-not-running", "task %s finished while not running", t.Act.ID)
 	}
 	ta.running = false
 	r.busy[v]--
 	if r.busy[v] < 0 {
 		r.fail(now, "slot-negative", "%v released below zero", v)
 	}
-	return ta
-}
-
-// TaskFinish implements sim.RunHook.
-func (r *runAudit) TaskFinish(now float64, t *sim.Task, v *sim.VMState) {
-	r.clock(now)
-	ta := r.finish(now, t, v, "finish-not-running")
-	ta.terminal++
 	if t.State != sim.Succeeded {
 		r.fail(now, "finish-state", "task %s succeeded with state %v", t.Act.ID, t.State)
 	}
@@ -317,53 +267,6 @@ func (r *runAudit) TaskFinish(now float64, t *sim.Task, v *sim.VMState) {
 	}
 }
 
-// TaskAbort implements sim.RunHook.
-func (r *runAudit) TaskAbort(now float64, t *sim.Task, v *sim.VMState) {
-	r.clock(now)
-	r.finish(now, t, v, "abort-not-running")
-	if !r.dead[v] {
-		r.fail(now, "abort-live-vm", "task %s aborted on live %v", t.Act.ID, v)
-	}
-}
-
-// VMAdded implements sim.RunHook.
-func (r *runAudit) VMAdded(now float64, v *sim.VMState) {
-	r.clock(now)
-	r.added++
-	if r.ids[v.VM.ID] {
-		r.fail(now, "vm-id-collision", "acquired VM reuses existing id %d", v.VM.ID)
-	}
-	if v.VM.ID <= r.maxID {
-		r.fail(now, "vm-id-order", "acquired VM id %d not above fleet max %d", v.VM.ID, r.maxID)
-	}
-	r.ids[v.VM.ID] = true
-	r.maxID = max(r.maxID, v.VM.ID)
-	r.checkVMOrder(now, r.env.VMStates(), "all")
-}
-
-// VMRetired implements sim.RunHook.
-func (r *runAudit) VMRetired(now float64, v *sim.VMState) {
-	r.clock(now)
-	r.retired++
-	if r.dead[v] {
-		r.fail(now, "retire-dead", "%v retired twice", v)
-	}
-	if r.busy[v] != 0 {
-		r.fail(now, "retire-busy", "%v retired with %d running tasks", v, r.busy[v])
-	}
-	r.dead[v] = true
-}
-
-// VMRevoked implements sim.RunHook.
-func (r *runAudit) VMRevoked(now float64, v *sim.VMState) {
-	r.clock(now)
-	r.revoked++
-	if r.dead[v] {
-		r.fail(now, "revoke-dead", "%v revoked twice", v)
-	}
-	r.dead[v] = true
-}
-
 // RunEnd implements sim.RunHook.
 func (r *runAudit) RunEnd(res *sim.Result) {
 	now := r.last
@@ -373,13 +276,13 @@ func (r *runAudit) RunEnd(res *sim.Result) {
 	// attempt, nothing left running.
 	records := 0
 	for t, ta := range r.tasks {
-		records += ta.records
+		records += ta.terminal
 		if ta.running {
 			r.fail(now, "task-still-running", "task %s still running at run end", t.Act.ID)
 		}
-		if ta.starts != ta.records {
+		if ta.starts != ta.terminal {
 			r.fail(now, "attempt-record-mismatch", "task %s: %d attempts but %d records",
-				t.Act.ID, ta.starts, ta.records)
+				t.Act.ID, ta.starts, ta.terminal)
 		}
 		if ta.terminal != 1 {
 			r.fail(now, "terminal-count", "task %s reached %d terminal states, want exactly 1",
@@ -451,14 +354,8 @@ func (r *runAudit) RunEnd(res *sim.Result) {
 	}
 
 	// Cost and BusyCost consistency.
-	fleet := r.env.Fleet()
-	base := fleet.Cost(res.Makespan)
-	if res.Elasticity == nil {
-		if math.Abs(res.Cost-base) > eps {
-			r.fail(now, "cost", "Cost %v != fleet cost %v", res.Cost, base)
-		}
-	} else if res.Cost < base-eps {
-		r.fail(now, "cost", "Cost %v below fleet-only cost %v despite acquired VMs", res.Cost, base)
+	if base := r.env.Fleet().Cost(res.Makespan); res.Cost != base {
+		r.fail(now, "cost", "Cost %v != fleet cost %v", res.Cost, base)
 	}
 	var busyCost float64
 	for _, v := range r.env.VMStates() {
@@ -466,22 +363,5 @@ func (r *runAudit) RunEnd(res *sim.Result) {
 	}
 	if math.Abs(res.BusyCost-busyCost) > eps {
 		r.fail(now, "busy-cost", "BusyCost %v != recomputed %v", res.BusyCost, busyCost)
-	}
-
-	// Elasticity and revocation reports match the observed events.
-	if res.Elasticity != nil {
-		e := res.Elasticity
-		if e.Acquired != r.added {
-			r.fail(now, "elasticity-acquired", "report says %d acquired, auditor observed %d", e.Acquired, r.added)
-		}
-		if e.Released != r.retired {
-			r.fail(now, "elasticity-released", "report says %d released, auditor observed %d", e.Released, r.retired)
-		}
-		if e.PeakVMs > r.initialVMs+r.added {
-			r.fail(now, "elasticity-peak", "peak %d exceeds initial %d + acquired %d", e.PeakVMs, r.initialVMs, r.added)
-		}
-	}
-	if res.Revocations != r.revoked {
-		r.fail(now, "revocation-count", "result says %d revocations, auditor observed %d", res.Revocations, r.revoked)
 	}
 }

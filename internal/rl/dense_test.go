@@ -97,9 +97,9 @@ func TestMapDenseEquivalenceRandomInit(t *testing.T) {
 	}
 }
 
-// TestDenseOverflowKeys checks keys outside the rectangle (the
-// autoscaling case) spill into the overflow map and behave like
-// entries inside it.
+// TestDenseOverflowKeys checks keys outside the rectangle (VM IDs past
+// the fleet, as provenance of replacement VMs names) spill into the
+// overflow map and behave like entries inside it.
 func TestDenseOverflowKeys(t *testing.T) {
 	d := NewTable(3, 2, rand.New(rand.NewSource(1)), 0)
 	out := Key{Task: 10, VM: 7} // outside 3×2

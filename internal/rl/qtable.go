@@ -17,9 +17,9 @@
 // Entries materialise lazily on first access, drawing random initial
 // values from the table's source in access order, so the same seed
 // and the same access sequence give bit-identical values whatever the
-// band layout. Keys outside the rectangle (autoscaled VMs beyond the
-// initial fleet, or entries loaded from a table of another shape)
-// spill into an overflow map. Save/Load use one JSON format, so a
+// band layout. Keys outside the rectangle (VM IDs past the fleet, or
+// entries loaded from a table of another shape) spill into an overflow
+// map. Save/Load use one JSON format, so a
 // persisted table loads into a table of any shape.
 package rl
 

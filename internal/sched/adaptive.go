@@ -71,7 +71,7 @@ func (a *Adaptive) Prepare(w *dag.Workflow, fleet *cloud.Fleet, env *sim.Env) er
 // Pick implements sim.Scheduler by replaying the current plan and
 // remembering what has started (those placements are immutable).
 func (a *Adaptive) Pick(ctx *sim.Context) []sim.Assignment {
-	a.slots.fill(ctx.IdleVMs)
+	a.slots.fill(ctx)
 	var out []sim.Assignment
 	for _, t := range ctx.Ready {
 		v := a.slots.open(a.plan[t.Act.ID])
@@ -82,7 +82,7 @@ func (a *Adaptive) Pick(ctx *sim.Context) []sim.Assignment {
 		a.started[t.Act.ID] = true
 		out = append(out, sim.Assignment{Task: t, VM: v})
 	}
-	a.slots.reset(ctx.IdleVMs)
+	a.slots.reset(ctx)
 	return out
 }
 

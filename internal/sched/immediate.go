@@ -21,7 +21,7 @@ func (*MCT) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return nil }
 
 // Pick implements sim.Scheduler.
 func (s *MCT) Pick(ctx *sim.Context) []sim.Assignment {
-	s.slots.fill(ctx.IdleVMs)
+	s.slots.fill(ctx)
 	var out []sim.Assignment
 	for _, t := range ctx.Ready {
 		best, _ := pickMinVM(ctx, t, &s.slots)
@@ -31,7 +31,7 @@ func (s *MCT) Pick(ctx *sim.Context) []sim.Assignment {
 		s.slots.take(best)
 		out = append(out, sim.Assignment{Task: t, VM: best})
 	}
-	s.slots.reset(ctx.IdleVMs)
+	s.slots.reset(ctx)
 	return out
 }
 
@@ -85,7 +85,7 @@ func (s *MaxMin) Pick(ctx *sim.Context) []sim.Assignment {
 }
 
 func minMaxLoop(ctx *sim.Context, free *slots, maxFirst bool) []sim.Assignment {
-	free.fill(ctx.IdleVMs)
+	free.fill(ctx)
 	pending := append([]*sim.Task(nil), ctx.Ready...)
 	var out []sim.Assignment
 	for len(pending) > 0 {
@@ -115,7 +115,7 @@ func minMaxLoop(ctx *sim.Context, free *slots, maxFirst bool) []sim.Assignment {
 		out = append(out, sim.Assignment{Task: pending[bestIdx], VM: bestVM})
 		pending = append(pending[:bestIdx], pending[bestIdx+1:]...)
 	}
-	free.reset(ctx.IdleVMs)
+	free.reset(ctx)
 	return out
 }
 
@@ -132,7 +132,7 @@ func (*DataAware) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return 
 
 // Pick implements sim.Scheduler.
 func (s *DataAware) Pick(ctx *sim.Context) []sim.Assignment {
-	s.slots.fill(ctx.IdleVMs)
+	s.slots.fill(ctx)
 	var out []sim.Assignment
 	for _, t := range ctx.Ready {
 		var best *sim.VMState
@@ -159,7 +159,7 @@ func (s *DataAware) Pick(ctx *sim.Context) []sim.Assignment {
 		s.slots.take(best)
 		out = append(out, sim.Assignment{Task: t, VM: best})
 	}
-	s.slots.reset(ctx.IdleVMs)
+	s.slots.reset(ctx)
 	return out
 }
 
@@ -177,7 +177,7 @@ func (*CheapFirst) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return
 
 // Pick implements sim.Scheduler.
 func (s *CheapFirst) Pick(ctx *sim.Context) []sim.Assignment {
-	s.slots.fill(ctx.IdleVMs)
+	s.slots.fill(ctx)
 	var out []sim.Assignment
 	for _, t := range ctx.Ready {
 		var best *sim.VMState
@@ -199,6 +199,6 @@ func (s *CheapFirst) Pick(ctx *sim.Context) []sim.Assignment {
 		s.slots.take(best)
 		out = append(out, sim.Assignment{Task: t, VM: best})
 	}
-	s.slots.reset(ctx.IdleVMs)
+	s.slots.reset(ctx)
 	return out
 }

@@ -34,7 +34,7 @@ func (*FCFS) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return nil }
 // Pick implements sim.Scheduler.
 func (s *FCFS) Pick(ctx *sim.Context) []sim.Assignment {
 	var out []sim.Assignment
-	s.slots.fill(ctx.IdleVMs)
+	s.slots.fill(ctx)
 	vi := 0
 	for _, t := range ctx.Ready {
 		for vi < len(ctx.IdleVMs) && s.slots.left(ctx.IdleVMs[vi]) == 0 {
@@ -47,7 +47,7 @@ func (s *FCFS) Pick(ctx *sim.Context) []sim.Assignment {
 		s.slots.take(v)
 		out = append(out, sim.Assignment{Task: t, VM: v})
 	}
-	s.slots.reset(ctx.IdleVMs)
+	s.slots.reset(ctx)
 	return out
 }
 
@@ -70,7 +70,7 @@ func (r *RoundRobin) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error {
 // Pick implements sim.Scheduler.
 func (r *RoundRobin) Pick(ctx *sim.Context) []sim.Assignment {
 	var out []sim.Assignment
-	r.slots.fill(ctx.IdleVMs)
+	r.slots.fill(ctx)
 	n := len(ctx.AllVMs)
 	for _, t := range ctx.Ready {
 		assigned := false
@@ -88,7 +88,7 @@ func (r *RoundRobin) Pick(ctx *sim.Context) []sim.Assignment {
 			break
 		}
 	}
-	r.slots.reset(ctx.IdleVMs)
+	r.slots.reset(ctx)
 	return out
 }
 
@@ -112,7 +112,7 @@ func (s *Random) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error {
 // Pick implements sim.Scheduler.
 func (s *Random) Pick(ctx *sim.Context) []sim.Assignment {
 	var out []sim.Assignment
-	s.slots.fill(ctx.IdleVMs)
+	s.slots.fill(ctx)
 	for _, t := range ctx.Ready {
 		// Collect VMs that still have room this round.
 		var open []*sim.VMState
@@ -128,7 +128,7 @@ func (s *Random) Pick(ctx *sim.Context) []sim.Assignment {
 		s.slots.take(v)
 		out = append(out, sim.Assignment{Task: t, VM: v})
 	}
-	s.slots.reset(ctx.IdleVMs)
+	s.slots.reset(ctx)
 	return out
 }
 
@@ -180,11 +180,9 @@ func (p *Plan) Prepare(w *dag.Workflow, fleet *cloud.Fleet, _ *sim.Env) error {
 	return nil
 }
 
-// Pick implements sim.Scheduler. Autoscaled VMs (IDs from fleet.Len()
-// on) enter the slot budget but are never picked: Prepare refuses a
-// plan that names one.
+// Pick implements sim.Scheduler.
 func (p *Plan) Pick(ctx *sim.Context) []sim.Assignment {
-	p.slots.fill(ctx.IdleVMs)
+	p.slots.fill(ctx)
 	if cap(p.out) < len(ctx.Ready) {
 		p.out = make([]sim.Assignment, 0, len(ctx.Ready))
 	}
@@ -197,7 +195,7 @@ func (p *Plan) Pick(ctx *sim.Context) []sim.Assignment {
 		p.slots.take(v)
 		out = append(out, sim.Assignment{Task: t, VM: v})
 	}
-	p.slots.reset(ctx.IdleVMs)
+	p.slots.reset(ctx)
 	p.out = out
 	return out
 }
@@ -205,24 +203,23 @@ func (p *Plan) Pick(ctx *sim.Context) []sim.Assignment {
 // slots is one decision's free-slot budget, indexed by VM ID. fill
 // records every idle VM with its free slots, take spends one and reset
 // zeroes what fill set, so each decision starts from a clean table. A
-// scheduler keeps one across its run: once the table covers the
-// largest idle VM ID, a decision allocates nothing for it.
+// scheduler keeps one across its run: once the table covers the fleet,
+// a decision allocates nothing for it.
 type slots struct {
 	free []int
 	vm   []*sim.VMState // the idle VM with each ID, nil for the others
 }
 
-// fill loads the budget of each idle VM, first growing the table to
-// the largest idle ID: the last one, as IdleVMs is in ID order.
-func (s *slots) fill(idle []*sim.VMState) {
-	if len(idle) == 0 {
-		return
+// fill loads the budget of each idle VM, first sizing the table to
+// the fleet: ctx.AllVMs, whose IDs are its indices. A table sized for a
+// smaller fleet is all zeros between decisions, so it is replaced, not
+// grown.
+func (s *slots) fill(ctx *sim.Context) {
+	if n := len(ctx.AllVMs); n > len(s.free) {
+		s.free = make([]int, n)
+		s.vm = make([]*sim.VMState, n)
 	}
-	if n := idle[len(idle)-1].VM.ID + 1; n > len(s.free) {
-		s.free = append(s.free, make([]int, n-len(s.free))...)
-		s.vm = append(s.vm, make([]*sim.VMState, n-len(s.vm))...)
-	}
-	for _, v := range idle {
+	for _, v := range ctx.IdleVMs {
 		s.free[v.VM.ID] = v.FreeSlots()
 		s.vm[v.VM.ID] = v
 	}
@@ -230,12 +227,7 @@ func (s *slots) fill(idle []*sim.VMState) {
 
 // left returns the slots v has left this decision: none unless fill
 // found v idle.
-func (s *slots) left(v *sim.VMState) int {
-	if id := v.VM.ID; id < len(s.free) {
-		return s.free[id]
-	}
-	return 0
-}
+func (s *slots) left(v *sim.VMState) int { return s.free[v.VM.ID] }
 
 // take spends one of v's slots.
 func (s *slots) take(v *sim.VMState) { s.free[v.VM.ID]-- }
@@ -243,15 +235,15 @@ func (s *slots) take(v *sim.VMState) { s.free[v.VM.ID]-- }
 // open returns the idle VM with the given ID while it has a slot left
 // this decision, and nil otherwise.
 func (s *slots) open(id int) *sim.VMState {
-	if id >= len(s.free) || s.free[id] == 0 {
+	if s.free[id] == 0 {
 		return nil
 	}
 	return s.vm[id]
 }
 
-// reset zeroes the entries fill set from the same idle VMs.
-func (s *slots) reset(idle []*sim.VMState) {
-	for _, v := range idle {
+// reset zeroes the entries fill set from the same context.
+func (s *slots) reset(ctx *sim.Context) {
+	for _, v := range ctx.IdleVMs {
 		s.free[v.VM.ID] = 0
 		s.vm[v.VM.ID] = nil
 	}

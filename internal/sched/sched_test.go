@@ -221,9 +221,8 @@ func mapPlanPick(assign map[string]int, ctx *sim.Context) []sim.Assignment {
 
 // TestPlanPickMatchesMap holds Plan.Pick to the map version over a
 // run of random decisions on one Plan: random ready subsets in random
-// order, random idle subsets with random free slots, and idle VMs with
-// IDs from fleet.Len() on (autoscaled), which no plan names. A budget
-// left dirty by one decision shows in the next.
+// order, and random idle subsets with random free slots. A budget left
+// dirty by one decision shows in the next.
 func TestPlanPickMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	w := trace.MontageN(rand.New(rand.NewSource(5)), 60)
@@ -240,22 +239,20 @@ func TestPlanPickMatchesMap(t *testing.T) {
 	for _, a := range w.Activations() {
 		tasks[a.Index] = &sim.Task{Act: a, State: sim.Ready}
 	}
-	vms := append([]*cloud.VM(nil), fleet.VMs...)
-	for id := fleet.Len(); id < fleet.Len()+6; id++ {
-		vms = append(vms, &cloud.VM{ID: id, Type: cloud.T2Large})
-	}
+	all := make([]*sim.VMState, fleet.Len())
 	for round := 0; round < 2000; round++ {
 		var idle []*sim.VMState
-		for _, vm := range vms {
+		for i, vm := range fleet.VMs {
+			all[i] = &sim.VMState{VM: vm, Slots: 1 + rng.Intn(3)}
 			if rng.Intn(3) > 0 {
-				idle = append(idle, &sim.VMState{VM: vm, Slots: 1 + rng.Intn(3)})
+				idle = append(idle, all[i])
 			}
 		}
 		ready := make([]*sim.Task, 0, len(tasks))
 		for _, i := range rng.Perm(len(tasks))[:rng.Intn(len(tasks)+1)] {
 			ready = append(ready, tasks[i])
 		}
-		ctx := &sim.Context{Ready: ready, IdleVMs: idle}
+		ctx := &sim.Context{Ready: ready, IdleVMs: idle, AllVMs: all}
 		want := mapPlanPick(assign, ctx)
 		got := p.Pick(ctx)
 		if len(got) != len(want) {

@@ -23,7 +23,7 @@ func (*SiteAware) Prepare(*dag.Workflow, *cloud.Fleet, *sim.Env) error { return 
 
 // Pick implements sim.Scheduler.
 func (s *SiteAware) Pick(ctx *sim.Context) []sim.Assignment {
-	s.slots.fill(ctx.IdleVMs)
+	s.slots.fill(ctx)
 	var out []sim.Assignment
 	for _, t := range ctx.Ready {
 		// Bytes of this activation's inputs resident per site (any VM
@@ -55,6 +55,6 @@ func (s *SiteAware) Pick(ctx *sim.Context) []sim.Assignment {
 		s.slots.take(best)
 		out = append(out, sim.Assignment{Task: t, VM: best})
 	}
-	s.slots.reset(ctx.IdleVMs)
+	s.slots.reset(ctx)
 	return out
 }

@@ -28,10 +28,6 @@ func (h *cancelHook) Decision(float64, *Context) {
 func (h *cancelHook) TaskReady(float64, *Task)            {}
 func (h *cancelHook) TaskStart(float64, *Task, *VMState)  {}
 func (h *cancelHook) TaskFinish(float64, *Task, *VMState) {}
-func (h *cancelHook) TaskAbort(float64, *Task, *VMState)  {}
-func (h *cancelHook) VMAdded(float64, *VMState)           {}
-func (h *cancelHook) VMRetired(float64, *VMState)         {}
-func (h *cancelHook) VMRevoked(float64, *VMState)         {}
 func (h *cancelHook) RunEnd(*Result)                      {}
 
 func cancelTestProblem(t *testing.T) (*Engine, *cancelHook, context.Context) {
@@ -89,9 +85,7 @@ func TestResetAfterCancel(t *testing.T) {
 	if _, err := eng.Run(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("first run: %v, want context.Canceled", err)
 	}
-	if err := eng.Reset(Config{}); err != nil {
-		t.Fatal(err)
-	}
+	eng.Reset(Config{})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"reassign/internal/cloud"
@@ -25,7 +24,7 @@ type Context struct {
 	Now     float64
 	Ready   []*Task    // ready, unassigned, sorted by (ReadyAt, Index)
 	IdleVMs []*VMState // VMs with ≥1 free slot, sorted by ID
-	AllVMs  []*VMState // every VM, sorted by ID
+	AllVMs  []*VMState // every VM; AllVMs[i] has ID i
 	Env     *Env
 }
 
@@ -59,12 +58,6 @@ type Config struct {
 	DataTransfer bool
 	// Fluct, when non-nil, perturbs actual (not estimated) runtimes.
 	Fluct *cloud.FluctuationModel
-	// Autoscale, when non-nil, lets the fleet grow under backlog and
-	// shrink when acquired VMs idle (cloud elasticity).
-	Autoscale *Autoscale
-	// Spot, when non-nil, revokes eligible VMs at random times,
-	// aborting and requeueing their running activations.
-	Spot *SpotPolicy
 	// Seed drives all randomness in the run.
 	Seed int64
 	// Horizon aborts runaway simulations (virtual seconds; 0 = none).
@@ -79,7 +72,7 @@ type Config struct {
 	// measurable in the hot path.
 	SkipPlan bool
 	// Hook, when non-nil, observes engine-internal transitions (task
-	// lifecycle, VM churn, scheduling decisions) for invariant auditing.
+	// lifecycle, scheduling decisions) for invariant auditing.
 	// Nil keeps every call site a single pointer comparison.
 	Hook Hook
 	// Ctx, when non-nil, cancels the run: the engine checks it at every
@@ -120,10 +113,10 @@ type Env struct {
 // input staging if data transfer is enabled. It deliberately ignores
 // fluctuation — that is the unmodelled part of the environment.
 //
-// Estimates over the workflow's activations and the initial fleet are
-// served from per-activation rows memoised lazily (bounded by
-// maxBaseDurCells cached estimates in total); only autoscaled VMs
-// beyond the fleet (or foreign activations) fall back to recomputing.
+// Estimates over the workflow's activations and the fleet are served
+// from per-activation rows memoised lazily (bounded by maxBaseDurCells
+// cached estimates in total); only foreign activations or VMs fall
+// back to recomputing.
 func (e *Env) EstimateExec(a *dag.Activation, vm *cloud.VM) float64 {
 	nv := len(e.fleet.VMs)
 	if id := vm.ID; id >= 0 && id < nv && e.fleet.VMs[id] == vm &&
@@ -195,31 +188,8 @@ func (e *Env) Workflow() *dag.Workflow { return e.workflow }
 // Fleet returns the fleet being simulated.
 func (e *Env) Fleet() *cloud.Fleet { return e.fleet }
 
-// VMStates returns all VM states sorted by ID.
+// VMStates returns all VM states; the VM with ID i is at index i.
 func (e *Env) VMStates() []*VMState { return e.vms }
-
-// VMIndexByID returns the position in VMStates of the VM with the
-// given ID, or -1 when absent. Initial-fleet IDs resolve in O(1) (vms
-// is ID-sorted and starts gap-free); autoscaled or churned fleets fall
-// back to a binary search.
-func (e *Env) VMIndexByID(id int) int {
-	if id >= 0 && id < len(e.vms) && e.vms[id].VM.ID == id {
-		return id
-	}
-	lo, hi := 0, len(e.vms)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if e.vms[mid].VM.ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(e.vms) && e.vms[lo].VM.ID == id {
-		return lo
-	}
-	return -1
-}
 
 // AppendVMIDs appends every VM's ID to dst (in ID order) and returns
 // it. Hot-path callers pass a reused buffer to avoid allocating.
@@ -265,10 +235,6 @@ type Result struct {
 	Events    int64
 	// Kernel holds the DES kernel's instrumentation counters.
 	Kernel des.Stats
-	// Elasticity is set when Config.Autoscale was active.
-	Elasticity *ElasticityReport
-	// Revocations counts spot VMs revoked during the run.
-	Revocations int
 }
 
 // Run simulates the workflow on the fleet under the scheduler. It is
@@ -283,22 +249,10 @@ func Run(w *dag.Workflow, fleet *cloud.Fleet, sched Scheduler, cfg Config) (*Res
 
 // NewEngine validates the inputs and returns a simulation engine.
 // Construction is separated from Run so callers can fail fast on bad
-// configuration before committing to a run. An Engine runs once;
-// Reset re-arms it for further runs without re-allocating its state.
+// inputs before committing to a run. An Engine runs once; Reset
+// re-arms it for further runs without re-allocating its state.
 func NewEngine(w *dag.Workflow, fleet *cloud.Fleet, sched Scheduler, cfg Config) (*Engine, error) {
-	if w == nil {
-		return nil, fmt.Errorf("sim: nil workflow")
-	}
-	if sched == nil {
-		return nil, fmt.Errorf("sim: nil scheduler")
-	}
-	if err := w.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if fleet == nil || fleet.Len() == 0 {
-		return nil, fmt.Errorf("sim: empty fleet")
-	}
-	if err := validateConfig(cfg); err != nil {
+	if err := validateProblem(w, fleet, sched); err != nil {
 		return nil, err
 	}
 	return &Engine{
@@ -310,17 +264,27 @@ func NewEngine(w *dag.Workflow, fleet *cloud.Fleet, sched Scheduler, cfg Config)
 	}, nil
 }
 
-// validateConfig checks the per-run configuration (the part Reset can
-// replace).
-func validateConfig(cfg Config) error {
-	if cfg.Autoscale != nil {
-		if err := cfg.Autoscale.validate(); err != nil {
-			return err
-		}
+// validateProblem checks the inputs NewEngine and Rebind bind an
+// engine to. A fleet's VM IDs must be 0..n-1 in order: the engine's
+// VMs are exactly the fleet's, and a VM's ID is its index everywhere
+// (Env.VMStates, Q-table columns, per-VM slot budgets).
+func validateProblem(w *dag.Workflow, fleet *cloud.Fleet, sched Scheduler) error {
+	if w == nil {
+		return fmt.Errorf("sim: nil workflow")
 	}
-	if cfg.Spot != nil {
-		if err := cfg.Spot.validate(); err != nil {
-			return err
+	if sched == nil {
+		return fmt.Errorf("sim: nil scheduler")
+	}
+	if err := w.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if fleet == nil || fleet.Len() == 0 {
+		return fmt.Errorf("sim: empty fleet")
+	}
+	for i, vm := range fleet.VMs {
+		if vm.ID != i {
+			return fmt.Errorf("sim: fleet %q: VM at index %d has ID %d, want IDs 0..%d in order",
+				fleet.Name, i, vm.ID, fleet.Len()-1)
 		}
 	}
 	return nil
@@ -356,9 +320,10 @@ type Engine struct {
 	vmBacking   []VMState
 	taskBacking []Task
 	// releaseFns[i] moves task i into the ready queue; completeFns[i]
-	// completes task i on the VM recorded in running. Binding them once
-	// per task backing (allocTasks) removes the two per-task closure
-	// allocations that used to dominate an episode's event scheduling.
+	// completes task i on the VM it runs on, vms[t.VM.ID]. Binding them
+	// once per task backing (allocTasks) removes the two per-task
+	// closure allocations that used to dominate an episode's event
+	// scheduling.
 	releaseFns  []func()
 	completeFns []func()
 
@@ -380,10 +345,7 @@ type Engine struct {
 
 	remaining   int  // tasks not yet finished
 	cyclePosted bool // a scheduling pass is already queued
-	scaler      *scaler
-	nBooted     int // VMs with booted set; flipped only through setBooted
-	nIdle       int // idle VMs (Idle()); kept by setBooted, start and complete
-	peakBooted  int
+	nIdle       int  // idle VMs (Idle()); kept by start and complete
 	// hook is this run's observer (cfg.Hook.RunStart), nil when
 	// observation is disabled.
 	hook RunHook
@@ -395,9 +357,6 @@ type Engine struct {
 	// kernelEv is the one KernelEvent every run emits a pointer to, so
 	// a run boxes no event.
 	kernelEv telemetry.KernelEvent
-	// running[i] is task i's completion event and VM while it runs
-	// (vm == nil otherwise), so spot revocations can abort it.
-	running []runningTask
 }
 
 // Reset re-arms a finished (or errored) engine for another run under
@@ -411,18 +370,10 @@ type Engine struct {
 // struct itself, its Records slice and its PerVM map are all reused
 // as backing for the next run. Callers that need any of it afterwards
 // must copy first.
-func (g *Engine) Reset(cfg Config) error {
-	if err := validateConfig(cfg); err != nil {
-		return err
-	}
-	if g.result != nil {
-		// Keep any capacity the previous run's spot aborts grew.
-		g.recBuf = g.result.Records[:0]
-		g.result = nil
-	}
+func (g *Engine) Reset(cfg Config) {
+	g.result = nil
 	g.cfg = cfg
 	g.sim.Reset()
-	return nil
 }
 
 // setup (re)initialises all per-run state. A backing is allocated
@@ -430,8 +381,7 @@ func (g *Engine) Reset(cfg Config) error {
 // it is re-initialised in place, so runs after Reset or Rebind reuse
 // every buffer a previous run left large enough. Elements past the
 // problem's size are zeroed: a pooled engine pins no workflow, VM or
-// file name of a problem it no longer serves. Re-seeding the rng and
-// drawing spot revocations in the same order as a fresh engine keeps
+// file name of a problem it no longer serves. Re-seeding the rng keeps
 // reused runs bit-identical to fresh ones.
 func (g *Engine) setup() {
 	g.sim.SetHorizon(g.cfg.Horizon)
@@ -449,7 +399,7 @@ func (g *Engine) setup() {
 	if cap(g.vms) < nv {
 		g.vms = make([]*VMState, 0, nv)
 	}
-	clear(g.vms[:cap(g.vms)]) // drops autoscaled VMs from a previous run
+	clear(g.vms[nv:cap(g.vms)])
 	g.vms = g.vms[:0]
 	if g.ctxIdle == nil {
 		g.ctxIdle = make([]*VMState, 0, nv)
@@ -462,13 +412,12 @@ func (g *Engine) setup() {
 		if len(fileAt) > 0 {
 			clear(fileAt)
 		}
-		*st = VMState{VM: vm, Slots: vm.Type.VCPUs, booted: true, fileAt: fileAt}
+		*st = VMState{VM: vm, Slots: vm.Type.VCPUs, fileAt: fileAt}
 		g.vms = append(g.vms, st)
 		if st.Idle() {
 			g.nIdle++
 		}
 	}
-	g.nBooted = len(g.vms)
 	if g.env == nil {
 		g.env = &Env{fleet: g.fleet, workflow: g.w, acts: g.w.Activations()}
 	}
@@ -476,32 +425,12 @@ func (g *Engine) setup() {
 	g.env.vms = g.vms
 	g.env.rng = g.rng
 	g.env.global = VMStats{}
-	if g.cfg.Autoscale != nil {
-		// Seed ID allocation from the highest fleet ID, not the fleet
-		// size: hand-built fleets may have gapped IDs, and a duplicate
-		// ID would silently merge two VMs' Result.PerVM stats.
-		maxID := 0
-		for _, vm := range g.fleet.VMs {
-			if vm.ID > maxID {
-				maxID = vm.ID
-			}
-		}
-		g.scaler = newScaler(g.cfg.Autoscale, maxID)
-	} else {
-		g.scaler = nil
-	}
 	n := g.w.Len()
-	if cap(g.running) < n {
-		g.running = make([]runningTask, n)
-	}
-	clear(g.running[:cap(g.running)])
-	g.running = g.running[:n]
 	if g.cfg.Hook != nil {
 		g.hook = g.cfg.Hook.RunStart(g.env)
 	} else {
 		g.hook = nil
 	}
-	g.scheduleRevocations()
 	if cap(g.taskBacking) < n {
 		g.allocTasks(n)
 	}
@@ -521,7 +450,6 @@ func (g *Engine) setup() {
 	g.ready = g.ready[:0]
 	g.remaining = n
 	g.cyclePosted = false
-	g.peakBooted = 0
 	if cap(g.recBuf) < n {
 		g.recBuf = make([]Record, 0, n)
 	}
@@ -561,11 +489,7 @@ func (g *Engine) allocTasks(n int) {
 			}
 			g.postCycle()
 		}
-		g.completeFns[i] = func() {
-			if v := g.running[i].vm; v != nil {
-				g.complete(t, v)
-			}
-		}
+		g.completeFns[i] = func() { g.complete(t, g.vms[t.VM.ID]) }
 	}
 }
 
@@ -594,9 +518,7 @@ func (g *Engine) Run() (*Result, error) {
 		return nil, fmt.Errorf("sim: %w (makespan so far %.2f)", err, g.sim.Now())
 	}
 
-	// Makespan is the last activation completion — not the DES clock,
-	// which trailing events (e.g. autoscaler boots racing a finished
-	// workflow) can push further.
+	// Makespan is the last activation completion.
 	for _, r := range g.result.Records {
 		if r.FinishAt > g.result.Makespan {
 			g.result.Makespan = r.FinishAt
@@ -616,31 +538,6 @@ func (g *Engine) Run() (*Result, error) {
 		// Pro-rata: price is per VM-hour; one busy slot-second costs
 		// price / (3600 × slots).
 		g.result.BusyCost += v.stats.Busy * v.VM.Type.PricePerHour / (3600 * float64(v.Slots))
-	}
-	if g.scaler != nil {
-		sc := g.scaler
-		g.result.Elasticity = &ElasticityReport{
-			Acquired: sc.acquired,
-			Released: sc.released,
-			PeakVMs:  g.peakBooted,
-		}
-		// Acquired VMs bill hourly from acquisition to release (or the
-		// end of the run). Iterate the VM list, not the acquireTime map:
-		// float additions in map order would make Cost's low bits depend
-		// on iteration order, breaking byte-stable traces.
-		for _, v := range g.vms {
-			bootAt, ok := sc.acquireTime[v]
-			if !ok {
-				continue
-			}
-			end := g.result.Makespan
-			if t, ok := sc.releaseTime[v]; ok {
-				end = t
-			}
-			if end > bootAt {
-				g.result.Cost += math.Ceil((end-bootAt)/3600) * v.VM.Type.PricePerHour
-			}
-		}
 	}
 	g.result.Kernel = g.sim.Stats()
 	if g.hook != nil {
@@ -725,10 +622,6 @@ func (g *Engine) cycle() {
 		default:
 		}
 	}
-	g.autoscaleStep()
-	if g.nBooted > g.peakBooted {
-		g.peakBooted = g.nBooted
-	}
 	for g.workflowState() == Available {
 		ctx := g.buildContext()
 		g.result.Decisions++
@@ -748,24 +641,6 @@ func (g *Engine) cycle() {
 		if !progressed {
 			return
 		}
-	}
-}
-
-// setBooted marks v usable or not (booting, retired, revoked),
-// keeping nBooted — the count of usable VMs — and nIdle in step. Every
-// flip of a VM's booted flag after setup goes through here.
-func (g *Engine) setBooted(v *VMState, booted bool) {
-	if v.booted == booted {
-		return
-	}
-	v.booted = booted
-	d := 1
-	if !booted {
-		d = -1
-	}
-	g.nBooted += d
-	if v.busy < v.Slots {
-		g.nIdle += d
 	}
 }
 
@@ -811,12 +686,7 @@ func (g *Engine) start(as Assignment) bool {
 	t.Attempts++
 	start := g.sim.Now()
 	t.StartAt = start
-	fin := start + g.duration(t, v)
-	// The pre-bound closure resolves the VM through g.running, so the
-	// entry must be set before the event can fire; setting it after
-	// scheduling is safe because the event is strictly in the future.
-	ref := g.sim.At(fin, g.completeFns[t.Act.Index])
-	g.running[t.Act.Index] = runningTask{ref: ref, vm: v}
+	g.sim.At(start+g.duration(t, v), g.completeFns[t.Act.Index])
 	if g.hook != nil {
 		g.hook.TaskStart(g.sim.Now(), t, v)
 	}
@@ -865,14 +735,13 @@ func (g *Engine) producer(file string) *VMState {
 }
 
 func (g *Engine) complete(t *Task, v *VMState) {
-	g.running[t.Act.Index] = runningTask{}
-	if v.booted && v.busy == v.Slots {
+	if v.busy == v.Slots {
 		g.nIdle++
 	}
 	v.release()
 	t.FinishAt = g.sim.Now()
 	t.State = Succeeded
-	g.record(t, v, true)
+	g.record(t, v)
 	g.remaining--
 	if g.hook != nil {
 		g.hook.TaskFinish(g.sim.Now(), t, v)
@@ -904,13 +773,7 @@ func (g *Engine) complete(t *Task, v *VMState) {
 	g.postCycle()
 }
 
-// runningTask pairs an in-flight task's completion event with its VM.
-type runningTask struct {
-	ref des.EventRef
-	vm  *VMState
-}
-
-func (g *Engine) record(t *Task, v *VMState, success bool) {
+func (g *Engine) record(t *Task, v *VMState) {
 	g.result.Records = append(g.result.Records, Record{
 		TaskID:   t.Act.ID,
 		Activity: t.Act.Activity,
@@ -920,6 +783,6 @@ func (g *Engine) record(t *Task, v *VMState, success bool) {
 		StartAt:  t.StartAt,
 		FinishAt: t.FinishAt,
 		Attempts: t.Attempts,
-		Success:  success,
+		Success:  true,
 	})
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -261,8 +263,36 @@ func TestInvalidInputs(t *testing.T) {
 	if _, err := Run(w, nil, &greedyFirst{}, Config{}); err == nil {
 		t.Fatal("nil fleet accepted")
 	}
-	if _, err := Run(w, singleVMFleet(), &greedyFirst{}, Config{Spot: &SpotPolicy{MeanLifetime: -1}}); err == nil {
-		t.Fatal("negative spot lifetime accepted")
+}
+
+// TestRejectsFleetIDsNotIndices: a VM's ID is its index in the engine,
+// so NewEngine, Run and Rebind refuse a fleet whose IDs are not
+// 0..n-1 in order — gapped, shifted or permuted.
+func TestRejectsFleetIDsNotIndices(t *testing.T) {
+	w := chain(2)
+	vm := func(id int) *cloud.VM { return &cloud.VM{ID: id, Type: cloud.T2Micro} }
+	for name, ids := range map[string][]int{
+		"gapped":   {0, 2},
+		"shifted":  {1, 2},
+		"permuted": {1, 0},
+	} {
+		fleet := &cloud.Fleet{Name: name}
+		for _, id := range ids {
+			fleet.VMs = append(fleet.VMs, vm(id))
+		}
+		if _, err := NewEngine(w, fleet, &greedyFirst{}, Config{}); err == nil {
+			t.Errorf("%s: NewEngine accepted IDs %v", name, ids)
+		}
+		if _, err := Run(w, fleet, &greedyFirst{}, Config{}); err == nil {
+			t.Errorf("%s: Run accepted IDs %v", name, ids)
+		}
+		eng, err := NewEngine(w, singleVMFleet(), &greedyFirst{}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Rebind(w, fleet, &greedyFirst{}, Config{}); err == nil {
+			t.Errorf("%s: Rebind accepted IDs %v", name, ids)
+		}
 	}
 }
 
@@ -431,7 +461,7 @@ func TestPropertySimulationInvariants(t *testing.T) {
 }
 
 // Property: same seed ⇒ identical result (determinism), even with
-// fluctuation and spot requeues enabled.
+// fluctuation enabled.
 func TestPropertyDeterministicRuns(t *testing.T) {
 	f := func(seed int64) bool {
 		mk := func() *Result {
@@ -439,10 +469,7 @@ func TestPropertyDeterministicRuns(t *testing.T) {
 			w := trace.Montage(rng, 6, 3)
 			fleet, _ := cloud.FleetTable1(16)
 			fl := cloud.DefaultFluctuation()
-			res, err := Run(w, fleet, &greedyFirst{}, Config{
-				Seed: seed, Fluct: &fl,
-				Spot: &SpotPolicy{MeanLifetime: 60, KeepOne: true},
-			})
+			res, err := Run(w, fleet, &greedyFirst{}, Config{Seed: seed, Fluct: &fl})
 			if err != nil {
 				return nil
 			}
@@ -525,17 +552,6 @@ func BenchmarkRunMontage50FCFS(b *testing.B) {
 	}
 }
 
-func TestBootedAccessor(t *testing.T) {
-	v := &VMState{VM: &cloud.VM{ID: 0, Type: cloud.T2Micro}, Slots: cloud.T2Micro.VCPUs, booted: true}
-	if !v.Booted() || !v.Idle() {
-		t.Fatal("fresh VM not booted/idle")
-	}
-	v.booted = false
-	if v.Idle() {
-		t.Fatal("unbooted VM reported idle")
-	}
-}
-
 func TestVerifyAcceptsValidResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	w := trace.Montage50(rng)
@@ -595,8 +611,25 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	}
 }
 
-// Property: every scheduler's result passes Verify, with spot
-// requeues and fluctuation active.
+// TestVerifyRejectsRecordOffFleet: a record on a VM the fleet lacks
+// (ID fleet.Len()) is an error, not a VM whose slot sweep is skipped.
+func TestVerifyRejectsRecordOffFleet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	w := trace.Montage(rng, 4, 2)
+	fleet, _ := cloud.FleetTable1(16)
+	res, err := Run(w, fleet, &greedyFirst{}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Records[0].VMID = fleet.Len()
+	err = res.Verify(w, fleet)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("vm%d", fleet.Len())) {
+		t.Fatalf("Verify = %v, want an error naming vm%d", err, fleet.Len())
+	}
+}
+
+// Property: every scheduler's result passes Verify, with fluctuation
+// active.
 func TestPropertyVerifyAllResults(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -606,10 +639,7 @@ func TestPropertyVerifyAllResults(t *testing.T) {
 			return false
 		}
 		fl := cloud.DefaultFluctuation()
-		res, err := Run(w, fleet, &greedyFirst{}, Config{
-			Seed: seed, Fluct: &fl,
-			Spot: &SpotPolicy{MeanLifetime: 60, KeepOne: true},
-		})
+		res, err := Run(w, fleet, &greedyFirst{}, Config{Seed: seed, Fluct: &fl})
 		if err != nil {
 			return false
 		}

@@ -31,27 +31,16 @@ type RunHook interface {
 	// Decision fires after the scheduling context is built and before
 	// the scheduler's Pick. ctx contents are only valid for the call.
 	Decision(now float64, ctx *Context)
-	// TaskReady fires when a task enters the ready queue (first
-	// release or spot-abort requeue).
+	// TaskReady fires when a task enters the ready queue.
 	TaskReady(now float64, t *Task)
 	// TaskStart fires when an assignment is accepted and the task
 	// occupies a VM slot.
 	TaskStart(now float64, t *Task, v *VMState)
-	// TaskFinish fires when an execution attempt completes; the task
-	// has succeeded, its terminal state.
+	// TaskFinish fires when the task's one execution completes; the
+	// task has succeeded, its terminal state.
 	TaskFinish(now float64, t *Task, v *VMState)
-	// TaskAbort fires when a spot revocation kills a running attempt;
-	// the task returns to the ready queue.
-	TaskAbort(now float64, t *Task, v *VMState)
-	// VMAdded fires when the autoscaler acquires a VM (not yet booted).
-	VMAdded(now float64, v *VMState)
-	// VMRetired fires when the autoscaler releases an idle acquired VM.
-	VMRetired(now float64, v *VMState)
-	// VMRevoked fires when a spot revocation kills a VM, before its
-	// running tasks are aborted.
-	VMRevoked(now float64, v *VMState)
 	// RunEnd fires once with the finished result, after every field of
-	// res (records, stats, cost, elasticity, kernel counters) is final.
+	// res (records, stats, cost, kernel counters) is final.
 	// It is not called for runs that end in an error.
 	RunEnd(res *Result)
 }

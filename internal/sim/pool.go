@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,42 +13,29 @@ import (
 // scheduler and configuration all change, unlike Reset, which re-arms
 // the same problem. Rebind drops only what points into the previous
 // problem: the Env (and with it the estimator's memo), the Result, the
-// run's hook and autoscaler, and the decision Context. Like Reset, it
-// takes the previous Result's record slice back as backing, emptied of
-// its records. Every other buffer is kept: the DES kernel and its
-// event freelist, the rng, the task and VM backings with their
-// pre-bound event closures and file-residency maps, the running table,
-// the per-VM stats map and the decision scratch. The next Run's setup
-// allocates a backing only when the new problem outgrows it, and zeroes
-// what lies past the new problem's size, so a pooled engine serving
-// many jobs of one structure allocates almost nothing per job and pins
-// no workflow or fleet it no longer serves.
+// run's hook and the decision Context. Like Reset, it takes the
+// previous Result's record slice back as backing, emptied of its
+// records. Every other buffer is kept: the DES kernel and its event
+// freelist, the rng, the task and VM backings with their pre-bound
+// event closures and file-residency maps, the per-VM stats map and the
+// decision scratch. The next Run's setup allocates a backing only when
+// the new problem outgrows it, and zeroes what lies past the new
+// problem's size, so a pooled engine serving many jobs of one
+// structure allocates almost nothing per job and pins no workflow or
+// fleet it no longer serves.
 //
 // A rebound run is bit-identical to a fresh engine's run of the same
 // problem: setup re-initialises every kept element and re-seeds the
 // kept rng (the identical stream); only the kernel's freelist hit
-// counters can differ.
+// counters can differ. Rebind rejects what NewEngine rejects.
 func (g *Engine) Rebind(w *dag.Workflow, fleet *cloud.Fleet, sched Scheduler, cfg Config) error {
-	if w == nil {
-		return fmt.Errorf("sim: nil workflow")
-	}
-	if sched == nil {
-		return fmt.Errorf("sim: nil scheduler")
-	}
-	if err := w.Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	if fleet == nil || fleet.Len() == 0 {
-		return fmt.Errorf("sim: empty fleet")
-	}
-	if err := validateConfig(cfg); err != nil {
+	if err := validateProblem(w, fleet, sched); err != nil {
 		return err
 	}
 	g.w, g.fleet, g.sched, g.cfg = w, fleet, sched, cfg
 
 	g.env = nil
 	g.hook = nil
-	g.scaler = nil
 	g.ctx = Context{}
 	if g.result != nil {
 		// The records name the previous workflow's activations: keep

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"reassign/internal/cloud"
@@ -14,9 +13,9 @@ import (
 // TestRebindMatchesFresh drives one engine through a chain of
 // different problems via Rebind and checks each run is bit-identical
 // to a fresh engine's run of the same problem. The chain shrinks and
-// grows (80 → 30 → 80 activations, 32 → 16 → 32 vCPUs), so kept
-// backings are resliced both ways, and covers autoscaled VMs, spot
-// revocations and data transfer. The last case rebinds to a workflow
+// grows (80 → 30 → 40 activations, 32 → 16 → 32 vCPUs), so kept
+// backings are resliced both ways, and covers fluctuation and data
+// transfer. The last case rebinds to a workflow
 // with the same file names as the one before it, under another
 // fluctuation seed so activations land elsewhere: file residency left
 // over from that run would skip transfers and shorten the makespan.
@@ -40,11 +39,6 @@ func TestRebindMatchesFresh(t *testing.T) {
 	}{
 		{"montage80-32", montage(80), fleet32, Config{Seed: 7}},
 		{"montage30-16-fluct", montage(30), fleet16, Config{Seed: 11, Fluct: &fm}},
-		{"montage80-32-autoscale", montage(80), fleet32, Config{Seed: 5, Fluct: &fm,
-			Autoscale: &Autoscale{Type: cloud.T2Large, MaxVMs: 20, BootDelay: 3,
-				IdleTimeout: 5, QueuePerFreeSlot: 0.1}}},
-		{"montage30-16-spot", montage(30), fleet16, Config{Seed: 13, Fluct: &fm,
-			Spot: &SpotPolicy{MeanLifetime: 60, KeepOne: true}}},
 		{"cybershake40-32-datatransfer", cybershake(), fleet32, Config{Seed: 3, Fluct: &fm, DataTransfer: true}},
 		{"cybershake40-32-datatransfer-again", cybershake(), fleet32, Config{Seed: 4, Fluct: &fm, DataTransfer: true}},
 	}
@@ -74,9 +68,6 @@ func TestRebindMatchesFresh(t *testing.T) {
 			requireEqualRuns(t, want, got)
 			if got.Cost != want.Cost || got.BusyCost != want.BusyCost {
 				t.Errorf("cost mismatch: (%v,%v) != (%v,%v)", got.Cost, got.BusyCost, want.Cost, want.BusyCost)
-			}
-			if !reflect.DeepEqual(got.Elasticity, want.Elasticity) {
-				t.Errorf("elasticity %+v != fresh %+v", got.Elasticity, want.Elasticity)
 			}
 		})
 	}

@@ -2,9 +2,10 @@
 // a workflow engine that releases activations as their dependencies
 // finish, a pluggable scheduler invoked whenever the workflow is in
 // the paper's "available" state (≥1 ready activation and ≥1 idle VM
-// slot), spot revocations that requeue running activations, an
-// autoscaler, and optional runtime fluctuation. Task failures are not
-// modelled here: they are injected once, at execution (package exec).
+// slot) on a fixed fleet, and optional runtime fluctuation. The fleet
+// never changes during a run, and task failures are not modelled
+// here: preemption, failures and retries are modelled once, at
+// execution (package exec).
 //
 // It runs on the deterministic discrete-event kernel in package des,
 // so a given (workflow, fleet, scheduler, seed) reproduces the same
@@ -20,8 +21,7 @@ import (
 )
 
 // TaskState is the per-activation state machine from the paper
-// (§III.A): locked → ready → running → succeeded. A spot revocation
-// sends a running task back to ready.
+// (§III.A): locked → ready → running → succeeded.
 type TaskState int
 
 const (
@@ -89,12 +89,12 @@ type Task struct {
 	VM *cloud.VM
 
 	// Timestamps in virtual seconds. ReadyAt is when the task entered
-	// the ready queue (most recently, if requeued).
+	// the ready queue.
 	ReadyAt  float64
 	StartAt  float64
 	FinishAt float64
 
-	// Attempts counts executions, including spot-aborted ones.
+	// Attempts counts executions: 1 once the task has started.
 	Attempts int
 
 	waitingOn int // unfinished parents
@@ -118,7 +118,9 @@ type Record struct {
 	StartAt  float64
 	FinishAt float64
 	Attempts int
-	// Success is false for an attempt a spot revocation aborted.
+	// Success reports whether the attempt finished. Every record the
+	// engine writes succeeds; Verify and the readers of Result.Records
+	// skip failed attempts a hand-built result may carry.
 	Success bool
 }
 
@@ -161,11 +163,12 @@ func (s *VMStats) add(exec, wait float64) {
 	s.Busy += exec
 }
 
-// Verify checks a result against its workflow: every activation ran
-// exactly once successfully (for FinishedOK results), no record
-// starts before its dependencies' successful completions, and no VM
-// ever exceeds its slot capacity. It returns nil for a consistent
-// result. Use it in tests and after custom schedulers.
+// Verify checks a result against its workflow and fleet: every
+// activation ran exactly once successfully (for FinishedOK results),
+// no record starts before its dependencies' successful completions,
+// every record names a VM of the fleet, and no VM ever exceeds its
+// slot capacity. It returns nil for a consistent result. Use it in
+// tests and after custom schedulers.
 func (r *Result) Verify(w *dag.Workflow, fleet *cloud.Fleet) error {
 	if r.State == FinishedOK {
 		okCount := make(map[string]int)
@@ -227,9 +230,7 @@ func (r *Result) Verify(w *dag.Workflow, fleet *cloud.Fleet) error {
 	for vmID, evs := range perVM {
 		cap, known := slots[vmID]
 		if !known {
-			// Autoscaled VM beyond the initial fleet: capacity unknown
-			// here; skip the sweep for it.
-			continue
+			return fmt.Errorf("sim: record on vm%d, which fleet %q lacks", vmID, fleet.Name)
 		}
 		sort.Slice(evs, func(i, j int) bool {
 			if evs[i].t != evs[j].t {

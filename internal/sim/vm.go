@@ -14,9 +14,8 @@ type VMState struct {
 	VM    *cloud.VM
 	Slots int // total slots = vCPUs
 
-	busy   int
-	booted bool // false while the VM is still provisioning
-	stats  VMStats
+	busy  int
+	stats VMStats
 
 	// fileAt records which output files are already resident on this
 	// VM, to skip transfer costs for locally produced inputs. It is
@@ -28,11 +27,8 @@ type VMState struct {
 func (v *VMState) FreeSlots() int { return v.Slots - v.busy }
 
 // Idle reports whether the VM can accept at least one activation —
-// the paper's "idle" VM state. A VM still provisioning is never idle.
-func (v *VMState) Idle() bool { return v.booted && v.busy < v.Slots }
-
-// Booted reports whether the VM has finished provisioning.
-func (v *VMState) Booted() bool { return v.booted }
+// the paper's "idle" VM state.
+func (v *VMState) Idle() bool { return v.busy < v.Slots }
 
 // Stats returns the execution history aggregate for this VM.
 func (v *VMState) Stats() VMStats { return v.stats }
